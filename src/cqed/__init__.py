@@ -2,8 +2,9 @@
 
 Subpackages by physics area:
 
-* `cqed.linalg` - dense Hermitian eigensolver (cyclic Jacobi), tensor
-  products, spectral time evolution, state vectors.
+* `cqed.linalg` - dense Hermitian eigensolver (cyclic Jacobi), batched
+  tridiagonal eigenvalues (Sturm bisection), tensor products, spectral
+  time evolution, state vectors.
 * `cqed.fock` - truncated oscillator: ladder/quadrature operators,
   coherent states, cavity mode ladders.
 * `cqed.qubit` - Pauli algebra, Bloch sphere, rotations, Rabi/Ramsey.

@@ -10,9 +10,16 @@ gate-charge grids: spectra, the two-level reduction and its exact gap, the
 sweet-spot/charge-dispersion analysis that motivates the transmon, the
 second-order avoided crossings, and the sudden/adiabatic gate protocols.
 
+Eigenvalue-only work (spectrum sweeps, gap scans, charge dispersion, the
+avoided-crossing gaps) hands the diagonal and the constant coupling -E_J/2
+straight to the batched Sturm bisection `tridiagonal_eigvalsh`, so no dense
+Hamiltonian is built.  The gate simulations need eigenvectors and keep the
+dense Jacobi solver.
+
 Spectra are periodic in N_g with period 1 and symmetric about N_g = 1/2,
-so every scan below uses a single period.  Truncation: states near |+-ncut|
-are polluted by the hard cutoff, so callers never get more than 2 ncut - 1
+so every scan below uses a single period, and the avoided crossings are
+evaluated at their symmetry points.  Truncation: states near |+-ncut| are
+polluted by the hard cutoff, so callers never get more than 2 ncut - 1
 levels, and the dispersion scan re-runs itself at doubled ncut to prove the
 cutoff is irrelevant.
 """
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .linalg import Ket, hermitian_eigen, hermitian_eigen_batch
+from .linalg import Ket, hermitian_eigen, hermitian_eigen_batch, tridiagonal_eigvalsh
 from .qubit import pauli
 from .timeseries import TimeSeries
 
@@ -97,12 +104,17 @@ def cpb_hamiltonian(params: CPBParams, basis: ChargeBasis) -> np.ndarray:
     return h
 
 
+def _charging_energies(ec, ng_values, basis: ChargeBasis) -> np.ndarray:
+    """Diagonal E_C (N - N_g)^2: one row per gate charge, one column per N."""
+    return ec * (basis.charges[None, :] - np.asarray(ng_values)[:, None]) ** 2
+
+
 def _hamiltonian_stack(ec, ej, ng_values, basis: ChargeBasis) -> np.ndarray:
-    charges = basis.charges
     npts = len(ng_values)
     stack = np.zeros((npts, basis.dim, basis.dim))
-    diag = ec * (charges[None, :] - np.asarray(ng_values)[:, None]) ** 2
-    stack[:, np.arange(basis.dim), np.arange(basis.dim)] = diag
+    stack[:, np.arange(basis.dim), np.arange(basis.dim)] = _charging_energies(
+        ec, ng_values, basis
+    )
     rows = np.arange(basis.dim - 1)
     stack[:, rows, rows + 1] = -0.5 * ej
     stack[:, rows + 1, rows] = -0.5 * ej
@@ -112,15 +124,13 @@ def _hamiltonian_stack(ec, ej, ng_values, basis: ChargeBasis) -> np.ndarray:
 def spectrum_sweep(
     ec: float, ej: float, ng_values: np.ndarray, ncut: int, k: int
 ) -> SpectrumSweep:
-    """k lowest levels of the box at each gate charge (one batched solve)."""
+    """k lowest levels of the box at each gate charge (one batched bisection)."""
     basis = ChargeBasis(ncut)
     if not 1 <= k <= 2 * ncut - 1:
         raise ValueError(f"k must be within [1, {2 * ncut - 1}]; top levels are cutoff-polluted")
     ng_values = np.asarray(ng_values, dtype=np.float64)
-    vals, _ = hermitian_eigen_batch(
-        _hamiltonian_stack(ec, ej, ng_values, basis), compute_vectors=False
-    )
-    return SpectrumSweep(ng_values=ng_values, levels=vals[:, :k].copy())
+    levels = tridiagonal_eigvalsh(_charging_energies(ec, ng_values, basis), -0.5 * ej, k)
+    return SpectrumSweep(ng_values=ng_values, levels=levels)
 
 
 def reduced_qubit(ec: float, ej: float, dg: float) -> dict[str, object]:
@@ -148,9 +158,8 @@ def exact_gap(ec: float, ej: float, dg: float) -> float:
 
 def _gap_scan(ec, ej, ncut, levels, ng_values):
     lo, hi = levels
-    vals, _ = hermitian_eigen_batch(
-        _hamiltonian_stack(ec, ej, ng_values, ChargeBasis(ncut)), compute_vectors=False
-    )
+    diag = _charging_energies(ec, ng_values, ChargeBasis(ncut))
+    vals = tridiagonal_eigvalsh(diag, -0.5 * ej, hi + 1)
     return vals[:, hi] - vals[:, lo]
 
 
@@ -188,29 +197,6 @@ def charge_dispersion(
     }
 
 
-def _min_gap_near(ec, ej, ncut, levels, ng_star, half_width=0.05, tol=1e-10):
-    """Golden-section minimum of the inter-level gap around ng_star."""
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def gap(ng):
-        return float(_gap_scan(ec, ej, ncut, levels, np.array([ng]))[0])
-
-    a, b = ng_star - half_width, ng_star + half_width
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = gap(c), gap(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = gap(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = gap(d)
-    return gap(0.5 * (a + b))
-
-
 def second_order_gap(
     ec: float, ej_values: np.ndarray, ncut: int = 10
 ) -> dict[str, object]:
@@ -222,17 +208,18 @@ def second_order_gap(
     |2> appears only at second order in the tunnelling, so the minimal gap
     scales as (E_J/2)^2; the log-log slope over ``ej_values`` is returned,
     along with the first-order sweet-spot gap (slope 1) as a control.
+
+    No search is needed for the minima: the spectrum has period 1 in N_g
+    and is symmetric about N_g = 1/2, so every gap is stationary at the
+    symmetry points, and the avoided crossings sit exactly at N_g = 1
+    (levels 1, 2) and N_g = 1/2 (levels 0, 1).
     """
     ej_values = np.asarray(ej_values, dtype=np.float64)
     if np.any(ej_values > 0.2 * ec):
         raise ValueError("second-order scaling needs E_J << E_C")
     ng_star = 1.0  # (0 + 2) / 2: the bare-parabola crossing
-    gaps = np.array(
-        [_min_gap_near(ec, ej, ncut, (1, 2), ng_star) for ej in ej_values]
-    )
-    first_order = np.array(
-        [_min_gap_near(ec, ej, ncut, (0, 1), 0.5) for ej in ej_values]
-    )
+    gaps = np.array([_gap_scan(ec, ej, ncut, (1, 2), [ng_star])[0] for ej in ej_values])
+    first_order = np.array([_gap_scan(ec, ej, ncut, (0, 1), [0.5])[0] for ej in ej_values])
     slope = float(np.polyfit(np.log(ej_values), np.log(gaps), 1)[0])
     control = float(np.polyfit(np.log(ej_values), np.log(first_order), 1)[0])
     return {

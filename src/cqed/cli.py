@@ -124,6 +124,12 @@ def _time_grid(t_max: float, steps: int) -> np.ndarray:
 
 
 def _run_spectrum(args) -> OutputTable:
+    if not (np.isfinite(args.ec) and args.ec > 0):
+        raise UsageError("ec must be finite and positive")
+    if not (np.isfinite(args.ej) and args.ej >= 0):
+        raise UsageError("ej must be finite and non-negative")
+    if not (np.isfinite(args.ng_min) and np.isfinite(args.ng_max)):
+        raise UsageError("ng-min and ng-max must be finite")
     if args.ng_steps < 2 or args.levels < 1:
         raise UsageError("need ng-steps >= 2 and levels >= 1")
     if args.levels > 2 * args.ncut - 1:
@@ -346,9 +352,11 @@ def _transmon_ncut(ratio: float) -> int:
 
 
 def _run_transmon(args) -> OutputTable:
+    if not (np.isfinite(args.ec) and args.ec > 0):
+        raise UsageError("ec must be finite and positive")
     ratios = [float(r) for r in args.ratios.split(",") if r]
-    if not ratios or any(r <= 0 for r in ratios):
-        raise UsageError("ratios must be a comma-separated list of positive numbers")
+    if not ratios or not all(np.isfinite(r) and r > 0 for r in ratios):
+        raise UsageError("ratios must be a comma-separated list of finite positive numbers")
     rows = []
     for ratio in ratios:
         ncut = args.ncut if args.ncut > 0 else _transmon_ncut(ratio)
@@ -366,9 +374,12 @@ def _run_tunnel_ode(args) -> OutputTable:
         raise UsageError("need dt > 0 and steps >= 1")
     if args.n1 <= 0 or args.n2 <= 0:
         raise UsageError("pair numbers must be positive")
+    if args.max_rows < 2:
+        raise UsageError("need max-rows >= 2")
     state0 = TwoIslandState(args.n1, args.n2, args.theta1, args.theta2)
     traj = two_island_dynamics(state0, args.e_coupling, args.dt, args.steps)
-    stride = max(1, args.steps // args.max_rows)
+    # steps // stride + 1 <= max_rows rows, the first at t = 0
+    stride = -(-args.steps // (args.max_rows - 1))
     rows = []
     for k in range(0, args.steps + 1, stride):
         delta = traj.delta[k]

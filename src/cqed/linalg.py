@@ -2,19 +2,27 @@
 
 Everything downstream (oscillators, qubits, charge boxes, cavities) runs on
 the handful of primitives defined here: a normalized state vector (`Ket`),
-Hermitian eigendecomposition via cyclic Jacobi rotations, Kronecker products
+Hermitian eigendecomposition via cyclic Jacobi rotations, the lowest
+eigenvalues of tridiagonal matrices via Sturm bisection, Kronecker products
 and spectral time evolution ``U(t) = exp(-i H t)`` with hbar = 1.
 
 Operators are plain ``numpy.ndarray`` matrices (complex128, row-major); a
 dedicated matrix class would add nothing but indirection at these sizes
 (everything in this package is well under ~200 dimensions).
 
-The eigensolver is implemented here rather than delegated to LAPACK so that
-its iteration cap, convergence criterion and eigenvector phase convention
-are explicit and bit-reproducible across runs.  It operates on a whole batch
-of same-sized matrices at once, which is what makes the spectrum sweeps
-cheap: one sweep over a 201-point gate-charge grid is a single batched
-diagonalization.
+The eigensolvers are implemented here rather than delegated to LAPACK so
+that their iteration counts, convergence criteria and eigenvector phase
+convention are explicit and bit-reproducible across runs.  Both operate on a
+whole batch of same-sized matrices at once:
+
+* `hermitian_eigen_batch` - cyclic Jacobi rotations on dense Hermitian
+  matrices, with eigenvectors.  Every caller that needs eigenvectors
+  (`hermitian_eigen`, `evolve`, the cavity and gate simulations) uses it.
+* `tridiagonal_eigvalsh` - Sturm-count bisection (Barth, Martin &
+  Wilkinson 1967) for the k lowest eigenvalues of real symmetric
+  tridiagonal matrices, never forming the dense matrix.  The charge-box
+  spectrum sweeps use it: one sweep over a 201-point gate-charge grid is a
+  single batched bisection.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays.
 """
@@ -32,6 +40,7 @@ __all__ = [
     "HermitianEigen",
     "hermitian_eigen",
     "hermitian_eigen_batch",
+    "tridiagonal_eigvalsh",
     "kron",
     "evolve",
     "expectation",
@@ -49,6 +58,8 @@ TOL = 1e-12
 
 _HERMITICITY_TOL = 1e-10
 _NORM_TOL = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
+_SAFMIN = float(np.finfo(np.float64).tiny)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -136,9 +147,7 @@ def _check_hermitian(a: np.ndarray) -> None:
         raise NotHermitian(f"max |A - A^H| = {drift:.3e} exceeds tolerance")
 
 
-def hermitian_eigen_batch(
-    mats: np.ndarray, *, compute_vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def hermitian_eigen_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a stack of Hermitian matrices with cyclic Jacobi rotations.
 
     Parameters
@@ -146,15 +155,12 @@ def hermitian_eigen_batch(
     mats :
         Array of shape (batch, n, n).  Each matrix must be Hermitian within
         ``1e-10 * max|A|``.  Real symmetric input takes a float fast path.
-    compute_vectors :
-        When False, skip eigenvector accumulation (roughly halves the work
-        for eigenvalue-only sweeps).
 
     Returns
     -------
     (values, vectors) :
         values has shape (batch, n), ascending per matrix; vectors has shape
-        (batch, n, n) with eigenvectors in columns (or None).
+        (batch, n, n) with eigenvectors in columns.
 
     Raises
     ------
@@ -172,13 +178,10 @@ def hermitian_eigen_batch(
     n = a.shape[-1]
     if n == 1:
         vals = a[:, 0, 0].real.reshape(-1, 1).copy()
-        vecs = np.ones_like(a, dtype=np.complex128) if compute_vectors else None
-        return vals, vecs
+        return vals, np.ones_like(a, dtype=np.complex128)
 
-    v = None
-    if compute_vectors:
-        v = np.zeros_like(a)
-        v[:, np.arange(n), np.arange(n)] = 1.0
+    v = np.zeros_like(a)
+    v[:, np.arange(n), np.arange(n)] = 1.0
 
     norm = np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
     target = TOL * np.maximum(norm, 1e-300)
@@ -229,11 +232,10 @@ def hermitian_eigen_batch(
                 a[:, q, q] = aqq + t * babs
                 a[:, p, q] = 0.0
                 a[:, q, p] = 0.0
-                if v is not None:
-                    vp = v[:, :, p].copy()
-                    vq = v[:, :, q].copy()
-                    v[:, :, p] = np.conj(cjpp)[:, None] * vp - s[:, None] * vq
-                    v[:, :, q] = np.conj(cjps)[:, None] * vp + c[:, None] * vq
+                vp = v[:, :, p].copy()
+                vq = v[:, :, q].copy()
+                v[:, :, p] = np.conj(cjpp)[:, None] * vp - s[:, None] * vq
+                v[:, :, q] = np.conj(cjps)[:, None] * vp + c[:, None] * vq
     raise NoConvergence(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
 
 
@@ -242,8 +244,6 @@ def _finish(a, v):
     vals = np.diagonal(a, axis1=1, axis2=2).real.copy()
     order = np.argsort(vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
-    if v is None:
-        return vals, None
     v = np.take_along_axis(v, order[:, None, :], axis=2)
     idx = np.argmax(np.abs(v), axis=1)
     lead = np.take_along_axis(v, idx[:, None, :], axis=1)[:, 0, :]
@@ -263,8 +263,88 @@ def hermitian_eigen(a: np.ndarray) -> HermitianEigen:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    vals, vecs = hermitian_eigen_batch(a[None, :, :], compute_vectors=True)
+    vals, vecs = hermitian_eigen_batch(a[None, :, :])
     return HermitianEigen(values=vals[0], vectors=vecs[0])
+
+
+def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
+    """k lowest eigenvalues of a stack of real symmetric tridiagonal matrices.
+
+    Parameters
+    ----------
+    diag :
+        Diagonals, shape (batch, n).
+    off :
+        Off-diagonals, broadcastable to (batch, n - 1); a scalar gives every
+        matrix the same constant coupling.
+    k :
+        Number of levels, 1 <= k <= n.
+
+    Returns
+    -------
+    values :
+        Shape (batch, k), ascending per matrix.
+
+    Sturm-count bisection: the number of negative pivots of the LDL^T
+    factorization of T - x I is the number of eigenvalues below x.  Every
+    (matrix, level) bracket starts at the matrix's Gershgorin interval and is
+    halved a fixed number of times, enough to shrink the widest bracket of
+    the batch below eps * ||T|| / 16, so the work and the bits of the result
+    depend on the input alone.  As in LAPACK's dstebz, a pivot smaller than
+    pivmin = tiny * max(1, max e_i^2) is replaced by -pivmin, which keeps
+    zero couplings and exact degeneracies finite.  Work and memory per
+    halving are O(batch * k * n); no n x n matrix is formed.
+    """
+    d = np.asarray(diag, dtype=np.float64)
+    if d.ndim != 2 or d.shape[1] < 1:
+        raise DimensionMismatch(f"expected (batch, n) diagonals, got shape {d.shape}")
+    batch, n = d.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be within [1, {n}]")
+    e = np.broadcast_to(np.asarray(off, dtype=np.float64), (batch, n - 1))
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("tridiagonal entries must be finite")
+    e2 = e * e
+    pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
+
+    radius = np.zeros((batch, n))
+    radius[:, :-1] += np.abs(e)
+    radius[:, 1:] += np.abs(e)
+    lo = (d - radius).min(axis=1)
+    hi = (d + radius).max(axis=1)
+    tnorm = np.maximum(np.abs(lo), np.abs(hi))
+    # dstebz's widening keeps eigenvalues on the Gershgorin ends bracketed.
+    pad = 2.1 * (_EPS * n * tnorm + 2.0 * pivmin)
+    lo, hi = lo - pad, hi + pad
+    # Sturm counts resolve the low levels of a graded matrix (large diagonal
+    # entries far from the levels' support) well below eps * ||T||.
+    atol = np.maximum(_EPS * tnorm / 16.0, pivmin)
+    halvings = int(np.ceil(np.log2(((hi - lo) / atol).max())))
+
+    lo = np.repeat(lo[:, None], k, axis=1)
+    hi = np.repeat(hi[:, None], k, axis=1)
+    levels = np.arange(k)
+    d_rows = d.T[:, :, None]
+    e2_rows = np.repeat(e2.T[:, :, None], k, axis=2)
+    q = np.empty((batch, k))
+    ratio = np.empty((batch, k))
+    negative = np.empty((n, batch, k), dtype=bool)
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        shifted = d_rows - mid
+        q[...] = shifted[0]
+        for i in range(n):
+            if i:
+                np.divide(e2_rows[i - 1], q, out=ratio)
+                np.subtract(shifted[i], ratio, out=q)
+            # After the guard, q < 0 exactly where q < pivmin before it.
+            np.less(q, pivmin, out=negative[i])
+            np.minimum(q, -pivmin, out=ratio)
+            np.copyto(q, ratio, where=negative[i])
+        below = negative.sum(axis=0) > levels  # level j lies below mid
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -64,6 +64,34 @@ class TestSpectrumSweep:
             expected = np.sort((charges - ng) ** 2)[:3]
             assert np.abs(levels - expected).max() < 1e-10
 
+    def test_zero_coupling_degeneracy_at_half_is_exact(self):
+        sweep = spectrum_sweep(1.0, 0.0, np.array([0.5]), ncut=6, k=4)
+        levels = sweep.levels[0]
+        assert levels[0] == levels[1] and levels[2] == levels[3]
+
+    def test_matches_lapack(self):
+        # bisection error bound: (1e-12 + n eps) ||H||_F, as for LAPACK itself
+        grid = np.linspace(0.0, 1.0, 9)
+        for ej, ncut in ((0.1, 10), (50.0, 24)):
+            sweep = spectrum_sweep(1.0, ej, grid, ncut=ncut, k=4)
+            for ng, levels in zip(grid, sweep.levels):
+                h = cpb_hamiltonian(CPBParams(1.0, ej, ng), ChargeBasis(ncut))
+                bound = (1e-12 + h.shape[0] * np.finfo(float).eps) * np.linalg.norm(h)
+                assert np.abs(levels - np.linalg.eigvalsh(h)[:4]).max() <= bound
+
+    def test_eigenvalue_paths_build_no_dense_matrix(self, monkeypatch):
+        import cqed.chargebox as cb
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense eigensolver called on an eigenvalue-only path")
+
+        monkeypatch.setattr(cb, "hermitian_eigen_batch", dense)
+        monkeypatch.setattr(cb, "hermitian_eigen", dense)
+        monkeypatch.setattr(cb, "_hamiltonian_stack", dense)
+        spectrum_sweep(1.0, 0.1, np.linspace(0.0, 1.0, 5), ncut=5, k=3)
+        charge_dispersion(1.0, 1.0, ncut=5)
+        second_order_gap(1.0, np.array([0.02, 0.04]), ncut=6)
+
     def test_mirror_symmetry_about_half(self):
         grid = np.linspace(0.0, 1.0, 41)
         sweep = spectrum_sweep(1.0, 0.2, grid, ncut=8, k=4)
@@ -190,6 +218,16 @@ class TestSecondOrderGap:
         assert abs(out["first_order_slope"] - 1.0) < 0.05
         # absolute size: degenerate PT gives gap = E_J^2 / (2 E_C)
         assert np.allclose(out["gaps"], ej**2 / 2, rtol=0.05)
+
+    def test_symmetry_points_are_the_minima(self):
+        ej_values = np.array([0.02, 0.04])
+        out = second_order_gap(1.0, ej_values, ncut=8)
+        for k, ej in enumerate(ej_values):
+            for (lo, hi), ng, gap in (((1, 2), 1.0, out["gaps"][k]),
+                                      ((0, 1), 0.5, out["first_order_gaps"][k])):
+                near = ng + np.array([-1e-3, 1e-3])
+                levels = spectrum_sweep(1.0, ej, near, ncut=8, k=3).levels
+                assert np.all(levels[:, hi] - levels[:, lo] > gap)
 
     def test_gap_vanishes_with_coupling(self):
         out = second_order_gap(1.0, np.array([0.005, 0.01]), ncut=8)

@@ -144,6 +144,36 @@ class TestExitCodes:
         code, _ = run(tmp_path, "transmon", "--ratios", "1,-3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--ec", "nan"],
+            ["spectrum", "--ec", "inf"],
+            ["spectrum", "--ec", "0"],
+            ["spectrum", "--ec", "-1"],
+            ["spectrum", "--ej", "nan"],
+            ["spectrum", "--ej", "inf"],
+            ["spectrum", "--ej", "-0.1"],
+            ["spectrum", "--ng-min", "nan"],
+            ["spectrum", "--ng-max", "inf"],
+            ["transmon", "--ec", "nan"],
+            ["transmon", "--ec", "inf"],
+            ["transmon", "--ec", "0"],
+            ["transmon", "--ec", "-1"],
+            ["transmon", "--ratios", "1,nan"],
+            ["transmon", "--ratios", "inf"],
+            ["tunnel-ode", "--max-rows", "0"],
+            ["tunnel-ode", "--max-rows", "1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_invalid_value_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestAllCommandsRun:
     @pytest.mark.parametrize(
@@ -206,6 +236,15 @@ class TestPhysicsThroughCli:
         assert code == 0
         _, _, rows = read_csv(out)
         assert float(rows[1][1]) < float(rows[0][1])
+
+    @pytest.mark.parametrize("steps,max_rows", [(1000, 51), (1000, 7), (10, 2), (5, 501)])
+    def test_tunnel_ode_rows_within_max_rows(self, tmp_path, steps, max_rows):
+        code, out = run(tmp_path, "tunnel-ode", "--steps", str(steps),
+                        "--max-rows", str(max_rows))
+        assert code == 0
+        _, _, rows = read_csv(out)
+        assert 2 <= len(rows) <= max_rows
+        assert float(rows[0][0]) == 0.0
 
     def test_tunnel_ode_current_matches_relation(self, tmp_path):
         code, out = run(tmp_path, "tunnel-ode", "--steps", "1000")

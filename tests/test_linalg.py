@@ -13,10 +13,12 @@ from cqed.linalg import (
     hermitian_eigen,
     hermitian_eigen_batch,
     kron,
+    tridiagonal_eigvalsh,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+EPS = np.finfo(np.float64).eps
 
 
 def random_hermitian(rng, n):
@@ -132,6 +134,65 @@ class TestHermitianEigen:
         eig = hermitian_eigen(np.eye(4, dtype=complex))
         assert np.allclose(eig.values, 1.0)
         assert np.abs(dagger(eig.vectors) @ eig.vectors - np.eye(4)).max() < 1e-12
+
+
+def tridiagonal(diag, off):
+    n = diag.shape[-1]
+    mats = np.zeros(diag.shape + (n,))
+    i = np.arange(n)
+    mats[:, i, i] = diag
+    mats[:, i[:-1], i[1:]] = off
+    mats[:, i[1:], i[:-1]] = off
+    return mats
+
+
+class TestTridiagonalEigvalsh:
+    @pytest.mark.parametrize("n", [1, 2, 3, 25, 49])
+    def test_matches_lapack_on_random_batches(self, n):
+        rng = np.random.default_rng(300 + n)
+        diag = rng.normal(size=(20, n))
+        off = rng.normal(size=(20, n - 1))
+        mats = tridiagonal(diag, off)
+        lapack = np.linalg.eigvalsh(mats)
+        bound = (1e-12 + n * EPS) * np.linalg.norm(mats, axis=(1, 2))
+        for k in (1, n):
+            vals = tridiagonal_eigvalsh(diag, off, k)
+            assert vals.shape == (20, k)
+            assert np.all(np.abs(vals - lapack[:, :k]) <= bound[:, None])
+
+    def test_zero_coupling_keeps_exact_degeneracy(self):
+        # E_J = 0 at N_g = 1/2: charge states 0 and 1 both sit at 1/4, -1 and 2 at 9/4
+        diag = ((np.arange(-5, 6) - 0.5) ** 2)[None, :]
+        vals = tridiagonal_eigvalsh(diag, 0.0, 4)[0]
+        assert vals[0] == vals[1] and vals[2] == vals[3]
+        assert np.abs(vals - [0.25, 0.25, 2.25, 2.25]).max() <= 4 * EPS * 30.25
+
+    def test_exactly_zero_pivot_without_coupling(self):
+        # The Gershgorin interval [-1, 1] puts the first midpoint at 0 = d_0:
+        # the first pivot is exactly zero and, with e = 0, only the pivmin
+        # guard keeps the rest of that Sturm count from turning into NaN.
+        diag = np.array([[0.0, -1.0, -0.5, 1.0, 0.5]])
+        vals = tridiagonal_eigvalsh(diag, 0.0, 5)[0]
+        assert np.abs(vals - np.sort(diag[0])).max() <= 8 * EPS
+
+    def test_bit_identical_reruns(self):
+        rng = np.random.default_rng(15)
+        diag = rng.normal(size=(7, 13))
+        off = rng.normal(size=(7, 12))
+        assert np.array_equal(
+            tridiagonal_eigvalsh(diag, off, 5), tridiagonal_eigvalsh(diag, off, 5)
+        )
+
+    def test_rejects_bad_input(self):
+        diag = np.zeros((2, 3))
+        with pytest.raises(ValueError):
+            tridiagonal_eigvalsh(diag, 1.0, 0)
+        with pytest.raises(ValueError):
+            tridiagonal_eigvalsh(diag, 1.0, 4)
+        with pytest.raises(ValueError):
+            tridiagonal_eigvalsh(diag, np.nan, 1)
+        with pytest.raises(DimensionMismatch):
+            tridiagonal_eigvalsh(np.zeros(3), 1.0, 1)
 
 
 class TestKron:
