@@ -1,8 +1,10 @@
-"""Byte-identity of every command's default output.
+"""Byte-identity of every command's default output, plus a few extra cases.
 
 ``golden/digests.json`` holds the sha256 of each command's output with
-default flags, as CSV and as JSON.  A change that alters an output on
-purpose regenerates the file and says in its notes which digests moved:
+default flags, as CSV and as JSON, and of each argv in ``CASES``.  The
+cases cover paths the defaults skip: ``decay`` runs no Monte-Carlo at its
+default ``--trials 0``.  A change that alters an output on purpose
+regenerates the file and says in its notes which digests moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,12 +24,18 @@ GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 COMMANDS = ("spectrum", "rabi", "ramsey", "coherent", "washboard", "squid", "fluxwell",
             "jc", "decay", "dephase", "bell", "transmon", "tunnel-ode")
 FORMATS = ("csv", "json")
+#: Extra argv cases, keyed by the name their digests are stored under.
+CASES = {
+    "decay-mc": ["decay", "--trials", "2000", "--seed", "7"],
+    "dephase-long": ["dephase", "--trials", "5000", "--sigma2", "0.1", "--horizon", "20",
+                     "--seed", "7"],
+}
 
 
-def digest(command: str, fmt: str, directory: Path) -> str:
-    out = directory / f"{command}.{fmt}"
+def digest(argv: list[str], fmt: str, directory: Path) -> str:
+    out = directory / f"out.{fmt}"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = run_command([command, "--format", fmt, "--out", str(out)])
+        code = run_command([*argv, "--format", fmt, "--out", str(out)])
     assert code == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
@@ -36,10 +44,19 @@ def digest(command: str, fmt: str, directory: Path) -> str:
 @pytest.mark.parametrize("command", COMMANDS)
 def test_default_output_matches_golden_digest(tmp_path, command, fmt):
     golden = json.loads(GOLDEN.read_text())
-    assert digest(command, fmt, tmp_path) == golden[f"{command}.{fmt}"]
+    assert digest([command], fmt, tmp_path) == golden[f"{command}.{fmt}"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_case_output_matches_golden_digest(tmp_path, case, fmt):
+    golden = json.loads(GOLDEN.read_text())
+    assert digest(CASES[case], fmt, tmp_path) == golden[f"{case}.{fmt}"]
 
 
 if __name__ == "__main__":
+    argvs = {c: [c] for c in COMMANDS} | CASES
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {f"{c}.{f}": digest(c, f, Path(tmp)) for c in COMMANDS for f in FORMATS}
+        digests = {f"{name}.{f}": digest(argv, f, Path(tmp))
+                   for name, argv in argvs.items() for f in FORMATS}
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
