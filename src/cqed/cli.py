@@ -4,12 +4,13 @@ Every subcommand runs one experiment from the physics modules and writes a
 single table, either CSV (default) or JSON.  CSV files start with
 ``# key=value`` metadata lines (command, parameters, seed, version), then a
 header row; floats carry 12 significant digits.  Output is written to a
-temporary file and atomically renamed, so a failing run never leaves a
-partial file behind.
+uniquely named temporary file beside the target and atomically renamed, so
+a failing run never leaves a partial or temporary file behind.
 
 Exit codes: 0 success, 2 invalid arguments (including violated parameter
-preconditions), 3 numerical failure (non-convergence, inadequate
-truncation, failed fits) with the error name on stderr.
+preconditions and an output path that cannot be written), 3 numerical
+failure (non-convergence, inadequate truncation, failed fits) with the
+error name on stderr.
 
 Identical command line + seed -> byte-identical output file.
 """
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,15 +110,23 @@ def write_table(table: OutputTable, path: str, fmt: str) -> None:
         payload = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     else:
         raise UsageError(f"unknown format {fmt!r}")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(payload)
+        # mkstemp creates the file 0600; give the table the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _time_grid(t_max: float, steps: int) -> np.ndarray:
-    if t_max <= 0 or steps < 2:
-        raise UsageError("need t-max > 0 and steps >= 2")
+    if not (np.isfinite(t_max) and t_max > 0) or steps < 2:
+        raise UsageError("need finite t-max > 0 and steps >= 2")
     return np.linspace(0.0, t_max, steps)
 
 
@@ -285,8 +295,12 @@ def _run_jc(args) -> OutputTable:
 
 
 def _run_decay(args) -> OutputTable:
-    if args.t1 <= 0:
-        raise UsageError("t1 must be positive")
+    if not (np.isfinite(args.t1) and args.t1 > 0):
+        raise UsageError("t1 must be finite and positive")
+    if not (np.isfinite(args.dt) and args.dt > 0):
+        raise UsageError("dt must be finite and positive")
+    if args.trials < 0:
+        raise UsageError("trials must be >= 0")
     times = _time_grid(args.t_max, args.steps)
     mc = None
     if args.trials > 0:
@@ -309,8 +323,18 @@ def _run_decay(args) -> OutputTable:
 
 
 def _run_dephase(args) -> OutputTable:
-    if args.sigma2 < 0:
-        raise UsageError("sigma2 must be >= 0")
+    if not (np.isfinite(args.sigma2) and args.sigma2 >= 0):
+        raise UsageError("sigma2 must be finite and >= 0")
+    if not (np.isfinite(args.dt) and args.dt > 0):
+        raise UsageError("dt must be finite and positive")
+    if not (np.isfinite(args.horizon) and args.horizon > 0):
+        raise UsageError("horizon must be finite and positive")
+    if not np.isfinite(args.delta):
+        raise UsageError("delta must be finite")
+    if args.trials < 0:
+        raise UsageError("trials must be >= 0")
+    if args.sigma2 > 0 and args.delta <= 0:
+        raise UsageError("the noisy-fringe fit needs delta > 0")
     if args.sigma2 > 0 and args.trials < 1000:
         raise UsageError("need trials >= 1000 for ensemble averaging")
     result = ramsey_ensemble(
@@ -492,7 +516,11 @@ def run_command(argv: list[str]) -> int:
     except CqedError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    write_table(table, out_path, args.format)
+    try:
+        write_table(table, out_path, args.format)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"{table.command}: wrote {out_path} ({len(table.rows)} rows); {table.summary}")
     return 0
 

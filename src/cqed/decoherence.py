@@ -2,10 +2,13 @@
 
 Monte-Carlo experiments here are stochastic but exactly reproducible: every
 trajectory draws from its own pseudo-random stream derived from a 64-bit
-master seed and the trajectory index through `RngSpec` (splitmix64 mixing,
-PCG64 streams).  Fixed (seed, trials) therefore gives bit-identical output
-regardless of how trajectories might be scheduled, and trajectories are
-always reduced in index order.
+master seed and the trajectory index through `RngSpec`.  Trajectory i uses
+PCG64(splitmix64(seed XOR i * GOLDEN64)), and trajectories are reduced in
+index order, so fixed (seed, trials) gives bit-identical output.  The
+ensemble loops derive the PCG64 states of a block of trajectories at once,
+replaying numpy's own seeding on whole arrays, and draw each trajectory
+into one row of a reused block of about 1 MB; the draws are the ones
+``RngSpec.stream(i)`` returns.
 
 Mixed states never appear as density matrices in this module: ensembles are
 weighted lists of pure states, which is all the experiments below need.
@@ -54,14 +57,80 @@ __all__ = [
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
+# Constants of numpy.random.SeedSequence (pool of 4 uint32 words) and of
+# PCG64's 128-bit LCG, as in numpy/random/bit_generator.pyx and pcg64.h.
+_SEEDSEQ_INIT_A, _SEEDSEQ_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEEDSEQ_INIT_B, _SEEDSEQ_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEEDSEQ_MIX_L, _SEEDSEQ_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-def _splitmix64(x: int) -> int:
-    """One splitmix64 output step; the documented 64-bit mixing function."""
-    x = (x + _GOLDEN64) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+
+def _hash_steps(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) columns of n successive SeedSequence hash steps.
+
+    SeedSequence's hash constant evolves independently of the data, so the
+    whole sequence is known in advance: step k xors the word with xor[k]
+    and multiplies it by mult[k].
+    """
+    consts = [init]
+    for _ in range(n):
+        consts.append((consts[-1] * mult) & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+# One hash per pool word entered, then one per ordered pair of pool words.
+_POOL_XOR, _POOL_MULT = _hash_steps(_SEEDSEQ_INIT_A, _SEEDSEQ_MULT_A, 4 + 4 * 3)
+_STATE_XOR, _STATE_MULT = _hash_steps(_SEEDSEQ_INIT_B, _SEEDSEQ_MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One splitmix64 output step on uint64 words; the documented mixing function."""
+    x = x + np.uint64(_GOLDEN64)
+    z = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _pcg64_states(seed: int, trajectories: np.ndarray) -> list[dict]:
+    """``PCG64(splitmix64(seed ^ i * GOLDEN64)).state`` for each index i.
+
+    Replays numpy's seeding on whole arrays instead of building one
+    SeedSequence per key: the key enters a pool of four 32-bit words as
+    its low and high halves (for keys below 2^32 numpy enters one word,
+    and hashing the missing word as 0 is what it does anyway), the pool is
+    mixed, and ``generate_state(4, uint64)`` gives PCG64's seed and stream
+    words, which the srandom step turns into (state, inc).
+    """
+    i = np.asarray(trajectories, dtype=np.uint64)
+    keys = _splitmix64(np.uint64(seed) ^ (i * np.uint64(_GOLDEN64)))
+    words = np.zeros((4, keys.size), dtype=np.uint32)
+    words[0] = keys & np.uint64(0xFFFFFFFF)
+    words[1] = keys >> np.uint64(32)
+    pool = _hashmix(words, _POOL_XOR[:4], _POOL_MULT[:4])
+    for src in range(4):
+        # Mixing pool[src] into the other three words: independent updates.
+        dst = [d for d in range(4) if d != src]
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = _hashmix(pool[src], _POOL_XOR[steps], _POOL_MULT[steps])
+        mixed = _SEEDSEQ_MIX_L * pool[dst] - _SEEDSEQ_MIX_R * hashed
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MULT).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | (out[1::2] << np.uint64(32))).tolist()
+    # PCG64 srandom: inc = 2 initseq + 1, state = (inc + initstate) MULT + inc.
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = (((q_hi << 64 | q_lo) << 1) | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 @dataclass(frozen=True)
@@ -70,7 +139,9 @@ class RngSpec:
 
     Trajectory ``i`` uses ``PCG64(splitmix64(seed XOR (i * GOLDEN64)))``
     where GOLDEN64 = 0x9E3779B97F4A7C15.  Identical (seed, i) always yields
-    the identical stream.
+    the identical stream.  The states are derived in bulk (`_pcg64_states`);
+    ``stream`` is the one-trajectory case and the ensemble loops draw
+    block by block through ``_blocks``, both from the same derivation.
     """
 
     seed: int
@@ -79,8 +150,30 @@ class RngSpec:
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
 
     def stream(self, trajectory: int) -> np.random.Generator:
-        key = _splitmix64((self.seed ^ (trajectory * _GOLDEN64)) & _MASK64)
-        return np.random.Generator(np.random.PCG64(key))
+        bitgen = np.random.PCG64(0)
+        index = np.array([trajectory & _MASK64], dtype=np.uint64)
+        bitgen.state = _pcg64_states(self.seed, index)[0]
+        return np.random.Generator(bitgen)
+
+    def _blocks(self, trials: int, nsteps: int, draw: str):
+        """Yield ``(start, block)`` covering trajectories 0 .. trials-1.
+
+        Row r of ``block`` holds the first ``nsteps`` values of
+        ``stream(start + r).<draw>()``.  Blocks hold max(1, 2^17 // nsteps)
+        rows, about 1 MB, and share one buffer, so each is overwritten by
+        the next.
+        """
+        bitgen = np.random.PCG64(0)  # every row sets its own state
+        fill = getattr(np.random.Generator(bitgen), draw)
+        height = max(1, 2**17 // nsteps)
+        buf = np.empty((min(height, trials), nsteps))
+        for start in range(0, trials, height):
+            block = buf[: min(height, trials - start)]
+            indices = np.arange(start, start + len(block), dtype=np.uint64)
+            for row, state in zip(block, _pcg64_states(self.seed, indices)):
+                bitgen.state = state
+                fill(out=row)
+            yield start, block
 
 
 @dataclass(frozen=True)
@@ -128,14 +221,18 @@ def t1_curves(
     dt, trials, rng = mc["dt"], int(mc["trials"]), mc["rng"]
     if dt > t1 / 100.0:
         raise ValueError("Monte-Carlo step must satisfy dt <= t1 / 100")
-    nsteps = int(np.ceil(times.max() / dt))
+    # At least one step: with times.max() == 0 every estimate is 1 anyway.
+    nsteps = max(1, int(np.ceil(times.max() / dt)))
     p_step = 1.0 - np.exp(-dt / t1)
     decay_times = np.empty(trials)
-    for i in range(trials):
-        u = rng.stream(i).random(nsteps)
+    for start, u in rng._blocks(trials, nsteps, "random"):
         hits = u < p_step
-        decay_times[i] = (int(np.argmax(hits)) + 1) * dt if hits.any() else np.inf
-    estimate = (decay_times[None, :] > times[:, None]).mean(axis=1)
+        first = (np.argmax(hits, axis=1) + 1) * dt
+        decay_times[start : start + len(u)] = np.where(hits.any(axis=1), first, np.inf)
+    # Surviving fraction at each time: an exact count over trials, so equal
+    # to the mean of the (times x trials) survival matrix without building it.
+    decay_times.sort()
+    estimate = (trials - np.searchsorted(decay_times, times, side="right")) / trials
     return {
         "analytic": analytic,
         "monte_carlo": TimeSeries(times, estimate, label="p_e_mc"),
@@ -183,9 +280,13 @@ def ramsey_ensemble(
     kick_scale = noise.sigma * np.sqrt(dt)
     acc = np.zeros(nsteps)
     base_phase = delta0 * times
-    for i in range(trials):
-        kicks = rng.stream(i).standard_normal(nsteps) * kick_scale
-        acc += np.cos(base_phase + np.cumsum(kicks))
+    for _, kicks in rng._blocks(trials, nsteps, "standard_normal"):
+        kicks *= kick_scale
+        np.cumsum(kicks, axis=1, out=kicks)
+        kicks += base_phase
+        # Row by row in trajectory order: a summed block would round differently.
+        for row in np.cos(kicks, out=kicks):
+            acc += row
     p_plus = TimeSeries(times, 0.5 * (1.0 + acc / trials), label="p_plus")
     fit = fit_exponential_envelope(p_plus, delta0)
     return {
@@ -252,6 +353,8 @@ def decay_limited_ramsey(
     if dt * delta > 0.1 + 1e-12:
         raise ValueError("need dt * delta <= 0.1 to resolve the fringe phase")
     nsteps = int(np.round(horizon / dt))
+    if nsteps < 1:
+        raise ValueError("horizon shorter than one step")
     times = np.arange(1, nsteps + 1) * dt
 
     # No-jump history is common to every trajectory: amplitudes (a_k, b_k)
@@ -270,11 +373,10 @@ def decay_limited_ramsey(
 
     # Each trajectory is summarized by its first jump step (or none).
     jump_counts = np.zeros(nsteps, dtype=np.int64)
-    for i in range(trials):
-        u = rng.stream(i).random(nsteps)
+    for _, u in rng._blocks(trials, nsteps, "random"):
         hits = u < hazard
-        if hits.any():
-            jump_counts[int(np.argmax(hits))] += 1
+        first = np.argmax(hits, axis=1)[hits.any(axis=1)]
+        jump_counts += np.bincount(first, minlength=nsteps)
     alive = trials - np.cumsum(jump_counts)
 
     frac_alive = alive / trials

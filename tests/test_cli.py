@@ -1,9 +1,12 @@
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from cqed import cli
 from cqed.cli import run_command
 
 
@@ -173,6 +176,63 @@ class TestExitCodes:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["dephase", "--dt", "0"], "dt"),
+            (["dephase", "--dt", "nan"], "dt"),
+            (["dephase", "--horizon", "inf"], "horizon"),
+            (["dephase", "--sigma2", "nan"], "sigma2"),
+            (["dephase", "--sigma2", "inf"], "sigma2"),
+            (["dephase", "--delta", "nan"], "delta"),
+            (["dephase", "--delta", "-5"], "delta"),
+            (["dephase", "--sigma2", "0", "--trials", "-3"], "trials"),
+            (["decay", "--trials", "-5"], "trials"),
+            (["decay", "--trials", "10", "--dt", "0"], "dt"),
+            (["decay", "--dt", "nan"], "dt"),
+            (["decay", "--t1", "inf"], "t1"),
+            (["decay", "--t-max", "nan"], "t-max"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_monte_carlo_flags_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, flag
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before validation")
+
+        monkeypatch.setattr(cli, "t1_curves", no_work)
+        monkeypatch.setattr(cli, "ramsey_ensemble", no_work)
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+
+
+class TestWriteTable:
+    def test_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        assert run_command(["bell", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # os.replace onto a directory fails after the temp file exists
+        assert run_command(["bell", "--out", str(target)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert not any(target.iterdir())
+
+    def test_successful_write_leaves_only_the_table_with_umask_mode(self, tmp_path):
+        out = tmp_path / "bell.csv"
+        assert run_command(["bell", "--out", str(out)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["bell.csv"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 class TestAllCommandsRun:

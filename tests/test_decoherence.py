@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cqed import decoherence
 from cqed.decoherence import (
     NoiseModel,
     OUTCOME_LABELS,
@@ -34,6 +35,146 @@ class TestRngSpec:
         assert not np.array_equal(a, c)
 
 
+MASK64 = (1 << 64) - 1
+GOLDEN64 = 0x9E3779B97F4A7C15
+SEEDS = (0, 1, 2**63 + 7, 2**64 - 1)
+
+
+def splitmix64(x):
+    x = (x + GOLDEN64) & MASK64
+    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def unsplitmix64(z):
+    """Inverse of splitmix64: the input that produces output z."""
+    def unxorshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+    z = unxorshift(z, 31)
+    z = unxorshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64, 27)
+    z = unxorshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64, 30)
+    return (z - GOLDEN64) & MASK64
+
+
+def oracle(seed, i):
+    """The documented stream, built the slow way: one SeedSequence per key."""
+    return np.random.Generator(np.random.PCG64(splitmix64((seed ^ (i * GOLDEN64)) & MASK64)))
+
+
+class TestStreamDerivation:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bulk_states_match_numpy_seeding(self, seed):
+        indices = np.array([0, 1, 2, 255, 65_537, 2**32 + 3, 2**63, 2**64 - 1], dtype=np.uint64)
+        states = decoherence._pcg64_states(seed, indices)
+        for i, state in zip(indices.tolist(), states):
+            assert state == oracle(seed, i).bit_generator.state
+
+    @pytest.mark.parametrize("key", [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1])
+    def test_keys_on_both_sides_of_two_to_the_32(self, key):
+        # numpy hashes a key below 2^32 as one 32-bit word, above as two
+        seed = unsplitmix64(key)
+        assert splitmix64(seed) == key
+        expected = np.random.PCG64(key).state
+        assert decoherence._pcg64_states(seed, np.zeros(1, dtype=np.uint64))[0] == expected
+        assert RngSpec(seed).stream(0).bit_generator.state == expected
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stream_matches_oracle(self, seed):
+        for i in (0, 1, 4095, 2**40 + 1):
+            assert np.array_equal(
+                RngSpec(seed).stream(i).standard_normal(64), oracle(seed, i).standard_normal(64)
+            )
+
+    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_blocks_cover_every_trajectory_in_order(self, seed, draw):
+        nsteps = 2**17 // 5 + 1  # four rows per block
+        block = max(1, 2**17 // nsteps)
+        assert block == 4
+        for trials in (1, block - 1, block, block + 1):
+            seen = 0
+            for start, rows in RngSpec(seed)._blocks(trials, nsteps, draw):
+                assert start == seen and rows.shape[1] == nsteps
+                for r, row in enumerate(rows):
+                    assert np.array_equal(row, getattr(oracle(seed, start + r), draw)(nsteps))
+                seen += len(rows)
+            assert seen == trials
+
+
+def reference_t1_estimate(t1, times, dt, trials, seed):
+    """The per-trajectory T1 Monte-Carlo loop, one fresh stream per trajectory."""
+    nsteps = int(np.ceil(times.max() / dt))
+    p_step = 1.0 - np.exp(-dt / t1)
+    decay_times = np.empty(trials)
+    for i in range(trials):
+        hits = oracle(seed, i).random(nsteps) < p_step
+        decay_times[i] = (int(np.argmax(hits)) + 1) * dt if hits.any() else np.inf
+    return (decay_times[None, :] > times[:, None]).mean(axis=1)
+
+
+def reference_decay_limited(t1, delta, dt, horizon, trials, seed):
+    """Per-trajectory quantum-jump loop of decay_limited_ramsey: (p_plus, p_e)."""
+    nsteps = int(np.round(horizon / dt))
+    times = np.arange(1, nsteps + 1) * dt
+    a, b, hazard = np.empty(nsteps), np.empty(nsteps), np.empty(nsteps)
+    ak = bk = 1.0 / np.sqrt(2.0)
+    for k in range(nsteps):
+        hazard[k] = (bk * bk) * dt / t1
+        bk *= np.exp(-dt / (2.0 * t1))
+        nrm = np.hypot(ak, bk)
+        ak, bk = ak / nrm, bk / nrm
+        a[k], b[k] = ak, bk
+    jump_counts = np.zeros(nsteps, dtype=np.int64)
+    for i in range(trials):
+        hits = oracle(seed, i).random(nsteps) < hazard
+        if hits.any():
+            jump_counts[int(np.argmax(hits))] += 1
+    frac_alive = (trials - np.cumsum(jump_counts)) / trials
+    p_plus = frac_alive * (0.5 + a * b * np.cos(delta * times)) + (1 - frac_alive) * 0.5
+    return p_plus, frac_alive * (b * b)
+
+
+def reference_ramsey(delta0, sigma, dt, horizon, trials, seed):
+    """Per-trajectory noisy-fringe loop of ramsey_ensemble: p_plus."""
+    nsteps = int(np.round(horizon / dt))
+    times = np.arange(1, nsteps + 1) * dt
+    acc = np.zeros(nsteps)
+    for i in range(trials):
+        kicks = oracle(seed, i).standard_normal(nsteps) * (sigma * np.sqrt(dt))
+        acc += np.cos(delta0 * times + np.cumsum(kicks))
+    return 0.5 * (1.0 + acc / trials)
+
+
+class TestBlockedLoopsMatchPerTrajectoryLoops:
+    """Blocked ensembles equal the per-trajectory loops bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_t1_curves(self, seed):
+        times = np.array([0.0, 0.013, 0.5, 1.0, 2.5, 2.0, 3.0])  # unsorted on purpose
+        trials = 2**17 // 300 + 1  # one full block plus one row
+        out = t1_curves(1.0, times, {"dt": 0.01, "trials": trials, "rng": RngSpec(seed)})
+        expected = reference_t1_estimate(1.0, times, 0.01, trials, seed)
+        assert np.array_equal(out["monte_carlo"].values, expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_decay_limited_ramsey(self, seed):
+        out = decay_limited_ramsey(1.0, 20.0, 0.004, 3.0, trials=300, rng=RngSpec(seed))
+        p_plus, p_exc = reference_decay_limited(1.0, 20.0, 0.004, 3.0, 300, seed)
+        assert np.array_equal(out["p_plus"].values, p_plus)
+        assert np.array_equal(out["p_excited"].values, p_exc)
+
+    @pytest.mark.parametrize("dt, horizon", [(0.02, 8.0), (0.013, 3.37)])
+    def test_ramsey_ensemble(self, dt, horizon):
+        sigma, trials = np.sqrt(0.5), 1001
+        out = ramsey_ensemble(5.0, NoiseModel(sigma), dt, horizon, trials, RngSpec(2**63 + 7))
+        expected = reference_ramsey(5.0, sigma, dt, horizon, trials, 2**63 + 7)
+        assert np.array_equal(out["p_plus"].values, expected)
+
+
 class TestT1Curves:
     def test_analytic_points(self):
         out = t1_curves(2.0, np.array([0.0, 2.0]))
@@ -57,6 +198,10 @@ class TestT1Curves:
         a = t1_curves(1.0, times, mc)["monte_carlo"].values
         b = t1_curves(1.0, times, mc)["monte_carlo"].values
         assert np.array_equal(a, b)
+
+    def test_monte_carlo_at_time_zero_only(self):
+        out = t1_curves(1.0, np.array([0.0]), mc={"dt": 0.01, "trials": 5, "rng": RngSpec(0)})
+        assert out["monte_carlo"].values.tolist() == [1.0]
 
     def test_step_size_guard(self):
         with pytest.raises(ValueError):
@@ -161,6 +306,10 @@ class TestDecayLimitedRamsey:
     def test_fringe_visibility_guard(self):
         with pytest.raises(ValueError):
             decay_limited_ramsey(1.0, 5.0, 0.002, 3.0, trials=100, rng=RngSpec(0))
+
+    def test_horizon_shorter_than_one_step(self):
+        with pytest.raises(ValueError):
+            decay_limited_ramsey(1.0, 20.0, 0.002, 0.0009, trials=100, rng=RngSpec(0))
 
 
 class TestFitFailure:
