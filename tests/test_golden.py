@@ -3,8 +3,10 @@
 ``golden/digests.json`` holds the sha256 of each command's output with
 default flags, as CSV and as JSON, and of each argv in ``CASES``.  The
 cases cover paths the defaults skip: ``decay`` runs no Monte-Carlo at its
-default ``--trials 0``.  A change that alters an output on purpose
-regenerates the file and says in its notes which digests moved:
+default ``--trials 0``, and the long ``tunnel-ode``, ``coherent`` and ``jc``
+runs pin the dynamics paths at the sizes the benchmark runs them.  A change
+that alters an output on purpose regenerates the file and says in its notes
+which digests moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,6 +31,9 @@ CASES = {
     "decay-mc": ["decay", "--trials", "2000", "--seed", "7"],
     "dephase-long": ["dephase", "--trials", "5000", "--sigma2", "0.1", "--horizon", "20",
                      "--seed", "7"],
+    "tunnel-ode-long": ["tunnel-ode", "--steps", "20000", "--theta2", "0.7"],
+    "coherent-large": ["coherent", "--dim", "96", "--alpha-re", "3.0", "--steps", "601"],
+    "jc-large": ["jc", "--nmax", "24", "--steps", "4001"],
 }
 
 
