@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -48,7 +49,7 @@ from .junction import (
     two_island_dynamics,
     washboard_u,
 )
-from .linalg import evolve, fidelity
+from .linalg import evolve_many, fidelity
 from .qubit import rabi_trace, ramsey_trace
 
 __all__ = ["main", "OutputTable", "run_command"]
@@ -83,37 +84,47 @@ def _json_value(value):
     return value
 
 
+def _write_csv(table: OutputTable, fh) -> None:
+    fh.write(f"# command={table.command}\n")
+    for key, value in table.params.items():
+        fh.write(f"# {key}={_fmt(value)}\n")
+    fh.write(f"# seed={table.seed}\n# version={__version__}\n")
+    for key, value in table.extra_metadata.items():
+        fh.write(f"# {key}={_fmt(value)}\n")
+    fh.write(",".join(table.columns) + "\n")
+    for row in table.rows:
+        fh.write(",".join([_fmt(v) for v in row]) + "\n")
+
+
+def _write_json(table: OutputTable, fh) -> None:
+    doc = {
+        "command": table.command,
+        "params": {k: _json_value(v) for k, v in table.params.items()},
+        "seed": table.seed,
+        "version": __version__,
+        "metadata": {k: _json_value(v) for k, v in table.extra_metadata.items()},
+        "columns": table.columns,
+        "rows": [[_json_value(v) for v in row] for row in table.rows],
+    }
+    # The same bytes as json.dumps(doc, indent=1, sort_keys=True), without
+    # holding the whole text in memory.
+    for chunk in json.JSONEncoder(indent=1, sort_keys=True).iterencode(doc):
+        fh.write(chunk)
+    fh.write("\n")
+
+
+_WRITERS = {"csv": _write_csv, "json": _write_json}
+
+
 def write_table(table: OutputTable, path: str, fmt: str) -> None:
-    """Serialize atomically: write to a sibling temp file, then rename."""
-    if fmt == "csv":
-        lines = [f"# command={table.command}"]
-        for key, value in table.params.items():
-            lines.append(f"# {key}={_fmt(value)}")
-        lines.append(f"# seed={table.seed}")
-        lines.append(f"# version={__version__}")
-        for key, value in table.extra_metadata.items():
-            lines.append(f"# {key}={_fmt(value)}")
-        lines.append(",".join(table.columns))
-        for row in table.rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        payload = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        doc = {
-            "command": table.command,
-            "params": {k: _json_value(v) for k, v in table.params.items()},
-            "seed": table.seed,
-            "version": __version__,
-            "metadata": {k: _json_value(v) for k, v in table.extra_metadata.items()},
-            "columns": table.columns,
-            "rows": [[_json_value(v) for v in row] for row in table.rows],
-        }
-        payload = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    else:
+    """Serialize atomically: stream to a sibling temp file, then rename."""
+    writer = _WRITERS.get(fmt)
+    if writer is None:
         raise UsageError(f"unknown format {fmt!r}")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            writer(table, fh)
         # mkstemp creates the file 0600; give the table the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -122,6 +133,13 @@ def write_table(table: OutputTable, path: str, fmt: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _require_finite(args, *names: str) -> None:
+    """Reject a non-finite value of any of the named float flags."""
+    for name in names:
+        if not math.isfinite(getattr(args, name)):
+            raise UsageError(f"{name.replace('_', '-')} must be finite")
 
 
 def _time_grid(t_max: float, steps: int) -> np.ndarray:
@@ -168,6 +186,7 @@ def _run_spectrum(args) -> OutputTable:
 
 
 def _run_rabi(args) -> OutputTable:
+    _require_finite(args, "omega")
     times = _time_grid(args.t_max, args.steps)
     p0, p1 = rabi_trace(args.omega, times)
     rows = [[t, a, b] for t, a, b in zip(times, p0.values, p1.values)]
@@ -178,6 +197,7 @@ def _run_rabi(args) -> OutputTable:
 
 
 def _run_ramsey(args) -> OutputTable:
+    _require_finite(args, "delta")
     times = _time_grid(args.t_max, args.steps)
     series = ramsey_trace(args.delta, times)
     rows = [[t, p] for t, p in zip(times, series.values)]
@@ -188,16 +208,16 @@ def _run_ramsey(args) -> OutputTable:
 
 
 def _run_coherent(args) -> OutputTable:
+    _require_finite(args, "alpha_re", "alpha_im", "omega0")
     alpha = complex(args.alpha_re, args.alpha_im)
     basis = FockBasis(args.dim)
     times = _time_grid(args.t_max, args.steps)
     number = ladder_suite(basis).number
     psi0 = coherent_ket(alpha, basis)
     rows = []
-    for t in times:
+    for t, numeric in zip(times, evolve_many(-args.omega0 * number, times, psi0)):
         alpha_t = alpha * np.exp(1j * args.omega0 * t)
         analytic = coherent_ket(alpha_t, basis)
-        numeric = evolve(-args.omega0 * number, float(t), psi0)
         stats = quad_stats(numeric, basis)
         rows.append([
             float(t), alpha_t.real, alpha_t.imag,
@@ -219,6 +239,7 @@ def _run_coherent(args) -> OutputTable:
 
 
 def _run_washboard(args) -> OutputTable:
+    _require_finite(args, "bias", "phi_min", "phi_max")
     if args.steps < 2:
         raise UsageError("need steps >= 2")
     phis = np.linspace(args.phi_min, args.phi_max, args.steps)
@@ -239,6 +260,7 @@ def _run_washboard(args) -> OutputTable:
 
 
 def _run_squid(args) -> OutputTable:
+    _require_finite(args, "i0", "phi_min", "phi_max")
     if args.steps < 2:
         raise UsageError("need steps >= 2")
     fluxes = np.linspace(args.phi_min, args.phi_max, args.steps)
@@ -256,6 +278,7 @@ def _run_squid(args) -> OutputTable:
 
 
 def _run_fluxwell(args) -> OutputTable:
+    _require_finite(args, "l", "ej", "phi_ext", "phi_min", "phi_max")
     if args.steps < 3:
         raise UsageError("need steps >= 3")
     if args.l <= 0 or args.ej <= 0:
@@ -276,6 +299,7 @@ def _run_fluxwell(args) -> OutputTable:
 
 
 def _run_jc(args) -> OutputTable:
+    _require_finite(args, "g")
     if args.g <= 0:
         raise UsageError("coupling g must be positive")
     times = _time_grid(args.t_max, args.steps)
@@ -394,6 +418,7 @@ def _run_transmon(args) -> OutputTable:
 
 
 def _run_tunnel_ode(args) -> OutputTable:
+    _require_finite(args, "n1", "n2", "theta1", "theta2", "e_coupling", "dt")
     if args.dt <= 0 or args.steps < 1:
         raise UsageError("need dt > 0 and steps >= 1")
     if args.n1 <= 0 or args.n2 <= 0:

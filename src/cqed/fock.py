@@ -14,6 +14,7 @@ norm.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,15 +144,29 @@ def coherent_evolution(
     return {"analytic": analytic, "numeric": numeric}
 
 
+@functools.lru_cache(maxsize=8)
+def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x1, x1 @ x1, x2, x2 @ x2) on ``dim`` levels, read-only and shared."""
+    ops = ladder_suite(FockBasis(dim))
+    mats = (ops.x1, ops.x1 @ ops.x1, ops.x2, ops.x2 @ ops.x2)
+    for mat in mats:
+        mat.flags.writeable = False
+    return mats
+
+
 def quad_stats(psi: Ket, basis: FockBasis) -> dict[str, float]:
-    """Means and variances of the two quadratures in state ``psi``."""
+    """Means and variances of the two quadratures in state ``psi``.
+
+    The quadratures and their squares are built once per dimension and
+    cached (read-only), so a sweep over many states pays for them once.
+    """
     if psi.dim != basis.dim:
         raise DimensionMismatch("state dimension does not match basis")
-    ops = ladder_suite(basis)
+    x1, x1_sq, x2, x2_sq = _quadratures(basis.dim)
     out = {}
-    for name, op in (("1", ops.x1), ("2", ops.x2)):
+    for name, op, op_sq in (("1", x1, x1_sq), ("2", x2, x2_sq)):
         mean = expectation(op, psi).real
-        second = expectation(op @ op, psi).real
+        second = expectation(op_sq, psi).real
         out[f"mean{name}"] = mean
         out[f"var{name}"] = second - mean * mean
     return out

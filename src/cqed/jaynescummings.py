@@ -98,7 +98,8 @@ def vacuum_rabi(
 
     Returns the qubit excited-state population, the mean cavity photon
     number (equal to the |1,0> population in the single-excitation
-    manifold) and the full state per time.
+    manifold) and, under ``"amps"``, the amplitudes of the state at
+    ``times[k]`` as row k of a (len(times), dim) array.
     """
     times = np.asarray(times, dtype=np.float64)
     h = jc_hamiltonian(params, space)
@@ -109,19 +110,18 @@ def vacuum_rabi(
     qubit_idx = np.array([index_of(n, 1, space) for n in range(space.nmax)])
     photon_numbers = np.repeat(np.arange(space.nmax), 2).astype(np.float64)
 
-    states: list[Ket] = []
+    states = np.empty((len(times), space.dim), dtype=np.complex128)
     p_excited = np.empty(len(times))
     p_photon = np.empty(len(times))
     for k, t in enumerate(times):
-        amps = eig.vectors @ (np.exp(-1j * eig.values * t) * weights)
-        probs = np.abs(amps) ** 2
+        states[k] = eig.vectors @ (np.exp(-1j * eig.values * t) * weights)
+        probs = np.abs(states[k]) ** 2
         p_excited[k] = probs[qubit_idx].sum()
         p_photon[k] = (photon_numbers * probs).sum()
-        states.append(Ket(amps, basis="cavity*qubit"))
     return {
         "p_qubit_excited": TimeSeries(times, p_excited, label="p_qubit_excited"),
         "p_photon": TimeSeries(times, p_photon, label="p_photon"),
-        "state_at": states,
+        "amps": states,
     }
 
 

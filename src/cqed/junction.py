@@ -13,6 +13,7 @@ where an absolute scale enters (DC current, inductances).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,23 +292,6 @@ class TwoIslandTrajectory:
         return self.theta2 - self.theta1
 
 
-def _two_island_rhs(y: np.ndarray, e: float) -> np.ndarray:
-    n1, n2, th1, th2 = y
-    if n1 <= 0.0 or n2 <= 0.0:
-        raise StepUnstable("pair number reached zero during integration")
-    delta = th2 - th1
-    s = e * np.sqrt(n1 * n2) * np.sin(delta)
-    cos_d = np.cos(delta)
-    return np.array(
-        [
-            s,
-            -s,
-            -0.5 * e * np.sqrt(n2 / n1) * cos_d,
-            -0.5 * e * np.sqrt(n1 / n2) * cos_d,
-        ]
-    )
-
-
 def two_island_dynamics(
     state0: TwoIslandState, e_coupling: float, dt: float, steps: int
 ) -> TwoIslandTrajectory:
@@ -321,23 +305,55 @@ def two_island_dynamics(
     with delta = theta2 - theta1.  The emitted current is dn1/dt, to be
     compared against I0 sin(delta) with I0 = n0 E and n0 the geometric mean
     of the initial pair numbers.  Both number derivatives come from a single
-    evaluation, so n1 + n2 is conserved to roundoff.  Raises StepUnstable
-    if a pair number is driven to zero.
+    evaluation, so n1 + n2 is conserved to roundoff.
+
+    The stepper runs on Python floats: per step, four right-hand sides and
+    the stage sums y + (dt/2) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4),
+    each component in exactly that operation order, so the trajectory is
+    bit-identical to the same RK4 written on length-4 numpy arrays.  Raises
+    StepUnstable if a pair number is driven to zero or any component of the
+    state stops being finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("need at least one step")
-    y = np.array([state0.n1, state0.n2, state0.theta1, state0.theta2])
+    e = float(e_coupling)
+    h = -0.5 * e
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    inf = math.inf
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+
+    def rhs(n1, n2, th1, th2):
+        if n1 <= 0.0 or n2 <= 0.0:
+            raise StepUnstable("pair number reached zero during integration")
+        delta = th2 - th1
+        if not -inf < delta < inf:  # math.sin and math.cos raise ValueError on inf
+            raise StepUnstable("phase difference became non-finite during integration")
+        s = e * sqrt(n1 * n2) * sin(delta)
+        cos_d = cos(delta)
+        return s, -s, h * sqrt(n2 / n1) * cos_d, h * sqrt(n1 / n2) * cos_d
+
+    n1, n2, th1, th2 = y = (
+        float(state0.n1), float(state0.n2), float(state0.theta1), float(state0.theta2)
+    )
     out = np.empty((steps + 1, 4))
     out[0] = y
     for k in range(steps):
-        k1 = _two_island_rhs(y, e_coupling)
-        k2 = _two_island_rhs(y + 0.5 * dt * k1, e_coupling)
-        k3 = _two_island_rhs(y + 0.5 * dt * k2, e_coupling)
-        k4 = _two_island_rhs(y + dt * k3, e_coupling)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if y[0] <= 0.0 or y[1] <= 0.0:
+        a1, a2, a3, a4 = rhs(n1, n2, th1, th2)
+        b1, b2, b3, b4 = rhs(n1 + half * a1, n2 + half * a2, th1 + half * a3, th2 + half * a4)
+        c1, c2, c3, c4 = rhs(n1 + half * b1, n2 + half * b2, th1 + half * b3, th2 + half * b4)
+        d1, d2, d3, d4 = rhs(n1 + dt * c1, n2 + dt * c2, th1 + dt * c3, th2 + dt * c4)
+        n1, n2, th1, th2 = y = (
+            n1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+            n2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+            th1 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+            th2 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+        )
+        if not (n1 < inf and n2 < inf and -inf < th1 < inf and -inf < th2 < inf):
+            raise StepUnstable(f"state became non-finite at step {k + 1}")
+        if n1 <= 0.0 or n2 <= 0.0:
             raise StepUnstable(f"pair number went non-positive at step {k + 1}")
         out[k + 1] = y
     times = np.arange(steps + 1) * dt

@@ -374,12 +374,19 @@ def evolve(h: np.ndarray, t: float, psi0: Ket) -> Ket:
 
 
 def evolve_many(h: np.ndarray, times: np.ndarray, psi0: Ket) -> list[Ket]:
-    """`evolve` at several times sharing a single eigendecomposition."""
+    """`evolve` at several times sharing a single eigendecomposition.
+
+    Element k equals ``evolve(h, times[k], psi0)`` bit for bit, including
+    ``psi0`` itself at t = 0.
+    """
     h = np.asarray(h)
     if h.shape[0] != psi0.dim:
         raise DimensionMismatch("Hamiltonian and state dimensions differ")
     eig = hermitian_eigen(h)
-    return [Ket(_evolve_amps(eig, float(t), psi0.amps), basis=psi0.basis) for t in times]
+    return [
+        psi0 if t == 0 else Ket(_evolve_amps(eig, float(t), psi0.amps), basis=psi0.basis)
+        for t in times
+    ]
 
 
 def expectation(a: np.ndarray, psi: Ket) -> complex:

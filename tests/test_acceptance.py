@@ -186,21 +186,22 @@ def test_criterion_08_jaynes_cummings():
     space = JCSpace(4)
     times = np.linspace(0.0, 2 * np.pi / g, 50)
     out = vacuum_rabi(JCParams(g), times, space)
+    norm_err = np.abs(np.linalg.norm(out["amps"], axis=1) - 1.0).max()
     fid_err = max(
-        1 - fidelity(state, vacuum_rabi_closed_form(g, t, space))
-        for t, state in zip(times, out["state_at"])
+        1 - fidelity(amps, vacuum_rabi_closed_form(g, t, space).amps)
+        for t, amps in zip(times, out["amps"])
     )
     transfer = vacuum_rabi(JCParams(g), np.array([transfer_time(JCParams(g))]), space)
     transfer_err = abs(transfer["p_photon"].values[0] - 1.0)
-    mid = vacuum_rabi(JCParams(g), np.array([np.pi / (4 * g)]), space)["state_at"][0]
+    mid = vacuum_rabi(JCParams(g), np.array([np.pi / (4 * g)]), space)["amps"][0]
     amp_err = max(
-        abs(abs(mid.amps[index_of(0, 1, space)]) - 1 / np.sqrt(2)),
-        abs(abs(mid.amps[index_of(1, 0, space)]) - 1 / np.sqrt(2)),
+        abs(abs(mid[index_of(0, 1, space)]) - 1 / np.sqrt(2)),
+        abs(abs(mid[index_of(1, 0, space)]) - 1 / np.sqrt(2)),
     )
-    ok = fid_err < 1e-9 and transfer_err < 1e-10 and amp_err < 1e-12
+    ok = norm_err < 1e-10 and fid_err < 1e-9 and transfer_err < 1e-10 and amp_err < 1e-12
     report(8, "Jaynes-Cummings vacuum Rabi dynamics", ok,
-           f"fidelity err {fid_err:.1e}, transfer err {transfer_err:.1e}, "
-           f"midpoint err {amp_err:.1e}")
+           f"norm err {norm_err:.1e}, fidelity err {fid_err:.1e}, "
+           f"transfer err {transfer_err:.1e}, midpoint err {amp_err:.1e}")
     assert ok
 
 

@@ -180,6 +180,49 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, flag",
         [
+            (["rabi", "--omega", "nan"], "omega"),
+            (["rabi", "--omega", "inf"], "omega"),
+            (["ramsey", "--delta", "nan"], "delta"),
+            (["coherent", "--alpha-re", "nan"], "alpha-re"),
+            (["fluxwell", "--phi-ext", "nan"], "phi-ext"),
+            (["fluxwell", "--l", "nan"], "l"),
+            (["washboard", "--bias", "nan"], "bias"),
+            (["washboard", "--phi-min", "nan"], "phi-min"),
+            (["squid", "--i0", "nan"], "i0"),
+            (["jc", "--g", "inf"], "g"),
+            (["tunnel-ode", "--theta2", "nan"], "theta2"),
+            (["tunnel-ode", "--dt", "nan"], "dt"),
+            (["tunnel-ode", "--e-coupling", "nan"], "e-coupling"),
+            (["tunnel-ode", "--n1", "inf"], "n1"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_dynamics_flags_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, flag
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before validation")
+
+        for name in ("rabi_trace", "ramsey_trace", "coherent_ket", "evolve_many",
+                     "flux_qubit_potential", "washboard_u", "squid_effective",
+                     "vacuum_rabi", "two_island_dynamics"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be finite\n"
+
+    def test_non_finite_tunnel_state_exits_3(self, tmp_path, capsys):
+        code, out = run(tmp_path, "tunnel-ode", "--n1", "1", "--n2", "1", "--theta2", "0",
+                        "--e-coupling", "1e307", "--dt", "1", "--steps", "100")
+        assert code == 3
+        assert not out.exists()
+        assert "StepUnstable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
             (["dephase", "--dt", "0"], "dt"),
             (["dephase", "--dt", "nan"], "dt"),
             (["dephase", "--horizon", "inf"], "horizon"),
@@ -225,6 +268,12 @@ class TestWriteTable:
         assert run_command(["bell", "--out", str(target)]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert not any(target.iterdir())
+
+    def test_unknown_format_raises_before_any_temp_file(self, tmp_path):
+        table = cli.OutputTable("bell", {}, 0, ["a"], [[1.0]])
+        with pytest.raises(cli.UsageError):
+            cli.write_table(table, str(tmp_path / "out.xml"), "xml")
+        assert not any(tmp_path.iterdir())
 
     def test_successful_write_leaves_only_the_table_with_umask_mode(self, tmp_path):
         out = tmp_path / "bell.csv"

@@ -4,6 +4,7 @@ import pytest
 from cqed.errors import TruncationTooSmall
 from cqed.fock import (
     FockBasis,
+    _quadratures,
     OscillatorParams,
     cavity_mode_freq,
     coherent_evolution,
@@ -146,6 +147,26 @@ class TestQuadratures:
         assert abs(stats["mean2"] - 2 * np.sin(theta)) < 1e-6
         assert abs(stats["var1"] - 0.25) < 1e-6
         assert abs(stats["var2"] - 0.25) < 1e-6
+
+    def test_matches_uncached_operators_bit_for_bit(self):
+        basis = FockBasis(40)
+        ops = ladder_suite(basis)
+        for alpha in (0.0, 1.5, 2.0 - 1.0j):
+            psi = coherent_ket(alpha, basis)
+            stats = quad_stats(psi, basis)
+            for name, op in (("1", ops.x1), ("2", ops.x2)):
+                mean = expectation(op, psi).real
+                assert stats[f"mean{name}"] == mean
+                assert stats[f"var{name}"] == expectation(op @ op, psi).real - mean * mean
+
+    def test_cached_operators_are_read_only(self):
+        basis = FockBasis(12)
+        quad_stats(fock_ket(1, basis), basis)
+        for mat in _quadratures(12):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 7.0
+        stats = quad_stats(fock_ket(0, basis), basis)
+        assert abs(stats["var1"] - 0.25) < 1e-12
 
 
 class TestCavityModes:

@@ -191,6 +191,29 @@ class TestFluxoid:
         assert abs(out["residual"] + 0.02) < 1e-12
 
 
+def array_rk4(state0, e, dt, steps):
+    """The same RK4 on length-4 numpy arrays: the reference for the float stepper."""
+
+    def rhs(y):
+        n1, n2, th1, th2 = y
+        delta = th2 - th1
+        s = e * np.sqrt(n1 * n2) * np.sin(delta)
+        cos_d = np.cos(delta)
+        return np.array([s, -s, -0.5 * e * np.sqrt(n2 / n1) * cos_d,
+                         -0.5 * e * np.sqrt(n1 / n2) * cos_d])
+
+    y = np.array([state0.n1, state0.n2, state0.theta1, state0.theta2])
+    out = [y]
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
 class TestTwoIslandDynamics:
     def run(self, delta0=0.7, steps=10_000):
         state0 = TwoIslandState(1e6, 1e6, 0.0, delta0)
@@ -225,6 +248,21 @@ class TestTwoIslandDynamics:
         state0 = TwoIslandState(1.0, 100.0, 0.0, -np.pi / 2)
         with pytest.raises(StepUnstable):
             two_island_dynamics(state0, e_coupling=10.0, dt=1.0, steps=10)
+
+    @pytest.mark.parametrize("steps", [1, 2, 1000])
+    @pytest.mark.parametrize("theta2", [0.6, 0.7, 0.8, 2.0, -1.3])
+    def test_matches_array_rk4_bit_for_bit(self, theta2, steps):
+        state0 = TwoIslandState(1e6, 1e6, 0.0, theta2)
+        traj = two_island_dynamics(state0, e_coupling=1e-6, dt=1e-3, steps=steps)
+        got = np.stack([traj.n1, traj.n2, traj.theta1, traj.theta2], axis=1)
+        assert np.array_equal(got, array_rk4(state0, 1e-6, 1e-3, steps))
+
+    def test_non_finite_state_mid_integration_is_unstable(self):
+        # both phases run off at -e/2 per unit time and overflow after ~36
+        # steps; the array form of RK4 returned rows of -inf and nan here
+        state0 = TwoIslandState(1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(StepUnstable, match="non-finite"):
+            two_island_dynamics(state0, e_coupling=1e307, dt=1.0, steps=100)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
