@@ -144,7 +144,7 @@ def coherent_evolution(
     return {"analytic": analytic, "numeric": numeric}
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(x1, x1 @ x1, x2, x2 @ x2) on ``dim`` levels, read-only and shared."""
     ops = ladder_suite(FockBasis(dim))
@@ -157,8 +157,9 @@ def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 def quad_stats(psi: Ket, basis: FockBasis) -> dict[str, float]:
     """Means and variances of the two quadratures in state ``psi``.
 
-    The quadratures and their squares are built once per dimension and
-    cached (read-only), so a sweep over many states pays for them once.
+    The quadratures and their squares for the last dimension asked for are
+    cached read-only, so a sweep over many states of one mode builds them
+    once.
     """
     if psi.dim != basis.dim:
         raise DimensionMismatch("state dimension does not match basis")

@@ -258,8 +258,7 @@ class TestTwoIslandDynamics:
         assert np.array_equal(got, array_rk4(state0, 1e-6, 1e-3, steps))
 
     def test_non_finite_state_mid_integration_is_unstable(self):
-        # both phases run off at -e/2 per unit time and overflow after ~36
-        # steps; the array form of RK4 returned rows of -inf and nan here
+        # both phases run off at -e/2 per unit time and overflow after ~36 steps
         state0 = TwoIslandState(1.0, 1.0, 0.0, 0.0)
         with pytest.raises(StepUnstable, match="non-finite"):
             two_island_dynamics(state0, e_coupling=1e307, dt=1.0, steps=100)
