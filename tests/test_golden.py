@@ -3,8 +3,10 @@
 ``golden/digests.json`` holds the sha256 of each command's output with
 default flags, as CSV and as JSON, and of each argv in ``CASES``.  The
 cases cover paths the defaults skip: ``decay`` runs no Monte-Carlo at its
-default ``--trials 0``, and the long ``tunnel-ode``, ``coherent`` and ``jc``
-runs pin the dynamics paths at the sizes the benchmark runs them.  A change
+default ``--trials 0``; the long ``tunnel-ode``, ``coherent`` and ``jc``
+runs pin the dynamics paths, and the long ``washboard``, ``rabi`` and
+``fluxwell`` runs and the five-level ``spectrum`` pin the table writer, at
+the sizes the benchmark runs them.  A change
 that alters an output on purpose regenerates the file and says in its notes
 which digests moved:
 
@@ -34,6 +36,10 @@ CASES = {
     "tunnel-ode-long": ["tunnel-ode", "--steps", "20000", "--theta2", "0.7"],
     "coherent-large": ["coherent", "--dim", "96", "--alpha-re", "3.0", "--steps", "601"],
     "jc-large": ["jc", "--nmax", "24", "--steps", "4001"],
+    "washboard-long": ["washboard", "--steps", "20001", "--bias", "0.462366"],
+    "rabi-long": ["rabi", "--steps", "20001", "--omega", "0.984665"],
+    "fluxwell-long": ["fluxwell", "--steps", "20001", "--phi-ext", "0.517946"],
+    "spectrum-levels": ["spectrum", "--ej", "1.045046", "--ng-steps", "401", "--levels", "5"],
 }
 
 
