@@ -61,15 +61,26 @@ class UsageError(Exception):
 
 @dataclass
 class OutputTable:
-    """One experiment's tabular result plus its provenance metadata."""
+    """One experiment's tabular result plus its provenance metadata.
+
+    ``rows`` is either a 2-D float array (one row per sample) or a list of
+    rows in which each column holds values of one type, such as ``str``,
+    ``str``, ``float``.
+    """
 
     command: str
     params: dict
     seed: int
     columns: list[str]
-    rows: list[list]
+    rows: np.ndarray | list[list]
     summary: str = ""
     extra_metadata: dict = field(default_factory=dict)
+
+
+#: Rows formatted by one ``%`` operation.
+_BLOCK_ROWS = 1024
+#: JSON text of the non-finite ``%.12g`` strings.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(value) -> str:
@@ -84,6 +95,49 @@ def _json_value(value):
     return value
 
 
+def _cell_formats(rows) -> list[str]:
+    """Each column's cell format: ``%.12g`` for floats, ``%s`` otherwise."""
+    if isinstance(rows, np.ndarray):
+        return ["%.12g"] * rows.shape[1]
+    if not rows:
+        return []
+    return ["%.12g" if isinstance(v, float) else "%s" for v in rows[0]]
+
+
+def _blocks(rows):
+    """Yield ``(row count, flat cell values)`` for blocks of ``_BLOCK_ROWS`` rows."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        if isinstance(block, np.ndarray):
+            yield len(block), block.ravel().tolist()
+        else:
+            yield len(block), [v for row in block for v in row]
+
+
+def _json_float(text: str) -> str:
+    """``json.dumps(float(text))`` for the ``%.12g`` text of a float.
+
+    Fixed-point ``%.12g`` text with a point is already the shortest repr of
+    its value; an integer-looking one lacks only the ``.0``.  Exponent
+    forms differ (``1e+12`` is ``1000000000000.0``, and a subnormal's repr
+    can be shorter), so they go through ``repr``.
+    """
+    if "e" in text:
+        return repr(float(text))
+    if "." in text:
+        return text
+    return _JSON_NONFINITE.get(text) or text + ".0"
+
+
+def _json_cells(values: list, fmt: str) -> list[str]:
+    """The JSON text of each value of one column, as ``_json_value`` has it."""
+    if fmt != "%.12g":
+        return [json.dumps(v) for v in values]
+    texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")
+    texts.pop()
+    return [t if "." in t and "e" not in t else _json_float(t) for t in texts]
+
+
 def _write_csv(table: OutputTable, fh) -> None:
     fh.write(f"# command={table.command}\n")
     for key, value in table.params.items():
@@ -92,11 +146,30 @@ def _write_csv(table: OutputTable, fh) -> None:
     for key, value in table.extra_metadata.items():
         fh.write(f"# {key}={_fmt(value)}\n")
     fh.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        fh.write(",".join([_fmt(v) for v in row]) + "\n")
+    line = ",".join(_cell_formats(table.rows)) + "\n"
+    for n, values in _blocks(table.rows):
+        fh.write(line * n % tuple(values))
+
+
+def _write_json_rows(rows, fh) -> None:
+    formats = _cell_formats(rows)
+    width = len(formats)
+    line = "\n  [\n   " + ",\n   ".join(["%s"] * width) + "\n  ]"
+    sep = "["
+    for n, values in _blocks(rows):
+        for col, fmt in enumerate(formats):
+            values[col::width] = _json_cells(values[col::width], fmt)
+        fh.write(sep + ",".join([line] * n) % tuple(values))
+        sep = ","
+    fh.write("[]" if sep == "[" else "\n ]")
 
 
 def _write_json(table: OutputTable, fh) -> None:
+    """The bytes of ``json.dumps(doc, indent=1, sort_keys=True)`` plus a newline.
+
+    ``doc`` holds the rows as ``_json_value`` makes them; they are written
+    block by block, every other key through ``json.dumps``.
+    """
     doc = {
         "command": table.command,
         "params": {k: _json_value(v) for k, v in table.params.items()},
@@ -104,13 +177,18 @@ def _write_json(table: OutputTable, fh) -> None:
         "version": __version__,
         "metadata": {k: _json_value(v) for k, v in table.extra_metadata.items()},
         "columns": table.columns,
-        "rows": [[_json_value(v) for v in row] for row in table.rows],
+        "rows": table.rows,
     }
-    # The same bytes as json.dumps(doc, indent=1, sort_keys=True), without
-    # holding the whole text in memory.
-    for chunk in json.JSONEncoder(indent=1, sort_keys=True).iterencode(doc):
-        fh.write(chunk)
-    fh.write("\n")
+    sep = "{"
+    for key in sorted(doc):
+        fh.write(f'{sep}\n "{key}": ')
+        if key == "rows":
+            _write_json_rows(table.rows, fh)
+        else:
+            # Encoded JSON strings hold no raw newline, so this only indents.
+            fh.write(json.dumps(doc[key], indent=1, sort_keys=True).replace("\n", "\n "))
+        sep = ","
+    fh.write("\n}\n")
 
 
 _WRITERS = {"csv": _write_csv, "json": _write_json}
@@ -142,6 +220,20 @@ def _require_finite(args, *names: str) -> None:
             raise UsageError(f"{name.replace('_', '-')} must be finite")
 
 
+#: Bytes one float64 array over a Monte-Carlo trajectory's steps may take.
+_TRAJECTORY_BYTES = 2**26
+
+
+def _require_trajectory_budget(span: float, dt: float) -> None:
+    """Reject trajectories of ``span / dt`` steps whose arrays exceed the budget."""
+    steps = span / dt
+    if steps * 8 > _TRAJECTORY_BYTES:
+        raise UsageError(
+            f"{steps:.3g} Monte-Carlo steps per trajectory exceed the "
+            f"{_TRAJECTORY_BYTES >> 20} MiB budget ({_TRAJECTORY_BYTES // 8} steps)"
+        )
+
+
 def _time_grid(t_max: float, steps: int) -> np.ndarray:
     if not (np.isfinite(t_max) and t_max > 0) or steps < 2:
         raise UsageError("need finite t-max > 0 and steps >= 2")
@@ -165,13 +257,12 @@ def _run_spectrum(args) -> OutputTable:
     grid = np.linspace(args.ng_min, args.ng_max, args.ng_steps)
     sweep = spectrum_sweep(args.ec, args.ej, grid, args.ncut, args.levels)
     columns = ["ng"] + [f"e{k}" for k in range(args.levels)]
-    rows = [[g, *level_row] for g, level_row in zip(grid, sweep.levels)]
+    rows = np.column_stack([grid, sweep.levels])
     if args.levels >= 2:
         columns.append("gap_01")
-        for row, level_row in zip(rows, sweep.levels):
-            row.append(level_row[1] - level_row[0])
-        min_gap = min(r[-1] for r in rows)
-        summary = f"min gap_01 = {min_gap:.6g}"
+        gaps = sweep.levels[:, 1] - sweep.levels[:, 0]
+        rows = np.column_stack([rows, gaps])
+        summary = f"min gap_01 = {gaps.min():.6g}"
     else:
         summary = f"{len(rows)} points"
     return OutputTable(
@@ -189,7 +280,7 @@ def _run_rabi(args) -> OutputTable:
     _require_finite(args, "omega")
     times = _time_grid(args.t_max, args.steps)
     p0, p1 = rabi_trace(args.omega, times)
-    rows = [[t, a, b] for t, a, b in zip(times, p0.values, p1.values)]
+    rows = np.column_stack([times, p0.values, p1.values])
     return OutputTable(
         "rabi", {"omega": args.omega, "t_max": args.t_max, "steps": args.steps},
         args.seed, ["t", "p0", "p1"], rows, f"{len(rows)} samples",
@@ -200,7 +291,7 @@ def _run_ramsey(args) -> OutputTable:
     _require_finite(args, "delta")
     times = _time_grid(args.t_max, args.steps)
     series = ramsey_trace(args.delta, times)
-    rows = [[t, p] for t, p in zip(times, series.values)]
+    rows = np.column_stack([times, series.values])
     return OutputTable(
         "ramsey", {"delta": args.delta, "t_max": args.t_max, "steps": args.steps},
         args.seed, ["t", "p_plus"], rows, f"{len(rows)} samples",
@@ -214,16 +305,16 @@ def _run_coherent(args) -> OutputTable:
     times = _time_grid(args.t_max, args.steps)
     number = ladder_suite(basis).number
     psi0 = coherent_ket(alpha, basis)
-    rows = []
-    for t, numeric in zip(times, evolve_many(-args.omega0 * number, times, psi0)):
+    rows = np.empty((len(times), 8))
+    for row, t, numeric in zip(rows, times, evolve_many(-args.omega0 * number, times, psi0)):
         alpha_t = alpha * np.exp(1j * args.omega0 * t)
         analytic = coherent_ket(alpha_t, basis)
         stats = quad_stats(numeric, basis)
-        rows.append([
-            float(t), alpha_t.real, alpha_t.imag,
+        row[:] = (
+            t, alpha_t.real, alpha_t.imag,
             stats["mean1"], stats["mean2"], stats["var1"], stats["var2"],
             fidelity(analytic, numeric),
-        ])
+        )
     return OutputTable(
         "coherent",
         {
@@ -244,7 +335,7 @@ def _run_washboard(args) -> OutputTable:
         raise UsageError("need steps >= 2")
     phis = np.linspace(args.phi_min, args.phi_max, args.steps)
     us = washboard_u(args.bias, phis)
-    rows = [[p, u] for p, u in zip(phis, us)]
+    rows = np.column_stack([phis, us])
     extra = {}
     summary = f"{len(rows)} samples"
     if abs(args.bias) <= 1.0:
@@ -264,10 +355,10 @@ def _run_squid(args) -> OutputTable:
     if args.steps < 2:
         raise UsageError("need steps >= 2")
     fluxes = np.linspace(args.phi_min, args.phi_max, args.steps)
-    rows = []
-    for f in fluxes:
+    rows = np.empty((len(fluxes), 3))
+    for row, f in zip(rows, fluxes):
         eff = squid_effective(args.i0, float(f), args.branch)
-        rows.append([float(f), eff["critical"], eff["magnitude"]])
+        row[:] = (f, eff["critical"], eff["magnitude"])
     return OutputTable(
         "squid",
         {"i0": args.i0, "phi_min": args.phi_min, "phi_max": args.phi_max,
@@ -285,7 +376,7 @@ def _run_fluxwell(args) -> OutputTable:
         raise UsageError("need positive inductance and Josephson energy")
     phis = np.linspace(args.phi_min, args.phi_max, args.steps)
     result = flux_qubit_potential(args.l, args.ej, args.phi_ext, phis)
-    rows = [[p, u] for p, u in zip(result["phis"], result["u"])]
+    rows = np.column_stack([result["phis"], result["u"]])
     extra = {}
     for k, (pos, val) in enumerate(result["minima"]):
         extra[f"minimum_{k}"] = f"{pos:.12g}:{val:.12g}"
@@ -304,12 +395,9 @@ def _run_jc(args) -> OutputTable:
         raise UsageError("coupling g must be positive")
     times = _time_grid(args.t_max, args.steps)
     result = vacuum_rabi(JCParams(args.g), times, JCSpace(args.nmax))
-    rows = [
-        [t, pe, ph]
-        for t, pe, ph in zip(
-            times, result["p_qubit_excited"].values, result["p_photon"].values
-        )
-    ]
+    rows = np.column_stack(
+        [times, result["p_qubit_excited"].values, result["p_photon"].values]
+    )
     return OutputTable(
         "jc", {"g": args.g, "nmax": args.nmax, "t_max": args.t_max,
                "steps": args.steps},
@@ -325,19 +413,21 @@ def _run_decay(args) -> OutputTable:
         raise UsageError("dt must be finite and positive")
     if args.trials < 0:
         raise UsageError("trials must be >= 0")
-    times = _time_grid(args.t_max, args.steps)
-    mc = None
     if args.trials > 0:
         if args.dt > args.t1 / 100:
             raise UsageError("need dt <= t1/100 for the Monte-Carlo estimator")
+        _require_trajectory_budget(args.t_max, args.dt)
+    times = _time_grid(args.t_max, args.steps)
+    mc = None
+    if args.trials > 0:
         mc = {"dt": args.dt, "trials": args.trials, "rng": RngSpec(args.seed)}
     result = t1_curves(args.t1, times, mc)
     columns = ["t", "p_analytic"]
-    rows = [[t, p] for t, p in zip(times, result["analytic"].values)]
+    data = [times, result["analytic"].values]
     if result["monte_carlo"] is not None:
         columns.append("p_mc")
-        for row, p in zip(rows, result["monte_carlo"].values):
-            row.append(p)
+        data.append(result["monte_carlo"].values)
+    rows = np.column_stack(data)
     return OutputTable(
         "decay",
         {"t1": args.t1, "t_max": args.t_max, "steps": args.steps,
@@ -361,12 +451,13 @@ def _run_dephase(args) -> OutputTable:
         raise UsageError("the noisy-fringe fit needs delta > 0")
     if args.sigma2 > 0 and args.trials < 1000:
         raise UsageError("need trials >= 1000 for ensemble averaging")
+    _require_trajectory_budget(args.horizon, args.dt)
     result = ramsey_ensemble(
         args.delta, NoiseModel(np.sqrt(args.sigma2)), args.dt, args.horizon,
         args.trials, RngSpec(args.seed),
     )
     series = result["p_plus"]
-    rows = [[t, p] for t, p in zip(series.times, series.values)]
+    rows = np.column_stack([series.times, series.values])
     extra = {"fitted_freq": result["fitted_freq"]}
     if result["fitted_t2"] is not None:
         extra["fitted_t2"] = result["fitted_t2"]
@@ -405,15 +496,15 @@ def _run_transmon(args) -> OutputTable:
     ratios = [float(r) for r in args.ratios.split(",") if r]
     if not ratios or not all(np.isfinite(r) and r > 0 for r in ratios):
         raise UsageError("ratios must be a comma-separated list of finite positive numbers")
-    rows = []
-    for ratio in ratios:
+    rows = np.empty((len(ratios), 4))
+    for row, ratio in zip(rows, ratios):
         ncut = args.ncut if args.ncut > 0 else _transmon_ncut(ratio)
         disp = charge_dispersion(args.ec, ratio * args.ec, ncut)
-        rows.append([ratio, disp["dispersion"], disp["min_gap"], disp["max_gap"]])
+        row[:] = (ratio, disp["dispersion"], disp["min_gap"], disp["max_gap"])
     return OutputTable(
         "transmon", {"ec": args.ec, "ratios": args.ratios, "ncut": args.ncut},
         args.seed, ["ej_over_ec", "dispersion", "min_gap", "max_gap"], rows,
-        f"dispersion {rows[0][1]:.4g} -> {rows[-1][1]:.4g}",
+        f"dispersion {rows[0, 1]:.4g} -> {rows[-1, 1]:.4g}",
     )
 
 
@@ -429,13 +520,11 @@ def _run_tunnel_ode(args) -> OutputTable:
     traj = two_island_dynamics(state0, args.e_coupling, args.dt, args.steps)
     # steps // stride + 1 <= max_rows rows, the first at t = 0
     stride = -(-args.steps // (args.max_rows - 1))
-    rows = []
-    for k in range(0, args.steps + 1, stride):
-        delta = traj.delta[k]
-        rows.append([
-            traj.times[k], traj.n1[k], traj.n2[k], delta,
-            traj.current.values[k], traj.i0 * np.sin(delta),
-        ])
+    delta = traj.delta[::stride]
+    rows = np.column_stack([
+        traj.times[::stride], traj.n1[::stride], traj.n2[::stride], delta,
+        traj.current.values[::stride], traj.i0 * np.sin(delta),
+    ])
     return OutputTable(
         "tunnel-ode",
         {"n1": args.n1, "n2": args.n2, "theta1": args.theta1,
@@ -552,3 +641,7 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -2,10 +2,17 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cqed
 from cqed import cli
 from cqed.cli import run_command
 
@@ -254,6 +261,31 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 5e13 and 1e14 steps per trajectory: 364 and 728 TiB per array
+            ["dephase", "--horizon", "1e12"],
+            ["decay", "--t-max", "1e12", "--trials", "10"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_monte_carlo_horizon_over_byte_budget_exits_2(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before the budget check")
+
+        monkeypatch.setattr(cli, "t1_curves", no_work)
+        monkeypatch.setattr(cli, "ramsey_ensemble", no_work)
+        monkeypatch.setattr(cli, "_time_grid", no_work)
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget" in err
+
 
 class TestWriteTable:
     def test_missing_directory_exits_2(self, tmp_path, capsys):
@@ -282,6 +314,110 @@ class TestWriteTable:
         umask = os.umask(0)
         os.umask(umask)
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+def reference_text(table, fmt):
+    """What ``write_table`` must write: every cell formatted on its own."""
+    def cell(v):
+        return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+    def json_value(v):
+        return float(f"{v:.12g}") if isinstance(v, float) else v
+
+    rows = table.rows.tolist() if isinstance(table.rows, np.ndarray) else table.rows
+    if fmt == "csv":
+        lines = [f"# command={table.command}"]
+        lines += [f"# {k}={cell(v)}" for k, v in table.params.items()]
+        lines += [f"# seed={table.seed}", f"# version={cqed.__version__}"]
+        lines += [f"# {k}={cell(v)}" for k, v in table.extra_metadata.items()]
+        lines += [",".join(table.columns)] + [",".join(map(cell, row)) for row in rows]
+        return "".join(line + "\n" for line in lines)
+    doc = {
+        "command": table.command,
+        "params": {k: json_value(v) for k, v in table.params.items()},
+        "seed": table.seed,
+        "version": cqed.__version__,
+        "metadata": {k: json_value(v) for k, v in table.extra_metadata.items()},
+        "columns": table.columns,
+        "rows": [[json_value(v) for v in row] for row in rows],
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def float_table(rows, columns=None):
+    rows = np.asarray(rows, dtype=np.float64)
+    columns = columns or [f"c{k}" for k in range(rows.shape[1])]
+    return cli.OutputTable(
+        "probe", {"x": 0.1, "n": 3, "label": "a\"b\u00e9"}, 5, columns, rows,
+        extra_metadata={"fit": np.float64(1e-20), "note": "m"},
+    )
+
+
+#: Cells whose %.12g text differs from json.dumps' float text in some way.
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -3.0, 100.0, 123456789012.0, 1e-5, 1e11, 1e12, 1.5e13,
+    9.99999999999e15, 1e16, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    np.nan, np.inf, -np.inf, 0.1, 1 / 3, -2.5e-17, 0.000123456789012345,
+]
+
+
+class TestWriterMatchesPerCellReference:
+    @pytest.fixture(params=["csv", "json"])
+    def fmt(self, request):
+        return request.param
+
+    def check(self, tmp_path, table, fmt):
+        out = tmp_path / f"t.{fmt}"
+        cli.write_table(table, str(out), fmt)
+        assert out.read_bytes() == reference_text(table, fmt).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "nrows", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 5]
+    )
+    def test_block_boundaries(self, tmp_path, fmt, nrows):
+        rows = np.linspace(-2.0, 7.0, 3 * nrows).reshape(nrows, 3) ** 3
+        self.check(tmp_path, float_table(rows, ["t", "a", "b"]), fmt)
+
+    def test_empty_list_rows(self, tmp_path, fmt):
+        table = cli.OutputTable("probe", {}, 0, ["a", "b"], [])
+        self.check(tmp_path, table, fmt)
+
+    def test_bell_like_mixed_columns(self, tmp_path, fmt):
+        rows = [[a, b, 0.25 * k] for k, (a, b) in enumerate(
+            [("0", "plus"), ("minus_i", "1"), ("plus_i", "minus")])]
+        table = cli.OutputTable("bell", {"state": "phi+"}, 0, ["alice", "bob", "p"], rows)
+        self.check(tmp_path, table, fmt)
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS, ids=repr)
+    def test_edge_cells(self, tmp_path, fmt, value):
+        self.check(tmp_path, float_table([[value, -value]]), fmt)
+
+    def test_all_edge_cells_in_one_block(self, tmp_path, fmt):
+        column = np.array(EDGE_FLOATS)
+        self.check(tmp_path, float_table(np.column_stack([column, column[::-1]])), fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=60), st.integers(1, 4))
+    def test_arbitrary_floats(self, values, width):
+        values = values[: len(values) // width * width]
+        table = float_table(np.reshape(values, (-1, width)))
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("csv", "json"):
+                self.check(Path(tmp), table, fmt)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_cqed_writes_the_table(self, tmp_path):
+        out = tmp_path / "bell.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(cqed.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqed", "bell", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "bell: wrote" in proc.stdout
+        _, header, rows = read_csv(out)
+        assert header == ["alice", "bob", "probability"] and len(rows) == 36
 
 
 class TestAllCommandsRun:
