@@ -3,12 +3,17 @@
 Every subcommand runs one experiment from the physics modules and writes a
 single table, either CSV (default) or JSON.  CSV files start with
 ``# key=value`` metadata lines (command, parameters, seed, version), then a
-header row; floats carry 12 significant digits.  Output is written to a
-uniquely named temporary file beside the target and atomically renamed, so
-a failing run never leaves a partial or temporary file behind.
+header row; floats carry 12 significant digits.  JSON holds the bytes of
+``json.dumps(doc, indent=1, sort_keys=True)`` with the same content.  Rows
+are written in blocks of ``_BLOCK_ROWS``: each column gets one cell format
+(``%.12g`` for floats, ``%s`` otherwise) and a whole block is formatted by
+one ``%`` operation.  Output is written to a uniquely named temporary file
+beside the target and atomically renamed, so a failing run never leaves a
+partial or temporary file behind.
 
 Exit codes: 0 success, 2 invalid arguments (including violated parameter
-preconditions and an output path that cannot be written), 3 numerical
+preconditions, Monte-Carlo trajectories over the byte budget and an output
+path that cannot be written), 3 numerical
 failure (non-convergence, inadequate truncation, failed fits) with the
 error name on stderr.
 
@@ -135,6 +140,7 @@ def _json_cells(values: list, fmt: str) -> list[str]:
         return [json.dumps(v) for v in values]
     texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")
     texts.pop()
+    # The first test is _json_float's common case, inlined.
     return [t if "." in t and "e" not in t else _json_float(t) for t in texts]
 
 
@@ -152,6 +158,7 @@ def _write_csv(table: OutputTable, fh) -> None:
 
 
 def _write_json_rows(rows, fh) -> None:
+    """The ``rows`` value of the JSON document, nested one level deep."""
     formats = _cell_formats(rows)
     width = len(formats)
     line = "\n  [\n   " + ",\n   ".join(["%s"] * width) + "\n  ]"
@@ -413,14 +420,13 @@ def _run_decay(args) -> OutputTable:
         raise UsageError("dt must be finite and positive")
     if args.trials < 0:
         raise UsageError("trials must be >= 0")
+    mc = None
     if args.trials > 0:
         if args.dt > args.t1 / 100:
             raise UsageError("need dt <= t1/100 for the Monte-Carlo estimator")
         _require_trajectory_budget(args.t_max, args.dt)
-    times = _time_grid(args.t_max, args.steps)
-    mc = None
-    if args.trials > 0:
         mc = {"dt": args.dt, "trials": args.trials, "rng": RngSpec(args.seed)}
+    times = _time_grid(args.t_max, args.steps)
     result = t1_curves(args.t1, times, mc)
     columns = ["t", "p_analytic"]
     data = [times, result["analytic"].values]
