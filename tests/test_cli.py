@@ -1,10 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -278,13 +281,125 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "t1_curves", no_work)
         monkeypatch.setattr(cli, "ramsey_ensemble", no_work)
-        monkeypatch.setattr(cli, "_time_grid", no_work)
+        monkeypatch.setattr(cli.np, "linspace", no_work)
         code, out = run(tmp_path, *argv)
         assert code == 2
         assert not any(tmp_path.iterdir())
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rabi", "--steps", "1000000000000"],
+            ["washboard", "--steps", "1000000000000"],
+            ["fluxwell", "--steps", "100000000000"],
+            ["tunnel-ode", "--steps", "100000000000"],
+            ["spectrum", "--ng-steps", "100000000"],
+            ["jc", "--nmax", "100000"],
+            ["coherent", "--dim", "100000"],
+            ["transmon", "--ncut", "100000"],
+            ["transmon", "--ratios", "1e12"],
+            ["rabi", "--steps", "2796203"],  # (steps, 3) rows: one value over 2^23
+            ["dephase", "--trials", "1000000000000"],  # random draws, not bytes
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_over_budget_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before the budget check")
+
+        for name in ("spectrum_sweep", "charge_dispersion", "rabi_trace", "ladder_suite",
+                     "coherent_ket", "evolve_many", "washboard_u", "flux_qubit_potential",
+                     "vacuum_rabi", "ramsey_ensemble", "two_island_dynamics"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(cli.np, "linspace", no_work)
+        start = time.perf_counter()
+        code, out = run(tmp_path, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rabi", "--omega=-1e300", "--t-max", "1e300"],  # was exit 0 with NaN rows
+            ["fluxwell", "--phi-min=-1e300"],  # was exit 0 with inf rows
+            ["coherent", "--alpha-re", "1e300"],  # was an OverflowError traceback
+            ["spectrum", "--ej", "1e300"],  # was warnings and "cannot convert float NaN"
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_floating_point_fault_exits_3(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 3
+        assert not any(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Error" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["squid", "--i0", "-1"], "i0 must be > 0"),
+            (["squid", "--i0", "0"], "i0 must be > 0"),
+            (["transmon", "--ncut", "-5"], "ncut must be >= 0"),
+            (["transmon", "--ratios", "abc"], "ratios must be"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_out_of_bound_flag_exits_2(self, tmp_path, capsys, argv, message):
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+#: Edge values of each flag type; strings are the ``--ratios`` values.
+EDGE_ARGS = {
+    float: ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300"],
+    int: ["0", "-1", "1000000000000000"],
+    str: ["abc", "", ",", "1,-3", "1,nan", "inf", "0", "1e400"],
+}
+
+
+@st.composite
+def edge_argv(draw):
+    """A command with each declared flag at its default or at an edge value."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    for name, default, *rule in cli._COMMANDS[command].flags:
+        choices = rule[0] if rule and isinstance(rule[0], tuple) else None
+        value = draw(st.one_of(st.none(), st.sampled_from(choices or EDGE_ARGS[type(default)])))
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    return argv
+
+
+class TestEdgeValuesFromTheCommandTable:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_argv())
+    def test_exit_code_stderr_and_cells(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "t.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_command([*argv, "--out", str(out)])
+            files = [p.name for p in Path(tmp).iterdir()]
+            assert code in (0, 2, 3)
+            if code == 0:
+                assert files == ["t.csv"]
+                meta, _, rows = read_csv(out)
+                cells = [c for row in rows for c in row] + list(meta.values())
+                assert not {"nan", "inf", "-inf"} & {c.lower() for c in cells}
+            else:
+                assert files == []
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestWriteTable:
