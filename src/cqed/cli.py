@@ -523,8 +523,7 @@ def run_command(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     spec = _COMMANDS[args.command]
     out_path = args.out if args.out is not None else f"{args.command}.{args.format}"
-    params = {dest: getattr(args, dest) for flag, dest, _, _ in _flags(spec)
-              if (args.command, flag) != ("tunnel-ode", "max-rows")}
+    params = {dest: getattr(args, dest) for _, dest, _, _ in _flags(spec)}
     try:
         # A floating-point fault raises here instead of leaving NaN or inf cells.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
