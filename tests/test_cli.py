@@ -373,9 +373,9 @@ def edge_argv(draw):
     """A command with each declared flag at its default or at an edge value."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     argv = [command]
-    for name, default, *rule in cli._COMMANDS[command].flags:
-        choices = rule[0] if rule and isinstance(rule[0], tuple) else None
-        value = draw(st.one_of(st.none(), st.sampled_from(choices or EDGE_ARGS[type(default)])))
+    for name, _, default, rule in cli._flags(cli._COMMANDS[command]):
+        values = rule if isinstance(rule, tuple) else EDGE_ARGS[type(default)]
+        value = draw(st.one_of(st.none(), st.sampled_from(values)))
         if value is not None:
             argv.append(f"--{name}={value}")
     return argv
