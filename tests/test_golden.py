@@ -6,7 +6,8 @@ cases cover paths the defaults skip: ``decay`` runs no Monte-Carlo at its
 default ``--trials 0``; the long ``tunnel-ode``, ``coherent`` and ``jc``
 runs pin the dynamics paths, and the long ``washboard``, ``rabi`` and
 ``fluxwell`` runs and the five-level ``spectrum`` pin the table writer, at
-the sizes the benchmark runs them.  A change
+the sizes the benchmark runs them.  ``jc-g`` runs ``jc`` at a coupling
+other than 1, where rounding in g t reaches the printed digits.  A change
 that alters an output on purpose regenerates the file and says in its notes
 which digests moved:
 
@@ -36,6 +37,7 @@ CASES = {
     "tunnel-ode-long": ["tunnel-ode", "--steps", "20000", "--theta2", "0.7"],
     "coherent-large": ["coherent", "--dim", "96", "--alpha-re", "3.0", "--steps", "601"],
     "jc-large": ["jc", "--nmax", "24", "--steps", "4001"],
+    "jc-g": ["jc", "--g", "0.9734", "--nmax", "24", "--steps", "4001"],
     "washboard-long": ["washboard", "--steps", "20001", "--bias", "0.462366"],
     "rabi-long": ["rabi", "--steps", "20001", "--omega", "0.984665"],
     "fluxwell-long": ["fluxwell", "--steps", "20001", "--phi-ext", "0.517946"],
