@@ -2,9 +2,8 @@
 
 Subpackages by physics area:
 
-* `cqed.linalg` - dense Hermitian eigensolver (cyclic Jacobi), batched
-  tridiagonal eigenvalues (Sturm bisection), tensor products, spectral
-  time evolution, state vectors.
+* `cqed.linalg` - state vectors, expectation values, and batched
+  tridiagonal eigenpairs (Sturm bisection, inverse iteration).
 * `cqed.fock` - truncated oscillator: ladder/quadrature operators,
   coherent states, cavity mode ladders.
 * `cqed.qubit` - Pauli algebra, Bloch sphere, rotations, Rabi/Ramsey.

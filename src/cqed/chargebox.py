@@ -12,9 +12,10 @@ second-order avoided crossings, and the sudden/adiabatic gate protocols.
 
 Eigenvalue-only work (spectrum sweeps, gap scans, charge dispersion, the
 avoided-crossing gaps) hands the diagonal and the constant coupling -E_J/2
-straight to the batched Sturm bisection `tridiagonal_eigvalsh`, so no dense
-Hamiltonian is built.  The gate simulations need eigenvectors and keep the
-dense Jacobi solver.
+straight to the batched Sturm bisection `tridiagonal_eigvalsh`.  The gate
+simulations need eigenvectors too and take them from `tridiagonal_eigh`,
+inverse iteration on the same bisection's eigenvalues.  Neither builds a
+dense Hamiltonian; `cpb_hamiltonian` exists for callers that want one.
 
 Spectra are periodic in N_g with period 1 and symmetric about N_g = 1/2,
 so every scan below uses a single period, and the avoided crossings are
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .linalg import Ket, hermitian_eigen, hermitian_eigen_batch, tridiagonal_eigvalsh
+from .linalg import Ket, tridiagonal_eigh, tridiagonal_eigvalsh
 from .qubit import pauli
 from .timeseries import TimeSeries
 
@@ -107,18 +108,6 @@ def cpb_hamiltonian(params: CPBParams, basis: ChargeBasis) -> np.ndarray:
 def _charging_energies(ec, ng_values, basis: ChargeBasis) -> np.ndarray:
     """Diagonal E_C (N - N_g)^2: one row per gate charge, one column per N."""
     return ec * (basis.charges[None, :] - np.asarray(ng_values)[:, None]) ** 2
-
-
-def _hamiltonian_stack(ec, ej, ng_values, basis: ChargeBasis) -> np.ndarray:
-    npts = len(ng_values)
-    stack = np.zeros((npts, basis.dim, basis.dim))
-    stack[:, np.arange(basis.dim), np.arange(basis.dim)] = _charging_energies(
-        ec, ng_values, basis
-    )
-    rows = np.arange(basis.dim - 1)
-    stack[:, rows, rows + 1] = -0.5 * ej
-    stack[:, rows + 1, rows] = -0.5 * ej
-    return stack
 
 
 def spectrum_sweep(
@@ -231,9 +220,13 @@ def second_order_gap(
     }
 
 
+def _eigenpairs(ec, ej, ng_values, ncut) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (points, dim) and eigenvector columns (points, dim, dim)."""
+    return tridiagonal_eigh(_charging_energies(ec, ng_values, ChargeBasis(ncut)), -0.5 * ej)
+
+
 def _ground_state(ec, ej, ng, ncut) -> Ket:
-    eig = hermitian_eigen(cpb_hamiltonian(CPBParams(ec, ej, ng), ChargeBasis(ncut)))
-    return Ket(eig.vectors[:, 0], basis="charge")
+    return Ket(_eigenpairs(ec, ej, [ng], ncut)[1][0, :, 0], basis="charge")
 
 
 def sudden_gate_sim(
@@ -250,9 +243,9 @@ def sudden_gate_sim(
     """
     t_hold = np.asarray(t_hold, dtype=np.float64)
     psi0 = _ground_state(ec, ej, 0.0, ncut)
-    eig = hermitian_eigen(cpb_hamiltonian(CPBParams(ec, ej, 0.5), ChargeBasis(ncut)))
-    weights = eig.vectors.conj().T @ psi0.amps
-    phases = np.exp(-1j * np.outer(t_hold, eig.values))
+    vals, vecs = _eigenpairs(ec, ej, [0.5], ncut)
+    weights = vecs[0].T @ psi0.amps
+    phases = np.exp(-1j * np.outer(t_hold, vals[0]))
     overlaps = (phases * weights[None, :]) @ weights.conj()
     p0 = np.abs(overlaps) ** 2
     return {
@@ -278,13 +271,12 @@ def adiabatic_sweep_sim(
         raise ValueError("need at least one segment")
     if 0.5 / steps > 1e-3:
         raise ValueError("per-step gate-charge change exceeds 1e-3; raise steps")
-    basis = ChargeBasis(ncut)
     dt = ramp_time / steps
     midpoints = (np.arange(steps) + 0.5) * (0.5 / steps)
-    vals, vecs = hermitian_eigen_batch(_hamiltonian_stack(ec, ej, midpoints, basis))
+    vals, vecs = _eigenpairs(ec, ej, midpoints, ncut)
     psi = _ground_state(ec, ej, 0.0, ncut).amps
     for k in range(steps):
         v = vecs[k]
-        psi = v @ (np.exp(-1j * vals[k] * dt) * (v.conj().T @ psi))
+        psi = v @ (np.exp(-1j * vals[k] * dt) * (v.T @ psi))
     target = _ground_state(ec, ej, 0.5, ncut).amps
     return {"fidelity_to_plus": float(abs(np.vdot(target, psi)) ** 2)}

@@ -6,9 +6,10 @@ subcommand once: its runner, help text, flags and size terms.  A flag is a
 name, a default that gives its type, and an optional bound (``> x`` or
 ``>= x``) or list of choices.  The parser, the ``params`` metadata and
 every flag check come from that table: a float flag must be finite, and a
-flag must lie within its bound.  Two budgets are checked from the size
+flag must lie within its bound.  Three budgets are checked from the size
 terms before any array exists: no array over 2^23 float64 values (64 MiB),
-and no run over 2^30 random draws.
+no run over 2^30 random draws, and no run over 2^19 iterations of the Sturm
+bisection's Python loop over charges.
 
 CSV files start with ``# key=value`` metadata lines (command, parameters,
 seed, version), then a header row; floats carry 12 significant digits.
@@ -21,10 +22,10 @@ a failing run never leaves a partial or temporary file behind.
 
 Exit codes: 0 success; 2 invalid arguments (a flag that is not finite or
 out of its bound, a violated parameter precondition, a run over a budget,
-an output path that cannot be written); 3 numerical failure
-(non-convergence, inadequate truncation, failed fits, and floating-point
-overflow, invalid operations or division by zero, which raise instead of
-leaving NaN or inf cells) with the error name on stderr.
+an output path that cannot be written); 3 numerical failure (inadequate
+truncation, failed fits, and floating-point overflow, invalid operations
+or division by zero, which raise instead of leaving NaN or inf cells) with
+the error name on stderr.
 
 Identical command line + seed -> byte-identical output file.
 """
@@ -55,7 +56,7 @@ from .junction import (
     TwoIslandState, first_minimum, flux_qubit_potential, squid_effective, two_island_dynamics,
     washboard_u,
 )
-from .linalg import evolve_many, fidelity
+from .linalg import Ket, fidelity
 from .qubit import rabi_trace, ramsey_trace
 
 __all__ = ["main", "OutputTable", "run_command"]
@@ -254,10 +255,12 @@ def _run_coherent(args):
     alpha = complex(args.alpha_re, args.alpha_im)
     basis = FockBasis(args.dim)
     times = np.linspace(0.0, args.t_max, args.steps)
-    number = ladder_suite(basis).number
-    psi0 = coherent_ket(alpha, basis)
+    # H = -omega0 N is diagonal: U(t) is one phase per Fock amplitude.
+    energies = -args.omega0 * np.diag(ladder_suite(basis).number).real
+    evolved = np.exp(-1j * np.outer(times, energies)) * coherent_ket(alpha, basis).amps
     rows = np.empty((len(times), 8))
-    for row, t, numeric in zip(rows, times, evolve_many(-args.omega0 * number, times, psi0)):
+    for row, t, amps in zip(rows, times, evolved):
+        numeric = Ket(amps, basis="fock")
         alpha_t = alpha * np.exp(1j * args.omega0 * t)
         analytic = coherent_ket(alpha_t, basis)
         stats = quad_stats(numeric, basis)
@@ -381,7 +384,8 @@ class _Command:
     """One subcommand.  A flag is ``(name, default)``, ``(name, default, bound)``
     with a bound ``"> x"`` or ``">= x"``, or ``(name, default, choices)``.
     ``size`` counts the float64 values of the largest array (or list of
-    arrays) the command holds at once, ``draws`` its random draws.
+    arrays) the command holds at once, ``draws`` its random draws and
+    ``loops`` the iterations of its bisections' Python loop.
     """
 
     run: Callable
@@ -389,6 +393,13 @@ class _Command:
     flags: tuple
     size: Callable = lambda args: 0
     draws: Callable = lambda args: 0
+    loops: Callable = lambda args: 0
+
+
+#: Halvings of one Sturm bisection, at most: the Gershgorin bracket (about
+#: 2 ||T||) over eps ||T|| / 16 is just over 2^57.  Each halving loops over
+#: every charge in Python.
+_HALVINGS = 58
 
 
 _COMMANDS = {
@@ -398,6 +409,7 @@ _COMMANDS = {
          ("ng-steps", 201, ">= 2"), ("levels", 3, ">= 1"), ("ncut", 10)),
         # the (charges, gate charges, levels) arrays of the Sturm bisection
         size=lambda a: (2 * a.ncut + 1) * a.ng_steps * a.levels,
+        loops=lambda a: (2 * a.ncut + 1) * _HALVINGS,
     ),
     "rabi": _Command(
         _run_rabi, "Rabi oscillation populations",
@@ -413,7 +425,7 @@ _COMMANDS = {
         _run_coherent, "Coherent-state free evolution and quadratures",
         (("alpha-re", 1.5), ("alpha-im", 0.0), ("omega0", 1.0), ("dim", 48),
          ("t-max", 2 * math.pi, "> 0"), ("steps", 61, ">= 2")),
-        # complex dim x dim operators, and the evolved kets of every sample
+        # complex dim x dim operators, and the (steps, dim) complex evolved amplitudes
         size=lambda a: max(2 * a.dim ** 2, 2 * a.dim * a.steps, 8 * a.steps),
     ),
     "washboard": _Command(
@@ -437,8 +449,8 @@ _COMMANDS = {
     "jc": _Command(
         _run_jc, "Vacuum Rabi oscillation of a qubit-cavity pair",
         (("g", 1.0), ("nmax", 4), ("t-max", 2 * math.pi, "> 0"), ("steps", 101, ">= 2")),
-        # the complex 2 nmax Hamiltonian, and the (steps, 2 nmax) complex amplitudes
-        size=lambda a: max(8 * a.nmax ** 2, 4 * a.nmax * a.steps, 3 * a.steps),
+        # the (steps, 2 nmax) complex amplitudes and the (steps, 3) table
+        size=lambda a: max(4 * a.nmax * a.steps, 3 * a.steps),
     ),
     "decay": _Command(
         _run_decay, "T1 decay, analytic and Monte-Carlo",
@@ -464,6 +476,9 @@ _COMMANDS = {
         # the (4 ncut + 1, 201, 2) Sturm arrays of the doubled-ncut scan at the largest ratio
         size=lambda a: 2 * _SCAN_POINTS * (
             4 * (a.ncut or _transmon_ncut(max(_ratios(a.ratios)))) + 1),
+        # one bisection at ncut and one at 2 ncut per ratio
+        loops=lambda a: _HALVINGS * sum(
+            6 * (a.ncut or _transmon_ncut(r)) + 2 for r in _ratios(a.ratios)),
     ),
     "tunnel-ode": _Command(
         _run_tunnel_ode, "Semiclassical two-island tunnelling",
@@ -475,9 +490,11 @@ _COMMANDS = {
     ),
 }
 
-#: Float64 values one array may hold (64 MiB), and random draws one run may make.
+#: Float64 values one array may hold (64 MiB), random draws one run may make,
+#: and bisection loop iterations one run may take (~10 us each).
 _MAX_VALUES = 2**23
 _MAX_DRAWS = 2**30
+_MAX_LOOPS = 2**19
 _BOUNDS = {">": operator.gt, ">=": operator.ge}
 
 
@@ -491,14 +508,16 @@ def _check(args, spec: _Command) -> None:
     """Reject bad flag values and over-budget runs before any work."""
     for flag, dest, _, rule in _flags(spec):
         value = getattr(args, dest)
-        if isinstance(value, float) and not math.isfinite(value):
+        # An int past float range fails too: every size term works in floats.
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
             raise UsageError(f"{flag} must be finite")
         if isinstance(rule, str):
             op, limit = rule.split()
             if not _BOUNDS[op](value, float(limit)):
                 raise UsageError(f"{flag} must be {rule}")
     for amount, limit, what in ((spec.size(args), _MAX_VALUES, "float64 values in one array"),
-                                (spec.draws(args), _MAX_DRAWS, "random draws")):
+                                (spec.draws(args), _MAX_DRAWS, "random draws"),
+                                (spec.loops(args), _MAX_LOOPS, "bisection loop iterations")):
         if amount > limit:
             raise UsageError(f"{amount:.3g} {what} exceed the budget of {limit}")
 

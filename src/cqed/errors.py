@@ -2,8 +2,8 @@
 
 ``CqedError`` is the common base so callers (notably the CLI) can map any
 simulation failure to a single exit path.  ``NumericalError`` groups the
-failures that arise from numerics (non-convergence, inadequate truncation,
-failed fits) as opposed to invalid inputs.
+failures that arise from numerics (inadequate truncation, failed fits) as
+opposed to invalid inputs.
 """
 
 
@@ -13,10 +13,6 @@ class CqedError(Exception):
 
 class DimensionMismatch(CqedError):
     """Operands have incompatible dimensions."""
-
-
-class NotHermitian(CqedError):
-    """Matrix violates the Hermitian symmetry tolerance."""
 
 
 class NotUnitAxis(CqedError):
@@ -37,10 +33,6 @@ class StepUnstable(CqedError):
 
 class NumericalError(CqedError):
     """Base class for numerical failures (CLI exit code 3)."""
-
-
-class NoConvergence(NumericalError):
-    """Eigensolver failed to converge within the sweep cap."""
 
 
 class TruncationTooSmall(NumericalError):

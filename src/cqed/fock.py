@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationTooSmall
-from .linalg import Ket, evolve, expectation
+from .linalg import Ket, expectation
 
 __all__ = [
     "FockBasis",
@@ -133,14 +133,14 @@ def coherent_evolution(
     """Free evolution of |alpha>, analytically and numerically.
 
     analytic: |alpha exp(+i omega0 t)>, the phase convention in which the
-    Fock state |n> picks up exp(+i n omega0 t).  numeric: spectral evolution
-    under H = -omega0 * number, which realizes the same convention.  The
-    opposite convention (|n> -> exp(-i n omega0 t) |n>) is obtained by
-    passing +omega0 * number to `cqed.linalg.evolve` directly.
+    Fock state |n> picks up exp(+i n omega0 t).  numeric: evolution under
+    H = -omega0 * number, which realizes the same convention.  H is
+    diagonal, so U(t) multiplies each amplitude by exp(-i E_n t), with E_n
+    read off the diagonal of the number operator.
     """
     analytic = coherent_ket(alpha * np.exp(1j * omega0 * t), basis)
-    number = ladder_suite(basis).number
-    numeric = evolve(-omega0 * number, t, coherent_ket(alpha, basis))
+    energies = -omega0 * np.diag(ladder_suite(basis).number).real
+    numeric = Ket(np.exp(-1j * energies * t) * coherent_ket(alpha, basis).amps, basis="fock")
     return {"analytic": analytic, "numeric": numeric}
 
 

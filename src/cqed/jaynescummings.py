@@ -6,9 +6,13 @@ H |n, 1> = g sqrt(n+1) |n+1, 0>.  Product states are ordered cavity-major,
 |n> (x) |q>, and every index goes through `index_of` so the layout is fixed
 in exactly one place.
 
-Started from |0, 1> the dynamics stay in the single-excitation pair
-{|0,1>, |1,0>}, so any nmax >= 2 is exact for these experiments; the
-truncation knob exists for future driven extensions.
+H conserves the excitation number n + q, so it splits into 2x2 blocks
+{|n,1>, |n+1,0>} with coupling g sqrt(n+1) (Shore & Knight, J. Mod. Opt.
+40 (1993) 1195).  Started from |0, 1> the state never leaves the first
+block, where it follows cos(gt) |0,1> - i sin(gt) |1,0> exactly; that orbit
+is computed directly, without building or diagonalizing H, and any
+nmax >= 2 holds it.  `jc_hamiltonian` builds the dense H for callers that
+want to check this.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis, ladder_suite
-from .linalg import Ket, hermitian_eigen, kron
+from .linalg import Ket
 from .timeseries import TimeSeries
 
 __all__ = [
@@ -80,15 +84,20 @@ def product_ket(n: int, q: int, space: JCSpace) -> Ket:
 def jc_hamiltonian(params: JCParams, space: JCSpace) -> np.ndarray:
     """g (a (x) sigma_+ + a^dag (x) sigma_-) on the truncated product space."""
     ops = ladder_suite(FockBasis(space.nmax))
-    return params.g * (kron(ops.lower, _SIGMA_PLUS) + kron(ops.raise_, _SIGMA_MINUS))
+    return params.g * (np.kron(ops.lower, _SIGMA_PLUS) + np.kron(ops.raise_, _SIGMA_MINUS))
+
+
+def _orbit(g: float, times: np.ndarray, space: JCSpace) -> np.ndarray:
+    """Row k: the amplitudes of cos(g t) |0,1> - i sin(g t) |1,0> at t = times[k]."""
+    amps = np.zeros((len(times), space.dim), dtype=np.complex128)
+    amps[:, index_of(0, 1, space)] = np.cos(g * times)
+    amps[:, index_of(1, 0, space)] = -1j * np.sin(g * times)
+    return amps
 
 
 def vacuum_rabi_closed_form(g: float, t: float, space: JCSpace) -> Ket:
     """cos(gt) |0,1> - i sin(gt) |1,0>, the exact single-excitation orbit."""
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[index_of(0, 1, space)] = np.cos(g * t)
-    amps[index_of(1, 0, space)] = -1j * np.sin(g * t)
-    return Ket(amps, basis="cavity*qubit")
+    return Ket(_orbit(g, np.array([t], dtype=np.float64), space)[0], basis="cavity*qubit")
 
 
 def vacuum_rabi(
@@ -96,31 +105,18 @@ def vacuum_rabi(
 ) -> dict[str, object]:
     """Evolve |0, 1> under the exchange coupling at each sampled time.
 
-    Returns the qubit excited-state population, the mean cavity photon
-    number (equal to the |1,0> population in the single-excitation
-    manifold) and, under ``"amps"``, the amplitudes of the state at
-    ``times[k]`` as row k of a (len(times), dim) array.
+    Returns the qubit excited-state population (the |0,1> population), the
+    mean cavity photon number (the |1,0> population: the state stays in
+    the single-excitation block) and, under ``"amps"``, the amplitudes of
+    the state at ``times[k]`` as row k of a (len(times), dim) array.
     """
     times = np.asarray(times, dtype=np.float64)
-    h = jc_hamiltonian(params, space)
-    eig = hermitian_eigen(h)
-    psi0 = product_ket(0, 1, space).amps
-    weights = eig.vectors.conj().T @ psi0
-
-    qubit_idx = np.array([index_of(n, 1, space) for n in range(space.nmax)])
-    photon_numbers = np.repeat(np.arange(space.nmax), 2).astype(np.float64)
-
-    states = np.empty((len(times), space.dim), dtype=np.complex128)
-    p_excited = np.empty(len(times))
-    p_photon = np.empty(len(times))
-    for k, t in enumerate(times):
-        states[k] = eig.vectors @ (np.exp(-1j * eig.values * t) * weights)
-        probs = np.abs(states[k]) ** 2
-        p_excited[k] = probs[qubit_idx].sum()
-        p_photon[k] = (photon_numbers * probs).sum()
+    states = _orbit(params.g, times, space)
+    probs = np.abs(states) ** 2
     return {
-        "p_qubit_excited": TimeSeries(times, p_excited, label="p_qubit_excited"),
-        "p_photon": TimeSeries(times, p_photon, label="p_photon"),
+        "p_qubit_excited": TimeSeries(times, probs[:, index_of(0, 1, space)],
+                                      label="p_qubit_excited"),
+        "p_photon": TimeSeries(times, probs[:, index_of(1, 0, space)], label="p_photon"),
         "amps": states,
     }
 

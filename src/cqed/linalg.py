@@ -2,64 +2,55 @@
 
 Everything downstream (oscillators, qubits, charge boxes, cavities) runs on
 the handful of primitives defined here: a normalized state vector (`Ket`),
-Hermitian eigendecomposition via cyclic Jacobi rotations, the lowest
-eigenvalues of tridiagonal matrices via Sturm bisection, Kronecker products
-and spectral time evolution ``U(t) = exp(-i H t)`` with hbar = 1.
+expectation values and overlaps, and the eigenpairs of real symmetric
+tridiagonal matrices.
 
 Operators are plain ``numpy.ndarray`` matrices (complex128, row-major); a
 dedicated matrix class would add nothing but indirection at these sizes
 (everything in this package is well under ~200 dimensions).
 
-The eigensolvers are implemented here rather than delegated to LAPACK so
-that their iteration counts, convergence criteria and eigenvector phase
-convention are explicit and bit-reproducible across runs.  Both operate on a
-whole batch of same-sized matrices at once:
+No dense eigensolver is needed: the cavity and qubit propagators are known
+in closed form, and the only matrices diagonalized numerically are the
+tridiagonal charge-box Hamiltonians.  Their solvers are implemented here
+rather than delegated to LAPACK so that their iteration counts are fixed
+and their results bit-reproducible across runs.  Both operate on a whole
+batch of same-sized matrices at once and never form an n x n matrix:
 
-* `hermitian_eigen_batch` - cyclic Jacobi rotations on dense Hermitian
-  matrices, with eigenvectors.  Every caller that needs eigenvectors
-  (`hermitian_eigen`, `evolve`, the cavity and gate simulations) uses it.
 * `tridiagonal_eigvalsh` - Sturm-count bisection (Barth, Martin &
-  Wilkinson 1967) for the k lowest eigenvalues of real symmetric
-  tridiagonal matrices, never forming the dense matrix.  The charge-box
-  spectrum sweeps use it: one sweep over a 201-point gate-charge grid is a
-  single batched bisection.
+  Wilkinson 1967) for the k lowest eigenvalues.  The charge-box spectrum
+  sweeps use it: one sweep over a 201-point gate-charge grid is a single
+  batched bisection.
+* `tridiagonal_eigh` - every eigenvalue from that bisection plus its
+  eigenvector from inverse iteration, as in LAPACK's dstein.  The gate
+  simulations use it.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch
 
 __all__ = [
     "Ket",
-    "HermitianEigen",
-    "hermitian_eigen",
-    "hermitian_eigen_batch",
     "tridiagonal_eigvalsh",
-    "kron",
-    "evolve",
+    "tridiagonal_eigh",
     "expectation",
     "dagger",
     "fidelity",
 ]
 
-#: Sweep cap for the Jacobi iteration.  Quadratic convergence means well
-#: under 15 sweeps in practice even at dimension 64; hitting the cap is a
-#: genuine failure reported as NoConvergence.
-MAX_SWEEPS = 100
-
-#: Convergence: off-diagonal Frobenius norm below TOL * ||A||_F.
-TOL = 1e-12
-
-_HERMITICITY_TOL = 1e-10
 _NORM_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
+#: Inverse-iteration sweeps of `tridiagonal_eigh`.
+_SWEEPS = 3
+#: Eigenvalues closer than this times ||T|| are re-orthogonalized as a cluster.
+_CLUSTER = 1e-3
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -122,151 +113,6 @@ def fidelity(a: Ket | np.ndarray, b: Ket | np.ndarray) -> float:
     return abs(np.vdot(va, vb)) ** 2
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``values`` are sorted ascending; column k of ``vectors`` is the
-    eigenvector for ``values[k]``.  Columns are orthonormal and carry a
-    fixed phase: the largest-magnitude component of each eigenvector is
-    real and non-negative, which makes decompositions reproducible.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", int(self.values.shape[0]))
-
-
-def _check_hermitian(a: np.ndarray) -> None:
-    scale = np.abs(a).max() if a.size else 0.0
-    drift = np.abs(a - dagger(a)).max() if a.size else 0.0
-    if drift > _HERMITICITY_TOL * max(scale, 1e-300):
-        raise NotHermitian(f"max |A - A^H| = {drift:.3e} exceeds tolerance")
-
-
-def hermitian_eigen_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a stack of Hermitian matrices with cyclic Jacobi rotations.
-
-    Parameters
-    ----------
-    mats :
-        Array of shape (batch, n, n).  Each matrix must be Hermitian within
-        ``1e-10 * max|A|``.  Real symmetric input takes a float fast path.
-
-    Returns
-    -------
-    (values, vectors) :
-        values has shape (batch, n), ascending per matrix; vectors has shape
-        (batch, n, n) with eigenvectors in columns.
-
-    Raises
-    ------
-    NotHermitian, NoConvergence
-    """
-    a = np.asarray(mats)
-    if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected (batch, n, n) stack, got {a.shape}")
-    _check_hermitian(a)
-    real_input = not np.iscomplexobj(a) or np.abs(a.imag).max() == 0.0
-    if real_input:
-        a = np.array(a.real, dtype=np.float64)
-    else:
-        a = np.array(a, dtype=np.complex128)
-    n = a.shape[-1]
-    if n == 1:
-        vals = a[:, 0, 0].real.reshape(-1, 1).copy()
-        return vals, np.ones_like(a, dtype=np.complex128)
-
-    v = np.zeros_like(a)
-    v[:, np.arange(n), np.arange(n)] = 1.0
-
-    norm = np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
-    target = TOL * np.maximum(norm, 1e-300)
-    # Skipping a pivot whose whole batch is below target/(2n) keeps the total
-    # off-diagonal mass below target, so skips cannot mask non-convergence.
-    thr = target / (2 * n)
-    offmask = ~np.eye(n, dtype=bool)
-
-    for sweep in range(MAX_SWEEPS + 1):
-        off = np.sqrt(((np.abs(a) ** 2) * offmask).sum(axis=(1, 2)))
-        if np.all(off <= target):
-            return _finish(a, v)
-        if sweep == MAX_SWEEPS:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q].copy()
-                babs = np.abs(apq)
-                if not np.any(babs > thr):
-                    continue
-                # Diagonal entries must be detached copies: the row writes
-                # below would otherwise mutate them through the view.
-                app = a[:, p, p].real.copy()
-                aqq = a[:, q, q].real.copy()
-                nz = babs > 0.0
-                safe = np.where(nz, babs, 1.0)
-                phase = np.where(nz, apq / safe, 1.0)
-                with np.errstate(over="ignore"):
-                    tau = (aqq - app) / (2.0 * safe)
-                    t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                t = np.where(tau == 0.0, 1.0, t)  # degenerate pair: 45 degrees
-                t = np.where(nz, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary J is the identity with the (p,q) block replaced by
-                # [[phase*c, phase*s], [-s, c]]; A <- J^H A J zeroes A[p,q].
-                cjpp = np.conj(phase) * c
-                cjps = np.conj(phase) * s
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                new_p = cjpp[:, None] * rp - s[:, None] * rq
-                new_q = cjps[:, None] * rp + c[:, None] * rq
-                a[:, p, :] = new_p
-                a[:, q, :] = new_q
-                a[:, :, p] = np.conj(new_p)
-                a[:, :, q] = np.conj(new_q)
-                a[:, p, p] = app - t * babs
-                a[:, q, q] = aqq + t * babs
-                a[:, p, q] = 0.0
-                a[:, q, p] = 0.0
-                vp = v[:, :, p].copy()
-                vq = v[:, :, q].copy()
-                v[:, :, p] = np.conj(cjpp)[:, None] * vp - s[:, None] * vq
-                v[:, :, q] = np.conj(cjps)[:, None] * vp + c[:, None] * vq
-    raise NoConvergence(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
-
-
-def _finish(a, v):
-    """Sort ascending, fix eigenvector phases, cast vectors to complex."""
-    vals = np.diagonal(a, axis1=1, axis2=2).real.copy()
-    order = np.argsort(vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    idx = np.argmax(np.abs(v), axis=1)
-    lead = np.take_along_axis(v, idx[:, None, :], axis=1)[:, 0, :]
-    absl = np.abs(lead)
-    ph = np.where(absl > 0, lead / np.where(absl > 0, absl, 1.0), 1.0)
-    v = (v * np.conj(ph)[:, None, :]).astype(np.complex128)
-    return vals, v
-
-
-def hermitian_eigen(a: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of one square Hermitian matrix.
-
-    Deterministic for fixed input: the cyclic pivot order, the convergence
-    threshold (off-diagonal Frobenius norm < 1e-12 * ||A||_F, at most 100
-    sweeps) and the eigenvector phase fix are all fixed by construction.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    vals, vecs = hermitian_eigen_batch(a[None, :, :])
-    return HermitianEigen(values=vals[0], vectors=vecs[0])
-
-
 def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     """k lowest eigenvalues of a stack of real symmetric tridiagonal matrices.
 
@@ -295,6 +141,8 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     zero couplings and exact degeneracies finite.  Work and memory per
     halving are O(batch * k * n); no n x n matrix is formed.
     """
+    if np.iscomplexobj(diag) or np.iscomplexobj(off):
+        raise ValueError("tridiagonal entries must be real")
     d = np.asarray(diag, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] < 1:
         raise DimensionMismatch(f"expected (batch, n) diagonals, got shape {d.shape}")
@@ -347,46 +195,59 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker (tensor) product with the standard block layout."""
-    return np.kron(np.asarray(a), np.asarray(b))
+def tridiagonal_eigh(diag: np.ndarray, off) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of a stack of real symmetric tridiagonal matrices.
 
+    ``diag`` and ``off`` are as for `tridiagonal_eigvalsh`.  Returns
+    ``(values, vectors)``: values of shape (batch, n), ascending and bit for
+    bit ``tridiagonal_eigvalsh(diag, off, n)``; vectors of shape
+    (batch, n, n), real and orthonormal, eigenvector j in column j, whose
+    largest-magnitude entry (the first, on a tie) is positive.
 
-def _evolve_amps(eig: HermitianEigen, t: float, amps: np.ndarray) -> np.ndarray:
-    phases = np.exp(-1j * eig.values * t)
-    return eig.vectors @ (phases * (dagger(eig.vectors) @ amps))
-
-
-def evolve(h: np.ndarray, t: float, psi0: Ket) -> Ket:
-    """Propagate ``psi0`` under ``U(t) = exp(-i H t)`` (hbar = 1).
-
-    Uses the spectral decomposition of H, so the result is exactly unitary
-    up to roundoff and ``evolve(h, 0, psi)`` returns ``psi`` unchanged.
-    The global phase is kept as produced; compare states with `fidelity`.
+    Every vector takes three sweeps of inverse iteration at its eigenvalue,
+    from the orthogonal start columns sin(pi (i+1) (j+1) / (n+1)).  Each
+    sweep solves (T - lambda I) x = b through the LDL^T pivots of the
+    Sturm count, with a pivot below eps ||T|| moved to +-eps ||T||, so an
+    exact eigenvalue gives a large but finite solution.  Levels closer than
+    1e-3 ||T|| to a neighbour form a cluster, whose vectors are
+    Gram-Schmidt orthogonalized (twice) after every sweep, as in LAPACK's
+    dstein: without that, inverse iteration turns every vector of a
+    (near-)degenerate cluster towards the same direction.
     """
-    h = np.asarray(h)
-    if h.shape[0] != psi0.dim:
-        raise DimensionMismatch("Hamiltonian and state dimensions differ")
-    if t == 0:
-        return psi0
-    eig = hermitian_eigen(h)
-    return Ket(_evolve_amps(eig, t, psi0.amps), basis=psi0.basis)
-
-
-def evolve_many(h: np.ndarray, times: np.ndarray, psi0: Ket) -> list[Ket]:
-    """`evolve` at several times sharing a single eigendecomposition.
-
-    Element k equals ``evolve(h, times[k], psi0)`` bit for bit, including
-    ``psi0`` itself at t = 0.
-    """
-    h = np.asarray(h)
-    if h.shape[0] != psi0.dim:
-        raise DimensionMismatch("Hamiltonian and state dimensions differ")
-    eig = hermitian_eigen(h)
-    return [
-        psi0 if t == 0 else Ket(_evolve_amps(eig, float(t), psi0.amps), basis=psi0.basis)
-        for t in times
-    ]
+    values = tridiagonal_eigvalsh(diag, off, np.shape(diag)[-1])
+    d = np.asarray(diag, dtype=np.float64)
+    batch, n = d.shape
+    e = np.broadcast_to(np.asarray(off, dtype=np.float64), (batch, n - 1))
+    # Each matrix scaled to ||T|| <= 1, so one pivot guard fits every matrix.
+    scale = np.abs(d).max(axis=1) + 2.0 * np.abs(e).max(axis=1, initial=0.0)
+    scale = np.where(scale > 0.0, scale, 1.0)[:, None]
+    lam = values / scale
+    # Row-major internal layout: [row, matrix, level].
+    shifted = (d / scale).T[:, :, None] - lam[None]
+    e = (e / scale).T[:, :, None]
+    piv = np.empty_like(shifted)
+    for i in range(n):
+        p = shifted[i] - e[i - 1] ** 2 / piv[i - 1] if i else shifted[i]
+        piv[i] = np.where(np.abs(p) < _EPS, np.copysign(_EPS, p), p)
+    rows = np.arange(1.0, n + 1.0)
+    x = np.repeat(np.sin(np.pi / (n + 1) * np.outer(rows, rows))[:, None, :], batch, axis=1)
+    cluster = np.cumsum(np.diff(lam, axis=1, prepend=-np.inf) >= _CLUSTER, axis=1)
+    earlier = (cluster[:, :, None] == cluster[:, None, :]) & np.tri(n, k=-1, dtype=bool)
+    vecs = x.transpose(1, 0, 2)  # [matrix, row, level], a view of x
+    for _ in range(_SWEEPS):
+        for i in range(1, n):
+            x[i] -= e[i - 1] * x[i - 1] / piv[i - 1]
+        x[-1] /= piv[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (x[i] - e[i] * x[i + 1]) / piv[i]
+        x /= np.linalg.norm(x, axis=0)
+        for j in np.flatnonzero(earlier.any(axis=(0, 2))):
+            for _ in range(2):
+                coef = np.einsum("bik,bi->bk", vecs[:, :, :j], vecs[:, :, j]) * earlier[:, j, :j]
+                vecs[:, :, j] -= np.einsum("bik,bk->bi", vecs[:, :, :j], coef)
+            vecs[:, :, j] /= np.linalg.norm(vecs[:, :, j], axis=1, keepdims=True)
+    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
+    return values, vecs * np.copysign(1.0, lead)
 
 
 def expectation(a: np.ndarray, psi: Ket) -> complex:

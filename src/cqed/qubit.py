@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitAxis
-from .linalg import Ket, evolve
+from .linalg import Ket
 from .timeseries import TimeSeries
 
 __all__ = [
@@ -174,9 +174,12 @@ def rabi_trace(omega: float, times: np.ndarray) -> tuple[TimeSeries, TimeSeries]
 
 
 def rabi_numeric(omega: float, t: float) -> float:
-    """Ground population from explicit evolution under omega/2 sigma_x."""
-    out = evolve(0.5 * omega * pauli("x"), t, KET_0.to_ket())
-    return float(abs(out.amps[0]) ** 2)
+    """Ground population from explicit evolution under omega/2 sigma_x.
+
+    The propagator exp(-i omega t/2 sigma_x) is the rotation by omega t
+    about the x axis.
+    """
+    return float(abs(rotate(np.array([1.0, 0.0, 0.0]), omega * t, KET_0).a0) ** 2)
 
 
 def ramsey_trace(delta: float, times: np.ndarray) -> TimeSeries:
@@ -193,9 +196,8 @@ def ramsey_trace(delta: float, times: np.ndarray) -> TimeSeries:
 def ramsey_numeric(delta: float, t: float) -> float:
     """Ground population from the explicit three-step Ramsey circuit."""
     h = hadamard()
-    psi = Ket(h @ KET_0.amps, basis="qubit")
-    psi = evolve(-0.5 * delta * pauli("z"), t, psi)
-    final = h @ psi.amps
+    psi = QubitKet(*(h @ KET_0.amps))
+    final = h @ free_evolution(delta, t, psi).amps
     return float(abs(final[0]) ** 2)
 
 

@@ -19,6 +19,9 @@ import cqed
 from cqed import cli
 from cqed.cli import run_command
 
+#: An int past float range: bad input for every int flag.
+HUGE_INT = str(10**400)
+
 
 def run(tmp_path, *argv):
     out = tmp_path / "out.dat"
@@ -213,7 +216,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("computation started before validation")
 
-        for name in ("rabi_trace", "ramsey_trace", "coherent_ket", "evolve_many",
+        for name in ("rabi_trace", "ramsey_trace", "coherent_ket", "Ket",
                      "flux_qubit_potential", "washboard_u", "squid_effective",
                      "vacuum_rabi", "two_island_dynamics"):
             monkeypatch.setattr(cli, name, no_work)
@@ -303,6 +306,8 @@ class TestExitCodes:
             ["transmon", "--ratios", "1e12"],
             ["rabi", "--steps", "2796203"],  # (steps, 3) rows: one value over 2^23
             ["dephase", "--trials", "1000000000000"],  # random draws, not bytes
+            # 8 M values, but 2.3e8 iterations of the bisection's loop over charges
+            ["spectrum", "--ng-steps", "2", "--levels", "1", "--ncut", "2000000"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -311,7 +316,7 @@ class TestExitCodes:
             raise AssertionError("computation started before the budget check")
 
         for name in ("spectrum_sweep", "charge_dispersion", "rabi_trace", "ladder_suite",
-                     "coherent_ket", "evolve_many", "washboard_u", "flux_qubit_potential",
+                     "coherent_ket", "Ket", "washboard_u", "flux_qubit_potential",
                      "vacuum_rabi", "ramsey_ensemble", "two_island_dynamics"):
             monkeypatch.setattr(cli, name, no_work)
         monkeypatch.setattr(cli.np, "linspace", no_work)
@@ -342,6 +347,24 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Error" in err
 
+    @pytest.mark.parametrize("command, flag", [("rabi", "steps"), ("squid", "branch")])
+    def test_int_past_float_range_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        # was exit 3: "OverflowError: int too large to convert to float"
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before validation")
+
+        monkeypatch.setattr(cli, "rabi_trace", no_work)
+        monkeypatch.setattr(cli, "squid_effective", no_work)
+        monkeypatch.setattr(cli.np, "linspace", no_work)
+        start = time.perf_counter()
+        code, out = run(tmp_path, command, f"--{flag}", HUGE_INT)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+        assert capsys.readouterr().err == f"error: {flag} must be finite\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -363,7 +386,7 @@ class TestExitCodes:
 #: Edge values of each flag type; strings are the ``--ratios`` values.
 EDGE_ARGS = {
     float: ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300"],
-    int: ["0", "-1", "1000000000000000"],
+    int: ["0", "-1", "1000000000000000", HUGE_INT],
     str: ["abc", "", ",", "1,-3", "1,nan", "inf", "0", "1e400"],
 }
 
@@ -392,6 +415,8 @@ class TestEdgeValuesFromTheCommandTable:
                 code = run_command([*argv, "--out", str(out)])
             files = [p.name for p in Path(tmp).iterdir()]
             assert code in (0, 2, 3)
+            if any(arg.endswith(f"={HUGE_INT}") for arg in argv):
+                assert code == 2
             if code == 0:
                 assert files == ["t.csv"]
                 meta, _, rows = read_csv(out)

@@ -13,7 +13,7 @@ from cqed.fock import (
     quad_stats,
     _quadratures,
 )
-from cqed.linalg import expectation, fidelity, hermitian_eigen
+from cqed.linalg import expectation, fidelity
 
 
 @pytest.fixture
@@ -59,9 +59,8 @@ class TestLadderSuite:
         dim, omega0 = 14, 0.8
         ops = ladder_suite(FockBasis(dim))
         h = omega0 * (ops.number + 0.5 * np.eye(dim))
-        eig = hermitian_eigen(h)
         expected = omega0 * (np.arange(dim) + 0.5)
-        assert np.abs(eig.values - expected).max() < 1e-9
+        assert np.abs(np.linalg.eigvalsh(h) - expected).max() < 1e-9
 
     def test_min_dim(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,22 @@ class TestVacuumRabi:
             ref = vacuum_rabi_closed_form(G, t, SPACE)
             assert 1 - fidelity(amps, ref.amps) < 1e-9
 
+    @pytest.mark.parametrize("nmax", [2, 4, 6])
+    @pytest.mark.parametrize("g", [0.37, 1.0, 2.5])
+    def test_matches_dense_eigh_evolution(self, g, nmax):
+        # independent oracle: LAPACK diagonalization of the dense Hamiltonian
+        space = JCSpace(nmax)
+        vals, vecs = np.linalg.eigh(jc_hamiltonian(JCParams(g), space))
+        times = np.linspace(0.0, 7.0, 50)
+        psi0 = product_ket(0, 1, space).amps
+        ref = (vecs @ (np.exp(-1j * np.outer(vals, times)) * (vecs.conj().T @ psi0)[:, None])).T
+        out = vacuum_rabi(JCParams(g), times, space)
+        assert np.abs(out["amps"] - ref).max() < 1e-12
+        probs = np.abs(ref) ** 2
+        photons = np.repeat(np.arange(nmax), 2)
+        assert np.abs(out["p_qubit_excited"].values - probs[:, 1::2].sum(axis=1)).max() < 1e-12
+        assert np.abs(out["p_photon"].values - probs @ photons).max() < 1e-12
+
     def test_initial_population(self):
         out = vacuum_rabi(JCParams(G), np.array([0.0]), SPACE)
         assert abs(out["p_qubit_excited"].values[0] - 1.0) < 1e-12

@@ -1,22 +1,16 @@
 import numpy as np
 import pytest
 
-import cqed.linalg as la
-from cqed.errors import DimensionMismatch, NoConvergence, NotHermitian
+from cqed.errors import DimensionMismatch
 from cqed.linalg import (
     Ket,
     dagger,
-    evolve,
-    evolve_many,
     expectation,
     fidelity,
-    hermitian_eigen,
-    hermitian_eigen_batch,
-    kron,
+    tridiagonal_eigh,
     tridiagonal_eigvalsh,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 EPS = np.finfo(np.float64).eps
 
@@ -31,109 +25,135 @@ def random_ket(rng, n):
     return Ket(v / np.linalg.norm(v))
 
 
+def random_tridiagonal(rng, batch, n):
+    return rng.normal(size=(batch, n)), rng.normal(size=(batch, n - 1))
+
+
+def box_diagonals(ng, ncut):
+    """Charging energies (N - N_g)^2 of a box with E_C = 1, one row per gate charge."""
+    return (np.arange(-ncut, ncut + 1)[None, :] - np.atleast_1d(ng)[:, None]) ** 2
+
+
+def assert_eigenpairs(diag, off, vals, vecs, resid_tol=1e-13, orth_tol=1e-12):
+    """Residual ||T v - lambda v|| <= resid_tol ||T||_F and orthonormal columns."""
+    mats = tridiagonal(np.asarray(diag, dtype=float), off)
+    n = mats.shape[-1]
+    norm = np.linalg.norm(mats, axis=(1, 2))[:, None, None]
+    resid = np.abs(mats @ vecs - vecs * vals[:, None, :])
+    assert np.all(resid <= resid_tol * np.maximum(norm, 1.0))
+    assert np.abs(np.swapaxes(vecs, 1, 2) @ vecs - np.eye(n)).max() < orth_tol
+
+
+def evolve(diag, off, t, amps):
+    """exp(-i T t) amps for one tridiagonal T, from its `tridiagonal_eigh` eigenpairs."""
+    vals, vecs = tridiagonal_eigh(np.asarray(diag, dtype=float)[None, :], off)
+    return vecs[0] @ (np.exp(-1j * vals[0] * t) * (vecs[0].T @ amps))
+
+
 class TestHermitianEigen:
+    """`tridiagonal_eigh` on real symmetric (Hermitian) tridiagonal matrices."""
+
     def test_sigma_z_diagonal(self):
-        eig = hermitian_eigen(SZ)
-        assert np.allclose(eig.values, [-1.0, 1.0])
+        vals, vecs = tridiagonal_eigh(np.array([[1.0, -1.0]]), 0.0)
+        assert np.allclose(vals[0], [-1.0, 1.0])
         # ascending order puts the -1 eigenvector |1> first
-        assert np.allclose(eig.vectors[:, 0], [0, 1])
-        assert np.allclose(eig.vectors[:, 1], [1, 0])
+        assert np.allclose(vecs[0][:, 0], [0, 1])
+        assert np.allclose(vecs[0][:, 1], [1, 0])
 
     def test_sigma_x_eigenvectors(self):
-        eig = hermitian_eigen(SX)
-        assert np.allclose(eig.values, [-1.0, 1.0])
+        vals, vecs = tridiagonal_eigh(np.zeros((1, 2)), 1.0)
+        assert np.allclose(vals[0], [-1.0, 1.0])
         minus = np.array([1, -1]) / np.sqrt(2)
         plus = np.array([1, 1]) / np.sqrt(2)
-        assert np.allclose(eig.vectors[:, 0], minus)
-        assert np.allclose(eig.vectors[:, 1], plus)
+        assert np.allclose(vecs[0][:, 0], minus)
+        assert np.allclose(vecs[0][:, 1], plus)
 
     def test_reduced_box_splitting(self):
         # 2x2 charge-qubit block: E_C dg sigma_z - (E_J/2) sigma_x
         ec, ej, dg = 1.0, 0.1, 0.2
-        h = ec * dg * SZ - 0.5 * ej * SX
-        eig = hermitian_eigen(h)
+        vals, _ = tridiagonal_eigh(np.array([[ec * dg, -ec * dg]]), -0.5 * ej)
         expected = np.sqrt(ec**2 * dg**2 + ej**2 / 4)
-        assert np.allclose(eig.values, [-expected, expected], atol=1e-14)
+        assert np.allclose(vals[0], [-expected, expected], atol=1e-14)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # a complex diagonal, or a complex coupling on both sides, is not Hermitian
+        with pytest.raises(ValueError):
+            tridiagonal_eigh(np.array([[0.0, 1j]]), 1.0)
+        with pytest.raises(ValueError):
+            tridiagonal_eigh(np.zeros((1, 2)), 1j)
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            hermitian_eigen(np.zeros((2, 3)))
-
-    def test_no_convergence_after_sweep_cap(self, monkeypatch):
-        monkeypatch.setattr(la, "MAX_SWEEPS", 0)
-        with pytest.raises(NoConvergence):
-            hermitian_eigen(SX)
+            tridiagonal_eigh(np.zeros(3), 1.0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 33, 64])
     def test_reconstruction_and_orthonormality(self, n):
         rng = np.random.default_rng(100 + n)
-        a = random_hermitian(rng, n)
-        eig = hermitian_eigen(a)
+        diag, off = random_tridiagonal(rng, 1, n)
+        vals, vecs = tridiagonal_eigh(diag, off)
+        a = tridiagonal(diag, off)[0]
         norm = np.linalg.norm(a)
-        recon = eig.vectors @ np.diag(eig.values) @ dagger(eig.vectors)
+        v = vecs[0]
+        recon = v @ np.diag(vals[0]) @ v.T
         assert np.abs(recon - a).max() < 1e-9 * norm
-        gram = dagger(eig.vectors) @ eig.vectors
-        assert np.abs(gram - np.eye(n)).max() < 1e-10
+        assert np.abs(v.T @ v - np.eye(n)).max() < 1e-10
         for k in range(n):
-            resid = a @ eig.vectors[:, k] - eig.values[k] * eig.vectors[:, k]
+            resid = a @ v[:, k] - vals[0, k] * v[:, k]
             assert np.abs(resid).max() < 1e-9 * norm
 
     def test_values_sorted_and_phase_fixed(self):
         rng = np.random.default_rng(5)
-        a = random_hermitian(rng, 17)
-        eig = hermitian_eigen(a)
-        assert np.all(np.diff(eig.values) >= 0)
-        lead = eig.vectors[np.argmax(np.abs(eig.vectors), axis=0), np.arange(17)]
-        assert np.abs(lead.imag).max() < 1e-14
-        assert lead.real.min() >= 0
+        diag, off = random_tridiagonal(rng, 3, 17)
+        vals, vecs = tridiagonal_eigh(diag, off)
+        assert np.all(np.diff(vals, axis=1) >= 0)
+        assert np.array_equal(vals, tridiagonal_eigvalsh(diag, off, 17))
+        lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
+        assert lead.min() > 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        a = random_hermitian(rng, 12)
-        e1, e2 = hermitian_eigen(a), hermitian_eigen(a)
-        assert np.array_equal(e1.values, e2.values)
-        assert np.array_equal(e1.vectors, e2.vectors)
+        diag, off = random_tridiagonal(rng, 4, 12)
+        (v1, w1), (v2, w2) = tridiagonal_eigh(diag, off), tridiagonal_eigh(diag, off)
+        assert np.array_equal(v1, v2)
+        assert np.array_equal(w1, w2)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(7)
-        stack = np.array([random_hermitian(rng, 6) for _ in range(5)])
-        vals, vecs = hermitian_eigen_batch(stack)
+        diag, off = random_tridiagonal(rng, 5, 6)
+        vals, vecs = tridiagonal_eigh(diag, off)
         for k in range(5):
-            single = hermitian_eigen(stack[k])
-            assert np.allclose(vals[k], single.values, atol=1e-12)
-            assert np.allclose(vecs[k], single.vectors, atol=1e-10)
+            single_vals, single_vecs = tridiagonal_eigh(diag[k:k + 1], off[k:k + 1])
+            assert np.allclose(vals[k], single_vals[0], atol=1e-12)
+            assert np.allclose(vecs[k], single_vecs[0], atol=1e-10)
 
     def test_real_symmetric_input(self):
+        # independent oracle: LAPACK's dense eigh, vectors compared up to sign
         rng = np.random.default_rng(8)
-        a = rng.normal(size=(9, 9))
-        a = (a + a.T) / 2
-        eig = hermitian_eigen(a)
-        recon = eig.vectors @ np.diag(eig.values) @ dagger(eig.vectors)
-        assert np.abs(recon - a).max() < 1e-9 * np.linalg.norm(a)
+        diag, off = random_tridiagonal(rng, 4, 9)
+        vals, vecs = tridiagonal_eigh(diag, off)
+        lapack_vals, lapack_vecs = np.linalg.eigh(tridiagonal(diag, off))
+        assert np.abs(vals - lapack_vals).max() < 1e-13
+        overlaps = np.abs(np.einsum("bik,bik->bk", vecs, lapack_vecs))
+        assert np.abs(overlaps - 1.0).max() < 1e-10
 
     @pytest.mark.parametrize("n", [3, 10, 40])
     def test_eigenvalues_cross_checked_against_lapack(self, n):
         # independent oracle: LAPACK uses a different algorithm entirely
         rng = np.random.default_rng(200 + n)
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a = (a + a.conj().T) / 2
-        mine = hermitian_eigen(a).values
-        lapack = np.linalg.eigvalsh(a)
-        assert np.abs(mine - lapack).max() < 1e-12 * np.linalg.norm(a)
+        diag, off = random_tridiagonal(rng, 1, n)
+        mine = tridiagonal_eigh(diag, off)[0]
+        lapack = np.linalg.eigvalsh(tridiagonal(diag, off))
+        assert np.abs(mine - lapack).max() < 1e-12 * np.linalg.norm(tridiagonal(diag, off))
 
     def test_one_dimensional_matrix(self):
-        eig = hermitian_eigen(np.array([[2.5]], dtype=complex))
-        assert eig.values[0] == 2.5
-        assert eig.vectors[0, 0] == 1.0
+        vals, vecs = tridiagonal_eigh(np.array([[2.5]]), np.zeros((1, 0)))
+        assert vals[0, 0] == 2.5
+        assert vecs[0, 0, 0] == 1.0
 
     def test_degenerate_spectrum(self):
-        eig = hermitian_eigen(np.eye(4, dtype=complex))
-        assert np.allclose(eig.values, 1.0)
-        assert np.abs(dagger(eig.vectors) @ eig.vectors - np.eye(4)).max() < 1e-12
+        vals, vecs = tridiagonal_eigh(np.ones((1, 4)), 0.0)
+        assert np.allclose(vals, 1.0)
+        assert np.abs(vecs[0].T @ vecs[0] - np.eye(4)).max() < 1e-12
 
 
 def tridiagonal(diag, off):
@@ -195,73 +215,114 @@ class TestTridiagonalEigvalsh:
             tridiagonal_eigvalsh(np.zeros(3), 1.0, 1)
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_action_on_product_state(self):
-        zero_zero = np.kron([1, 0], [1, 0]).astype(complex)
-        one_zero = np.kron([0, 1], [1, 0]).astype(complex)
-        assert np.allclose(kron(SX, np.eye(2)) @ zero_zero, one_zero)
-
-    def test_shapes(self):
-        assert kron(np.zeros((2, 3)), np.zeros((4, 5))).shape == (8, 15)
-
-    def test_mixed_product_identity(self):
-        rng = np.random.default_rng(9)
-        a, b, c, d = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() < 1e-10
-
-
 class TestEvolve:
+    """Propagation exp(-i T t) built from `tridiagonal_eigh` eigenpairs."""
+
     def test_number_operator_phases(self):
         omega0, t, dim = 1.3, 0.7, 5
-        h = omega0 * np.diag(np.arange(dim)).astype(complex)
         for n in range(dim):
             amps = np.zeros(dim, dtype=complex)
             amps[n] = 1.0
-            out = evolve(h, t, Ket(amps))
-            assert abs(out.amps[n] - np.exp(-1j * n * omega0 * t)) < 1e-12
+            out = evolve(omega0 * np.arange(dim), 0.0, t, amps)
+            assert abs(out[n] - np.exp(-1j * n * omega0 * t)) < 1e-12
 
     def test_rabi_amplitudes(self):
         omega, t = 2.2, 0.9
-        out = evolve(0.5 * omega * SX, t, Ket([1, 0]))
-        assert abs(out.amps[0] - np.cos(omega * t / 2)) < 1e-12
-        assert abs(out.amps[1] - (-1j) * np.sin(omega * t / 2)) < 1e-12
+        out = evolve([0.0, 0.0], 0.5 * omega, t, np.array([1, 0]))
+        assert abs(out[0] - np.cos(omega * t / 2)) < 1e-12
+        assert abs(out[1] - (-1j) * np.sin(omega * t / 2)) < 1e-12
 
     def test_zero_time_is_identity(self):
-        psi = Ket([0.6, 0.8j])
-        assert evolve(SX, 0.0, psi) is psi
+        amps = np.array([0.6, 0.8j])
+        assert np.abs(evolve([0.3, -0.2], 1.0, 0.0, amps) - amps).max() < 1e-15
 
     def test_unitarity(self):
         rng = np.random.default_rng(10)
-        h = random_hermitian(rng, 7)
+        diag, off = random_tridiagonal(rng, 1, 7)
         psi = random_ket(rng, 7)
         for t in rng.uniform(0, 10, size=8):
-            assert abs(np.linalg.norm(evolve(h, t, psi).amps) - 1) < 1e-10
+            assert abs(np.linalg.norm(evolve(diag[0], off, t, psi.amps)) - 1) < 1e-10
 
     def test_composition(self):
         rng = np.random.default_rng(11)
-        h = random_hermitian(rng, 6)
-        psi = random_ket(rng, 6)
+        diag, off = random_tridiagonal(rng, 1, 6)
+        psi = random_ket(rng, 6).amps
         t1, t2 = 0.37, 1.41
-        once = evolve(h, t1 + t2, psi)
-        twice = evolve(h, t2, evolve(h, t1, psi))
-        assert np.abs(once.amps - twice.amps).max() < 1e-9
+        once = evolve(diag[0], off, t1 + t2, psi)
+        twice = evolve(diag[0], off, t2, evolve(diag[0], off, t1, psi))
+        assert np.abs(once - twice).max() < 1e-9
 
     def test_evolve_many_matches_evolve(self):
+        # one batched decomposition propagates every matrix as a single one does
         rng = np.random.default_rng(12)
-        h = random_hermitian(rng, 5)
-        psi = random_ket(rng, 5)
-        times = [0.0, 0.1, 0.5, 2.0]
-        for t, out in zip(times, evolve_many(h, times, psi)):
-            assert np.array_equal(out.amps, evolve(h, t, psi).amps)
+        diag, off = random_tridiagonal(rng, 4, 5)
+        psi = random_ket(rng, 5).amps
+        vals, vecs = tridiagonal_eigh(diag, off)
+        for k, t in enumerate([0.0, 0.1, 0.5, 2.0]):
+            batched = vecs[k] @ (np.exp(-1j * vals[k] * t) * (vecs[k].T @ psi))
+            assert np.abs(batched - evolve(diag[k], off[k:k + 1], t, psi)).max() < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            evolve(SX, 1.0, Ket([1, 0, 0]))
+        with pytest.raises(ValueError):
+            tridiagonal_eigh(np.zeros((1, 3)), np.ones((1, 3)))
+
+
+class TestTridiagonalEigh:
+    """Eigenpairs against the LAPACK oracle on random and charge-box matrices."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 21, 64])
+    def test_matches_lapack_eigh(self, n):
+        rng = np.random.default_rng(400 + n)
+        diag, off = random_tridiagonal(rng, 40, n)
+        vals, vecs = tridiagonal_eigh(diag, off)
+        lapack_vals, lapack_vecs = np.linalg.eigh(tridiagonal(diag, off))
+        bound = (1e-12 + n * EPS) * np.linalg.norm(tridiagonal(diag, off), axis=(1, 2))
+        assert np.all(np.abs(vals - lapack_vals) <= bound[:, None])
+        assert_eigenpairs(diag, off, vals, vecs)
+        # vectors agree up to sign where the levels are apart
+        edges = np.full((len(vals), 1), np.inf)
+        gaps = np.diff(vals, axis=1)
+        gap = np.minimum(np.hstack([gaps, edges]), np.hstack([edges, gaps]))
+        overlaps = np.abs(np.einsum("bik,bik->bk", vecs, lapack_vecs))
+        apart = gap > 1e-3
+        assert apart.mean() > 0.9
+        assert np.abs(overlaps - 1.0)[apart].max(initial=0.0) < 1e-10
+
+    def test_large_batch(self):
+        rng = np.random.default_rng(17)
+        diag, off = random_tridiagonal(rng, 600, 9)
+        vals, vecs = tridiagonal_eigh(diag, off)
+        assert vecs.shape == (600, 9, 9)
+        assert_eigenpairs(diag, off, vals, vecs)
+
+    def test_zero_couplings(self):
+        rng = np.random.default_rng(18)
+        diag = rng.normal(size=(6, 7))
+        vals, vecs = tridiagonal_eigh(diag, 0.0)
+        assert np.abs(vals - np.sort(diag, axis=1)).max() <= 4 * EPS * np.abs(diag).max()
+        assert_eigenpairs(diag, np.zeros((6, 6)), vals, vecs)
+        # each eigenvector is a unit vector of the charge basis
+        assert np.abs(np.abs(vecs).max(axis=1) - 1.0).max() < 1e-15
+
+    def test_exact_degeneracy_at_half_without_coupling(self):
+        # E_J = 0 at N_g = 1/2: charge pairs (0, 1), (-1, 2), ... are exactly degenerate
+        diag = box_diagonals(0.5, 10)
+        vals, vecs = tridiagonal_eigh(diag, 0.0)
+        assert vals[0, 0] == vals[0, 1] and vals[0, 2] == vals[0, 3]
+        assert np.all(np.isfinite(vecs))
+        assert_eigenpairs(diag, np.zeros((1, 20)), vals, vecs)
+
+    @pytest.mark.parametrize("ng", [0.0, 0.5])
+    @pytest.mark.parametrize("ej", [0.01, 0.1, 0.3, 1.0])
+    def test_near_degenerate_clusters(self, ej, ng):
+        # small E_J splits the N and -N (or N and 1 - N) charge pairs by
+        # ~ (E_J/2)^(2N), far below eps ||T|| for the higher pairs
+        diag = box_diagonals(ng, 10)
+        off = np.full((1, 20), -0.5 * ej)
+        vals, vecs = tridiagonal_eigh(diag, off)
+        assert_eigenpairs(diag, off, vals, vecs)
+        lapack = np.linalg.eigvalsh(tridiagonal(diag, off))
+        assert np.abs(vals - lapack).max() < 1e-13 * np.linalg.norm(tridiagonal(diag, off))
 
 
 class TestExpectation:
