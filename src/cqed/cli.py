@@ -5,11 +5,12 @@ single table, either CSV (default) or JSON.  ``_COMMANDS`` declares each
 subcommand once: its runner, help text, flags and size terms.  A flag is a
 name, a default that gives its type, and an optional bound (``> x`` or
 ``>= x``) or list of choices.  The parser, the ``params`` metadata and
-every flag check come from that table: a float flag must be finite, and a
-flag must lie within its bound.  Three budgets are checked from the size
-terms before any array exists: no array over 2^23 float64 values (64 MiB),
-no run over 2^30 random draws, and no run over 2^19 iterations of the Sturm
-bisection's Python loop over charges.
+every flag check come from that table: a number flag must be finite as a
+float (an int past float range is not), and a flag must lie within its
+bound.  Three budgets are checked from the size terms before any array
+exists: no array over 2^23 float64 values (64 MiB), no run over 2^30
+random draws, and no run over 2^19 iterations of the Sturm bisection's
+Python loop over charges.
 
 CSV files start with ``# key=value`` metadata lines (command, parameters,
 seed, version), then a header row; floats carry 12 significant digits.

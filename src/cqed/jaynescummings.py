@@ -112,11 +112,11 @@ def vacuum_rabi(
     """
     times = np.asarray(times, dtype=np.float64)
     states = _orbit(params.g, times, space)
-    probs = np.abs(states) ** 2
+    p_excited = np.abs(states[:, index_of(0, 1, space)]) ** 2
+    p_photon = np.abs(states[:, index_of(1, 0, space)]) ** 2
     return {
-        "p_qubit_excited": TimeSeries(times, probs[:, index_of(0, 1, space)],
-                                      label="p_qubit_excited"),
-        "p_photon": TimeSeries(times, probs[:, index_of(1, 0, space)], label="p_photon"),
+        "p_qubit_excited": TimeSeries(times, p_excited, label="p_qubit_excited"),
+        "p_photon": TimeSeries(times, p_photon, label="p_photon"),
         "amps": states,
     }
 

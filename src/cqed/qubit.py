@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitAxis
-from .linalg import Ket
 from .timeseries import TimeSeries
 
 __all__ = [
@@ -66,9 +65,6 @@ class QubitKet:
     @property
     def amps(self) -> np.ndarray:
         return np.array([self.a0, self.a1], dtype=np.complex128)
-
-    def to_ket(self) -> Ket:
-        return Ket(self.amps, basis="qubit")
 
     def fidelity(self, other: "QubitKet") -> float:
         return abs(np.vdot(self.amps, other.amps)) ** 2
