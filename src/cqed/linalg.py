@@ -40,7 +40,6 @@ __all__ = [
     "tridiagonal_eigvalsh",
     "tridiagonal_eigh",
     "expectation",
-    "dagger",
     "fidelity",
 ]
 
@@ -51,11 +50,6 @@ _SAFMIN = float(np.finfo(np.float64).tiny)
 _SWEEPS = 3
 #: Eigenvalues closer than this times ||T|| are re-orthogonalized as a cluster.
 _CLUSTER = 1e-3
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.swapaxes(a, -1, -2))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import pytest
 from cqed.errors import DimensionMismatch
 from cqed.linalg import (
     Ket,
-    dagger,
     expectation,
     fidelity,
     tridiagonal_eigh,
@@ -311,6 +310,16 @@ class TestTridiagonalEigh:
         assert vals[0, 0] == vals[0, 1] and vals[0, 2] == vals[0, 3]
         assert np.all(np.isfinite(vecs))
         assert_eigenpairs(diag, np.zeros((1, 20)), vals, vecs)
+
+    @pytest.mark.parametrize("n", [2, 7, 10, 21])
+    @pytest.mark.parametrize("coupling", [1.0, -1.0])
+    def test_mirror_symmetric_chains(self, n, coupling):
+        # every start column sin(pi (i+1)(j+1)/(n+1)) is mirror-even or odd; with a
+        # positive coupling and even n, level j's eigenvector has the other parity
+        diag = np.zeros((1, n))
+        off = np.full((1, n - 1), coupling)
+        vals, vecs = tridiagonal_eigh(diag, off)
+        assert_eigenpairs(diag, off, vals, vecs)
 
     @pytest.mark.parametrize("ng", [0.0, 0.5])
     @pytest.mark.parametrize("ej", [0.01, 0.1, 0.3, 1.0])
