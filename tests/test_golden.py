@@ -7,9 +7,10 @@ default ``--trials 0``; the long ``tunnel-ode``, ``coherent`` and ``jc``
 runs pin the dynamics paths, and the long ``washboard``, ``rabi`` and
 ``fluxwell`` runs and the five-level ``spectrum`` pin the table writer, at
 the sizes the benchmark runs them.  ``jc-g`` runs ``jc`` at a coupling
-other than 1, where rounding in g t reaches the printed digits.  A change
-that alters an output on purpose regenerates the file and says in its notes
-which digests moved:
+other than 1, where rounding in g t reaches the printed digits, and the
+``bell-*`` cases pin the three Bell states the default ``phi+`` skips.
+A change that alters an output on purpose regenerates the file and says in
+its notes which digests moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -42,6 +43,9 @@ CASES = {
     "rabi-long": ["rabi", "--steps", "20001", "--omega", "0.984665"],
     "fluxwell-long": ["fluxwell", "--steps", "20001", "--phi-ext", "0.517946"],
     "spectrum-levels": ["spectrum", "--ej", "1.045046", "--ng-steps", "401", "--levels", "5"],
+    "bell-phi-": ["bell", "--state", "phi-"],
+    "bell-psi+": ["bell", "--state", "psi+"],
+    "bell-psi-": ["bell", "--state", "psi-"],
 }
 
 
