@@ -2,8 +2,8 @@
 
 Subpackages by physics area:
 
-* `cqed.linalg` - state vectors, expectation values, and batched
-  tridiagonal eigenpairs (Sturm bisection, inverse iteration).
+* `cqed.linalg` - `Ket`, the one state-vector type, expectation values,
+  and batched tridiagonal eigenpairs (Sturm bisection, inverse iteration).
 * `cqed.fock` - truncated oscillator: ladder/quadrature operators,
   coherent states, cavity mode ladders.
 * `cqed.qubit` - Pauli algebra, Bloch sphere, rotations, Rabi/Ramsey.

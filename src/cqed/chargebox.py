@@ -39,7 +39,6 @@ from .timeseries import TimeSeries
 __all__ = [
     "CPBParams",
     "ChargeBasis",
-    "SpectrumSweep",
     "cpb_hamiltonian",
     "spectrum_sweep",
     "reduced_qubit",
@@ -88,14 +87,6 @@ class ChargeBasis:
         return np.arange(-self.ncut, self.ncut + 1)
 
 
-@dataclass(frozen=True)
-class SpectrumSweep:
-    """k lowest eigenvalues on a gate-charge grid (levels[i, k] ascending)."""
-
-    ng_values: np.ndarray
-    levels: np.ndarray
-
-
 def cpb_hamiltonian(params: CPBParams, basis: ChargeBasis) -> np.ndarray:
     """Real symmetric tridiagonal box Hamiltonian (dimension 2 ncut + 1)."""
     charges = basis.charges
@@ -112,14 +103,16 @@ def _charging_energies(ec, ng_values, basis: ChargeBasis) -> np.ndarray:
 
 def spectrum_sweep(
     ec: float, ej: float, ng_values: np.ndarray, ncut: int, k: int
-) -> SpectrumSweep:
-    """k lowest levels of the box at each gate charge (one batched bisection)."""
+) -> np.ndarray:
+    """k lowest levels of the box at each gate charge (one batched bisection).
+
+    Returns shape (len(ng_values), k), ascending along each row.
+    """
     basis = ChargeBasis(ncut)
     if not 1 <= k <= 2 * ncut - 1:
         raise ValueError(f"k must be within [1, {2 * ncut - 1}]; top levels are cutoff-polluted")
     ng_values = np.asarray(ng_values, dtype=np.float64)
-    levels = tridiagonal_eigvalsh(_charging_energies(ec, ng_values, basis), -0.5 * ej, k)
-    return SpectrumSweep(ng_values=ng_values, levels=levels)
+    return tridiagonal_eigvalsh(_charging_energies(ec, ng_values, basis), -0.5 * ej, k)
 
 
 def reduced_qubit(ec: float, ej: float, dg: float) -> dict[str, object]:
@@ -226,7 +219,7 @@ def _eigenpairs(ec, ej, ng_values, ncut) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ground_state(ec, ej, ng, ncut) -> Ket:
-    return Ket(_eigenpairs(ec, ej, [ng], ncut)[1][0, :, 0], basis="charge")
+    return Ket(_eigenpairs(ec, ej, [ng], ncut)[1][0, :, 0])
 
 
 def sudden_gate_sim(

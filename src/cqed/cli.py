@@ -230,12 +230,12 @@ def write_table(table: OutputTable, path: str, fmt: str) -> None:
 
 def _run_spectrum(args):
     grid = np.linspace(args.ng_min, args.ng_max, args.ng_steps)
-    sweep = spectrum_sweep(args.ec, args.ej, grid, args.ncut, args.levels)
+    levels = spectrum_sweep(args.ec, args.ej, grid, args.ncut, args.levels)
     columns = ["ng"] + [f"e{k}" for k in range(args.levels)]
-    rows = np.column_stack([grid, sweep.levels])
+    rows = np.column_stack([grid, levels])
     if args.levels < 2:
         return columns, rows, f"{len(rows)} points"
-    gaps = sweep.levels[:, 1] - sweep.levels[:, 0]
+    gaps = levels[:, 1] - levels[:, 0]
     return columns + ["gap_01"], np.column_stack([rows, gaps]), f"min gap_01 = {gaps.min():.6g}"
 
 
@@ -261,7 +261,7 @@ def _run_coherent(args):
     evolved = np.exp(-1j * np.outer(times, energies)) * coherent_ket(alpha, basis).amps
     rows = np.empty((len(times), 8))
     for row, t, amps in zip(rows, times, evolved):
-        numeric = Ket(amps, basis="fock")
+        numeric = Ket(amps)
         alpha_t = alpha * np.exp(1j * args.omega0 * t)
         analytic = coherent_ket(alpha_t, basis)
         stats = quad_stats(numeric, basis)
@@ -426,8 +426,9 @@ _COMMANDS = {
         _run_coherent, "Coherent-state free evolution and quadratures",
         (("alpha-re", 1.5), ("alpha-im", 0.0), ("omega0", 1.0), ("dim", 48),
          ("t-max", 2 * math.pi, "> 0"), ("steps", 61, ">= 2")),
-        # complex dim x dim operators, and the (steps, dim) complex evolved amplitudes
-        size=lambda a: max(2 * a.dim ** 2, 2 * a.dim * a.steps, 8 * a.steps),
+        # about eight complex dim x dim matrices held at once (the ladder suite
+        # and the cached quadratures), and the (steps, dim) complex evolved amplitudes
+        size=lambda a: max(16 * a.dim ** 2, 2 * a.dim * a.steps, 8 * a.steps),
     ),
     "washboard": _Command(
         _run_washboard, "Tilted washboard potential",

@@ -12,6 +12,8 @@ into one row of a reused block of about 1 MB; the draws are the ones
 
 Mixed states never appear as density matrices in this module: ensembles are
 weighted lists of pure states, which is all the experiments below need.
+Two-qubit states are `cqed.linalg.Ket`s over (|00>, |01>, |10>, |11>),
+the first qubit Alice's; the correlation tables reject any other dimension.
 
 Conventions: hbar = 1; a qubit with gap ``delta`` accumulates relative phase
 delta * t between |0> and |1> during free evolution; Ramsey fringes are
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fitting import dominant_frequency, fit_exponential_envelope
+from .linalg import Ket
 from .qubit import (
     KET_0,
     KET_1,
@@ -40,7 +43,6 @@ from .timeseries import TimeSeries
 __all__ = [
     "RngSpec",
     "NoiseModel",
-    "TwoQubitKet",
     "JointProbabilityTable",
     "OUTCOME_LABELS",
     "t1_curves",
@@ -189,13 +191,10 @@ class NoiseModel:
     """
 
     sigma: float
-    kind: str = "white-gaussian"
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if self.kind != "white-gaussian":
-            raise ValueError(f"unsupported noise kind {self.kind!r}")
 
 
 def t1_curves(
@@ -415,27 +414,6 @@ _OUTCOME_KETS = (
 #: The three standard bases as index pairs into OUTCOME_LABELS.
 _BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))
 
-_NORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TwoQubitKet:
-    """Pure two-qubit state over (|00>, |01>, |10>, |11>), first qubit Alice."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
-        if amps.shape != (4,):
-            raise DimensionMismatch("two-qubit state needs exactly 4 amplitudes")
-        if abs(np.linalg.norm(amps) - 1.0) > _NORM_TOL:
-            raise ValueError("two-qubit state must be normalized")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
-
-    def overlap(self, other: "TwoQubitKet") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
 
 _BELL_AMPS = {
     "phi+": np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2),
@@ -445,13 +423,13 @@ _BELL_AMPS = {
 }
 
 
-def bell_state(kind: str) -> TwoQubitKet:
+def bell_state(kind: str) -> Ket:
     """One of the four maximally entangled Bell states.
 
     phi+- = (|00> +- |11>)/sqrt2, psi+- = (|01> +- |10>)/sqrt2.
     """
     try:
-        return TwoQubitKet(_BELL_AMPS[kind])
+        return Ket(_BELL_AMPS[kind])
     except KeyError:
         raise ValueError(f"kind must be one of {sorted(_BELL_AMPS)}, got {kind!r}") from None
 
@@ -487,8 +465,10 @@ class JointProbabilityTable:
         )
 
 
-def joint_table(state: TwoQubitKet) -> JointProbabilityTable:
+def joint_table(state: Ket) -> JointProbabilityTable:
     """Joint probabilities of all 36 outcome pairs over the standard bases."""
+    if state.dim != 4:
+        raise DimensionMismatch(f"a two-qubit state has 4 amplitudes, not {state.dim}")
     psi = state.amps.reshape(2, 2)
     probs = np.empty((6, 6))
     for i, alice in enumerate(_OUTCOME_KETS):
@@ -498,7 +478,7 @@ def joint_table(state: TwoQubitKet) -> JointProbabilityTable:
     return JointProbabilityTable(probs)
 
 
-def marginal_table(state: TwoQubitKet) -> dict[str, float]:
+def marginal_table(state: Ket) -> dict[str, float]:
     """Bob's outcome probabilities ignoring Alice entirely.
 
     Computed by summing the joint table over Alice's outcomes in each of
@@ -515,7 +495,7 @@ def marginal_table(state: TwoQubitKet) -> dict[str, float]:
 
 
 def ensemble_marginal(
-    states: list[TwoQubitKet], weights: list[float]
+    states: list[Ket], weights: list[float]
 ) -> dict[str, float]:
     """Bob's marginals for an ensemble mixture (weighted pure states)."""
     if len(states) != len(weights) or not states:

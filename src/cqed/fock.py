@@ -24,7 +24,6 @@ from .linalg import Ket, expectation
 
 __all__ = [
     "FockBasis",
-    "OscillatorParams",
     "LadderOps",
     "ladder_suite",
     "fock_ket",
@@ -46,17 +45,6 @@ class FockBasis:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("a truncated Fock basis needs at least 2 levels")
-
-
-@dataclass(frozen=True)
-class OscillatorParams:
-    """Single mode with angular frequency omega0 > 0 (energy units)."""
-
-    omega0: float
-
-    def __post_init__(self):
-        if not self.omega0 > 0:
-            raise ValueError("omega0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,7 +82,7 @@ def fock_ket(n: int, basis: FockBasis) -> Ket:
         raise DimensionMismatch(f"|{n}> does not fit in {basis.dim} levels")
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[n] = 1.0
-    return Ket(amps, basis="fock")
+    return Ket(amps)
 
 
 def min_dim_for(alpha: complex) -> int:
@@ -124,7 +112,7 @@ def coherent_ket(alpha: complex, basis: FockBasis) -> Ket:
         raise TruncationTooSmall(
             f"truncated norm deficit {1.0 - nrm * nrm:.3e} exceeds {_RESIDUAL_TOL}"
         )
-    return Ket(amps / nrm, basis="fock")
+    return Ket(amps / nrm)
 
 
 def coherent_evolution(
@@ -140,7 +128,7 @@ def coherent_evolution(
     """
     analytic = coherent_ket(alpha * np.exp(1j * omega0 * t), basis)
     energies = -omega0 * np.diag(ladder_suite(basis).number).real
-    numeric = Ket(np.exp(-1j * energies * t) * coherent_ket(alpha, basis).amps, basis="fock")
+    numeric = Ket(np.exp(-1j * energies * t) * coherent_ket(alpha, basis).amps)
     return {"analytic": analytic, "numeric": numeric}
 
 

@@ -78,7 +78,7 @@ def product_ket(n: int, q: int, space: JCSpace) -> Ket:
     """Product basis state |n, q>."""
     amps = np.zeros(space.dim, dtype=np.complex128)
     amps[index_of(n, q, space)] = 1.0
-    return Ket(amps, basis="cavity*qubit")
+    return Ket(amps)
 
 
 def jc_hamiltonian(params: JCParams, space: JCSpace) -> np.ndarray:
@@ -97,7 +97,7 @@ def _orbit(g: float, times: np.ndarray, space: JCSpace) -> np.ndarray:
 
 def vacuum_rabi_closed_form(g: float, t: float, space: JCSpace) -> Ket:
     """cos(gt) |0,1> - i sin(gt) |1,0>, the exact single-excitation orbit."""
-    return Ket(_orbit(g, np.array([t], dtype=np.float64), space)[0], basis="cavity*qubit")
+    return Ket(_orbit(g, np.array([t], dtype=np.float64), space)[0])
 
 
 def vacuum_rabi(

@@ -23,11 +23,9 @@ from .timeseries import TimeSeries
 
 __all__ = [
     "JunctionSpec",
-    "WashboardPoint",
     "TwoIslandState",
     "TwoIslandTrajectory",
     "dc_current",
-    "washboard",
     "washboard_u",
     "first_minimum",
     "first_minimum_numeric",
@@ -65,14 +63,6 @@ class JunctionSpec:
         return 2.0 * np.pi * self.ej
 
 
-@dataclass(frozen=True)
-class WashboardPoint:
-    """One sample of the tilted washboard, u in units of I0 Phi0 / 2pi."""
-
-    phi: float
-    u: float
-
-
 def dc_current(spec: JunctionSpec, phi: float) -> float:
     """DC Josephson relation I = I0 sin(phi)."""
     return spec.i0 * np.sin(phi)
@@ -82,12 +72,6 @@ def washboard_u(bias: float, phis: np.ndarray) -> np.ndarray:
     """Reduced washboard u(phi) = -bias phi - cos(phi), vectorized."""
     phis = np.asarray(phis, dtype=np.float64)
     return -bias * phis - np.cos(phis)
-
-
-def washboard(bias: float, phis: np.ndarray) -> list[WashboardPoint]:
-    """Pointwise washboard samples at relative bias I/I0."""
-    us = washboard_u(bias, phis)
-    return [WashboardPoint(float(p), float(u)) for p, u in zip(np.asarray(phis), us)]
 
 
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-7) -> float:

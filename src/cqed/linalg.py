@@ -3,7 +3,9 @@
 Everything downstream (oscillators, qubits, charge boxes, cavities) runs on
 the handful of primitives defined here: a normalized state vector (`Ket`),
 expectation values and overlaps, and the eigenpairs of real symmetric
-tridiagonal matrices.
+tridiagonal matrices.  `Ket` is the one state type: qubit, two-qubit,
+oscillator-mode, qubit-cavity and charge states are all `Ket`s, and the
+functions that need a particular space check the dimension.
 
 Operators are plain ``numpy.ndarray`` matrices (complex128, row-major); a
 dedicated matrix class would add nothing but indirection at these sizes
@@ -54,7 +56,7 @@ _CLUSTER = 1e-3
 
 @dataclass(frozen=True)
 class Ket:
-    """Normalized complex state vector over a finite, labelled basis.
+    """Normalized complex state vector over a finite basis.
 
     Parameters
     ----------
@@ -62,12 +64,9 @@ class Ket:
         Complex amplitudes.  Must be finite and have unit Euclidean norm
         within 1e-10 (physical states only; unnormalized intermediates
         should stay as raw arrays inside operations).
-    basis :
-        Free-form tag naming the basis ("fock", "charge", "qubit", ...).
     """
 
     amps: np.ndarray
-    basis: str = ""
 
     def __post_init__(self):
         # private contiguous copy: never alias (or freeze) caller memory
@@ -89,13 +88,6 @@ class Ket:
         if self.dim != other.dim:
             raise DimensionMismatch("kets live in different spaces")
         return complex(np.vdot(self.amps, other.amps))
-
-    def fidelity(self, other: "Ket") -> float:
-        """Phase-insensitive overlap |<self|other>|^2."""
-        return abs(self.overlap(other)) ** 2
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
 
 
 def fidelity(a: Ket | np.ndarray, b: Ket | np.ndarray) -> float:
@@ -123,7 +115,7 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     Returns
     -------
     values :
-        Shape (batch, k), ascending per matrix.
+        Shape (batch, k), ascending per matrix; an empty batch gives (0, k).
 
     Sturm-count bisection: the number of negative pivots of the LDL^T
     factorization of T - x I is the number of eigenvalues below x.  Every
@@ -161,7 +153,8 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     # Sturm counts resolve the low levels of a graded matrix (large diagonal
     # entries far from the levels' support) well below eps * ||T||.
     atol = np.maximum(_EPS * tnorm / 16.0, pivmin)
-    halvings = int(np.ceil(np.log2(((hi - lo) / atol).max())))
+    # Every bracket spans more than atol, so only an empty batch takes no halvings.
+    halvings = int(np.ceil(np.log2(((hi - lo) / atol).max(initial=1.0))))
 
     lo = np.repeat(lo[:, None], k, axis=1)
     hi = np.repeat(hi[:, None], k, axis=1)

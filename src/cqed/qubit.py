@@ -10,20 +10,21 @@ Conventions (all with hbar = 1):
   rotation of the Bloch sphere by theta about the unit axis n.
 * Global phases are physically meaningless here; state comparisons should
   use fidelity, never componentwise equality.
+
+States are `cqed.linalg.Ket`s of dimension 2; every function taking one
+raises DimensionMismatch on any other dimension.  Bloch vectors are plain
+(3,) float arrays (x, y, z).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitAxis
+from .linalg import _NORM_TOL, Ket
 from .timeseries import TimeSeries
 
 __all__ = [
-    "QubitKet",
-    "BlochVector",
     "pauli",
     "hadamard",
     "bloch",
@@ -47,51 +48,19 @@ _SIGMA = {
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-_NORM_TOL = 1e-10
+KET_0 = Ket([1.0, 0.0])
+KET_1 = Ket([0.0, 1.0])
+KET_PLUS = Ket([1 / np.sqrt(2), 1 / np.sqrt(2)])
+KET_MINUS = Ket([1 / np.sqrt(2), -1 / np.sqrt(2)])
+KET_PLUS_I = Ket([1 / np.sqrt(2), 1j / np.sqrt(2)])
+KET_MINUS_I = Ket([1 / np.sqrt(2), -1j / np.sqrt(2)])
 
 
-@dataclass(frozen=True)
-class QubitKet:
-    """Pure qubit state a0 |0> + a1 |1>, normalized within 1e-10."""
-
-    a0: complex
-    a1: complex
-
-    def __post_init__(self):
-        n2 = abs(self.a0) ** 2 + abs(self.a1) ** 2
-        if abs(n2 - 1.0) > _NORM_TOL:
-            raise ValueError(f"|a0|^2 + |a1|^2 = {n2!r} differs from 1")
-
-    @property
-    def amps(self) -> np.ndarray:
-        return np.array([self.a0, self.a1], dtype=np.complex128)
-
-    def fidelity(self, other: "QubitKet") -> float:
-        return abs(np.vdot(self.amps, other.amps)) ** 2
-
-
-KET_0 = QubitKet(1.0, 0.0)
-KET_1 = QubitKet(0.0, 1.0)
-KET_PLUS = QubitKet(1 / np.sqrt(2), 1 / np.sqrt(2))
-KET_MINUS = QubitKet(1 / np.sqrt(2), -1 / np.sqrt(2))
-KET_PLUS_I = QubitKet(1 / np.sqrt(2), 1j / np.sqrt(2))
-KET_MINUS_I = QubitKet(1 / np.sqrt(2), -1j / np.sqrt(2))
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Cartesian point on (pure states) or inside (mixed states) the sphere."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
+def _qubit_amps(psi: Ket) -> np.ndarray:
+    """Amplitudes (a0, a1) of ``psi``, which must be a qubit state."""
+    if psi.dim != 2:
+        raise DimensionMismatch(f"a qubit state has 2 amplitudes, not {psi.dim}")
+    return psi.amps
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -107,30 +76,26 @@ def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 
-def bloch(psi: QubitKet) -> BlochVector:
-    """Bloch coordinates as overlap differences against the three bases.
+def bloch(psi: Ket) -> np.ndarray:
+    """Bloch vector (x, y, z) as overlap differences against the three bases.
 
     x = |<+|psi>|^2 - |<-|psi>|^2, y likewise in the circular basis and
     z in the computational basis.
     """
-    amps = psi.amps
-    return BlochVector(
-        x=abs(np.vdot(KET_PLUS.amps, amps)) ** 2 - abs(np.vdot(KET_MINUS.amps, amps)) ** 2,
-        y=abs(np.vdot(KET_PLUS_I.amps, amps)) ** 2 - abs(np.vdot(KET_MINUS_I.amps, amps)) ** 2,
-        z=abs(amps[0]) ** 2 - abs(amps[1]) ** 2,
-    )
+    amps = _qubit_amps(psi)
+    return np.array([
+        abs(np.vdot(KET_PLUS.amps, amps)) ** 2 - abs(np.vdot(KET_MINUS.amps, amps)) ** 2,
+        abs(np.vdot(KET_PLUS_I.amps, amps)) ** 2 - abs(np.vdot(KET_MINUS_I.amps, amps)) ** 2,
+        abs(amps[0]) ** 2 - abs(amps[1]) ** 2,
+    ])
 
 
-def bloch_of_density(rho: np.ndarray) -> BlochVector:
+def bloch_of_density(rho: np.ndarray) -> np.ndarray:
     """Bloch vector tr(rho sigma_j); norm <= 1, equal to 1 for pure rho."""
     rho = np.asarray(rho)
     if rho.shape != (2, 2):
         raise DimensionMismatch("density matrix must be 2x2")
-    return BlochVector(
-        x=float(np.trace(rho @ _SIGMA["x"]).real),
-        y=float(np.trace(rho @ _SIGMA["y"]).real),
-        z=float(np.trace(rho @ _SIGMA["z"]).real),
-    )
+    return np.array([np.trace(rho @ _SIGMA[axis]).real for axis in "xyz"])
 
 
 def axis_angle_unitary(n: np.ndarray, theta: float) -> np.ndarray:
@@ -142,16 +107,15 @@ def axis_angle_unitary(n: np.ndarray, theta: float) -> np.ndarray:
     return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * ndots
 
 
-def rotate(n: np.ndarray, theta: float, psi: QubitKet) -> QubitKet:
+def rotate(n: np.ndarray, theta: float, psi: Ket) -> Ket:
     """Rotate ``psi`` by ``theta`` (right-handed) about the unit axis ``n``."""
-    out = axis_angle_unitary(n, theta) @ psi.amps
-    return QubitKet(complex(out[0]), complex(out[1]))
+    return Ket(axis_angle_unitary(n, theta) @ _qubit_amps(psi))
 
 
-def free_evolution(delta: float, t: float, psi: QubitKet) -> QubitKet:
+def free_evolution(delta: float, t: float, psi: Ket) -> Ket:
     """Evolve under H0 = -delta/2 sigma_z for time t."""
     phase = np.exp(0.5j * delta * t)
-    return QubitKet(psi.a0 * phase, psi.a1 * np.conj(phase))
+    return Ket(_qubit_amps(psi) * [phase, np.conj(phase)])
 
 
 def rabi_trace(omega: float, times: np.ndarray) -> tuple[TimeSeries, TimeSeries]:
@@ -175,7 +139,7 @@ def rabi_numeric(omega: float, t: float) -> float:
     The propagator exp(-i omega t/2 sigma_x) is the rotation by omega t
     about the x axis.
     """
-    return float(abs(rotate(np.array([1.0, 0.0, 0.0]), omega * t, KET_0).a0) ** 2)
+    return float(abs(rotate(np.array([1.0, 0.0, 0.0]), omega * t, KET_0).amps[0]) ** 2)
 
 
 def ramsey_trace(delta: float, times: np.ndarray) -> TimeSeries:
@@ -192,16 +156,16 @@ def ramsey_trace(delta: float, times: np.ndarray) -> TimeSeries:
 def ramsey_numeric(delta: float, t: float) -> float:
     """Ground population from the explicit three-step Ramsey circuit."""
     h = hadamard()
-    psi = QubitKet(*(h @ KET_0.amps))
+    psi = Ket(h @ KET_0.amps)
     final = h @ free_evolution(delta, t, psi).amps
     return float(abs(final[0]) ** 2)
 
 
-def density_ops(psi: QubitKet, a: np.ndarray) -> dict[str, np.ndarray]:
+def density_ops(psi: Ket, a: np.ndarray) -> dict[str, np.ndarray]:
     """Density matrix rho = |psi><psi| and its image A rho A^dag."""
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (2, 2):
         raise DimensionMismatch("operator must be 2x2")
-    amps = psi.amps
+    amps = _qubit_amps(psi)
     rho = np.outer(amps, amps.conj())
     return {"rho": rho, "rho_evolved": a @ rho @ a.conj().T}

@@ -70,7 +70,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def sweet_spot_gap(ec, ej, ng, ncut):
-    vals = spectrum_sweep(ec, ej, np.array([ng]), ncut, 2).levels[0]
+    vals = spectrum_sweep(ec, ej, np.array([ng]), ncut, 2)[0]
     return vals[1] - vals[0]
 
 

@@ -60,13 +60,13 @@ class TestSpectrumSweep:
         grid = np.linspace(0.0, 1.0, 21)
         sweep = spectrum_sweep(1.0, 0.0, grid, ncut=6, k=3)
         charges = ChargeBasis(6).charges
-        for ng, levels in zip(grid, sweep.levels):
+        for ng, levels in zip(grid, sweep):
             expected = np.sort((charges - ng) ** 2)[:3]
             assert np.abs(levels - expected).max() < 1e-10
 
     def test_zero_coupling_degeneracy_at_half_is_exact(self):
         sweep = spectrum_sweep(1.0, 0.0, np.array([0.5]), ncut=6, k=4)
-        levels = sweep.levels[0]
+        levels = sweep[0]
         assert levels[0] == levels[1] and levels[2] == levels[3]
 
     def test_matches_lapack(self):
@@ -74,7 +74,7 @@ class TestSpectrumSweep:
         grid = np.linspace(0.0, 1.0, 9)
         for ej, ncut in ((0.1, 10), (50.0, 24)):
             sweep = spectrum_sweep(1.0, ej, grid, ncut=ncut, k=4)
-            for ng, levels in zip(grid, sweep.levels):
+            for ng, levels in zip(grid, sweep):
                 h = cpb_hamiltonian(CPBParams(1.0, ej, ng), ChargeBasis(ncut))
                 bound = (1e-12 + h.shape[0] * np.finfo(float).eps) * np.linalg.norm(h)
                 assert np.abs(levels - np.linalg.eigvalsh(h)[:4]).max() <= bound
@@ -94,21 +94,25 @@ class TestSpectrumSweep:
     def test_mirror_symmetry_about_half(self):
         grid = np.linspace(0.0, 1.0, 41)
         sweep = spectrum_sweep(1.0, 0.2, grid, ncut=8, k=4)
-        assert np.abs(sweep.levels - sweep.levels[::-1]).max() < 1e-9
+        assert np.abs(sweep - sweep[::-1]).max() < 1e-9
 
     def test_period_one_in_gate_charge(self):
         grid = np.linspace(0.0, 1.0, 11)
         a = spectrum_sweep(1.0, 0.15, grid, ncut=9, k=3)
         b = spectrum_sweep(1.0, 0.15, grid + 1.0, ncut=9, k=3)
-        assert np.abs(a.levels - b.levels).max() < 1e-9
+        assert np.abs(a - b).max() < 1e-9
 
     def test_levels_ascending_and_continuous(self):
         grid = np.linspace(0.0, 1.0, 201)
         sweep = spectrum_sweep(1.0, 0.3, grid, ncut=8, k=4)
-        assert np.all(np.diff(sweep.levels, axis=1) >= -1e-12)
+        assert np.all(np.diff(sweep, axis=1) >= -1e-12)
         # |dE/dNg| <= 2 E_C (ncut + 1) bounds jumps between grid points
         bound = 2.0 * (8 + 1) * (grid[1] - grid[0]) * 1.5
-        assert np.abs(np.diff(sweep.levels, axis=0)).max() < bound
+        assert np.abs(np.diff(sweep, axis=0)).max() < bound
+
+    def test_empty_grid(self):
+        levels = spectrum_sweep(1.0, 0.1, np.array([]), ncut=10, k=3)
+        assert levels.shape == (0, 3)
 
     def test_k_capped_by_truncation(self):
         with pytest.raises(ValueError):
@@ -120,10 +124,10 @@ class TestSpectrumSweep:
         # for ncut = 5, so the bound sits just above that floor
         small = spectrum_sweep(1.0, 1.0, grid, ncut=5, k=4)
         large = spectrum_sweep(1.0, 1.0, grid, ncut=10, k=4)
-        assert np.abs(small.levels - large.levels).max() < 2e-10
+        assert np.abs(small - large).max() < 2e-10
         mild = spectrum_sweep(1.0, 0.1, grid, ncut=5, k=4)
         mild_ref = spectrum_sweep(1.0, 0.1, grid, ncut=10, k=4)
-        assert np.abs(mild.levels - mild_ref.levels).max() < 1e-12
+        assert np.abs(mild - mild_ref).max() < 1e-12
 
 
 class TestReducedQubit:
@@ -225,7 +229,7 @@ class TestSecondOrderGap:
             for (lo, hi), ng, gap in (((1, 2), 1.0, out["gaps"][k]),
                                       ((0, 1), 0.5, out["first_order_gaps"][k])):
                 near = ng + np.array([-1e-3, 1e-3])
-                levels = spectrum_sweep(1.0, ej, near, ncut=8, k=3).levels
+                levels = spectrum_sweep(1.0, ej, near, ncut=8, k=3)
                 assert np.all(levels[:, hi] - levels[:, lo] > gap)
 
     def test_gap_vanishes_with_coupling(self):

@@ -302,6 +302,8 @@ class TestExitCodes:
             ["spectrum", "--ng-steps", "100000000"],
             ["jc", "--nmax", "100000"],
             ["coherent", "--dim", "100000"],
+            # about eight dim x dim complex matrices held at once, not one
+            ["coherent", "--dim", "1024", "--steps", "2"],
             ["transmon", "--ncut", "100000"],
             ["transmon", "--ratios", "1e12"],
             ["rabi", "--steps", "2796203"],  # (steps, 3) rows: one value over 2^23

@@ -6,7 +6,6 @@ from cqed.decoherence import (
     NoiseModel,
     OUTCOME_LABELS,
     RngSpec,
-    TwoQubitKet,
     bell_state,
     decay_limited_ramsey,
     ensemble_marginal,
@@ -17,8 +16,9 @@ from cqed.decoherence import (
     t1_curves,
     two_offset_fringe,
 )
-from cqed.errors import FitFailed
-from cqed.qubit import KET_PLUS, QubitKet, free_evolution, ramsey_trace
+from cqed.errors import DimensionMismatch, FitFailed
+from cqed.linalg import Ket
+from cqed.qubit import KET_PLUS, free_evolution, ramsey_trace
 
 
 class TestRngSpec:
@@ -279,7 +279,7 @@ class TestGeneralFringe:
             phi = rng.uniform(0, 2 * np.pi)
             delta = rng.uniform(0.5, 3.0)
             t = rng.uniform(0, 10)
-            psi0 = QubitKet(np.cos(theta), np.exp(1j * phi) * np.sin(theta))
+            psi0 = Ket([np.cos(theta), np.exp(1j * phi) * np.sin(theta)])
             evolved = free_evolution(delta, t, psi0)
             p_plus = abs(np.vdot(KET_PLUS.amps, evolved.amps)) ** 2
             out = general_fringe(theta, phi, delta, np.array([t]))
@@ -343,7 +343,7 @@ class TestBellStates:
         rng = np.random.default_rng(34)
         for _ in range(8):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
-            psi = TwoQubitKet(v / np.linalg.norm(v))
+            psi = Ket(v / np.linalg.norm(v))
             total = sum(
                 abs(psi.overlap(bell_state(k))) ** 2
                 for k in ("phi+", "phi-", "psi+", "psi-")
@@ -376,7 +376,7 @@ class TestJointTable:
                 assert abs(table.cell(a, b) - 0.25) < 1e-12
 
     def test_product_state_rows(self):
-        table = joint_table(TwoQubitKet([1, 0, 0, 0]))  # |0,0>
+        table = joint_table(Ket([1, 0, 0, 0]))  # |0,0>
         assert abs(table.cell("0", "0") - 1.0) < 1e-12
         assert table.cell("0", "1") < 1e-15
         assert table.cell("1", "0") < 1e-15
@@ -386,7 +386,15 @@ class TestJointTable:
         # constructor enforces each basis-pair cell summing to 1
         rng = np.random.default_rng(35)
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        joint_table(TwoQubitKet(v / np.linalg.norm(v)))  # must not raise
+        joint_table(Ket(v / np.linalg.norm(v)))  # must not raise
+
+    def test_rejects_non_two_qubit_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            joint_table(Ket([1, 0]))
+
+    def test_rejects_unnormalized_two_qubit_state(self):
+        with pytest.raises(ValueError):
+            Ket([1, 0, 0, 1])
 
 
 class TestMarginals:
@@ -396,7 +404,7 @@ class TestMarginals:
             assert abs(marg[label] - 0.5) < 1e-12
 
     def test_product_plus_on_bob(self):
-        psi = TwoQubitKet(np.kron([1, 0], np.array([1, 1]) / np.sqrt(2)))
+        psi = Ket(np.kron([1, 0], np.array([1, 1]) / np.sqrt(2)))
         marg = marginal_table(psi)
         assert abs(marg["plus"] - 1.0) < 1e-12
         assert marg["minus"] < 1e-12
@@ -404,12 +412,12 @@ class TestMarginals:
             assert abs(marg[label] - 0.5) < 1e-12
 
     def test_ensemble_mixture_is_flat(self):
-        zero_zero = TwoQubitKet([1, 0, 0, 0])
-        zero_one = TwoQubitKet([0, 1, 0, 0])
+        zero_zero = Ket([1, 0, 0, 0])
+        zero_one = Ket([0, 1, 0, 0])
         marg = ensemble_marginal([zero_zero, zero_one], [0.5, 0.5])
         for label in OUTCOME_LABELS:
             assert abs(marg[label] - 0.5) < 1e-12
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
-            ensemble_marginal([TwoQubitKet([1, 0, 0, 0])], [0.7])
+            ensemble_marginal([Ket([1, 0, 0, 0])], [0.7])

@@ -4,7 +4,6 @@ import pytest
 from cqed.errors import TruncationTooSmall
 from cqed.fock import (
     FockBasis,
-    OscillatorParams,
     cavity_mode_freq,
     coherent_evolution,
     coherent_ket,
@@ -65,8 +64,6 @@ class TestLadderSuite:
     def test_min_dim(self):
         with pytest.raises(ValueError):
             FockBasis(1)
-        with pytest.raises(ValueError):
-            OscillatorParams(0.0)
 
 
 class TestCoherentStates:

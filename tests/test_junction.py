@@ -16,7 +16,6 @@ from cqed.junction import (
     squid_effective,
     taylor_regime,
     two_island_dynamics,
-    washboard,
     washboard_u,
 )
 
@@ -49,13 +48,13 @@ class TestDCCurrent:
 
 class TestWashboard:
     def test_untilted_extremes(self):
-        pts = washboard(0.0, [0.0, np.pi])
-        assert pts[0].u == -1.0
-        assert pts[1].u == 1.0
+        us = washboard_u(0.0, [0.0, np.pi])
+        assert us[0] == -1.0
+        assert us[1] == 1.0
 
     def test_critical_inflection_value(self):
-        (pt,) = washboard(1.0, [np.pi / 2])
-        assert abs(pt.u - (-np.pi / 2)) < 1e-12
+        (u,) = washboard_u(1.0, [np.pi / 2])
+        assert abs(u - (-np.pi / 2)) < 1e-12
 
     def test_first_minimum_examples(self):
         assert first_minimum(0.0) == 0.0

@@ -213,6 +213,10 @@ class TestTridiagonalEigvalsh:
         with pytest.raises(DimensionMismatch):
             tridiagonal_eigvalsh(np.zeros(3), 1.0, 1)
 
+    def test_empty_batch(self):
+        vals = tridiagonal_eigvalsh(np.zeros((0, 5)), 0.3, 2)
+        assert vals.shape == (0, 2)
+
 
 class TestEvolve:
     """Propagation exp(-i T t) built from `tridiagonal_eigh` eigenpairs."""
@@ -286,6 +290,10 @@ class TestTridiagonalEigh:
         apart = gap > 1e-3
         assert apart.mean() > 0.9
         assert np.abs(overlaps - 1.0)[apart].max(initial=0.0) < 1e-10
+
+    def test_empty_batch(self):
+        vals, vecs = tridiagonal_eigh(np.zeros((0, 5)), 0.3)
+        assert vals.shape == (0, 5) and vecs.shape == (0, 5, 5)
 
     def test_large_batch(self):
         rng = np.random.default_rng(17)
@@ -369,11 +377,16 @@ class TestKet:
         with pytest.raises(ValueError):
             Ket([np.inf, 0.0])
 
+    def test_rejects_nan(self):
+        # abs(nan - 1) > tol is False, so the finiteness check must catch it
+        with pytest.raises(ValueError):
+            Ket([np.nan, 1.0])
+
     def test_overlap_and_fidelity(self):
         a = Ket([1, 0])
         b = Ket(np.array([1, 1j]) / np.sqrt(2))
         assert abs(a.overlap(b) - 1 / np.sqrt(2)) < 1e-12
-        assert abs(a.fidelity(b) - 0.5) < 1e-12
+        assert abs(fidelity(a, b) - 0.5) < 1e-12
 
     def test_amps_immutable(self):
         psi = Ket([1, 0])

@@ -1,0 +1,28 @@
+"""Checks on the package source as a whole: public names and line length."""
+
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import cqed
+
+SRC = Path(cqed.__file__).parent
+MODULES = sorted(m.name for m in pkgutil.iter_modules(cqed.__path__) if not m.name.startswith("_"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"cqed.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_no_source_line_over_99_characters():
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 99
+    ]
+    assert long_lines == []
