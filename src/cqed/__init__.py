@@ -14,6 +14,9 @@ Subpackages by physics area:
 * `cqed.jaynescummings` - resonant qubit-cavity exchange.
 * `cqed.decoherence` - T1 decay, dephasing ensembles, T2 limits,
   Bell states and correlation tables.
+* `cqed.fitting` - dominant frequency and exponential fringe envelopes
+  of sampled (t, values) arrays.
+* `cqed.errors` - the `CqedError` exception hierarchy.
 * `cqed.cli` - the `cqed` command: deterministic CSV/JSON sweeps.
 
 Units: hbar = 1 throughout (time is inverse energy); flux quantum = 1 in

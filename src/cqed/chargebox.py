@@ -34,7 +34,6 @@ import numpy as np
 from .errors import TruncationTooSmall
 from .linalg import Ket, tridiagonal_eigh, tridiagonal_eigvalsh
 from .qubit import pauli
-from .timeseries import TimeSeries
 
 __all__ = [
     "CPBParams",
@@ -145,25 +144,20 @@ def _gap_scan(ec, ej, ncut, levels, ng_values):
     return vals[:, hi] - vals[:, lo]
 
 
-def charge_dispersion(
-    ec: float, ej: float, ncut: int, levels: tuple[int, int] = (0, 1)
-) -> dict[str, float]:
-    """Gate-charge dispersion of a level gap over one period of N_g.
+def charge_dispersion(ec: float, ej: float, ncut: int) -> dict[str, float]:
+    """Gate-charge dispersion of the qubit gap over one period of N_g.
 
     Scans N_g over [0, 1] on a 201-point grid and returns the extremes of
-    the gap between the two requested levels plus their difference (the
+    the gap between the two lowest levels plus their difference (the
     dispersion).  The scan is repeated at doubled ncut; if that changes the
     dispersion by more than 1e-8 relative to the gap scale the truncation
     is inadequate and TruncationTooSmall is raised.  (The gap scale, not
     the dispersion itself, is the reference: deep in the transmon regime
     the dispersion underflows any fixed relative tolerance.)
     """
-    lo, hi = levels
-    if not 0 <= lo < hi <= 2 * ncut - 2:
-        raise ValueError("level pair out of the clean part of the spectrum")
     ng_values = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    gaps_a = _gap_scan(ec, ej, ncut, levels, ng_values)
-    gaps_b = _gap_scan(ec, ej, 2 * ncut, levels, ng_values)
+    gaps_a = _gap_scan(ec, ej, ncut, (0, 1), ng_values)
+    gaps_b = _gap_scan(ec, ej, 2 * ncut, (0, 1), ng_values)
     disp_a = gaps_a.max() - gaps_a.min()
     disp_b = gaps_b.max() - gaps_b.min()
     scale = max(abs(disp_b), float(gaps_b.mean()))
@@ -199,13 +193,11 @@ def second_order_gap(
     ej_values = np.asarray(ej_values, dtype=np.float64)
     if np.any(ej_values > 0.2 * ec):
         raise ValueError("second-order scaling needs E_J << E_C")
-    ng_star = 1.0  # (0 + 2) / 2: the bare-parabola crossing
-    gaps = np.array([_gap_scan(ec, ej, ncut, (1, 2), [ng_star])[0] for ej in ej_values])
+    gaps = np.array([_gap_scan(ec, ej, ncut, (1, 2), [1.0])[0] for ej in ej_values])
     first_order = np.array([_gap_scan(ec, ej, ncut, (0, 1), [0.5])[0] for ej in ej_values])
     slope = float(np.polyfit(np.log(ej_values), np.log(gaps), 1)[0])
     control = float(np.polyfit(np.log(ej_values), np.log(first_order), 1)[0])
     return {
-        "ng_star": ng_star,
         "gaps": gaps,
         "slope": slope,
         "first_order_gaps": first_order,
@@ -224,7 +216,7 @@ def _ground_state(ec, ej, ng, ncut) -> Ket:
 
 def sudden_gate_sim(
     ec: float, ej: float, t_hold: np.ndarray, ncut: int = 10
-) -> dict[str, TimeSeries]:
+) -> dict[str, np.ndarray]:
     """Sudden-switch single-qubit gate: prepare at N_g = 0, hold at 1/2.
 
     The box relaxes to the ground state at N_g = 0; the gate charge is then
@@ -242,8 +234,8 @@ def sudden_gate_sim(
     overlaps = (phases * weights[None, :]) @ weights.conj()
     p0 = np.abs(overlaps) ** 2
     return {
-        "p0": TimeSeries(t_hold, p0, label="p0"),
-        "two_level": TimeSeries(t_hold, 0.5 * (1.0 + np.cos(ej * t_hold)), label="p0_2lvl"),
+        "p0": p0,
+        "two_level": 0.5 * (1.0 + np.cos(ej * t_hold)),
     }
 
 

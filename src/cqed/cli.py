@@ -242,13 +242,13 @@ def _run_spectrum(args):
 def _run_rabi(args):
     times = np.linspace(0.0, args.t_max, args.steps)
     p0, p1 = rabi_trace(args.omega, times)
-    rows = np.column_stack([times, p0.values, p1.values])
+    rows = np.column_stack([times, p0, p1])
     return ["t", "p0", "p1"], rows, f"{len(rows)} samples"
 
 
 def _run_ramsey(args):
     times = np.linspace(0.0, args.t_max, args.steps)
-    rows = np.column_stack([times, ramsey_trace(args.delta, times).values])
+    rows = np.column_stack([times, ramsey_trace(args.delta, times)])
     return ["t", "p_plus"], rows, f"{len(rows)} samples"
 
 
@@ -292,7 +292,7 @@ def _run_squid(args):
 def _run_fluxwell(args):
     phis = np.linspace(args.phi_min, args.phi_max, args.steps)
     result = flux_qubit_potential(args.l, args.ej, args.phi_ext, phis)
-    rows = np.column_stack([result["phis"], result["u"]])
+    rows = np.column_stack([phis, result["u"]])
     minima = result["minima"]
     extra = {f"minimum_{k}": f"{pos:.12g}:{val:.12g}" for k, (pos, val) in enumerate(minima)}
     return ["phi", "u"], rows, f"{len(minima)} local minima", extra
@@ -302,7 +302,7 @@ def _run_jc(args):
     params = JCParams(args.g)
     times = np.linspace(0.0, args.t_max, args.steps)
     result = vacuum_rabi(params, times, JCSpace(args.nmax))
-    rows = np.column_stack([times, result["p_qubit_excited"].values, result["p_photon"].values])
+    rows = np.column_stack([times, result["p_qubit_excited"], result["p_photon"]])
     return (["t", "p_qubit_excited", "p_photon"], rows,
             f"transfer time pi/2g = {transfer_time(params):.9g}")
 
@@ -311,10 +311,10 @@ def _run_decay(args):
     mc = {"dt": args.dt, "trials": args.trials, "rng": RngSpec(args.seed)} if args.trials else None
     times = np.linspace(0.0, args.t_max, args.steps)
     result = t1_curves(args.t1, times, mc)
-    columns, data = ["t", "p_analytic"], [times, result["analytic"].values]
+    columns, data = ["t", "p_analytic"], [times, result["analytic"]]
     if mc is not None:
         columns.append("p_mc")
-        data.append(result["monte_carlo"].values)
+        data.append(result["monte_carlo"])
     return columns, np.column_stack(data), f"{len(times)} samples"
 
 
@@ -323,13 +323,12 @@ def _run_dephase(args):
         raise UsageError("the noisy-fringe fit needs delta > 0")
     result = ramsey_ensemble(args.delta, NoiseModel(np.sqrt(args.sigma2)), args.dt,
                              args.horizon, args.trials, RngSpec(args.seed))
-    series = result["p_plus"]
     extra = {"fitted_freq": result["fitted_freq"]}
     summary = "no damping (sigma = 0)"
     if result["fitted_t2"] is not None:
         extra["fitted_t2"] = result["fitted_t2"]
         summary = f"fitted T2 = {result['fitted_t2']:.6g}"
-    return ["t", "p_plus"], np.column_stack([series.times, series.values]), summary, extra
+    return ["t", "p_plus"], np.column_stack([result["times"], result["p_plus"]]), summary, extra
 
 
 def _run_bell(args):
@@ -351,8 +350,9 @@ def _ratios(text: str) -> list[float]:
 
 
 def _transmon_ncut(ratio: float) -> int:
-    # Charge support grows like (E_J/E_C)^(1/4); the +4 margin plus the
-    # doubled-ncut self-check in charge_dispersion keep the cutoff honest.
+    # Charge support grows like (E_J/E_C)^(1/4), but the square root is a
+    # deliberate over-allowance: ratio^(1/4) + 4 fails the doubled-ncut
+    # self-check in charge_dispersion at ratio 5.
     return max(5, int(np.ceil(np.sqrt(ratio))) + 4)
 
 
@@ -373,7 +373,7 @@ def _run_tunnel_ode(args):
     stride = -(-args.steps // (args.max_rows - 1))
     delta = traj.delta[::stride]
     rows = np.column_stack([traj.times[::stride], traj.n1[::stride], traj.n2[::stride], delta,
-                            traj.current.values[::stride], traj.i0 * np.sin(delta)])
+                            traj.current[::stride], traj.i0 * np.sin(delta)])
     return ["t", "n1", "n2", "delta", "current", "i0_sin_delta"], rows, f"I0 = {traj.i0:.6g}"
 
 

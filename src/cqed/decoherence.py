@@ -38,7 +38,6 @@ from .qubit import (
     KET_PLUS_I,
     ramsey_trace,
 )
-from .timeseries import TimeSeries
 
 __all__ = [
     "RngSpec",
@@ -201,7 +200,7 @@ def t1_curves(
     t1: float,
     times: np.ndarray,
     mc: dict | None = None,
-) -> dict[str, TimeSeries | None]:
+) -> dict[str, np.ndarray | None]:
     """Excited-state decay p_e(t) = exp(-t / t1), optionally Monte-Carlo.
 
     The protocol behind the estimator: prepare |1>, wait t, measure, repeat.
@@ -213,7 +212,7 @@ def t1_curves(
     if not t1 > 0:
         raise ValueError("t1 must be positive")
     times = np.asarray(times, dtype=np.float64)
-    analytic = TimeSeries(times, np.exp(-times / t1), label="p_e")
+    analytic = np.exp(-times / t1)
     if mc is None:
         return {"analytic": analytic, "monte_carlo": None}
 
@@ -232,10 +231,7 @@ def t1_curves(
     # to the mean of the (times x trials) survival matrix without building it.
     decay_times.sort()
     estimate = (trials - np.searchsorted(decay_times, times, side="right")) / trials
-    return {
-        "analytic": analytic,
-        "monte_carlo": TimeSeries(times, estimate, label="p_e_mc"),
-    }
+    return {"analytic": analytic, "monte_carlo": estimate}
 
 
 def ramsey_ensemble(
@@ -254,8 +250,10 @@ def ramsey_ensemble(
     A exp(-t / T2) by log-linear regression on the oscillation extrema;
     white Gaussian noise has the exact envelope exp(-sigma^2 t / 2).
 
-    With sigma = 0 no stochastic path is taken at all: the return is the
-    closed-form fringe and ``fitted_t2`` is None (infinite lifetime).
+    ``times`` is the grid t_k = k dt, k = 1..round(horizon / dt), that
+    ``p_plus`` is sampled on.  With sigma = 0 no stochastic path is taken
+    at all: ``p_plus`` is the closed-form fringe and ``fitted_t2`` is None
+    (infinite lifetime).
     ``fitted_freq`` is angular, from the FFT peak of the averaged fringe.
     """
     if dt * delta0 > 0.1 + 1e-12:
@@ -266,12 +264,12 @@ def ramsey_ensemble(
     times = np.arange(1, nsteps + 1) * dt
 
     if noise.sigma == 0.0:
-        series = ramsey_trace(delta0, times)
-        p_plus = TimeSeries(times, series.values, label="p_plus")
+        p_plus = ramsey_trace(delta0, times)
         return {
+            "times": times,
             "p_plus": p_plus,
             "fitted_t2": None,
-            "fitted_freq": 2.0 * np.pi * dominant_frequency(p_plus),
+            "fitted_freq": 2.0 * np.pi * dominant_frequency(times, p_plus),
         }
 
     if trials < 1000:
@@ -286,16 +284,17 @@ def ramsey_ensemble(
         # Row by row in trajectory order: a summed block would round differently.
         for row in np.cos(kicks, out=kicks):
             acc += row
-    p_plus = TimeSeries(times, 0.5 * (1.0 + acc / trials), label="p_plus")
-    fit = fit_exponential_envelope(p_plus, delta0)
+    p_plus = 0.5 * (1.0 + acc / trials)
+    fit = fit_exponential_envelope(times, p_plus, delta0)
     return {
+        "times": times,
         "p_plus": p_plus,
         "fitted_t2": fit["t2"],
-        "fitted_freq": 2.0 * np.pi * dominant_frequency(p_plus),
+        "fitted_freq": 2.0 * np.pi * dominant_frequency(times, p_plus),
     }
 
 
-def two_offset_fringe(delta: float, offset: float, times: np.ndarray) -> TimeSeries:
+def two_offset_fringe(delta: float, offset: float, times: np.ndarray) -> np.ndarray:
     """Equal-weight average of two fringes with phase offsets 0 and ``offset``.
 
     Averaging the two cosines directly reproduces the single-fringe form
@@ -305,7 +304,7 @@ def two_offset_fringe(delta: float, offset: float, times: np.ndarray) -> TimeSer
     times = np.asarray(times, dtype=np.float64)
     p_a = 0.5 * (1.0 + np.cos(delta * times))
     p_b = 0.5 * (1.0 + np.cos(delta * times - offset))
-    return TimeSeries(times, 0.5 * (p_a + p_b), label="p_plus")
+    return 0.5 * (p_a + p_b)
 
 
 def general_fringe(
@@ -319,9 +318,8 @@ def general_fringe(
     is why pure decay lets fringes outlive populations by a factor 2.
     """
     times = np.asarray(times, dtype=np.float64)
-    values = 0.5 + 0.5 * np.sin(2.0 * theta) * np.cos(delta * times - phi)
     return {
-        "p_plus": TimeSeries(times, values, label="p_plus"),
+        "p_plus": 0.5 + 0.5 * np.sin(2.0 * theta) * np.cos(delta * times - phi),
         "p_excited": float(np.sin(theta) ** 2),
     }
 
@@ -344,8 +342,8 @@ def decay_limited_ramsey(
     ensemble reproduces p_e(t) = exp(-t/t1)/2 and fringe amplitude
     exp(-t / 2 t1), the T2 = 2 T1 limit.
 
-    Returns the averaged fringe and excitation series, the fitted T2, and
-    the fitted excited-state decay rate (a 1/t1 control).
+    Returns the time grid, the averaged fringe and excitation arrays on it,
+    the fitted T2, and the fitted excited-state decay rate (a 1/t1 control).
     """
     if delta * t1 < 20.0:
         raise ValueError("need delta * t1 >= 20 so fringes fit inside the decay")
@@ -379,15 +377,14 @@ def decay_limited_ramsey(
     alive = trials - np.cumsum(jump_counts)
 
     frac_alive = alive / trials
-    p_plus_vals = frac_alive * (0.5 + a * b * np.cos(delta * times)) + (1 - frac_alive) * 0.5
-    p_exc_vals = frac_alive * (b * b)
-    p_plus = TimeSeries(times, p_plus_vals, label="p_plus")
-    p_excited = TimeSeries(times, p_exc_vals, label="p_e")
+    p_plus = frac_alive * (0.5 + a * b * np.cos(delta * times)) + (1 - frac_alive) * 0.5
+    p_excited = frac_alive * (b * b)
 
-    fit = fit_exponential_envelope(p_plus, delta)
-    window = p_exc_vals > 0.02  # rate fit on the statistically solid part
-    rate = -np.polyfit(times[window], np.log(p_exc_vals[window]), 1)[0]
+    fit = fit_exponential_envelope(times, p_plus, delta)
+    window = p_excited > 0.02  # rate fit on the statistically solid part
+    rate = -np.polyfit(times[window], np.log(p_excited[window]), 1)[0]
     return {
+        "times": times,
         "p_plus": p_plus,
         "p_excited": p_excited,
         "fitted_t2": fit["t2"],

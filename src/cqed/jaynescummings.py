@@ -23,7 +23,6 @@ import numpy as np
 
 from .fock import FockBasis, ladder_suite
 from .linalg import Ket
-from .timeseries import TimeSeries
 
 __all__ = [
     "JCParams",
@@ -115,8 +114,8 @@ def vacuum_rabi(
     p_excited = np.abs(states[:, index_of(0, 1, space)]) ** 2
     p_photon = np.abs(states[:, index_of(1, 0, space)]) ** 2
     return {
-        "p_qubit_excited": TimeSeries(times, p_excited, label="p_qubit_excited"),
-        "p_photon": TimeSeries(times, p_photon, label="p_photon"),
+        "p_qubit_excited": p_excited,
+        "p_photon": p_photon,
         "amps": states,
     }
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InductanceSingular, NoMinimum, StepUnstable
-from .timeseries import TimeSeries
 
 __all__ = [
     "JunctionSpec",
@@ -197,7 +196,6 @@ def squid_effective(i0_each: float, phi_ext: float, n: int = 0) -> dict[str, obj
         "critical": float(critical),
         "magnitude": float(abs(critical)),
         "balanced_phase": float(np.pi * (n - phi_ext)),
-        "relation": "I = 2*I0*cos(pi*(n - phi_ext/Phi0)) * sin(dphi)",
     }
 
 
@@ -228,7 +226,7 @@ def flux_qubit_potential(
         if slope[k] < 0.0 <= slope[k + 1]:
             p = _golden_section(u, phis[k], phis[k + 2])
             minima.append((float(p), float(u(p))))
-    return {"phis": phis, "u": samples, "minima": minima}
+    return {"u": samples, "minima": minima}
 
 
 def fluxoid_residual(total_flux: float) -> dict[str, float]:
@@ -268,7 +266,7 @@ class TwoIslandTrajectory:
     n2: np.ndarray
     theta1: np.ndarray
     theta2: np.ndarray
-    current: TimeSeries
+    current: np.ndarray
     i0: float
 
     @property
@@ -351,6 +349,6 @@ def two_island_dynamics(
         n2=n2,
         theta1=th1,
         theta2=th2,
-        current=TimeSeries(times, current, label="current"),
+        current=current,
         i0=n0 * e_coupling,
     )

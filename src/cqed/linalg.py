@@ -2,7 +2,7 @@
 
 Everything downstream (oscillators, qubits, charge boxes, cavities) runs on
 the handful of primitives defined here: a normalized state vector (`Ket`),
-expectation values and overlaps, and the eigenpairs of real symmetric
+expectation values and fidelities, and the eigenpairs of real symmetric
 tridiagonal matrices.  `Ket` is the one state type: qubit, two-qubit,
 oscillator-mode, qubit-cavity and charge states are all `Ket`s, and the
 functions that need a particular space check the dimension.
@@ -82,12 +82,6 @@ class Ket:
     @property
     def dim(self) -> int:
         return self.amps.shape[0]
-
-    def overlap(self, other: "Ket") -> complex:
-        """Inner product <self|other>."""
-        if self.dim != other.dim:
-            raise DimensionMismatch("kets live in different spaces")
-        return complex(np.vdot(self.amps, other.amps))
 
 
 def fidelity(a: Ket | np.ndarray, b: Ket | np.ndarray) -> float:

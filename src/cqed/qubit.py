@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotUnitAxis
 from .linalg import _NORM_TOL, Ket
-from .timeseries import TimeSeries
 
 __all__ = [
     "pauli",
@@ -118,7 +117,7 @@ def free_evolution(delta: float, t: float, psi: Ket) -> Ket:
     return Ket(_qubit_amps(psi) * [phase, np.conj(phase)])
 
 
-def rabi_trace(omega: float, times: np.ndarray) -> tuple[TimeSeries, TimeSeries]:
+def rabi_trace(omega: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ground/excited populations under the coupling H = omega/2 sigma_x.
 
     Starting from |0>, p0(t) = (1 + cos(omega t))/2 and p1 = 1 - p0.
@@ -127,10 +126,7 @@ def rabi_trace(omega: float, times: np.ndarray) -> tuple[TimeSeries, TimeSeries]
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     p0 = 0.5 * (1.0 + np.cos(omega * times))
-    return (
-        TimeSeries(times, p0, label="p0"),
-        TimeSeries(times, 1.0 - p0, label="p1"),
-    )
+    return p0, 1.0 - p0
 
 
 def rabi_numeric(omega: float, t: float) -> float:
@@ -142,7 +138,7 @@ def rabi_numeric(omega: float, t: float) -> float:
     return float(abs(rotate(np.array([1.0, 0.0, 0.0]), omega * t, KET_0).amps[0]) ** 2)
 
 
-def ramsey_trace(delta: float, times: np.ndarray) -> TimeSeries:
+def ramsey_trace(delta: float, times: np.ndarray) -> np.ndarray:
     """Ramsey fringe p0(t) = (1 + cos(delta t))/2.
 
     Closed form for the Hadamard / free-evolve(t) / Hadamard sequence on a
@@ -150,7 +146,7 @@ def ramsey_trace(delta: float, times: np.ndarray) -> TimeSeries:
     three-step circuit.
     """
     times = np.asarray(times, dtype=np.float64)
-    return TimeSeries(times, 0.5 * (1.0 + np.cos(delta * times)), label="p0")
+    return 0.5 * (1.0 + np.cos(delta * times))
 
 
 def ramsey_numeric(delta: float, t: float) -> float:

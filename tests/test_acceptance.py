@@ -140,11 +140,11 @@ def test_criterion_06_rabi_ramsey_closed_forms():
     times = rng.uniform(0.0, 25.0, size=100)
     omega, delta = 1.7, 0.8
     rabi_err = max(
-        abs(rabi_trace(omega, np.array([t]))[0].values[0] - rabi_numeric(omega, t))
+        abs(rabi_trace(omega, np.array([t]))[0][0] - rabi_numeric(omega, t))
         for t in times
     )
     ramsey_err = max(
-        abs(ramsey_trace(delta, np.array([t])).values[0] - ramsey_numeric(delta, t))
+        abs(ramsey_trace(delta, np.array([t]))[0] - ramsey_numeric(delta, t))
         for t in times
     )
     ok = rabi_err < 1e-10 and ramsey_err < 1e-10
@@ -189,7 +189,7 @@ def test_criterion_08_jaynes_cummings():
         for t, amps in zip(times, out["amps"])
     )
     transfer = vacuum_rabi(JCParams(g), np.array([transfer_time(JCParams(g))]), space)
-    transfer_err = abs(transfer["p_photon"].values[0] - 1.0)
+    transfer_err = abs(transfer["p_photon"][0] - 1.0)
     mid = vacuum_rabi(JCParams(g), np.array([np.pi / (4 * g)]), space)["amps"][0]
     amp_err = max(
         abs(abs(mid[index_of(0, 1, space)]) - 1 / np.sqrt(2)),
@@ -238,7 +238,7 @@ def test_criterion_11_two_island_ode():
     total0 = state0.n1 + state0.n2
     conservation = np.abs((traj.n1 + traj.n2 - total0) / total0).max()
     expected = traj.i0 * np.sin(traj.delta)
-    current_rel = (np.abs(traj.current.values - expected) / np.abs(expected)).max()
+    current_rel = (np.abs(traj.current - expected) / np.abs(expected)).max()
     ok = drift < 1e-9 and conservation < 1e-9 and current_rel < 1e-6
     report(11, "two-island RK4: constant phase, conserved pairs, I0 sin(delta)", ok,
            f"drift {drift:.1e}, conservation {conservation:.1e}, current {current_rel:.1e}")
@@ -330,6 +330,6 @@ def test_criterion_15_property_suites():
     kwargs = dict(dt=0.02, horizon=4.0, trials=1000)
     a = ramsey_ensemble(5.0, NoiseModel(0.7), rng=RngSpec(31), **kwargs)
     b = ramsey_ensemble(5.0, NoiseModel(0.7), rng=RngSpec(31), **kwargs)
-    ok &= np.array_equal(a["p_plus"].values, b["p_plus"].values)
+    ok &= np.array_equal(a["p_plus"], b["p_plus"])
     report(15, "property suites: eigen, evolve, truncation artifact, rng", ok)
     assert ok

@@ -208,10 +208,6 @@ class TestChargeDispersion:
         with pytest.raises(TruncationTooSmall):
             charge_dispersion(1.0, 60.0, ncut=3)
 
-    def test_level_pair_validation(self):
-        with pytest.raises(ValueError):
-            charge_dispersion(1.0, 0.1, ncut=4, levels=(0, 7))
-
 
 class TestSecondOrderGap:
     def test_quadratic_scaling_of_zero_two_crossing(self):
@@ -244,12 +240,12 @@ class TestSecondOrderGap:
 class TestSuddenGate:
     def test_survival_starts_at_one(self):
         out = sudden_gate_sim(1.0, 0.1, np.array([0.0, 1.0]), ncut=8)
-        assert abs(out["p0"].values[0] - 1.0) < 1e-12
+        assert abs(out["p0"][0] - 1.0) < 1e-12
 
     def test_matches_two_level_cosine(self):
         times = np.linspace(0.0, 4 * np.pi / 0.1, 160)
         out = sudden_gate_sim(1.0, 0.1, times, ncut=10)
-        assert np.abs(out["p0"].values - out["two_level"].values).max() < 2e-2
+        assert np.abs(out["p0"] - out["two_level"]).max() < 2e-2
 
     def test_pi_pulse_prepares_excited_state(self):
         # p0 formula (1 + cos(E_J t))/2 reaches its floor at t = pi/E_J; the
@@ -258,13 +254,13 @@ class TestSuddenGate:
         ej = 0.1
         times = np.array([np.pi / ej])
         out = sudden_gate_sim(1.0, ej, times, ncut=10)
-        assert out["p0"].values[0] < 2e-2
+        assert out["p0"][0] < 2e-2
 
     def test_oscillation_frequency_is_gap(self):
         ej = 0.1
         times = np.linspace(0.0, 20 * 2 * np.pi / ej, 2048)
         out = sudden_gate_sim(1.0, ej, times, ncut=10)
-        freq = dominant_frequency(out["p0"])
+        freq = dominant_frequency(times, out["p0"])
         resolution = 1.0 / times[-1]
         assert abs(freq - ej / (2 * np.pi)) <= resolution
 

@@ -230,12 +230,12 @@ class TestTwoIslandDynamics:
     def test_current_matches_josephson_relation(self):
         traj = self.run()
         expected = traj.i0 * np.sin(traj.delta)
-        rel = np.abs(traj.current.values - expected) / np.abs(expected).max()
+        rel = np.abs(traj.current - expected) / np.abs(expected).max()
         assert rel.max() < 1e-6
 
     def test_zero_phase_zero_current(self):
         traj = self.run(delta0=0.0, steps=500)
-        assert np.abs(traj.current.values).max() == 0.0
+        assert np.abs(traj.current).max() == 0.0
 
     def test_asymmetric_flow_direction(self):
         # pairs flow into island 1 for 0 < delta < pi

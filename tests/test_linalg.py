@@ -385,7 +385,7 @@ class TestKet:
     def test_overlap_and_fidelity(self):
         a = Ket([1, 0])
         b = Ket(np.array([1, 1j]) / np.sqrt(2))
-        assert abs(a.overlap(b) - 1 / np.sqrt(2)) < 1e-12
+        assert abs(np.vdot(a.amps, b.amps) - 1 / np.sqrt(2)) < 1e-12
         assert abs(fidelity(a, b) - 0.5) < 1e-12
 
     def test_amps_immutable(self):

@@ -177,20 +177,20 @@ class TestRabiRamsey:
         omega = 2.0
         times = np.array([0.0, np.pi / omega, np.pi / (2 * omega)])
         p0, p1 = rabi_trace(omega, times)
-        assert np.allclose(p0.values, [1.0, 0.0, 0.5], atol=1e-12)
-        assert np.allclose(p1.values, [0.0, 1.0, 0.5], atol=1e-12)
+        assert np.allclose(p0, [1.0, 0.0, 0.5], atol=1e-12)
+        assert np.allclose(p1, [0.0, 1.0, 0.5], atol=1e-12)
 
     def test_ramsey_closed_form_points(self):
         delta = 1.5
         times = np.array([0.0, np.pi / delta, 2 * np.pi / delta])
-        series = ramsey_trace(delta, times)
-        assert np.allclose(series.values, [1.0, 0.0, 1.0], atol=1e-12)
+        p0 = ramsey_trace(delta, times)
+        assert np.allclose(p0, [1.0, 0.0, 1.0], atol=1e-12)
 
     def test_rabi_matches_circuit_at_random_times(self):
         rng = np.random.default_rng(27)
         omega = 1.3
         times = rng.uniform(0, 20, size=100)
-        closed = rabi_trace(omega, times)[0].values
+        closed = rabi_trace(omega, times)[0]
         numeric = np.array([rabi_numeric(omega, t) for t in times])
         assert np.abs(closed - numeric).max() < 1e-10
 
@@ -198,7 +198,7 @@ class TestRabiRamsey:
         rng = np.random.default_rng(28)
         delta = 0.9
         times = rng.uniform(0, 20, size=100)
-        closed = ramsey_trace(delta, times).values
+        closed = ramsey_trace(delta, times)
         numeric = np.array([ramsey_numeric(delta, t) for t in times])
         assert np.abs(closed - numeric).max() < 1e-10
 

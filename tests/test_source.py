@@ -1,7 +1,8 @@
-"""Checks on the package source as a whole: public names and line length."""
+"""Checks on the package source as a whole: public names, line length, README layout."""
 
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,10 @@ def test_no_source_line_over_99_characters():
         if len(line) > 99
     ]
     assert long_lines == []
+
+
+def test_every_module_has_a_readme_layout_row():
+    readme = (SRC.parents[1] / "README.md").read_text()
+    layout = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `cqed\.(\w+)`", layout, flags=re.MULTILINE))
+    assert [name for name in MODULES if name not in rows] == []
