@@ -145,6 +145,15 @@ class TestExitCodes:
         assert not out.exists()
         assert "TruncationTooSmall" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratios,moved", [("1,60", "3.569e-04"), ("60,1", "3.175e-01")])
+    def test_transmon_reports_first_failing_ratio(self, tmp_path, capsys, ratios, moved):
+        # both ratios fail the doubled-ncut check; the message names the first listed
+        code, out = run(tmp_path, "transmon", "--ratios", ratios, "--ncut", "3")
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: TruncationTooSmall: dispersion moved by {moved} when doubling ncut=3\n")
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_command(["warp-drive"])

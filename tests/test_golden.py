@@ -6,7 +6,9 @@ cases cover paths the defaults skip: ``decay`` runs no Monte-Carlo at its
 default ``--trials 0``; the long ``tunnel-ode``, ``coherent`` and ``jc``
 runs pin the dynamics paths, and the long ``washboard``, ``rabi`` and
 ``fluxwell`` runs and the five-level ``spectrum`` pin the table writer, at
-the sizes the benchmark runs them.  ``jc-g`` runs ``jc`` at a coupling
+the sizes the benchmark runs them, and ``spectrum-ncut24`` pins the
+benchmark's 49-charge spectrum.  The ``transmon-*`` cases pin an unsorted
+ratio list with a duplicate and a ratio below 1, and a fixed ``--ncut``.  ``jc-g`` runs ``jc`` at a coupling
 other than 1, where rounding in g t reaches the printed digits, and the
 ``bell-*`` cases pin the three Bell states the default ``phi+`` skips.
 A change that alters an output on purpose regenerates the file and says in
@@ -43,6 +45,10 @@ CASES = {
     "rabi-long": ["rabi", "--steps", "20001", "--omega", "0.984665"],
     "fluxwell-long": ["fluxwell", "--steps", "20001", "--phi-ext", "0.517946"],
     "spectrum-levels": ["spectrum", "--ej", "1.045046", "--ng-steps", "401", "--levels", "5"],
+    "spectrum-ncut24": ["spectrum", "--ncut", "24", "--levels", "2", "--ng-steps", "401",
+                        "--ej", "0.1"],
+    "transmon-mixed": ["transmon", "--ratios", "50,1,20,2,2,0.5"],
+    "transmon-ncut": ["transmon", "--ratios", "1,5,10", "--ncut", "12"],
     "bell-phi-": ["bell", "--state", "phi-"],
     "bell-psi+": ["bell", "--state", "psi+"],
     "bell-psi-": ["bell", "--state", "psi-"],
