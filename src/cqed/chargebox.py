@@ -12,10 +12,12 @@ second-order avoided crossings, and the sudden/adiabatic gate protocols.
 
 Eigenvalue-only work (spectrum sweeps, gap scans, charge dispersion, the
 avoided-crossing gaps) hands the diagonal and the constant coupling -E_J/2
-straight to the batched Sturm bisection `tridiagonal_eigvalsh`.  The gate
-simulations need eigenvectors too and take them from `tridiagonal_eigh`,
-inverse iteration on the same bisection's eigenvalues.  Neither builds a
-dense Hamiltonian; `cpb_hamiltonian` exists for callers that want one.
+straight to the batched Sturm bisection `tridiagonal_eigvalsh`; the
+dispersion scans of a whole list of (E_J, ncut) pairs share one bisection
+(`tridiagonal_eigvalsh_groups`).  The gate simulations need eigenvectors
+too and take them from `tridiagonal_eigh`, inverse iteration on the same
+bisection's eigenvalues.  Neither builds a dense Hamiltonian;
+`cpb_hamiltonian` exists for callers that want one.
 
 Spectra are periodic in N_g with period 1 and symmetric about N_g = 1/2,
 so every scan below uses a single period, and the avoided crossings are
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .linalg import Ket, tridiagonal_eigh, tridiagonal_eigvalsh
+from .linalg import Ket, tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonal_eigvalsh_groups
 from .qubit import pauli
 
 __all__ = [
@@ -144,7 +146,7 @@ def _gap_scan(ec, ej, ncut, levels, ng_values):
     return vals[:, hi] - vals[:, lo]
 
 
-def charge_dispersion(ec: float, ej: float, ncut: int) -> dict[str, float]:
+def charge_dispersion(ec: float, ej, ncut) -> dict[str, object]:
     """Gate-charge dispersion of the qubit gap over one period of N_g.
 
     Scans N_g over [0, 1] on a 201-point grid and returns the extremes of
@@ -154,23 +156,34 @@ def charge_dispersion(ec: float, ej: float, ncut: int) -> dict[str, float]:
     is inadequate and TruncationTooSmall is raised.  (The gap scale, not
     the dispersion itself, is the reference: deep in the transmon regime
     the dispersion underflows any fixed relative tolerance.)
+
+    ``ej`` and ``ncut`` are either scalars, which give float values, or
+    equal-length sequences of (E_J, ncut) pairs, which give float arrays
+    with one entry per pair, bit for bit the scalar results.  All scans of
+    all pairs run as one bisection (`tridiagonal_eigvalsh_groups`); the
+    TruncationTooSmall raised is that of the first failing pair.
     """
+    scalar = np.ndim(ej) == 0 and np.ndim(ncut) == 0
+    pairs = list(zip(np.atleast_1d(ej).tolist(), np.atleast_1d(ncut).tolist(), strict=True))
     ng_values = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    gaps_a = _gap_scan(ec, ej, ncut, (0, 1), ng_values)
-    gaps_b = _gap_scan(ec, ej, 2 * ncut, (0, 1), ng_values)
-    disp_a = gaps_a.max() - gaps_a.min()
-    disp_b = gaps_b.max() - gaps_b.min()
-    scale = max(abs(disp_b), float(gaps_b.mean()))
-    if abs(disp_b - disp_a) > 1e-8 * scale:
-        raise TruncationTooSmall(
-            f"dispersion moved by {abs(disp_b - disp_a):.3e} when doubling ncut={ncut}"
-        )
-    return {
-        "max_gap": float(gaps_b.max()),
-        "min_gap": float(gaps_b.min()),
-        "dispersion": float(disp_b),
-        "ng_at_min": float(ng_values[int(np.argmin(gaps_b))]),
-    }
+    levels = tridiagonal_eigvalsh_groups([
+        (_charging_energies(ec, ng_values, ChargeBasis(n)), -0.5 * ej_, 2)
+        for ej_, ncut_ in pairs for n in (ncut_, 2 * ncut_)])
+    gaps = [vals[:, 1] - vals[:, 0] for vals in levels]
+    out = {"max_gap": [], "min_gap": [], "dispersion": [], "ng_at_min": []}
+    for (_, ncut_), gaps_a, gaps_b in zip(pairs, gaps[::2], gaps[1::2]):
+        disp_a = gaps_a.max() - gaps_a.min()
+        disp_b = gaps_b.max() - gaps_b.min()
+        scale = max(abs(disp_b), float(gaps_b.mean()))
+        if abs(disp_b - disp_a) > 1e-8 * scale:
+            raise TruncationTooSmall(
+                f"dispersion moved by {abs(disp_b - disp_a):.3e} when doubling ncut={ncut_}"
+            )
+        out["max_gap"].append(float(gaps_b.max()))
+        out["min_gap"].append(float(gaps_b.min()))
+        out["dispersion"].append(float(disp_b))
+        out["ng_at_min"].append(float(ng_values[int(np.argmin(gaps_b))]))
+    return {key: values[0] if scalar else np.array(values) for key, values in out.items()}
 
 
 def second_order_gap(

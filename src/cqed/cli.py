@@ -356,12 +356,16 @@ def _transmon_ncut(ratio: float) -> int:
     return max(5, int(np.ceil(np.sqrt(ratio))) + 4)
 
 
+def _transmon_charges(args) -> int:
+    """Charges summed over the scans of a ``transmon`` run: 2 ncut + 1 and 4 ncut + 1 per ratio."""
+    return sum(6 * (args.ncut or _transmon_ncut(r)) + 2 for r in _ratios(args.ratios))
+
+
 def _run_transmon(args):
     ratios = _ratios(args.ratios)
-    rows = np.empty((len(ratios), 4))
-    for row, ratio in zip(rows, ratios):
-        disp = charge_dispersion(args.ec, ratio * args.ec, args.ncut or _transmon_ncut(ratio))
-        row[:] = (ratio, disp["dispersion"], disp["min_gap"], disp["max_gap"])
+    disp = charge_dispersion(args.ec, [ratio * args.ec for ratio in ratios],
+                             [args.ncut or _transmon_ncut(ratio) for ratio in ratios])
+    rows = np.column_stack([ratios, disp["dispersion"], disp["min_gap"], disp["max_gap"]])
     return (["ej_over_ec", "dispersion", "min_gap", "max_gap"], rows,
             f"dispersion {rows[0, 1]:.4g} -> {rows[-1, 1]:.4g}")
 
@@ -407,7 +411,7 @@ _COMMANDS = {
     "spectrum": _Command(
         _run_spectrum, "Charge-qubit levels vs gate charge",
         (("ec", 1.0, "> 0"), ("ej", 0.1, ">= 0"), ("ng-min", 0.0), ("ng-max", 1.0),
-         ("ng-steps", 201, ">= 2"), ("levels", 3, ">= 1"), ("ncut", 10)),
+         ("ng-steps", 201, ">= 2"), ("levels", 3, ">= 1"), ("ncut", 10, ">= 2")),
         # the (charges, gate charges, levels) arrays of the Sturm bisection
         size=lambda a: (2 * a.ncut + 1) * a.ng_steps * a.levels,
         loops=lambda a: (2 * a.ncut + 1) * _HALVINGS,
@@ -475,12 +479,12 @@ _COMMANDS = {
     "transmon": _Command(
         _run_transmon, "Charge dispersion vs E_J/E_C",
         (("ec", 1.0, "> 0"), ("ratios", "1,2,5,10,20,50"), ("ncut", 0, ">= 0")),
-        # the (4 ncut + 1, 201, 2) Sturm arrays of the doubled-ncut scan at the largest ratio
-        size=lambda a: 2 * _SCAN_POINTS * (
-            4 * (a.ncut or _transmon_ncut(max(_ratios(a.ratios)))) + 1),
-        # one bisection at ncut and one at 2 ncut per ratio
-        loops=lambda a: _HALVINGS * sum(
-            6 * (a.ncut or _transmon_ncut(r)) + 2 for r in _ratios(a.ratios)),
+        # every scan runs in one bisection, whose ragged Sturm blocks hold one
+        # value per (charge, gate charge, level): 2 x 201 per charge of every scan
+        size=lambda a: 2 * _SCAN_POINTS * _transmon_charges(a),
+        # an upper bound: the one bisection loops over the charges of its
+        # largest scan only, in each of at most _HALVINGS halvings
+        loops=lambda a: _HALVINGS * _transmon_charges(a),
     ),
     "tunnel-ode": _Command(
         _run_tunnel_ode, "Semiclassical two-island tunnelling",

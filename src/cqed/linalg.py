@@ -15,13 +15,22 @@ No dense eigensolver is needed: the cavity and qubit propagators are known
 in closed form, and the only matrices diagonalized numerically are the
 tridiagonal charge-box Hamiltonians.  Their solvers are implemented here
 rather than delegated to LAPACK so that their iteration counts are fixed
-and their results bit-reproducible across runs.  Both operate on a whole
-batch of same-sized matrices at once and never form an n x n matrix:
+and their results bit-reproducible across runs.  They operate on whole
+batches of matrices at once and never form an n x n matrix:
 
 * `tridiagonal_eigvalsh` - Sturm-count bisection (Barth, Martin &
-  Wilkinson 1967) for the k lowest eigenvalues.  The charge-box spectrum
-  sweeps use it: one sweep over a 201-point gate-charge grid is a single
-  batched bisection.
+  Wilkinson 1967) for the k lowest eigenvalues of a batch of same-sized
+  matrices.  The charge-box spectrum sweeps use it: one sweep over a
+  201-point gate-charge grid is a single batched bisection.
+* `tridiagonal_eigvalsh_groups` - the same bisection over several such
+  batches at once, which may differ in size, coupling and k; each batch
+  keeps its own brackets, pivot guard and halving count, so its values
+  are bit for bit those of a separate call.  `tridiagonal_eigvalsh` is its
+  one-batch case.  The charge-dispersion scans of a whole ratio list run
+  as one such bisection.  Its work arrays are ``[row, bracket]``, with the
+  brackets of all batches side by side on the inner axis, and its rows are
+  stored raggedly, so numpy's per-call cost is paid once per row for the
+  whole run.
 * `tridiagonal_eigh` - every eigenvalue from that bisection plus its
   eigenvector from inverse iteration, as in LAPACK's dstein.  The gate
   simulations use it.
@@ -32,6 +41,7 @@ All functions are pure: inputs are never mutated, outputs are fresh arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +50,7 @@ from .errors import DimensionMismatch
 __all__ = [
     "Ket",
     "tridiagonal_eigvalsh",
+    "tridiagonal_eigvalsh_groups",
     "tridiagonal_eigh",
     "expectation",
     "fidelity",
@@ -120,7 +131,26 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     pivmin = tiny * max(1, max e_i^2) is replaced by -pivmin, which keeps
     zero couplings and exact degeneracies finite.  Work and memory per
     halving are O(batch * k * n); no n x n matrix is formed.
+
+    This is the one-stack case of `tridiagonal_eigvalsh_groups`.
     """
+    return tridiagonal_eigvalsh_groups([(diag, off, k)])[0]
+
+
+class _Group(NamedTuple):
+    """One stack of a bisection, checked and bracketed by `_bracket`."""
+
+    d: np.ndarray  # (batch, n) diagonals
+    e: np.ndarray  # (batch, n - 1) couplings
+    lo: np.ndarray  # (batch,) padded Gershgorin bracket
+    hi: np.ndarray
+    pivmin: float
+    halvings: int
+    k: int
+
+
+def _bracket(diag, off, k: int) -> _Group:
+    """Check one stack and set up its bisection."""
     if np.iscomplexobj(diag) or np.iscomplexobj(off):
         raise ValueError("tridiagonal entries must be real")
     d = np.asarray(diag, dtype=np.float64)
@@ -132,12 +162,14 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     e = np.broadcast_to(np.asarray(off, dtype=np.float64), (batch, n - 1))
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("tridiagonal entries must be finite")
-    e2 = e * e
-    pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
+    e_abs = np.abs(e)
+    # max(e_i * e_i) is emax * emax, as rounding is monotone.
+    emax = float(e_abs.max(initial=0.0))
+    pivmin = _SAFMIN * max(1.0, emax * emax)
 
     radius = np.zeros((batch, n))
-    radius[:, :-1] += np.abs(e)
-    radius[:, 1:] += np.abs(e)
+    radius[:, :-1] += e_abs
+    radius[:, 1:] += e_abs
     lo = (d - radius).min(axis=1)
     hi = (d + radius).max(axis=1)
     tnorm = np.maximum(np.abs(lo), np.abs(hi))
@@ -149,31 +181,100 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     atol = np.maximum(_EPS * tnorm / 16.0, pivmin)
     # Every bracket spans more than atol, so only an empty batch takes no halvings.
     halvings = int(np.ceil(np.log2(((hi - lo) / atol).max(initial=1.0))))
+    return _Group(d, e, lo, hi, pivmin, halvings, k)
 
-    lo = np.repeat(lo[:, None], k, axis=1)
-    hi = np.repeat(hi[:, None], k, axis=1)
-    levels = np.arange(k)
-    d_rows = d.T[:, :, None]
-    e2_rows = np.repeat(e2.T[:, :, None], k, axis=2)
-    q = np.empty((batch, k))
-    ratio = np.empty((batch, k))
-    negative = np.empty((n, batch, k), dtype=bool)
-    for _ in range(halvings):
-        mid = 0.5 * (lo + hi)
-        shifted = d_rows - mid
-        q[...] = shifted[0]
-        for i in range(n):
+
+def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
+    """`tridiagonal_eigvalsh` of several stacks at once, in one bisection.
+
+    ``groups`` is a sequence of ``(diag, off, k)`` triples as taken by
+    `tridiagonal_eigvalsh`; the stacks may differ in n, k and coupling.
+    Returns one (batch, k) array per stack, bit for bit the values that
+    stack gives alone: each stack keeps its own Gershgorin brackets, pivot
+    guard pivmin and halving count, and its brackets stop moving after its
+    own halvings.
+
+    The work arrays are ``[row, bracket]``, one column per (matrix, level)
+    bracket with the k brackets of a matrix side by side, so every numpy
+    call of the LDL^T recurrence runs over one contiguous stretch of
+    brackets.  The matrices are sorted by n, largest first, so row i
+    touches only the prefix of brackets whose matrix has n > i.  The rows
+    are stored raggedly, one block per distinct n, and hold k x n values
+    per matrix, with no padding to the largest n or k.
+    """
+    groups = [_bracket(diag, off, k) for diag, off, k in groups]
+    # Largest n first; the sort is stable, so stacks of equal n keep their order.
+    order = sorted(range(len(groups)), key=lambda g: -groups[g].d.shape[1])
+    stack = [groups[g] for g in order]
+    counts = [g.d.shape[0] * g.k for g in stack]
+    # Per bracket: its matrix's n, its level, its bracket, and its stack's
+    # pivot guard and halving count.
+    sizes = np.repeat([g.d.shape[1] for g in stack], counts)
+    levels = np.concatenate([[], *(np.tile(np.arange(g.k), g.d.shape[0]) for g in stack)])
+    lo = np.concatenate([[], *(np.repeat(g.lo, g.k) for g in stack)])
+    hi = np.concatenate([[], *(np.repeat(g.hi, g.k) for g in stack)])
+    pivmin = np.repeat([g.pivmin for g in stack], counts)
+    floor = -pivmin
+    steps = np.repeat([g.halvings for g in stack], counts)
+
+    # Block b holds rows [previous n, n) of the brackets whose matrix has at
+    # least n rows; row i holds the coupling e_{i-1} that enters its pivot.
+    mid = np.empty(lo.shape)
+    q = np.empty(lo.shape)
+    ratio = np.empty(lo.shape)
+    negatives, rows = [], []
+    ends = sorted({g.d.shape[1] for g in stack})
+    for start, end in zip([0, *ends], ends):
+        width = int(np.count_nonzero(sizes >= end))
+        d_rows = np.empty((end - start, width))
+        e2_rows = np.zeros((end - start, width))
+        column = 0
+        for g in stack:
+            if g.d.shape[1] < end:
+                break
+            batch = g.d.shape[0]
+            d = g.d[:, start:end].T
+            e = g.e[:, max(start - 1, 0):end - 1].T
+            span = slice(column, column + batch * g.k)
+            # Each value goes to the k side-by-side brackets of its matrix.
+            d_rows[:, span].reshape(len(d), batch, g.k)[...] = d[:, :, None]
+            e2_rows[len(d) - len(e):, span].reshape(len(e), batch, g.k)[...] = (e * e)[:, :, None]
+            column = span.stop
+        negative = np.zeros((end - start, width), dtype=bool)
+        negatives.append(negative)
+        prefix = [a[:width] for a in (mid, q, ratio, pivmin, floor)]
+        rows += [(*row, *prefix) for row in zip(d_rows, e2_rows, negative)]
+
+    count = np.empty(lo.shape, dtype=np.int32)
+    for h in range(max((g.halvings for g in stack), default=0)):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        for i, (d_i, e2_i, negative_i, mid_i, q_i, ratio_i, pivmin_i, floor_i) in enumerate(rows):
             if i:
-                np.divide(e2_rows[i - 1], q, out=ratio)
-                np.subtract(shifted[i], ratio, out=q)
-            # After the guard, q < 0 exactly where q < pivmin before it.
-            np.less(q, pivmin, out=negative[i])
-            np.minimum(q, -pivmin, out=ratio)
-            np.copyto(q, ratio, where=negative[i])
-        below = negative.sum(axis=0) > levels  # level j lies below mid
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    return 0.5 * (lo + hi)
+                np.divide(e2_i, q_i, out=ratio_i)
+                np.subtract(d_i, mid_i, out=q_i)
+                np.subtract(q_i, ratio_i, out=q_i)
+            else:
+                np.subtract(d_i, mid_i, out=q_i)
+            # After the guard, q < 0 exactly where q < pivmin before it.  (A
+            # masked np.minimum(..., where=) is several times slower than
+            # minimum plus putmask on this unpredictable mask.)
+            np.less(q_i, pivmin_i, out=negative_i)
+            np.minimum(q_i, floor_i, out=ratio_i)
+            np.putmask(q_i, negative_i, ratio_i)
+        count[...] = 0
+        for negative in negatives:  # int32 sums of bools run twice as fast as int64
+            count[:negative.shape[1]] += negative.sum(axis=0, dtype=np.int32)
+        below = count > levels  # the bracket's level lies below mid
+        moving = steps > h
+        np.copyto(hi, mid, where=below & moving)
+        np.copyto(lo, mid, where=moving & ~below)
+
+    values = 0.5 * (lo + hi)
+    out = [None] * len(groups)
+    for g, count_g, stop in zip(order, counts, np.cumsum(counts, dtype=int)):
+        out[g] = values[stop - count_g:stop].reshape(groups[g].d.shape[0], groups[g].k)
+    return out
 
 
 def tridiagonal_eigh(diag: np.ndarray, off) -> tuple[np.ndarray, np.ndarray]:

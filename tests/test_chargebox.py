@@ -208,6 +208,18 @@ class TestChargeDispersion:
         with pytest.raises(TruncationTooSmall):
             charge_dispersion(1.0, 60.0, ncut=3)
 
+    def test_pair_list_matches_scalar_calls(self):
+        # unsorted, a repeat, and pairs that share an ncut or a doubled ncut
+        pairs = [(20.0, 9), (1.0, 5), (0.5, 10), (1.0, 5), (5.0, 7)]
+        out = charge_dispersion(1.0, [ej for ej, _ in pairs], [n for _, n in pairs])
+        for i, (ej, ncut) in enumerate(pairs):
+            one = charge_dispersion(1.0, ej, ncut)
+            assert {key: out[key][i] for key in out} == one
+
+    def test_pair_list_raises_for_the_first_failing_pair(self):
+        with pytest.raises(TruncationTooSmall, match="ncut=3"):
+            charge_dispersion(1.0, [1.0, 60.0, 60.0], [6, 3, 4])
+
 
 class TestSecondOrderGap:
     def test_quadratic_scaling_of_zero_two_crossing(self):

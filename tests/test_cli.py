@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,8 @@ class TestExitCodes:
             (["squid", "--i0", "-1"], "i0 must be > 0"),
             (["squid", "--i0", "0"], "i0 must be > 0"),
             (["transmon", "--ncut", "-5"], "ncut must be >= 0"),
+            # a negative ncut made the size term negative: exit 1 in np.linspace
+            (["spectrum", "--ncut", "-1", "--ng-steps", "1000000000000000"], "ncut must be >= 2"),
             (["transmon", "--ratios", "abc"], "ratios must be"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
@@ -436,6 +439,33 @@ class TestEdgeValuesFromTheCommandTable:
             else:
                 assert files == []
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+class TestSizeTerm:
+    def test_lopsided_transmon_allocates_no_array_over_its_size_term(self, tmp_path):
+        # One ratio needs far more charges than the rest: (charges, brackets)
+        # arrays padded to its 145 charges would hold over 4 times the term.
+        argv = ["transmon", "--ratios", "1000,1,1,1,1"]
+        size = cli._COMMANDS["transmon"].size(cli.build_parser().parse_args(argv))
+        largest = 0
+
+        def profile(frame, event, arg):
+            # A function's arrays are all alive when it returns.
+            nonlocal largest
+            if event == "return" and frame.f_globals.get("__name__", "").startswith("cqed."):
+                traces = tracemalloc.take_snapshot().traces
+                largest = max(largest, *(trace.size for trace in traces))
+
+        tracemalloc.start()
+        sys.setprofile(profile)
+        try:
+            code, _ = run(tmp_path, *argv)
+        finally:
+            sys.setprofile(None)
+            tracemalloc.stop()
+        assert code == 0
+        # the (145, 201) diagonals of the doubled scan at ratio 1000 were seen
+        assert 8 * 145 * 201 <= largest <= 8 * size
 
 
 class TestWriteTable:

@@ -8,9 +8,10 @@ runs pin the dynamics paths, and the long ``washboard``, ``rabi`` and
 ``fluxwell`` runs and the five-level ``spectrum`` pin the table writer, at
 the sizes the benchmark runs them, and ``spectrum-ncut24`` pins the
 benchmark's 49-charge spectrum.  The ``transmon-*`` cases pin an unsorted
-ratio list with a duplicate and a ratio below 1, and a fixed ``--ncut``.  ``jc-g`` runs ``jc`` at a coupling
-other than 1, where rounding in g t reaches the printed digits, and the
-``bell-*`` cases pin the three Bell states the default ``phi+`` skips.
+ratio list with a duplicate and a ratio below 1, and a fixed ``--ncut``.
+``jc-g`` runs ``jc`` at a coupling other than 1, where rounding in g t
+reaches the printed digits, and the ``bell-*`` cases pin the three Bell
+states the default ``phi+`` skips.
 A change that alters an output on purpose regenerates the file and says in
 its notes which digests moved:
 

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqed.errors import DimensionMismatch
 from cqed.linalg import (
     Ket,
+    _bracket,
     expectation,
     fidelity,
     tridiagonal_eigh,
     tridiagonal_eigvalsh,
+    tridiagonal_eigvalsh_groups,
 )
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -216,6 +220,88 @@ class TestTridiagonalEigvalsh:
     def test_empty_batch(self):
         vals = tridiagonal_eigvalsh(np.zeros((0, 5)), 0.3, 2)
         assert vals.shape == (0, 2)
+
+
+def reference_eigvalsh(diag, off, k):
+    """The bisection one stack at a time, as ``[row, matrix, level]`` arrays.
+
+    The same operations on every element as `tridiagonal_eigvalsh`, in the
+    layout that kernel used before it was batched over stacks.
+    """
+    g = _bracket(diag, off, k)
+    batch, n = g.d.shape
+    e2 = g.e * g.e
+    lo = np.repeat(g.lo[:, None], k, axis=1)
+    hi = np.repeat(g.hi[:, None], k, axis=1)
+    negative = np.empty((n, batch, k), dtype=bool)
+    for _ in range(g.halvings):
+        mid = 0.5 * (lo + hi)
+        shifted = g.d.T[:, :, None] - mid
+        q = shifted[0].copy()
+        for i in range(n):
+            if i:
+                q = shifted[i] - e2[:, i - 1, None] / q
+            negative[i] = q < g.pivmin
+            q = np.where(negative[i], np.minimum(q, -g.pivmin), q)
+        below = negative.sum(axis=0) > np.arange(k)
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def stacks(draw):
+    """Up to five stacks of mixed n (1 included), k, batch (0 included) and
+    scale: zero, constant or random couplings from 1e-8 to 1e8, on diagonals
+    offset by up to 1e8, so that the stacks need different halving counts.
+    """
+    groups = []
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, 9))
+        batch = draw(st.integers(0, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        diag = 10.0 ** draw(st.integers(-8, 8)) * rng.normal(size=(batch, n))
+        diag += draw(st.sampled_from([0.0, 1e4, -1e8]))
+        scale = 10.0 ** draw(st.integers(-8, 8))
+        off = draw(st.sampled_from([
+            0.0, scale * rng.normal(), scale * rng.normal(size=(batch, n - 1))]))
+        groups.append((diag, off, draw(st.integers(1, n))))
+    return groups
+
+
+class TestTridiagonalEigvalshGroups:
+    @settings(max_examples=150, deadline=None)
+    @given(stacks())
+    def test_each_stack_matches_its_own_call_bit_for_bit(self, groups):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = tridiagonal_eigvalsh_groups(groups)
+        assert len(values) == len(groups)
+        for (diag, off, k), vals in zip(groups, values):
+            assert np.array_equal(vals, tridiagonal_eigvalsh(diag, off, k))
+            assert np.array_equal(vals, reference_eigvalsh(diag, off, k))
+
+    def test_stacks_with_different_halving_counts(self):
+        # A spectrum on one side of zero needs fewer halvings than a centred
+        # one, and a graded one (levels far from zero) fewer still; each stack
+        # keeps its own count inside the shared loop.  The one-sided stack's
+        # lowest level sits near zero, where a further halving would move it.
+        rng = np.random.default_rng(4)
+        one_sided = 3.0 + np.arange(4.0) + 0.1 * rng.normal(size=(8, 4))
+        one_sided[:, 0] = 0.01 + 0.001 * rng.normal(size=8)
+        groups = [(rng.normal(size=(3, 6)) + 1e6, 1.0, 2),
+                  (rng.normal(size=(5, 11)), rng.normal(size=(5, 10)), 4),
+                  (one_sided, 1e-3, 2),
+                  (box_diagonals(np.linspace(0, 1, 7), 3) + 1e3, 0.0, 3)]
+        assert len({_bracket(*g).halvings for g in groups}) == 4
+        for (diag, off, k), vals in zip(groups, tridiagonal_eigvalsh_groups(groups)):
+            assert np.array_equal(vals, reference_eigvalsh(diag, off, k))
+
+    def test_empty_list(self):
+        assert tridiagonal_eigvalsh_groups([]) == []
+
+    def test_bad_stack_raises(self):
+        with pytest.raises(ValueError):
+            tridiagonal_eigvalsh_groups([(np.zeros((2, 3)), 1.0, 1), (np.zeros((2, 3)), 1.0, 4)])
 
 
 class TestEvolve:
