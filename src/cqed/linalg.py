@@ -22,15 +22,12 @@ batches of matrices at once and never form an n x n matrix:
   Wilkinson 1967) for the k lowest eigenvalues of a batch of same-sized
   matrices.  The charge-box spectrum sweeps use it: one sweep over a
   201-point gate-charge grid is a single batched bisection.
-* `tridiagonal_eigvalsh_groups` - the same bisection over several such
-  batches at once, which may differ in size, coupling and k; each batch
-  keeps its own brackets, pivot guard and halving count, so its values
-  are bit for bit those of a separate call.  `tridiagonal_eigvalsh` is its
-  one-batch case.  The charge-dispersion scans of a whole ratio list run
-  as one such bisection.  Its work arrays are ``[row, bracket]``, with the
-  brackets of all batches side by side on the inner axis, and its rows are
-  stored raggedly, so numpy's per-call cost is paid once per row for the
-  whole run.
+* `tridiagonal_eigvalsh_groups` - that bisection over several batches at
+  once, which may differ in size, coupling and k, on ragged
+  ``[row, bracket]`` arrays; each batch keeps its own brackets, pivot
+  guard and halving count, so its values are bit for bit those of a
+  separate call.  The charge-dispersion scans of a whole ratio list run
+  as one bisection.
 * `tridiagonal_eigh` - every eigenvalue from that bisection plus its
   eigenvector from inverse iteration, as in LAPACK's dstein.  The gate
   simulations use it.
@@ -207,9 +204,8 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
     order = sorted(range(len(groups)), key=lambda g: -groups[g].d.shape[1])
     stack = [groups[g] for g in order]
     counts = [g.d.shape[0] * g.k for g in stack]
-    # Per bracket: its matrix's n, its level, its bracket, and its stack's
-    # pivot guard and halving count.
-    sizes = np.repeat([g.d.shape[1] for g in stack], counts)
+    # Per bracket: its level, its bracket, and its stack's pivot guard and
+    # halving count.
     levels = np.concatenate([[], *(np.tile(np.arange(g.k), g.d.shape[0]) for g in stack)])
     lo = np.concatenate([[], *(np.repeat(g.lo, g.k) for g in stack)])
     hi = np.concatenate([[], *(np.repeat(g.hi, g.k) for g in stack)])
@@ -225,7 +221,7 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
     negatives, rows = [], []
     ends = sorted({g.d.shape[1] for g in stack})
     for start, end in zip([0, *ends], ends):
-        width = int(np.count_nonzero(sizes >= end))
+        width = sum(count for g, count in zip(stack, counts) if g.d.shape[1] >= end)
         d_rows = np.empty((end - start, width))
         e2_rows = np.zeros((end - start, width))
         column = 0

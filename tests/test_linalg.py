@@ -223,10 +223,10 @@ class TestTridiagonalEigvalsh:
 
 
 def reference_eigvalsh(diag, off, k):
-    """The bisection one stack at a time, as ``[row, matrix, level]`` arrays.
+    """The bisection of one stack on plain ``[row, matrix, level]`` arrays.
 
-    The same operations on every element as `tridiagonal_eigvalsh`, in the
-    layout that kernel used before it was batched over stacks.
+    The same operations on every element as `tridiagonal_eigvalsh`, with no
+    grouping, no ragged rows and no in-place updates.
     """
     g = _bracket(diag, off, k)
     batch, n = g.d.shape
