@@ -57,7 +57,7 @@ from .junction import (
     TwoIslandState, first_minimum, flux_qubit_potential, squid_effective, two_island_dynamics,
     washboard_u,
 )
-from .linalg import Ket, fidelity
+from .linalg import _COLUMNS, Ket, fidelity
 from .qubit import rabi_trace, ramsey_trace
 
 __all__ = ["main", "OutputTable", "run_command"]
@@ -402,8 +402,8 @@ class _Command:
 
 
 #: Halvings of one Sturm bisection, at most: the Gershgorin bracket (about
-#: 2 ||T||) over eps ||T|| / 16 is just over 2^57.  Each halving loops over
-#: every charge in Python.
+#: 2 ||T||) over eps ||T|| / 16 is just over 2^57.  Each pass, one halving
+#: or several under multisection, loops over every charge in Python.
 _HALVINGS = 58
 
 
@@ -412,8 +412,10 @@ _COMMANDS = {
         _run_spectrum, "Charge-qubit levels vs gate charge",
         (("ec", 1.0, "> 0"), ("ej", 0.1, ">= 0"), ("ng-min", 0.0), ("ng-max", 1.0),
          ("ng-steps", 201, ">= 2"), ("levels", 3, ">= 1"), ("ncut", 10, ">= 2")),
-        # the (charges, gate charges, levels) arrays of the Sturm bisection
-        size=lambda a: (2 * a.ncut + 1) * a.ng_steps * a.levels,
+        # the (charges, columns) arrays of the Sturm bisection: a column per
+        # (gate charge, level), or up to _COLUMNS when multisection widens a
+        # narrow sweep
+        size=lambda a: (2 * a.ncut + 1) * max(a.ng_steps * a.levels, _COLUMNS),
         loops=lambda a: (2 * a.ncut + 1) * _HALVINGS,
     ),
     "rabi": _Command(

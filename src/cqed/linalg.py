@@ -21,10 +21,13 @@ batches of matrices at once and never form an n x n matrix:
 * `tridiagonal_eigvalsh` - Sturm-count bisection (Barth, Martin &
   Wilkinson 1967) for the k lowest eigenvalues of a batch of same-sized
   matrices.  The charge-box spectrum sweeps use it: one sweep over a
-  201-point gate-charge grid is a single batched bisection.
+  201-point gate-charge grid is a single batched bisection.  A narrow
+  batch is multisected (Lo, Philippe & Sameh 1987): each pass counts the
+  2^m - 1 dyadic points of every bracket in one sweep and takes m
+  halvings, with the bits plain bisection gives.
 * `tridiagonal_eigvalsh_groups` - that bisection over several batches at
   once, which may differ in size, coupling and k, on ragged
-  ``[row, bracket]`` arrays; each batch keeps its own brackets, pivot
+  ``[row, column]`` arrays; each batch keeps its own brackets, pivot
   guard and halving count, so its values are bit for bit those of a
   separate call.  The charge-dispersion scans of a whole ratio list run
   as one bisection.
@@ -60,6 +63,9 @@ _SAFMIN = float(np.finfo(np.float64).tiny)
 _SWEEPS = 3
 #: Eigenvalues closer than this times ||T|| are re-orthogonalized as a cluster.
 _CLUSTER = 1e-3
+#: Sturm counts one bisection pass may take: a narrow batch is multisected
+#: at up to this many points per pass, a wide one bisected.
+_COLUMNS = 1024
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,11 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     the batch below eps * ||T|| / 16, so the work and the bits of the result
     depend on the input alone.  As in LAPACK's dstebz, a pivot smaller than
     pivmin = tiny * max(1, max e_i^2) is replaced by -pivmin, which keeps
-    zero couplings and exact degeneracies finite.  Work and memory per
-    halving are O(batch * k * n); no n x n matrix is formed.
+    zero couplings and exact degeneracies finite.  Each pass takes m
+    halvings from Sturm counts at batch * k * (2^m - 1) points, with m = 1
+    for a batch of more than 341 brackets and up to 1024 points otherwise
+    (`_depth`), so work and memory per pass are O(max(batch * k, 1024) * n)
+    over ceil(halvings / m) passes; no n x n matrix is formed.
 
     This is the one-stack case of `tridiagonal_eigvalsh_groups`.
     """
@@ -181,6 +190,16 @@ def _bracket(diag, off, k: int) -> _Group:
     return _Group(d, e, lo, hi, pivmin, halvings, k)
 
 
+def _depth(brackets: int, halvings: int) -> int:
+    """Multisection depth m of a bisection: the largest, at most ``halvings``,
+    whose 2^m - 1 points per bracket keep a pass within `_COLUMNS` Sturm
+    counts; at least 1."""
+    depth = 1
+    while depth < halvings and brackets * ((2 << depth) - 1) <= _COLUMNS:
+        depth += 1
+    return depth
+
+
 def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
     """`tridiagonal_eigvalsh` of several stacks at once, in one bisection.
 
@@ -189,14 +208,24 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
     Returns one (batch, k) array per stack, bit for bit the values that
     stack gives alone: each stack keeps its own Gershgorin brackets, pivot
     guard pivmin and halving count, and its brackets stop moving after its
-    own halvings.
+    own halvings, even in the middle of a pass.
 
-    The work arrays are ``[row, bracket]``, one column per (matrix, level)
-    bracket with the k brackets of a matrix side by side, so every numpy
+    Multisection (Lo, Philippe & Sameh 1987): each pass Sturm-counts the
+    2^m - 1 points of a depth-m dyadic tree in every bracket in one sweep,
+    then walks each bracket m levels down its tree, taking the m halvings
+    that plain bisection would take.  Every tree point is
+    ``(lo + hi) * 0.5`` of its parent's ends, so each halving reads the
+    count plain bisection computes, at the same point, and the values keep
+    their bits for every m without assuming monotone Sturm counts.  The
+    depth m comes from `_depth`: a batch of more than `_COLUMNS` / 3
+    brackets takes m = 1, which is plain bisection.
+
+    The work arrays are ``[row, column]``, one column per (matrix, level,
+    tree point), with the columns of a matrix side by side, so every numpy
     call of the LDL^T recurrence runs over one contiguous stretch of
-    brackets.  The matrices are sorted by n, largest first, so row i
-    touches only the prefix of brackets whose matrix has n > i.  The rows
-    are stored raggedly, one block per distinct n, and hold k x n values
+    columns.  The matrices are sorted by n, largest first, so row i touches
+    only the prefix of columns whose matrix has n > i.  The rows are stored
+    raggedly, one block per distinct n, and hold k x (2^m - 1) x n values
     per matrix, with no padding to the largest n or k.
     """
     groups = [_bracket(diag, off, k) for diag, off, k in groups]
@@ -204,24 +233,27 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
     order = sorted(range(len(groups)), key=lambda g: -groups[g].d.shape[1])
     stack = [groups[g] for g in order]
     counts = [g.d.shape[0] * g.k for g in stack]
-    # Per bracket: its level, its bracket, and its stack's pivot guard and
-    # halving count.
+    halvings = max((g.halvings for g in stack), default=0)
+    depth = _depth(sum(counts), halvings)
+    points = (1 << depth) - 1
+    # Per bracket: its level, its bracket and its stack's halving count.
     levels = np.concatenate([[], *(np.tile(np.arange(g.k), g.d.shape[0]) for g in stack)])
     lo = np.concatenate([[], *(np.repeat(g.lo, g.k) for g in stack)])
     hi = np.concatenate([[], *(np.repeat(g.hi, g.k) for g in stack)])
-    pivmin = np.repeat([g.pivmin for g in stack], counts)
-    floor = -pivmin
     steps = np.repeat([g.halvings for g in stack], counts)
+    # Per column: its stack's pivot guard.
+    pivmin = np.repeat([g.pivmin for g in stack], [count * points for count in counts])
+    floor = -pivmin
 
-    # Block b holds rows [previous n, n) of the brackets whose matrix has at
+    # Block b holds rows [previous n, n) of the columns whose matrix has at
     # least n rows; row i holds the coupling e_{i-1} that enters its pivot.
-    mid = np.empty(lo.shape)
-    q = np.empty(lo.shape)
-    ratio = np.empty(lo.shape)
+    mid = np.empty(pivmin.shape)
+    q = np.empty(pivmin.shape)
+    ratio = np.empty(pivmin.shape)
     negatives, rows = [], []
     ends = sorted({g.d.shape[1] for g in stack})
     for start, end in zip([0, *ends], ends):
-        width = sum(count for g, count in zip(stack, counts) if g.d.shape[1] >= end)
+        width = sum(count for g, count in zip(stack, counts) if g.d.shape[1] >= end) * points
         d_rows = np.empty((end - start, width))
         e2_rows = np.zeros((end - start, width))
         column = 0
@@ -231,20 +263,37 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
             batch = g.d.shape[0]
             d = g.d[:, start:end].T
             e = g.e[:, max(start - 1, 0):end - 1].T
-            span = slice(column, column + batch * g.k)
-            # Each value goes to the k side-by-side brackets of its matrix.
-            d_rows[:, span].reshape(len(d), batch, g.k)[...] = d[:, :, None]
-            e2_rows[len(d) - len(e):, span].reshape(len(e), batch, g.k)[...] = (e * e)[:, :, None]
+            e2 = e * e
+            columns = g.k * points
+            span = slice(column, column + batch * columns)
+            # Each value goes to the k x (2^m - 1) side-by-side columns of its matrix.
+            d_rows[:, span].reshape(len(d), batch, columns)[...] = d[:, :, None]
+            e2_rows[len(d) - len(e):, span].reshape(len(e), batch, columns)[...] = e2[:, :, None]
             column = span.stop
         negative = np.zeros((end - start, width), dtype=bool)
         negatives.append(negative)
         prefix = [a[:width] for a in (mid, q, ratio, pivmin, floor)]
         rows += [(*row, *prefix) for row in zip(d_rows, e2_rows, negative)]
 
-    count = np.empty(lo.shape, dtype=np.int32)
-    for h in range(max((g.halvings for g in stack), default=0)):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
+    count = np.empty(mid.shape, dtype=np.int32)
+    # [bracket, tree point], the points in ascending order.  The root, every
+    # bracket's first halving of a pass, is read without a gather; at depth
+    # 1 it is the whole of mid and count.
+    tree, root = mid.reshape(-1, points), points // 2
+    root_x, root_count = tree[:, root], count.reshape(-1, points)[:, root]
+    roots = np.arange(root, mid.size, points)  # flat index of each bracket's root
+    # Below the root, level j has 2^j nodes, 2 s apart, and between each two
+    # of them a point of the levels above.
+    below_root = [(tree[:, s - 1::2 * s], tree[:, 2 * s - 1::2 * s])
+                  for s in (1 << np.arange(depth - 2, -1, -1)).tolist()]
+    for h in range(0, halvings, depth):
+        np.add(lo, hi, out=root_x)
+        root_x *= 0.5
+        for node, inner in below_root:
+            np.add(lo, inner[:, 0], out=node[:, 0])
+            np.add(inner[:, :-1], inner[:, 1:], out=node[:, 1:-1])
+            np.add(inner[:, -1], hi, out=node[:, -1])
+            node *= 0.5
         for i, (d_i, e2_i, negative_i, mid_i, q_i, ratio_i, pivmin_i, floor_i) in enumerate(rows):
             if i:
                 np.divide(e2_i, q_i, out=ratio_i)
@@ -261,10 +310,19 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
         count[...] = 0
         for negative in negatives:  # int32 sums of bools run twice as fast as int64
             count[:negative.shape[1]] += negative.sum(axis=0, dtype=np.int32)
-        below = count > levels  # the bracket's level lies below mid
-        moving = steps > h
-        np.copyto(hi, mid, where=below & moving)
-        np.copyto(lo, mid, where=moving & ~below)
+        at = roots
+        for j in range(depth):
+            # below: the bracket's level lies below the point x
+            if j:
+                x, below = mid.take(at), count.take(at) > levels
+            else:
+                x, below = root_x, root_count > levels
+            moving = steps > h + j
+            np.copyto(hi, x, where=below & moving)
+            np.copyto(lo, x, where=moving & ~below)
+            if j + 1 < depth:  # on to the lower or upper child
+                half = 1 << (depth - 2 - j)
+                at = at + np.where(below, -half, half)
 
     values = 0.5 * (lo + hi)
     out = [None] * len(groups)

@@ -320,6 +320,8 @@ class TestExitCodes:
             ["dephase", "--trials", "1000000000000"],  # random draws, not bytes
             # 8 M values, but 2.3e8 iterations of the bisection's loop over charges
             ["spectrum", "--ng-steps", "2", "--levels", "1", "--ncut", "2000000"],
+            # 2 brackets multisected over 1022 columns: 8401 x 1024 values
+            ["spectrum", "--ng-steps", "2", "--levels", "1", "--ncut", "4200"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -441,31 +443,46 @@ class TestEdgeValuesFromTheCommandTable:
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+def largest_allocation(tmp_path, argv):
+    """Exit code and the largest block allocated while ``argv`` runs."""
+    largest = 0
+
+    def profile(frame, event, arg):
+        # A function's arrays are all alive when it returns.
+        nonlocal largest
+        if event == "return" and frame.f_globals.get("__name__", "").startswith("cqed."):
+            traces = tracemalloc.take_snapshot().traces
+            largest = max(largest, *(trace.size for trace in traces))
+
+    tracemalloc.start()
+    sys.setprofile(profile)
+    try:
+        code, _ = run(tmp_path, *argv)
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return code, largest
+
+
 class TestSizeTerm:
     def test_lopsided_transmon_allocates_no_array_over_its_size_term(self, tmp_path):
         # One ratio needs far more charges than the rest: (charges, brackets)
         # arrays padded to its 145 charges would hold over 4 times the term.
         argv = ["transmon", "--ratios", "1000,1,1,1,1"]
         size = cli._COMMANDS["transmon"].size(cli.build_parser().parse_args(argv))
-        largest = 0
-
-        def profile(frame, event, arg):
-            # A function's arrays are all alive when it returns.
-            nonlocal largest
-            if event == "return" and frame.f_globals.get("__name__", "").startswith("cqed."):
-                traces = tracemalloc.take_snapshot().traces
-                largest = max(largest, *(trace.size for trace in traces))
-
-        tracemalloc.start()
-        sys.setprofile(profile)
-        try:
-            code, _ = run(tmp_path, *argv)
-        finally:
-            sys.setprofile(None)
-            tracemalloc.stop()
+        code, largest = largest_allocation(tmp_path, argv)
         assert code == 0
         # the (145, 201) diagonals of the doubled scan at ratio 1000 were seen
         assert 8 * 145 * 201 <= largest <= 8 * size
+
+    def test_narrow_spectrum_allocates_no_array_over_its_size_term(self, tmp_path):
+        # 2 brackets take depth-9 multisection: (101, 1022) Sturm arrays,
+        # where a column per bracket would hold 2
+        argv = ["spectrum", "--ng-steps", "2", "--levels", "1", "--ncut", "50"]
+        size = cli._COMMANDS["spectrum"].size(cli.build_parser().parse_args(argv))
+        code, largest = largest_allocation(tmp_path, argv)
+        assert code == 0
+        assert 8 * 101 * 1022 <= largest <= 8 * size
 
 
 class TestWriteTable:

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqed import linalg
 from cqed.errors import DimensionMismatch
 from cqed.linalg import (
     Ket,
     _bracket,
+    _depth,
     expectation,
     fidelity,
     tridiagonal_eigh,
@@ -269,6 +271,17 @@ def stacks(draw):
     return groups
 
 
+def four_halving_counts():
+    """Four stacks, 63 brackets, that need four different halving counts."""
+    rng = np.random.default_rng(4)
+    one_sided = 3.0 + np.arange(4.0) + 0.1 * rng.normal(size=(8, 4))
+    one_sided[:, 0] = 0.01 + 0.001 * rng.normal(size=8)
+    return [(rng.normal(size=(3, 6)) + 1e6, 1.0, 2),
+            (rng.normal(size=(5, 11)), rng.normal(size=(5, 10)), 4),
+            (one_sided, 1e-3, 2),
+            (box_diagonals(np.linspace(0, 1, 7), 3) + 1e3, 0.0, 3)]
+
+
 class TestTridiagonalEigvalshGroups:
     @settings(max_examples=150, deadline=None)
     @given(stacks())
@@ -285,14 +298,51 @@ class TestTridiagonalEigvalshGroups:
         # one, and a graded one (levels far from zero) fewer still; each stack
         # keeps its own count inside the shared loop.  The one-sided stack's
         # lowest level sits near zero, where a further halving would move it.
-        rng = np.random.default_rng(4)
-        one_sided = 3.0 + np.arange(4.0) + 0.1 * rng.normal(size=(8, 4))
-        one_sided[:, 0] = 0.01 + 0.001 * rng.normal(size=8)
-        groups = [(rng.normal(size=(3, 6)) + 1e6, 1.0, 2),
-                  (rng.normal(size=(5, 11)), rng.normal(size=(5, 10)), 4),
-                  (one_sided, 1e-3, 2),
-                  (box_diagonals(np.linspace(0, 1, 7), 3) + 1e3, 0.0, 3)]
-        assert len({_bracket(*g).halvings for g in groups}) == 4
+        groups = four_halving_counts()
+        halvings = [_bracket(*g).halvings for g in groups]
+        assert len(set(halvings)) == 4
+        # 63 brackets: depth 4, and some stack stops in the middle of a pass
+        assert _depth(63, max(halvings)) == 4 and any(h % 4 for h in halvings)
+        for (diag, off, k), vals in zip(groups, tridiagonal_eigvalsh_groups(groups)):
+            assert np.array_equal(vals, reference_eigvalsh(diag, off, k))
+
+    @pytest.mark.parametrize("columns, depth", [(63, 1), (63 * 7, 3), (63 * 63, 6)])
+    def test_every_depth_gives_the_same_bits(self, monkeypatch, columns, depth):
+        groups = four_halving_counts()
+        halvings = [_bracket(*g).halvings for g in groups]
+        monkeypatch.setattr(linalg, "_COLUMNS", columns)
+        assert _depth(63, max(halvings)) == depth
+        assert depth == 1 or any(h % depth for h in halvings)
+        for (diag, off, k), vals in zip(groups, tridiagonal_eigvalsh_groups(groups)):
+            assert np.array_equal(vals, reference_eigvalsh(diag, off, k))
+
+    def test_depth_fills_the_column_cap(self):
+        assert linalg._COLUMNS == 1024
+        assert _depth(48, 57) == 4  # 48 x 15 = 720 columns; 48 x 31 would be 1488
+        assert _depth(15, 57) == 6  # 945 columns
+        assert _depth(341, 57) == 2  # 1023 columns
+        assert _depth(342, 57) == 1
+        assert _depth(1024, 57) == 1
+        assert _depth(1, 57) == 10
+        assert _depth(1, 3) == 3  # never deeper than the halvings
+        assert _depth(0, 0) == 1
+
+    def test_narrow_stacks_take_deep_passes(self):
+        # The two symmetry points of two box cutoffs: 8 brackets, depth 7
+        groups = [(box_diagonals([0.0, 0.5], ncut), -0.5 * ej, 2)
+                  for ej, ncut in ((50.0, 12), (50.0, 24))]
+        assert _depth(8, max(_bracket(*g).halvings for g in groups)) == 7
+        for (diag, off, k), vals in zip(groups, tridiagonal_eigvalsh_groups(groups)):
+            assert np.array_equal(vals, reference_eigvalsh(diag, off, k))
+
+    @pytest.mark.parametrize("brackets, depth", [(341, 2), (342, 1), (1024, 1), (1025, 1)])
+    def test_widths_around_the_cap(self, brackets, depth):
+        # 341 x 3 = 1023 columns, the widest depth-2 pass; 1024 brackets fill
+        # the cap exactly with plain bisection
+        rng = np.random.default_rng(brackets)
+        groups = [(rng.normal(size=(brackets - 10, 5)), 0.5, 1),
+                  (rng.normal(size=(5, 4)) + 1e3, rng.normal(size=(5, 3)), 2)]
+        assert _depth(brackets, max(_bracket(*g).halvings for g in groups)) == depth
         for (diag, off, k), vals in zip(groups, tridiagonal_eigvalsh_groups(groups)):
             assert np.array_equal(vals, reference_eigvalsh(diag, off, k))
 
