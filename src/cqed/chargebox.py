@@ -10,14 +10,15 @@ gate-charge grids: spectra, the two-level reduction and its exact gap, the
 sweet-spot/charge-dispersion analysis that motivates the transmon, the
 second-order avoided crossings, and the sudden/adiabatic gate protocols.
 
-Eigenvalue-only work (spectrum sweeps, gap scans, charge dispersion, the
+Eigenvalue-only work (spectrum sweeps, charge dispersion, the
 avoided-crossing gaps) hands the diagonal and the constant coupling -E_J/2
 straight to the batched Sturm bisection `tridiagonal_eigvalsh`; the
 dispersion scans of a whole list of (E_J, ncut) pairs share one bisection
-(`tridiagonal_eigvalsh_groups`).  The gate simulations need eigenvectors
-too and take them from `tridiagonal_eigh`, inverse iteration on the same
-bisection's eigenvalues.  Neither builds a dense Hamiltonian;
-`cpb_hamiltonian` exists for callers that want one.
+(`tridiagonal_eigvalsh_groups`), and so do the avoided-crossing gaps of a
+whole E_J list.  The gate simulations need eigenvectors too and take them
+from `tridiagonal_eigh`, inverse iteration on the same bisection's
+eigenvalues.  Neither builds a dense Hamiltonian; `cpb_hamiltonian` exists
+for callers that want one.
 
 Spectra are periodic in N_g with period 1 and symmetric about N_g = 1/2,
 so every scan below uses a single period, and the avoided crossings are
@@ -139,13 +140,6 @@ def exact_gap(ec: float, ej: float, dg: float) -> float:
     return 2.0 * np.hypot(ec * dg, 0.5 * ej)
 
 
-def _gap_scan(ec, ej, ncut, levels, ng_values):
-    lo, hi = levels
-    diag = _charging_energies(ec, ng_values, ChargeBasis(ncut))
-    vals = tridiagonal_eigvalsh(diag, -0.5 * ej, hi + 1)
-    return vals[:, hi] - vals[:, lo]
-
-
 def charge_dispersion(ec: float, ej, ncut) -> dict[str, object]:
     """Gate-charge dispersion of the qubit gap over one period of N_g.
 
@@ -201,13 +195,18 @@ def second_order_gap(
     No search is needed for the minima: the spectrum has period 1 in N_g
     and is symmetric about N_g = 1/2, so every gap is stationary at the
     symmetry points, and the avoided crossings sit exactly at N_g = 1
-    (levels 1, 2) and N_g = 1/2 (levels 0, 1).
+    (levels 1, 2) and N_g = 1/2 (levels 0, 1).  All 2 x len(ej_values)
+    matrices run as one bisection, each its own stack.
     """
     ej_values = np.asarray(ej_values, dtype=np.float64)
     if np.any(ej_values > 0.2 * ec):
         raise ValueError("second-order scaling needs E_J << E_C")
-    gaps = np.array([_gap_scan(ec, ej, ncut, (1, 2), [1.0])[0] for ej in ej_values])
-    first_order = np.array([_gap_scan(ec, ej, ncut, (0, 1), [0.5])[0] for ej in ej_values])
+    basis = ChargeBasis(ncut)
+    crossings = tridiagonal_eigvalsh_groups(
+        [(_charging_energies(ec, [1.0], basis), -0.5 * ej, 3) for ej in ej_values]
+        + [(_charging_energies(ec, [0.5], basis), -0.5 * ej, 2) for ej in ej_values])
+    gaps = np.array([vals[0, 2] - vals[0, 1] for vals in crossings[:len(ej_values)]])
+    first_order = np.array([vals[0, 1] - vals[0, 0] for vals in crossings[len(ej_values):]])
     slope = float(np.polyfit(np.log(ej_values), np.log(gaps), 1)[0])
     control = float(np.polyfit(np.log(ej_values), np.log(first_order), 1)[0])
     return {

@@ -29,8 +29,9 @@ batches of matrices at once and never form an n x n matrix:
   once, which may differ in size, coupling and k, on ragged
   ``[row, column]`` arrays; each batch keeps its own brackets, pivot
   guard and halving count, so its values are bit for bit those of a
-  separate call.  The charge-dispersion scans of a whole ratio list run
-  as one bisection.
+  separate call.  The charge-dispersion scans of a whole ratio list, and
+  the avoided-crossing gaps of a whole coupling list, run as one
+  bisection.
 * `tridiagonal_eigh` - every eigenvalue from that bisection plus its
   eigenvector from inverse iteration, as in LAPACK's dstein.  The gate
   simulations use it.

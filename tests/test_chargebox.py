@@ -15,6 +15,7 @@ from cqed.chargebox import (
 )
 from cqed.errors import TruncationTooSmall
 from cqed.fitting import dominant_frequency
+from cqed.linalg import tridiagonal_eigvalsh
 
 
 def lowest_gap(ec, ej, ng, ncut=10):
@@ -247,6 +248,16 @@ class TestSecondOrderGap:
     def test_requires_weak_coupling(self):
         with pytest.raises(ValueError):
             second_order_gap(1.0, np.array([0.5]), ncut=8)
+
+
+    def test_one_bisection_matches_separate_calls_bit_for_bit(self):
+        ej_values = np.array([0.02, 0.04, 0.08])
+        out = second_order_gap(1.0, ej_values, ncut=10)
+        for k, ej in enumerate(ej_values):
+            for key, (lo, hi), ng in (("gaps", (1, 2), 1.0), ("first_order_gaps", (0, 1), 0.5)):
+                diag = (np.arange(-10, 11)[None, :] - ng) ** 2
+                vals = tridiagonal_eigvalsh(diag, -0.5 * ej, hi + 1)[0]
+                assert out[key][k] == vals[hi] - vals[lo]
 
 
 class TestSuddenGate:
