@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqed
@@ -423,6 +423,21 @@ def edge_argv(draw):
 class TestEdgeValuesFromTheCommandTable:
     @settings(max_examples=200, deadline=None)
     @given(edge_argv())
+    # Edge argv that once broke the exit-code rules: a negative size term
+    # (exit 1 in np.linspace), arrays over any budget (exit 1 with
+    # _ArrayMemoryError), NaN or inf rows (exit 0), an OverflowError or a
+    # ZeroDivisionError traceback (exit 1), warnings before the error line,
+    # and an int past float range (exit 3).
+    @example(["spectrum", "--ncut=-1", "--ng-steps=1000000000000000"])
+    @example(["rabi", "--steps=1000000000000000"])
+    @example(["dephase", "--horizon=1e300"])
+    @example(["decay", "--t-max=1e300", "--trials=1000000000000000"])
+    @example(["rabi", "--omega=-1e300", "--t-max=1e300"])
+    @example(["fluxwell", "--phi-min=-1e300"])
+    @example(["coherent", "--alpha-re=1e300"])
+    @example(["tunnel-ode", "--max-rows=0"])
+    @example(["spectrum", "--ej=1e300"])
+    @example(["rabi", f"--steps={HUGE_INT}"])
     def test_exit_code_stderr_and_cells(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "t.csv"
