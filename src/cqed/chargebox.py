@@ -21,11 +21,12 @@ eigenvalues.  Neither builds a dense Hamiltonian; `cpb_hamiltonian` exists
 for callers that want one.
 
 Spectra are periodic in N_g with period 1 and symmetric about N_g = 1/2,
-so every scan below uses a single period, and the avoided crossings are
-evaluated at their symmetry points.  Truncation: states near |+-ncut| are
-polluted by the hard cutoff, so callers never get more than 2 ncut - 1
-levels, and the dispersion scan re-runs itself at doubled ncut to prove the
-cutoff is irrelevant.
+so no search over N_g is needed: the charge dispersion and the avoided
+crossings are evaluated at their symmetry points, and `koch_dispersion`
+gives the dispersion's large-E_J/E_C asymptote as an independent check.
+Truncation: states near |+-ncut| are polluted by the hard cutoff, so
+callers never get more than 2 ncut - 1 levels, and the dispersion scan
+re-runs itself at doubled ncut to prove the cutoff is irrelevant.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .linalg import Ket, tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonal_eigvalsh_groups
+from .linalg import (
+    _EPS, Ket, tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonal_eigvalsh_groups,
+)
 from .qubit import pauli
 
 __all__ = [
@@ -46,13 +49,11 @@ __all__ = [
     "reduced_qubit",
     "exact_gap",
     "charge_dispersion",
+    "koch_dispersion",
     "second_order_gap",
     "sudden_gate_sim",
     "adiabatic_sweep_sim",
 ]
-
-#: Gate-charge samples per unit N_g in dispersion scans.
-_SCAN_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -141,15 +142,21 @@ def exact_gap(ec: float, ej: float, dg: float) -> float:
 
 
 def charge_dispersion(ec: float, ej, ncut) -> dict[str, object]:
-    """Gate-charge dispersion of the qubit gap over one period of N_g.
+    """Gate-charge dispersion of the qubit gap, from its two symmetry points.
 
-    Scans N_g over [0, 1] on a 201-point grid and returns the extremes of
-    the gap between the two lowest levels plus their difference (the
-    dispersion).  The scan is repeated at doubled ncut; if that changes the
-    dispersion by more than 1e-8 relative to the gap scale the truncation
-    is inadequate and TruncationTooSmall is raised.  (The gap scale, not
-    the dispersion itself, is the reference: deep in the transmon regime
-    the dispersion underflows any fixed relative tolerance.)
+    Each level of the box is a Hill-equation band, monotone in N_g between
+    the symmetry points N_g = 0 and 1/2 (Magnus & Winkler 1966), so the gap
+    between the two lowest levels takes its extremes there and the
+    dispersion is their difference, |eps_0| + |eps_1| with Koch et al.'s
+    eps_m = E_m(1/2) - E_m(0).  Returned are the extremes (``max_gap``,
+    ``min_gap``), the ``dispersion`` and its roundoff floor
+    ``dispersion_floor`` = eps ||H|| dim of the doubled-ncut Hamiltonian,
+    below which the dispersion is noise.  The scan is repeated at doubled
+    ncut; if that changes the dispersion by more than 1e-8 relative to the
+    gap scale the truncation is inadequate and TruncationTooSmall is
+    raised.  (The gap scale, not the dispersion itself, is the reference:
+    deep in the transmon regime the dispersion underflows any fixed
+    relative tolerance.)
 
     ``ej`` and ``ncut`` are either scalars, which give float values, or
     equal-length sequences of (E_J, ncut) pairs, which give float arrays
@@ -159,13 +166,12 @@ def charge_dispersion(ec: float, ej, ncut) -> dict[str, object]:
     """
     scalar = np.ndim(ej) == 0 and np.ndim(ncut) == 0
     pairs = list(zip(np.atleast_1d(ej).tolist(), np.atleast_1d(ncut).tolist(), strict=True))
-    ng_values = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    levels = tridiagonal_eigvalsh_groups([
-        (_charging_energies(ec, ng_values, ChargeBasis(n)), -0.5 * ej_, 2)
-        for ej_, ncut_ in pairs for n in (ncut_, 2 * ncut_)])
-    gaps = [vals[:, 1] - vals[:, 0] for vals in levels]
-    out = {"max_gap": [], "min_gap": [], "dispersion": [], "ng_at_min": []}
-    for (_, ncut_), gaps_a, gaps_b in zip(pairs, gaps[::2], gaps[1::2]):
+    scans = [(_charging_energies(ec, [0.0, 0.5], ChargeBasis(n)), -0.5 * ej_, 2)
+             for ej_, ncut_ in pairs for n in (ncut_, 2 * ncut_)]
+    gaps = [vals[:, 1] - vals[:, 0] for vals in tridiagonal_eigvalsh_groups(scans)]
+    out = {"max_gap": [], "min_gap": [], "dispersion": [], "dispersion_floor": []}
+    for (ej_, ncut_), gaps_a, gaps_b, (diag, _, _) in zip(
+            pairs, gaps[::2], gaps[1::2], scans[1::2]):
         disp_a = gaps_a.max() - gaps_a.min()
         disp_b = gaps_b.max() - gaps_b.min()
         scale = max(abs(disp_b), float(gaps_b.mean()))
@@ -176,8 +182,24 @@ def charge_dispersion(ec: float, ej, ncut) -> dict[str, object]:
         out["max_gap"].append(float(gaps_b.max()))
         out["min_gap"].append(float(gaps_b.min()))
         out["dispersion"].append(float(disp_b))
-        out["ng_at_min"].append(float(ng_values[int(np.argmin(gaps_b))]))
+        # ||H|| <= max |E_C (N - N_g)^2| + E_J, the Gershgorin bound
+        out["dispersion_floor"].append(_EPS * (float(diag.max()) + abs(ej_)) * diag.shape[1])
     return {key: values[0] if scalar else np.array(values) for key, values in out.items()}
+
+
+def koch_dispersion(ec: float, ej):
+    """Asymptotic charge dispersion |eps_1| + |eps_0| of the qubit gap.
+
+    Koch et al., PRA 76, 042319 (2007), eq. 2.5, for E_J >> E_C:
+    eps_m = (-1)^m E_C' 2^(4m+5) / m! sqrt(2/pi) (E_J / 2 E_C')^(m/2 + 3/4)
+    exp(-sqrt(8 E_J / E_C')), with Koch's single-electron charging energy
+    E_C' = E_C / 4.  An independent check on `charge_dispersion`; ``ej``
+    may be an array.
+    """
+    ec_koch = 0.25 * ec
+    x = np.asarray(ej, dtype=np.float64) / ec_koch
+    common = ec_koch * np.sqrt(2.0 / np.pi) * (0.5 * x) ** 0.75 * np.exp(-np.sqrt(8.0 * x))
+    return common * (2.0**5 + 2.0**9 * np.sqrt(0.5 * x))
 
 
 def second_order_gap(

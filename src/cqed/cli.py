@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .chargebox import _SCAN_POINTS, charge_dispersion, spectrum_sweep
+from .chargebox import charge_dispersion, koch_dispersion, spectrum_sweep
 from .decoherence import (
     OUTCOME_LABELS, NoiseModel, RngSpec, bell_state, joint_table, ramsey_ensemble, t1_curves,
 )
@@ -363,11 +363,14 @@ def _transmon_charges(args) -> int:
 
 def _run_transmon(args):
     ratios = _ratios(args.ratios)
-    disp = charge_dispersion(args.ec, [ratio * args.ec for ratio in ratios],
-                             [args.ncut or _transmon_ncut(ratio) for ratio in ratios])
-    rows = np.column_stack([ratios, disp["dispersion"], disp["min_gap"], disp["max_gap"]])
-    return (["ej_over_ec", "dispersion", "min_gap", "max_gap"], rows,
-            f"dispersion {rows[0, 1]:.4g} -> {rows[-1, 1]:.4g}")
+    ej = [ratio * args.ec for ratio in ratios]
+    disp = charge_dispersion(args.ec, ej, [args.ncut or _transmon_ncut(ratio) for ratio in ratios])
+    # below_floor is 1 where the dispersion is roundoff, 0 elsewhere
+    rows = np.column_stack([ratios, disp["dispersion"], disp["dispersion_floor"],
+                            disp["dispersion"] < disp["dispersion_floor"],
+                            koch_dispersion(args.ec, ej), disp["min_gap"], disp["max_gap"]])
+    return (["ej_over_ec", "dispersion", "dispersion_floor", "below_floor", "koch_asymptotic",
+             "min_gap", "max_gap"], rows, f"dispersion {rows[0, 1]:.4g} -> {rows[-1, 1]:.4g}")
 
 
 def _run_tunnel_ode(args):
@@ -482,10 +485,12 @@ _COMMANDS = {
         _run_transmon, "Charge dispersion vs E_J/E_C",
         (("ec", 1.0, "> 0"), ("ratios", "1,2,5,10,20,50"), ("ncut", 0, ">= 0")),
         # every scan runs in one bisection, whose ragged Sturm blocks hold one
-        # value per (charge, gate charge, level): 2 x 201 per charge of every scan
-        size=lambda a: 2 * _SCAN_POINTS * _transmon_charges(a),
+        # value per charge and column; each scan has as many columns as every
+        # other: its 2 x 2 (gate charge, level) brackets, or its share of the
+        # _COLUMNS that multisection spreads over 8 brackets per ratio
+        size=lambda a: _transmon_charges(a) * max(4, _COLUMNS / (2 * len(_ratios(a.ratios)))),
         # an upper bound: the one bisection loops over the charges of its
-        # largest scan only, in each of at most _HALVINGS halvings
+        # largest scan only, in each of at most _HALVINGS passes
         loops=lambda a: _HALVINGS * _transmon_charges(a),
     ),
     "tunnel-ode": _Command(

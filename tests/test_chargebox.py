@@ -8,14 +8,19 @@ from cqed.chargebox import (
     charge_dispersion,
     cpb_hamiltonian,
     exact_gap,
+    koch_dispersion,
     reduced_qubit,
     second_order_gap,
     spectrum_sweep,
     sudden_gate_sim,
 )
+from cqed.cli import _transmon_ncut
 from cqed.errors import TruncationTooSmall
 from cqed.fitting import dominant_frequency
 from cqed.linalg import tridiagonal_eigvalsh
+
+#: The default ``transmon --ratios``.
+RATIOS = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
 
 
 def lowest_gap(ec, ej, ng, ncut=10):
@@ -194,7 +199,8 @@ class TestChargeDispersion:
         # (dg = 1/2) minus the sweet-spot minimum E_J
         estimate = exact_gap(1.0, 0.1, 0.5) - exact_gap(1.0, 0.1, 0.0)
         assert abs(out["dispersion"] - estimate) / estimate < 0.05
-        assert abs(out["ng_at_min"] - 0.5) < 0.01
+        # the minimum is the sweet-spot gap, about E_J
+        assert abs(out["min_gap"] - exact_gap(1.0, 0.1, 0.0)) / 0.1 < 0.05
 
     def test_monotone_suppression_with_ratio(self):
         ratios = [1, 2, 5, 10, 20, 50]
@@ -220,6 +226,44 @@ class TestChargeDispersion:
     def test_pair_list_raises_for_the_first_failing_pair(self):
         with pytest.raises(TruncationTooSmall, match="ncut=3"):
             charge_dispersion(1.0, [1.0, 60.0, 60.0], [6, 3, 4])
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_symmetry_points_match_a_dense_grid_scan(self, ratio):
+        # LAPACK on the dense doubled-ncut Hamiltonian over 201 gate charges:
+        # the gap's extremes over the grid are those at N_g = 0 and 1/2
+        ncut = _transmon_ncut(ratio)
+        out = charge_dispersion(1.0, ratio, ncut)
+        grid = np.linspace(0.0, 1.0, 201)
+        gaps = np.array([lowest_gap(1.0, ratio, ng, 2 * ncut) for ng in grid])
+        assert grid[0] == 0.0 and grid[100] == 0.5
+        floor = out["dispersion_floor"]
+        assert abs(out["max_gap"] - gaps.max()) <= floor
+        assert abs(out["min_gap"] - gaps.min()) <= floor
+        assert abs(out["dispersion"] - (gaps.max() - gaps.min())) <= floor
+
+    def test_roundoff_dispersion_lies_below_its_floor(self):
+        ncuts = [_transmon_ncut(r) for r in RATIOS]
+        out = charge_dispersion(1.0, RATIOS, ncuts)
+        below = out["dispersion"] < out["dispersion_floor"]
+        # ratio 50's dispersion (about 1.3e-13) is roundoff, the others are not
+        assert below.tolist() == [False] * 5 + [True]
+        # floor = eps ||H|| dim of the doubled-ncut Hamiltonian, ||H|| <= max d + E_J
+        dim = 4 * ncuts[-1] + 1
+        h_norm = (2 * ncuts[-1] + 0.5) ** 2 + RATIOS[-1]
+        assert out["dispersion_floor"][-1] == np.finfo(float).eps * h_norm * dim
+
+
+class TestKochDispersion:
+    def test_agrees_with_the_bisection_above_the_floor(self):
+        ncuts = [_transmon_ncut(r) for r in RATIOS]
+        out = charge_dispersion(1.0, RATIOS, ncuts)
+        rel = koch_dispersion(1.0, np.array(RATIOS)) / out["dispersion"] - 1
+        above = out["dispersion"] >= out["dispersion_floor"]
+        # an asymptote in E_J / E_C: the error falls with the ratio
+        assert np.all(np.diff(np.abs(rel[above])) < 0)
+        assert 0.20 < rel[3] < 0.26  # ratio 10
+        assert 0.12 < rel[4] < 0.18  # ratio 20
+        assert np.abs(rel[2:][above[2:]]).max() < 0.4
 
 
 class TestSecondOrderGap:
@@ -248,7 +292,6 @@ class TestSecondOrderGap:
     def test_requires_weak_coupling(self):
         with pytest.raises(ValueError):
             second_order_gap(1.0, np.array([0.5]), ncut=8)
-
 
     def test_one_bisection_matches_separate_calls_bit_for_bit(self):
         ej_values = np.array([0.02, 0.04, 0.08])

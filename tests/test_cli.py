@@ -146,9 +146,10 @@ class TestExitCodes:
         assert not out.exists()
         assert "TruncationTooSmall" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ratios,moved", [("1,60", "3.569e-04"), ("60,1", "3.175e-01")])
+    @pytest.mark.parametrize("ratios,moved", [("1,60", "3.765e-06"), ("60,1", "8.353e-02")])
     def test_transmon_reports_first_failing_ratio(self, tmp_path, capsys, ratios, moved):
-        # both ratios fail the doubled-ncut check; the message names the first listed
+        # both ratios fail the doubled-ncut check; the message names the first
+        # listed (ratio 1 moves by 3.765e-06, ratio 60 by 8.353e-02)
         code, out = run(tmp_path, "transmon", "--ratios", ratios, "--ncut", "3")
         assert code == 3
         assert not out.exists()
@@ -481,14 +482,15 @@ def largest_allocation(tmp_path, argv):
 
 class TestSizeTerm:
     def test_lopsided_transmon_allocates_no_array_over_its_size_term(self, tmp_path):
-        # One ratio needs far more charges than the rest: (charges, brackets)
-        # arrays padded to its 145 charges would hold over 4 times the term.
+        # One ratio needs far more charges than the rest: (charges, columns)
+        # arrays padded to its 145 charges would hold over twice the term.
         argv = ["transmon", "--ratios", "1000,1,1,1,1"]
         size = cli._COMMANDS["transmon"].size(cli.build_parser().parse_args(argv))
         code, largest = largest_allocation(tmp_path, argv)
         assert code == 0
-        # the (145, 201) diagonals of the doubled scan at ratio 1000 were seen
-        assert 8 * 145 * 201 <= largest <= 8 * size
+        # The first Sturm block was seen: the 11 charges of the smallest scan
+        # by 600 columns (40 brackets x 15 points of depth-4 multisection).
+        assert 8 * 11 * 600 <= largest <= 8 * size
 
     def test_narrow_spectrum_allocates_no_array_over_its_size_term(self, tmp_path):
         # 2 brackets take depth-9 multisection: (101, 1022) Sturm arrays,
@@ -694,6 +696,26 @@ class TestPhysicsThroughCli:
         assert code == 0
         _, _, rows = read_csv(out)
         assert float(rows[1][1]) < float(rows[0][1])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_transmon_flags_roundoff_dispersion(self, tmp_path, fmt):
+        # ratio 50 disperses by about 1.3e-13 and ratio 1e6 by exactly 0:
+        # both are printed, as numbers, and flagged as below the floor
+        code, out = run(tmp_path, "transmon", "--ratios", "20,50,1e6", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            _, header, rows = read_csv(out)
+        else:
+            doc = json.loads(out.read_text())
+            header, rows = doc["columns"], doc["rows"]
+        table = {name: [float(row[k]) for row in rows] for k, name in enumerate(header)}
+        assert header == ["ej_over_ec", "dispersion", "dispersion_floor", "below_floor",
+                          "koch_asymptotic", "min_gap", "max_gap"]
+        assert table["below_floor"] == [0.0, 1.0, 1.0]
+        assert 0 < table["dispersion"][1] < table["dispersion_floor"][1]
+        assert table["dispersion"][2] == 0.0
+        if fmt == "csv":
+            assert [row[3] for row in rows] == ["0", "1", "1"]
 
     @pytest.mark.parametrize("steps,max_rows", [(1000, 51), (1000, 7), (10, 2), (5, 501)])
     def test_tunnel_ode_rows_within_max_rows(self, tmp_path, steps, max_rows):
