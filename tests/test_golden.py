@@ -7,8 +7,10 @@ default ``--trials 0``; the long ``tunnel-ode``, ``coherent`` and ``jc``
 runs pin the dynamics paths, and the long ``washboard``, ``rabi`` and
 ``fluxwell`` runs and the five-level ``spectrum`` pin the table writer, at
 the sizes the benchmark runs them, and ``spectrum-ncut24`` pins the
-benchmark's 49-charge spectrum.  The ``transmon-*`` cases pin an unsorted
-ratio list with a duplicate and a ratio below 1, and a fixed ``--ncut``.
+benchmark's 49-charge spectrum.  ``decay-bench`` and ``dephase-bench`` are
+the benchmark's own ensembles; 20000 trials end both on a partial
+trajectory block.  The ``transmon-*`` cases pin an unsorted ratio list with
+a duplicate and a ratio below 1, and a fixed ``--ncut``.
 ``jc-g`` runs ``jc`` at a coupling other than 1, where rounding in g t
 reaches the printed digits, and the ``bell-*`` cases pin the three Bell
 states the default ``phi+`` skips.
@@ -36,6 +38,8 @@ FORMATS = ("csv", "json")
 #: Extra argv cases, keyed by the name their digests are stored under.
 CASES = {
     "decay-mc": ["decay", "--trials", "2000", "--seed", "7"],
+    "decay-bench": ["decay", "--trials", "20000", "--steps", "401", "--seed", "1"],
+    "dephase-bench": ["dephase", "--trials", "20000", "--seed", "1"],
     "dephase-long": ["dephase", "--trials", "5000", "--sigma2", "0.1", "--horizon", "20",
                      "--seed", "7"],
     "tunnel-ode-long": ["tunnel-ode", "--steps", "20000", "--theta2", "0.7"],
