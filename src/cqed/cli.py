@@ -410,6 +410,13 @@ class _Command:
 _HALVINGS = 58
 
 
+def _block(trials, steps):
+    """Float64 values in the trajectory block that `RngSpec._blocks` fills for
+    ``trials`` trajectories of ``steps`` steps: at most max(2^17, steps)."""
+    steps = max(1.0, steps)
+    return min(trials, max(1, 2**17 // steps)) * steps if trials else 0
+
+
 _COMMANDS = {
     "spectrum": _Command(
         _run_spectrum, "Charge-qubit levels vs gate charge",
@@ -467,14 +474,15 @@ _COMMANDS = {
         _run_decay, "T1 decay, analytic and Monte-Carlo",
         (("t1", 1.0, "> 0"), ("t-max", 4.0, "> 0"), ("steps", 81, ">= 2"),
          ("trials", 0, ">= 0"), ("dt", 0.01, "> 0")),
-        size=lambda a: max(3 * a.steps, a.trials, a.t_max / a.dt if a.trials else 0),
+        # the table, the decay times, and the trajectory block
+        size=lambda a: max(3 * a.steps, a.trials, _block(a.trials, np.ceil(a.t_max / a.dt))),
         draws=lambda a: a.trials * (a.t_max / a.dt),
     ),
     "dephase": _Command(
         _run_dephase, "Ramsey ensemble under white frequency noise",
         (("delta", 5.0), ("sigma2", 0.5, ">= 0"), ("dt", 0.02, "> 0"), ("horizon", 8.0, "> 0"),
          ("trials", 2000, ">= 0")),
-        size=lambda a: 2 * a.horizon / a.dt,
+        size=lambda a: max(2 * a.horizon / a.dt, _block(a.trials, np.round(a.horizon / a.dt))),
         draws=lambda a: a.trials * (a.horizon / a.dt) if a.sigma2 > 0 else 0,
     ),
     "bell": _Command(

@@ -6,9 +6,11 @@ master seed and the trajectory index through `RngSpec`.  Trajectory i uses
 PCG64(splitmix64(seed XOR i * GOLDEN64)), and trajectories are reduced in
 index order, so fixed (seed, trials) gives bit-identical output.  The
 ensemble loops derive the PCG64 states of a block of trajectories at once,
-replaying numpy's own seeding on whole arrays, and draw each trajectory
-into one row of a reused block of about 1 MB; the draws are the ones
-``RngSpec.stream(i)`` returns.
+replaying numpy's own seeding on whole arrays, as four 64-bit words each.
+They write each trajectory's words straight into one reused bit
+generator, in the word order found by setting a known state through
+numpy's own setter, and draw it into one row of a reused block of about
+1 MB; the draws are the ones ``RngSpec.stream(i)`` returns.
 
 Mixed states never appear as density matrices in this module: ensembles are
 weighted lists of pure states, which is all the experiments below need.
@@ -22,6 +24,7 @@ read out as p_plus, the probability of finding |+>.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +66,11 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 _SEEDSEQ_INIT_A, _SEEDSEQ_MULT_A = 0x43B0D7E5, 0x931E8875
 _SEEDSEQ_INIT_B, _SEEDSEQ_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SEEDSEQ_MIX_L, _SEEDSEQ_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4))  # (lo, hi)
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+#: Four distinct words (state_lo, state_hi, inc_lo, inc_hi) that locate each
+#: word of a PCG64 state in memory.
+_PROBE = [0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589EFCDAB, 0x3210765498FEDCBB]
 
 
 def _hash_steps(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,21 +105,43 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _pcg64_states(seed: int, trajectories: np.ndarray) -> list[dict]:
-    """``PCG64(splitmix64(seed ^ i * GOLDEN64)).state`` for each index i.
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) limbs of a + b mod 2^128, both given as (lo, hi) uint64 limbs."""
+    lo = a[0] + b[0]
+    return lo, a[1] + b[1] + (lo < a[0])
 
-    Replays numpy's seeding on whole arrays instead of building one
-    SeedSequence per key: the key enters a pool of four 32-bit words as
-    its low and high halves (for keys below 2^32 numpy enters one word,
-    and hashing the missing word as 0 is what it does anyway), the pool is
-    mixed, and ``generate_state(4, uint64)`` gives PCG64's seed and stream
-    words, which the srandom step turns into (state, inc).
+
+def _muladd128(x: tuple, m: tuple, c: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) limbs of x * m + c mod 2^128, all given as (lo, hi) uint64 limbs.
+
+    uint64 products wrap mod 2^64, so only the high half of x_lo * m_lo
+    needs 32-bit partial products; x_hi * m_hi falls off the top.
+    """
+    x0, x1 = x[0] & _LO32, x[0] >> _32
+    m0, m1 = m[0] & _LO32, m[0] >> _32
+    cross_x, cross_m = x1 * m0, x0 * m1
+    mid = ((x0 * m0) >> _32) + (cross_x & _LO32) + (cross_m & _LO32)
+    carry = x1 * m1 + (cross_x >> _32) + (cross_m >> _32) + (mid >> _32)
+    return _add128((x[0] * m[0], carry + x[0] * m[1] + x[1] * m[0]), c)
+
+
+def _pcg64_states(seed: int, trajectories: np.ndarray) -> np.ndarray:
+    """``PCG64(splitmix64(seed ^ i * GOLDEN64))``'s state for each index i.
+
+    Row i holds the four 64-bit words (state_lo, state_hi, inc_lo, inc_hi)
+    of the 128-bit state and increment.  Replays numpy's seeding on whole
+    arrays instead of building one SeedSequence per key: the key enters a
+    pool of four 32-bit words as its low and high halves (for keys below
+    2^32 numpy enters one word, and hashing the missing word as 0 is what
+    it does anyway), the pool is mixed, and ``generate_state(4, uint64)``
+    gives PCG64's seed and stream words, which the srandom step turns into
+    (state, inc) on 64-bit limbs.
     """
     i = np.asarray(trajectories, dtype=np.uint64)
     keys = _splitmix64(np.uint64(seed) ^ (i * np.uint64(_GOLDEN64)))
     words = np.zeros((4, keys.size), dtype=np.uint32)
-    words[0] = keys & np.uint64(0xFFFFFFFF)
-    words[1] = keys >> np.uint64(32)
+    words[0] = keys & _LO32
+    words[1] = keys >> _32
     pool = _hashmix(words, _POOL_XOR[:4], _POOL_MULT[:4])
     for src in range(4):
         # Mixing pool[src] into the other three words: independent updates.
@@ -123,15 +151,42 @@ def _pcg64_states(seed: int, trajectories: np.ndarray) -> list[dict]:
         mixed = _SEEDSEQ_MIX_L * pool[dst] - _SEEDSEQ_MIX_R * hashed
         pool[dst] = mixed ^ (mixed >> np.uint32(16))
     out = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MULT).astype(np.uint64)
-    seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | (out[1::2] << np.uint64(32))).tolist()
+    seed_hi, seed_lo, stream_hi, stream_lo = out[0::2] | (out[1::2] << _32)
     # PCG64 srandom: inc = 2 initseq + 1, state = (inc + initstate) MULT + inc.
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = (((q_hi << 64 | q_lo) << 1) | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    inc = ((stream_lo << np.uint64(1)) | np.uint64(1),
+           (stream_hi << np.uint64(1)) | (stream_lo >> np.uint64(63)))
+    state = _muladd128(_add128(inc, (seed_lo, seed_hi)), _PCG64_MULT, inc)
+    return np.column_stack([*state, *inc])
+
+
+def _state_dict(words) -> dict:
+    """The ``bit_generator.state`` dict of one row of `_pcg64_states`."""
+    state_lo, state_hi, inc_lo, inc_hi = (int(w) for w in words)
+    return {"bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _state_view(bitgen: np.random.PCG64) -> tuple[np.ndarray, list[int]]:
+    """A uint64 view of ``bitgen``'s 128-bit state and inc, and its word order.
+
+    numpy's PCG64 keeps a pointer to its (state, inc) pair at
+    ``ctypes.state_address``.  A known state is set through numpy's own
+    setter and its four words located in the view; ``order[j]`` is the
+    `_pcg64_states` column that view word j holds.  Any other layout raises
+    rather than draws.
+    """
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    # The pair lives inside the bit generator object; never follow a
+    # pointer that leads elsewhere.
+    if not id(bitgen) <= address <= id(bitgen) + type(bitgen).__basicsize__ - 32:
+        raise RuntimeError(f"numpy {np.__version__}: PCG64 state is not where expected")
+    view = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+    bitgen.state = _state_dict(_PROBE)
+    found = view.tolist()
+    if sorted(found) != sorted(_PROBE):
+        raise RuntimeError(f"numpy {np.__version__}: PCG64 state words not found")
+    return view, [_PROBE.index(word) for word in found]
 
 
 @dataclass(frozen=True)
@@ -140,9 +195,11 @@ class RngSpec:
 
     Trajectory ``i`` uses ``PCG64(splitmix64(seed XOR (i * GOLDEN64)))``
     where GOLDEN64 = 0x9E3779B97F4A7C15.  Identical (seed, i) always yields
-    the identical stream.  The states are derived in bulk (`_pcg64_states`);
-    ``stream`` is the one-trajectory case and the ensemble loops draw
-    block by block through ``_blocks``, both from the same derivation.
+    the identical stream.  The states are derived in bulk as four 64-bit
+    words each (`_pcg64_states`).  ``stream`` is the one-trajectory case and
+    sets them through numpy's ``state`` setter; the ensemble loops draw
+    block by block through ``_blocks``, which writes the words straight
+    into one bit generator in the order `_state_view` probes.
     """
 
     seed: int
@@ -153,7 +210,7 @@ class RngSpec:
     def stream(self, trajectory: int) -> np.random.Generator:
         bitgen = np.random.PCG64(0)
         index = np.array([trajectory & _MASK64], dtype=np.uint64)
-        bitgen.state = _pcg64_states(self.seed, index)[0]
+        bitgen.state = _state_dict(_pcg64_states(self.seed, index)[0])
         return np.random.Generator(bitgen)
 
     def _blocks(self, trials: int, nsteps: int, draw: str):
@@ -162,17 +219,22 @@ class RngSpec:
         Row r of ``block`` holds the first ``nsteps`` values of
         ``stream(start + r).<draw>()``.  Blocks hold max(1, 2^17 // nsteps)
         rows, about 1 MB, and share one buffer, so each is overwritten by
-        the next.
+        the next.  ``draw`` is ``random`` or ``standard_normal``: both take
+        whole 64-bit outputs, so the buffered 32-bit half that the state
+        words leave alone is never read.
         """
-        bitgen = np.random.PCG64(0)  # every row sets its own state
+        if draw not in ("random", "standard_normal"):
+            raise ValueError(f"unsupported draw {draw!r}")
+        bitgen = np.random.PCG64(0)  # every row writes its own state
+        view, order = _state_view(bitgen)
         fill = getattr(np.random.Generator(bitgen), draw)
         height = max(1, 2**17 // nsteps)
         buf = np.empty((min(height, trials), nsteps))
         for start in range(0, trials, height):
             block = buf[: min(height, trials - start)]
             indices = np.arange(start, start + len(block), dtype=np.uint64)
-            for row, state in zip(block, _pcg64_states(self.seed, indices)):
-                bitgen.state = state
+            for row, words in zip(block, _pcg64_states(self.seed, indices)[:, order]):
+                view[:] = words
                 fill(out=row)
             yield start, block
 

@@ -501,6 +501,50 @@ class TestSizeTerm:
         assert code == 0
         assert 8 * 101 * 1022 <= largest <= 8 * size
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay", "--trials", "20000", "--steps", "401"],
+            ["dephase", "--trials", "20000"],
+            ["dephase", "--trials", "5000", "--sigma2", "0.1", "--horizon", "20"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_ensemble_allocates_its_trajectory_block_and_no_array_over_its_size_term(
+        self, tmp_path, argv
+    ):
+        args = cli.build_parser().parse_args(argv)
+        steps = round((args.t_max if argv[0] == "decay" else args.horizon) / args.dt)
+        block = min(args.trials, max(1, 2**17 // steps)) * steps
+        code, largest = largest_allocation(tmp_path, argv)
+        assert code == 0
+        assert 8 * block <= largest <= 8 * cli._COMMANDS[argv[0]].size(args)
+
+    @given(st.integers(0, 2**64), st.floats(0, 1e300) | st.just(np.inf))
+    @example(1, 0.0)
+    @example(2**23, 1.0)
+    @example(0, np.inf)
+    @example(10, 2**17 - 1.0)
+    def test_trajectory_block_is_at_most_two_to_the_17_or_one_row(self, trials, steps):
+        # decay's term counted t_max / dt values and dephase's 2 horizon / dt
+        # before the block, and the budget is over 2^17: no exit code moves.
+        assert 0 <= cli._block(trials, steps) <= max(2**17, steps)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decay", "--trials", str(2**23), "--t-max", "0.01", "--dt", "0.01"],
+            ["decay", "--trials", "8", "--t-max", str(2**20), "--dt", "0.125"],
+            ["dephase", "--sigma2", "0", "--horizon", str(2**22 / 8), "--dt", "0.125"],
+            ["dephase", "--trials", "1000", "--horizon", str(2**20 / 8), "--dt", "0.125"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_ensemble_at_the_value_budget_is_still_accepted(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._COMMANDS[argv[0]].size(args) <= cli._MAX_VALUES
+        cli._check(args, cli._COMMANDS[argv[0]])
+
 
 class TestWriteTable:
     def test_missing_directory_exits_2(self, tmp_path, capsys):

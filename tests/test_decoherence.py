@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cqed import decoherence
 from cqed.decoherence import (
@@ -65,13 +67,29 @@ def oracle(seed, i):
     return np.random.Generator(np.random.PCG64(splitmix64((seed ^ (i * GOLDEN64)) & MASK64)))
 
 
+def state_words(state):
+    """A ``bit_generator.state`` dict as (state_lo, state_hi, inc_lo, inc_hi)."""
+    pair = state["state"]
+    return [pair["state"] & MASK64, pair["state"] >> 64, pair["inc"] & MASK64, pair["inc"] >> 64]
+
+
+def limbs(x):
+    """(lo, hi) uint64 limbs of a 128-bit int."""
+    return np.array([x & MASK64], dtype=np.uint64), np.array([x >> 64], dtype=np.uint64)
+
+
+U128 = st.integers(0, 2**128 - 1)
+ALL_ONES = 2**128 - 1
+
+
 class TestStreamDerivation:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bulk_states_match_numpy_seeding(self, seed):
         indices = np.array([0, 1, 2, 255, 65_537, 2**32 + 3, 2**63, 2**64 - 1], dtype=np.uint64)
         states = decoherence._pcg64_states(seed, indices)
-        for i, state in zip(indices.tolist(), states):
-            assert state == oracle(seed, i).bit_generator.state
+        assert states.shape == (len(indices), 4) and states.dtype == np.uint64
+        for i, words in zip(indices.tolist(), states.tolist()):
+            assert words == state_words(oracle(seed, i).bit_generator.state)
 
     @pytest.mark.parametrize("key", [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1])
     def test_keys_on_both_sides_of_two_to_the_32(self, key):
@@ -79,8 +97,51 @@ class TestStreamDerivation:
         seed = unsplitmix64(key)
         assert splitmix64(seed) == key
         expected = np.random.PCG64(key).state
-        assert decoherence._pcg64_states(seed, np.zeros(1, dtype=np.uint64))[0] == expected
+        words = decoherence._pcg64_states(seed, np.zeros(1, dtype=np.uint64))
+        assert words.tolist() == [state_words(expected)]
         assert RngSpec(seed).stream(0).bit_generator.state == expected
+
+    @given(U128, U128, U128)
+    @example(ALL_ONES, ALL_ONES, ALL_ONES)
+    @example(2**32 - 1, 2**32 + 1, 0)  # x_lo * m_lo carries across 2^32 and 2^64
+    @example(2**64 - 1, 2**64 - 1, 1)
+    @example(2**64 - 1, 1, 2**64 - 1)  # the low limbs of the add carry into the high
+    @example(ALL_ONES, 2**64 - 1, 2**64)
+    def test_limb_multiply_add_is_mod_two_to_the_128(self, x, m, c):
+        lo, hi = decoherence._muladd128(limbs(x), limbs(m), limbs(c))
+        assert (int(hi[0]) << 64 | int(lo[0])) == (x * m + c) % 2**128
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_written_through_the_view_read_back_as_numpy_state(self, seed):
+        bitgen = np.random.PCG64(0)
+        view, order = decoherence._state_view(bitgen)
+        indices = np.array([0, 3, 2**32 + 3, 2**64 - 1], dtype=np.uint64)
+        for i, words in zip(indices.tolist(), decoherence._pcg64_states(seed, indices)[:, order]):
+            view[:] = words
+            assert bitgen.state == oracle(seed, i).bit_generator.state
+
+    def test_a_layout_without_the_probe_words_raises(self):
+        class Shifted(np.random.PCG64):
+            """Sets every state one past the one asked for."""
+
+            @property
+            def state(self):
+                return np.random.PCG64.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                pair = {**value["state"], "state": value["state"]["state"] + 1}
+                shifted = {**value, "bit_generator": "Shifted", "state": pair}
+                np.random.PCG64.state.__set__(self, shifted)
+
+        with pytest.raises(RuntimeError, match="words not found") as raised:
+            decoherence._state_view(Shifted(0))
+        assert np.__version__ in str(raised.value)
+
+    @pytest.mark.parametrize("draw", ["integers", "standard_exponential", "bytes"])
+    def test_unsupported_draw_raises(self, draw):
+        with pytest.raises(ValueError, match=draw):
+            next(RngSpec(1)._blocks(4, 8, draw))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_stream_matches_oracle(self, seed):

@@ -1,8 +1,11 @@
-"""Checks on the package source as a whole: public names, line length, README layout."""
+"""Checks on the package source as a whole: public names, imports, line length,
+README layout."""
 
+import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,22 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(cqed.__path__) if not m.na
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"cqed.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_imports_are_numpy_and_stdlib_only():
+    # The package promises to need numpy alone.
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {root}" for root in roots
+                        if root != "numpy" and root not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 def test_no_source_line_over_99_characters():
