@@ -9,7 +9,10 @@ runs pin the dynamics paths, and the long ``washboard``, ``rabi`` and
 the sizes the benchmark runs them, and ``spectrum-ncut24`` pins the
 benchmark's 49-charge spectrum.  ``decay-bench`` and ``dephase-bench`` are
 the benchmark's own ensembles; 20000 trials end both on a partial
-trajectory block.  The ``transmon-*`` cases pin an unsorted ratio list with
+trajectory block.  ``coherent-complex`` (a complex alpha, a negative
+omega0) and ``coherent-bench`` (a non-integer alpha at the benchmark's
+size) pin the cross terms of the complex products that ``coherent-large``'s
+alpha = 3 hides.  The ``transmon-*`` cases pin an unsorted ratio list with
 a duplicate and a ratio below 1, and a fixed ``--ncut``.
 ``jc-g`` runs ``jc`` at a coupling other than 1, where rounding in g t
 reaches the printed digits, and the ``bell-*`` cases pin the three Bell
@@ -44,6 +47,9 @@ CASES = {
                      "--seed", "7"],
     "tunnel-ode-long": ["tunnel-ode", "--steps", "20000", "--theta2", "0.7"],
     "coherent-large": ["coherent", "--dim", "96", "--alpha-re", "3.0", "--steps", "601"],
+    "coherent-complex": ["coherent", "--alpha-re", "2.1", "--alpha-im", "-1.7", "--omega0", "-1.3",
+                         "--dim", "64", "--steps", "301"],
+    "coherent-bench": ["coherent", "--dim", "96", "--alpha-re", "2.953", "--steps", "601"],
     "jc-large": ["jc", "--nmax", "24", "--steps", "4001"],
     "jc-g": ["jc", "--g", "0.9734", "--nmax", "24", "--steps", "4001"],
     "washboard-long": ["washboard", "--steps", "20001", "--bias", "0.462366"],
