@@ -51,13 +51,13 @@ from .decoherence import (
     OUTCOME_LABELS, NoiseModel, RngSpec, bell_state, joint_table, ramsey_ensemble, t1_curves,
 )
 from .errors import CqedError
-from .fock import FockBasis, coherent_ket, ladder_suite, quad_stats
+from .fock import FockBasis, coherent_evolution, quad_stats
 from .jaynescummings import JCParams, JCSpace, transfer_time, vacuum_rabi
 from .junction import (
     TwoIslandState, first_minimum, flux_qubit_potential, squid_effective, two_island_dynamics,
     washboard_u,
 )
-from .linalg import _COLUMNS, Ket, fidelity
+from .linalg import _COLUMNS, fidelity
 from .qubit import rabi_trace, ramsey_trace
 
 __all__ = ["main", "OutputTable", "run_command"]
@@ -256,17 +256,13 @@ def _run_coherent(args):
     alpha = complex(args.alpha_re, args.alpha_im)
     basis = FockBasis(args.dim)
     times = np.linspace(0.0, args.t_max, args.steps)
-    # H = -omega0 N is diagonal: U(t) is one phase per Fock amplitude.
-    energies = -args.omega0 * np.diag(ladder_suite(basis).number).real
-    evolved = np.exp(-1j * np.outer(times, energies)) * coherent_ket(alpha, basis).amps
-    rows = np.empty((len(times), 8))
-    for row, t, amps in zip(rows, times, evolved):
-        numeric = Ket(amps)
-        alpha_t = alpha * np.exp(1j * args.omega0 * t)
-        analytic = coherent_ket(alpha_t, basis)
-        stats = quad_stats(numeric, basis)
-        row[:] = (t, alpha_t.real, alpha_t.imag, stats["mean1"], stats["mean2"],
-                  stats["var1"], stats["var2"], fidelity(analytic, numeric))
+    states = coherent_evolution(alpha, args.omega0, times, basis)
+    stats = quad_stats(states["numeric"], basis)
+    rows = np.column_stack([
+        times, states["alpha"].real, states["alpha"].imag, stats["mean1"], stats["mean2"],
+        stats["var1"], stats["var2"],
+        [fidelity(a, b) for a, b in zip(states["analytic"], states["numeric"])],
+    ])
     columns = ["t", "alpha_re", "alpha_im", "x1_mean", "x2_mean", "x1_var", "x2_var", "fidelity"]
     return columns, rows, f"<n> = {abs(alpha) ** 2:.6g}"
 
@@ -300,8 +296,9 @@ def _run_fluxwell(args):
 
 def _run_jc(args):
     params = JCParams(args.g)
+    JCSpace(args.nmax)  # rejects nmax < 2, though the orbit fits any truncation
     times = np.linspace(0.0, args.t_max, args.steps)
-    result = vacuum_rabi(params, times, JCSpace(args.nmax))
+    result = vacuum_rabi(params, times)
     rows = np.column_stack([times, result["p_qubit_excited"], result["p_photon"]])
     return (["t", "p_qubit_excited", "p_photon"], rows,
             f"transfer time pi/2g = {transfer_time(params):.9g}")
@@ -443,8 +440,10 @@ _COMMANDS = {
         (("alpha-re", 1.5), ("alpha-im", 0.0), ("omega0", 1.0), ("dim", 48),
          ("t-max", 2 * math.pi, "> 0"), ("steps", 61, ">= 2")),
         # about eight complex dim x dim matrices held at once (the ladder suite
-        # and the cached quadratures), and the (steps, dim) complex evolved amplitudes
-        size=lambda a: max(16 * a.dim ** 2, 2 * a.dim * a.steps, 8 * a.steps),
+        # and the cached quadratures), or three (steps, dim) complex stacks: the
+        # evolved amplitudes beside the analytic recursion, which is run
+        # level-major and copied to one row per time
+        size=lambda a: max(16 * a.dim ** 2, 6 * a.dim * a.steps, 8 * a.steps),
     ),
     "washboard": _Command(
         _run_washboard, "Tilted washboard potential",
@@ -467,8 +466,8 @@ _COMMANDS = {
     "jc": _Command(
         _run_jc, "Vacuum Rabi oscillation of a qubit-cavity pair",
         (("g", 1.0), ("nmax", 4), ("t-max", 2 * math.pi, "> 0"), ("steps", 101, ">= 2")),
-        # the (steps, 2 nmax) complex amplitudes and the (steps, 3) table
-        size=lambda a: max(4 * a.nmax * a.steps, 3 * a.steps),
+        # the (steps, 3) table; the populations need no state vectors
+        size=lambda a: 3 * a.steps,
     ),
     "decay": _Command(
         _run_decay, "T1 decay, analytic and Monte-Carlo",

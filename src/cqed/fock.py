@@ -10,6 +10,13 @@ entry, which is -(dim-1) instead of 1, so [a, a^dag] - I has -dim there
 (to within the roundoff of squaring sqrt(n)).  Coherent-state constructors
 enforce an adequacy rule so the discarded Poisson tail stays below 1e-8 in
 norm.
+
+A sweep of coherent states runs their amplitude recursion once over the
+whole stack of amplitudes alpha, one vector step per Fock level, with
+`coherent_ket` as its one-row case.  The stack is written on real and
+imaginary parts so that each row equals, bit for bit, the scalar recursion
+on its one alpha: numpy's vectorized complex multiply and complex abs round
+differently from their scalar forms.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationTooSmall
-from .linalg import Ket, expectation
+from .linalg import Ket, check_kets
 
 __all__ = [
     "FockBasis",
@@ -91,45 +98,93 @@ def min_dim_for(alpha: complex) -> int:
     return int(np.ceil(a * a + 10.0 * a + 10.0))
 
 
+def _product(a, b, out=None) -> np.ndarray:
+    """a * b for complex a and b, each element rounded as numpy's scalar product rounds it.
+
+    numpy's array complex multiply may fuse its products with FMA when it
+    vectorizes, which rounds differently, so the product is written out on
+    real and imaginary parts instead.
+    """
+    if out is None:
+        out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _coherent_rows(alphas, dim: int) -> np.ndarray:
+    """Truncated coherent amplitudes for each of ``alphas``, renormalized: (len(alphas), dim).
+
+    One recursion c_{n+1} = alpha c_n / sqrt(n+1) from c_0 = exp(-|alpha|^2 / 2)
+    runs over the whole stack, a vector step per level, and every element
+    equals numpy's scalar arithmetic on its one alpha, bit for bit: the
+    products go through `_product`; the division by sqrt(n+1) stays a
+    complex-by-real division, whose signs of zero differ from a multiply by
+    the reciprocal; c_0 and |alpha| are scalar per alpha (np.abs on a complex
+    array rounds differently from scalar abs); and each row's norm is
+    np.linalg.norm of that one row.  Both rules of `coherent_ket` are
+    checked for every alpha.
+    """
+    c = np.empty((dim, len(alphas)), dtype=np.complex128)
+    for k, alpha in enumerate(alphas):
+        if dim < min_dim_for(alpha):
+            raise TruncationTooSmall(
+                f"dim {dim} < adequacy bound {min_dim_for(alpha)} for |alpha|={abs(alpha):.3g}"
+            )
+        c[0, k] = np.exp(-0.5 * abs(alpha) ** 2)
+    alphas = np.asarray(alphas, dtype=np.complex128)
+    for n in range(dim - 1):
+        _product(alphas, c[n], out=c[n + 1])
+        c[n + 1] /= np.sqrt(n + 1.0)
+    amps = np.ascontiguousarray(c.T)
+    nrm = np.array([np.linalg.norm(row) for row in amps])
+    deficit = 1.0 - nrm * nrm
+    bad = np.flatnonzero(deficit > _RESIDUAL_TOL)
+    if bad.size:
+        raise TruncationTooSmall(
+            f"truncated norm deficit {deficit[bad[0]]:.3e} exceeds {_RESIDUAL_TOL}"
+        )
+    amps /= nrm[:, None]
+    return amps
+
+
 def coherent_ket(alpha: complex, basis: FockBasis) -> Ket:
     """Truncated coherent state |alpha>, renormalized.
 
     Amplitudes follow the recursion c_{n+1} = alpha c_n / sqrt(n+1) from
-    c_0 = exp(-|alpha|^2 / 2), which avoids factorials entirely.  Requires
+    c_0 = exp(-|alpha|^2 / 2), which avoids factorials entirely; this is the
+    one-row case of the stack `coherent_evolution` builds.  Requires
     ``basis.dim >= |alpha|^2 + 10 |alpha| + 10`` and a pre-renormalization
     norm deficit below 1e-8; both failures raise TruncationTooSmall.
     """
-    if basis.dim < min_dim_for(alpha):
-        raise TruncationTooSmall(
-            f"dim {basis.dim} < adequacy bound {min_dim_for(alpha)} for |alpha|={abs(alpha):.3g}"
-        )
-    amps = np.empty(basis.dim, dtype=np.complex128)
-    amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(basis.dim - 1):
-        amps[n + 1] = alpha * amps[n] / np.sqrt(n + 1.0)
-    nrm = np.linalg.norm(amps)
-    if 1.0 - nrm * nrm > _RESIDUAL_TOL:
-        raise TruncationTooSmall(
-            f"truncated norm deficit {1.0 - nrm * nrm:.3e} exceeds {_RESIDUAL_TOL}"
-        )
-    return Ket(amps / nrm)
+    return Ket(_coherent_rows([alpha], basis.dim)[0])
 
 
 def coherent_evolution(
-    alpha: complex, omega0: float, t: float, basis: FockBasis
-) -> dict[str, Ket]:
-    """Free evolution of |alpha>, analytically and numerically.
+    alpha: complex, omega0: float, times: np.ndarray, basis: FockBasis
+) -> dict[str, np.ndarray]:
+    """Free evolution of |alpha> at each of ``times``, analytically and numerically.
 
-    analytic: |alpha exp(+i omega0 t)>, the phase convention in which the
-    Fock state |n> picks up exp(+i n omega0 t).  numeric: evolution under
-    H = -omega0 * number, which realizes the same convention.  H is
-    diagonal, so U(t) multiplies each amplitude by exp(-i E_n t), with E_n
-    read off the diagonal of the number operator.
+    analytic: |alpha_t> with alpha_t = alpha exp(+i omega0 t), the phase
+    convention in which the Fock state |n> picks up exp(+i n omega0 t).
+    numeric: evolution under H = -omega0 * number, which realizes the same
+    convention.  H is diagonal, so U(t) multiplies each amplitude by
+    exp(-i E_n t), with E_n read off the diagonal of the number operator.
+
+    Returns ``"alpha"`` (alpha_t per time) and the ``"analytic"`` and
+    ``"numeric"`` amplitudes, row k at ``times[k]`` of a (len(times), dim)
+    array; every row of both passes `Ket`'s checks.  The analytic rows come
+    from one batched recursion (see `coherent_ket`), and each alpha_t
+    equals the scalar ``alpha * np.exp(1j * omega0 * t)`` bit for bit.
     """
-    analytic = coherent_ket(alpha * np.exp(1j * omega0 * t), basis)
+    times = np.asarray(times, dtype=np.float64)
     energies = -omega0 * np.diag(ladder_suite(basis).number).real
-    numeric = Ket(np.exp(-1j * energies * t) * coherent_ket(alpha, basis).amps)
-    return {"analytic": analytic, "numeric": numeric}
+    numeric = np.exp(-1j * np.outer(times, energies)) * coherent_ket(alpha, basis).amps
+    check_kets(numeric)
+    alphas = _product(complex(alpha), np.exp(_product(1j * omega0, times)))
+    analytic = _coherent_rows(alphas, basis.dim)
+    check_kets(analytic)
+    return {"alpha": alphas, "analytic": analytic, "numeric": numeric}
 
 
 @functools.lru_cache(maxsize=1)
@@ -142,23 +197,25 @@ def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return mats
 
 
-def quad_stats(psi: Ket, basis: FockBasis) -> dict[str, float]:
+def quad_stats(psi: Ket | np.ndarray, basis: FockBasis) -> dict:
     """Means and variances of the two quadratures in state ``psi``.
 
-    The quadratures and their squares for the last dimension asked for are
-    cached read-only, so a sweep over many states of one mode builds them
-    once.
+    ``psi`` is a Ket, or a (k, dim) stack of normalized amplitude rows such
+    as `coherent_evolution` returns; a stack gives k values per key.  Each value
+    is one ``op @ psi`` and one ``vdot`` per row, as `expectation` computes
+    it.  The quadratures and their squares for the last dimension asked for
+    are cached read-only, so a sweep over many states of one mode builds
+    them once.
     """
-    if psi.dim != basis.dim:
+    amps = psi.amps if isinstance(psi, Ket) else np.asarray(psi)
+    if amps.shape[-1] != basis.dim:
         raise DimensionMismatch("state dimension does not match basis")
-    x1, x1_sq, x2, x2_sq = _quadratures(basis.dim)
-    out = {}
-    for name, op, op_sq in (("1", x1, x1_sq), ("2", x2, x2_sq)):
-        mean = expectation(op, psi).real
-        second = expectation(op_sq, psi).real
-        out[f"mean{name}"] = mean
-        out[f"var{name}"] = second - mean * mean
-    return out
+    mats = _quadratures(basis.dim)
+    sums = np.array([[np.vdot(row, op @ row).real for op in mats]
+                     for row in amps.reshape(-1, basis.dim)]).T
+    mean1, second1, mean2, second2 = sums.reshape(4, *amps.shape[:-1])
+    return {"mean1": mean1, "var1": second1 - mean1 * mean1,
+            "mean2": mean2, "var2": second2 - mean2 * mean2}
 
 
 def cavity_mode_freq(kind: str, omega0: float, m: int) -> float:

@@ -11,8 +11,9 @@ H conserves the excitation number n + q, so it splits into 2x2 blocks
 40 (1993) 1195).  Started from |0, 1> the state never leaves the first
 block, where it follows cos(gt) |0,1> - i sin(gt) |1,0> exactly; that orbit
 is computed directly, without building or diagonalizing H, and any
-nmax >= 2 holds it.  `jc_hamiltonian` builds the dense H for callers that
-want to check this.
+nmax >= 2 holds it.  Its populations are cos^2(gt) and sin^2(gt), so
+`vacuum_rabi` builds no state vectors at all.  `jc_hamiltonian` builds the
+dense H for callers that want to check this.
 """
 
 from __future__ import annotations
@@ -99,25 +100,17 @@ def vacuum_rabi_closed_form(g: float, t: float, space: JCSpace) -> Ket:
     return Ket(_orbit(g, np.array([t], dtype=np.float64), space)[0])
 
 
-def vacuum_rabi(
-    params: JCParams, times: np.ndarray, space: JCSpace
-) -> dict[str, object]:
-    """Evolve |0, 1> under the exchange coupling at each sampled time.
+def vacuum_rabi(params: JCParams, times: np.ndarray) -> dict[str, np.ndarray]:
+    """Populations of |0, 1> evolved under the exchange coupling, at each sampled time.
 
-    Returns the qubit excited-state population (the |0,1> population), the
-    mean cavity photon number (the |1,0> population: the state stays in
-    the single-excitation block) and, under ``"amps"``, the amplitudes of
-    the state at ``times[k]`` as row k of a (len(times), dim) array.
+    On the orbit cos(gt) |0,1> - i sin(gt) |1,0> the qubit excited-state
+    population (the |0,1> population) is cos^2(gt) and the mean cavity photon
+    number (the |1,0> population: the state stays in the single-excitation
+    block) is sin^2(gt), whatever the truncation.  `vacuum_rabi_closed_form`
+    gives the state itself.
     """
-    times = np.asarray(times, dtype=np.float64)
-    states = _orbit(params.g, times, space)
-    p_excited = np.abs(states[:, index_of(0, 1, space)]) ** 2
-    p_photon = np.abs(states[:, index_of(1, 0, space)]) ** 2
-    return {
-        "p_qubit_excited": p_excited,
-        "p_photon": p_photon,
-        "amps": states,
-    }
+    gt = params.g * np.asarray(times, dtype=np.float64)
+    return {"p_qubit_excited": np.cos(gt) ** 2, "p_photon": np.sin(gt) ** 2}
 
 
 def transfer_time(params: JCParams) -> float:

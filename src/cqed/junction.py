@@ -322,22 +322,24 @@ def two_island_dynamics(
     )
     out = np.empty((steps + 1, 4))
     out[0] = y
-    for k in range(steps):
+    # Each state's four floats go into the array one by one through a
+    # memoryview, which costs less than numpy's per-step sequence assignment.
+    rows = out.data
+    for k in range(1, steps + 1):
         a1, a2, a3, a4 = rhs(n1, n2, th1, th2)
         b1, b2, b3, b4 = rhs(n1 + half * a1, n2 + half * a2, th1 + half * a3, th2 + half * a4)
         c1, c2, c3, c4 = rhs(n1 + half * b1, n2 + half * b2, th1 + half * b3, th2 + half * b4)
         d1, d2, d3, d4 = rhs(n1 + dt * c1, n2 + dt * c2, th1 + dt * c3, th2 + dt * c4)
-        n1, n2, th1, th2 = y = (
+        rows[k, 0], rows[k, 1], rows[k, 2], rows[k, 3] = n1, n2, th1, th2 = (
             n1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
             n2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
             th1 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
             th2 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
         )
         if not (n1 < inf and n2 < inf and -inf < th1 < inf and -inf < th2 < inf):
-            raise StepUnstable(f"state became non-finite at step {k + 1}")
+            raise StepUnstable(f"state became non-finite at step {k}")
         if n1 <= 0.0 or n2 <= 0.0:
-            raise StepUnstable(f"pair number went non-positive at step {k + 1}")
-        out[k + 1] = y
+            raise StepUnstable(f"pair number went non-positive at step {k}")
     times = np.arange(steps + 1) * dt
     n1, n2, th1, th2 = out.T
     delta = th2 - th1

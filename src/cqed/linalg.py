@@ -50,6 +50,7 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "Ket",
+    "check_kets",
     "tridiagonal_eigvalsh",
     "tridiagonal_eigvalsh_groups",
     "tridiagonal_eigh",
@@ -86,17 +87,23 @@ class Ket:
     def __post_init__(self):
         # private contiguous copy: never alias (or freeze) caller memory
         amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
-        if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
-            raise ValueError("ket amplitudes must be finite")
-        nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > _NORM_TOL:
-            raise ValueError(f"ket norm {nrm!r} differs from 1 beyond 1e-10")
+        check_kets(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
     @property
     def dim(self) -> int:
         return self.amps.shape[0]
+
+
+def check_kets(amps: np.ndarray) -> None:
+    """`Ket`'s checks on every row of ``amps`` at once: finite, unit norm within 1e-10."""
+    if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
+        raise ValueError("ket amplitudes must be finite")
+    nrm = np.linalg.norm(amps, axis=-1).reshape(-1)
+    off = np.flatnonzero(np.abs(nrm - 1.0) > _NORM_TOL)
+    if off.size:
+        raise ValueError(f"ket norm {nrm[off[0]]!r} differs from 1 beyond 1e-10")
 
 
 def fidelity(a: Ket | np.ndarray, b: Ket | np.ndarray) -> float:

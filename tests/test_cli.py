@@ -227,7 +227,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("computation started before validation")
 
-        for name in ("rabi_trace", "ramsey_trace", "coherent_ket", "Ket",
+        for name in ("rabi_trace", "ramsey_trace", "coherent_evolution", "quad_stats",
                      "flux_qubit_potential", "washboard_u", "squid_effective",
                      "vacuum_rabi", "two_island_dynamics"):
             monkeypatch.setattr(cli, name, no_work)
@@ -311,8 +311,10 @@ class TestExitCodes:
             ["fluxwell", "--steps", "100000000000"],
             ["tunnel-ode", "--steps", "100000000000"],
             ["spectrum", "--ng-steps", "100000000"],
-            ["jc", "--nmax", "100000"],
+            ["jc", "--steps", "2796203"],  # (steps, 3) rows: one value over 2^23
             ["coherent", "--dim", "100000"],
+            # three (steps, dim) complex stacks held at once, not one
+            ["coherent", "--steps", "29128"],
             # about eight dim x dim complex matrices held at once, not one
             ["coherent", "--dim", "1024", "--steps", "2"],
             ["transmon", "--ncut", "100000"],
@@ -330,8 +332,8 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("computation started before the budget check")
 
-        for name in ("spectrum_sweep", "charge_dispersion", "rabi_trace", "ladder_suite",
-                     "coherent_ket", "Ket", "washboard_u", "flux_qubit_potential",
+        for name in ("spectrum_sweep", "charge_dispersion", "rabi_trace", "coherent_evolution",
+                     "quad_stats", "washboard_u", "flux_qubit_potential",
                      "vacuum_rabi", "ramsey_ensemble", "two_island_dynamics"):
             monkeypatch.setattr(cli, name, no_work)
         monkeypatch.setattr(cli.np, "linspace", no_work)
@@ -467,8 +469,9 @@ def largest_allocation(tmp_path, argv):
         # A function's arrays are all alive when it returns.
         nonlocal largest
         if event == "return" and frame.f_globals.get("__name__", "").startswith("cqed."):
-            traces = tracemalloc.take_snapshot().traces
-            largest = max(largest, *(trace.size for trace in traces))
+            # The raw (domain, size, traceback, nframe) tuples that
+            # take_snapshot wraps, read without a Trace object per block.
+            largest = max(largest, max(trace[1] for trace in tracemalloc._get_traces()))
 
     tracemalloc.start()
     sys.setprofile(profile)
@@ -519,6 +522,29 @@ class TestSizeTerm:
         code, largest = largest_allocation(tmp_path, argv)
         assert code == 0
         assert 8 * block <= largest <= 8 * cli._COMMANDS[argv[0]].size(args)
+
+    @pytest.mark.parametrize(
+        "argv, floor",
+        [
+            # a (steps, dim) complex stack: the evolved or the analytic amplitudes
+            (["coherent", "--dim", "96", "--alpha-re", "2.953", "--steps", "601"], 16 * 96 * 601),
+            # the (steps, 3) table; no (steps, 2 nmax) amplitudes are built
+            (["jc", "--nmax", "24", "--steps", "4001", "--g", "0.9734"], 8 * 3 * 4001),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_dynamics_at_bench_size_allocates_no_array_over_its_size_term(
+        self, tmp_path, argv, floor
+    ):
+        size = cli._COMMANDS[argv[0]].size(cli.build_parser().parse_args(argv))
+        code, largest = largest_allocation(tmp_path, argv)
+        assert code == 0
+        assert floor <= largest <= 8 * size
+
+    def test_jc_size_term_does_not_grow_with_nmax(self, tmp_path):
+        # the populations need no state vectors, so nmax costs nothing
+        code, _ = run(tmp_path, "jc", "--nmax", "100000")
+        assert code == 0
 
     @given(st.integers(0, 2**64), st.floats(0, 1e300) | st.just(np.inf))
     @example(1, 0.0)

@@ -13,7 +13,7 @@ from cqed.decoherence import (
     t1_curves,
     two_offset_fringe,
 )
-from cqed.jaynescummings import JCParams, JCSpace, vacuum_rabi
+from cqed.jaynescummings import JCParams, vacuum_rabi
 from cqed.junction import TwoIslandState, two_island_dynamics
 from cqed.qubit import rabi_trace, ramsey_trace
 
@@ -51,7 +51,7 @@ CASES = {
     "general_fringe": lambda: _on_given_times(general_fringe(0.4, 0.1, 2.0, TIMES)["p_plus"]),
     "decay_limited_ramsey": _decay_limited_ramsey,
     "vacuum_rabi": lambda: _on_given_times(
-        *(vacuum_rabi(JCParams(1.0), TIMES, JCSpace(3))[key] for key in JC_CURVES)
+        *(vacuum_rabi(JCParams(1.0), TIMES)[key] for key in JC_CURVES)
     ),
     "sudden_gate_sim": lambda: _on_given_times(*sudden_gate_sim(1.0, 0.1, TIMES, ncut=4).values()),
     "two_island_current": _two_island_current,

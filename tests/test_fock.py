@@ -10,9 +10,10 @@ from cqed.fock import (
     fock_ket,
     ladder_suite,
     quad_stats,
+    _coherent_rows,
     _quadratures,
 )
-from cqed.linalg import expectation, fidelity
+from cqed.linalg import Ket, expectation, fidelity
 
 
 @pytest.fixture
@@ -92,32 +93,85 @@ class TestCoherentStates:
             coherent_ket(3.0, FockBasis(12))
 
 
+def scalar_recursion(alpha: np.complex128, dim: int) -> np.ndarray:
+    """c_{n+1} = alpha c_n / sqrt(n+1) on numpy complex128 scalars, one level at a time."""
+    amps = np.empty(dim, dtype=np.complex128)
+    amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(dim - 1):
+        amps[n + 1] = alpha * amps[n] / np.sqrt(n + 1.0)
+    return amps / np.linalg.norm(amps)
+
+
+def bits(amps: np.ndarray) -> np.ndarray:
+    return amps.view(np.uint64)
+
+
 class TestCoherentEvolution:
+    def test_batched_amplitudes_match_scalar_recursion_bit_for_bit(self):
+        # Scalar and array complex arithmetic round differently once numpy
+        # vectorizes a product; the stack must still equal one-alpha scalar
+        # arithmetic in every bit, signs of zero included.
+        rng = np.random.default_rng(20)
+        alphas = rng.normal(scale=1.2, size=50) + 1j * rng.normal(scale=1.2, size=50)
+        alphas = np.concatenate([alphas, [0.0, -1.5, 1.5j, -2.0j, complex(-3.0, -0.0)]])
+        dim = 100
+        stack = _coherent_rows(alphas, dim)
+        ref = np.array([scalar_recursion(alpha, dim) for alpha in alphas])
+        assert stack.shape == (len(alphas), dim)
+        assert np.array_equal(bits(stack), bits(ref))
+        for alpha, row in zip(alphas[:5], stack):
+            assert np.array_equal(bits(coherent_ket(alpha, FockBasis(dim)).amps), bits(row))
+
+    def test_alpha_and_analytic_rows_match_scalar_evaluation_bit_for_bit(self):
+        basis = FockBasis(64)
+        alpha, omega0 = 2.1 - 1.7j, -1.3
+        times = np.linspace(0.0, 9.0, 41)
+        out = coherent_evolution(alpha, omega0, times, basis)
+        alpha_t = np.array([alpha * np.exp(1j * omega0 * t) for t in times])
+        assert np.array_equal(bits(out["alpha"]), bits(alpha_t))
+        for a, row in zip(alpha_t, out["analytic"]):
+            assert np.array_equal(bits(coherent_ket(a, basis).amps), bits(row))
+
+    def test_every_alpha_is_checked_for_adequacy(self):
+        # |alpha| = 3 puts the adequacy bound at exactly 49; |alpha_t| rounds
+        # above 3 at the 11th of these samples, which fails the rule.
+        coherent_ket(3.0, FockBasis(49))
+        with pytest.raises(TruncationTooSmall, match="adequacy bound 50"):
+            coherent_evolution(3.0, 1.0, np.linspace(0.0, 2 * np.pi, 61), FockBasis(49))
+
+    def test_every_alpha_is_checked_for_norm_deficit(self, monkeypatch):
+        monkeypatch.setattr("cqed.fock.min_dim_for", lambda alpha: 2)
+        with pytest.raises(TruncationTooSmall, match="norm deficit"):
+            _coherent_rows([0.0, 3.0], 12)
+
     def test_zero_time(self):
         basis = FockBasis(40)
-        out = coherent_evolution(1.1, 2.0, 0.0, basis)
+        out = coherent_evolution(1.1, 2.0, np.array([0.0]), basis)
         ref = coherent_ket(1.1, basis)
-        assert fidelity(out["analytic"], ref) > 1 - 1e-12
-        assert fidelity(out["numeric"], ref) > 1 - 1e-12
+        assert fidelity(out["analytic"][0], ref.amps) > 1 - 1e-12
+        assert fidelity(out["numeric"][0], ref.amps) > 1 - 1e-12
 
     def test_full_period_returns(self):
         basis = FockBasis(40)
         omega0 = 1.7
-        out = coherent_evolution(1.3, omega0, 2 * np.pi / omega0, basis)
+        out = coherent_evolution(1.3, omega0, np.array([2 * np.pi / omega0]), basis)
         ref = coherent_ket(1.3, basis)
-        assert fidelity(out["numeric"], ref) > 1 - 1e-8
-        assert fidelity(out["analytic"], ref) > 1 - 1e-8
+        assert fidelity(out["numeric"][0], ref.amps) > 1 - 1e-8
+        assert fidelity(out["analytic"][0], ref.amps) > 1 - 1e-8
 
     def test_quarter_period_rotates_alpha(self):
         basis = FockBasis(40)
-        out = coherent_evolution(1.0, 1.0, np.pi / 2, basis)
-        assert fidelity(out["analytic"], coherent_ket(1j, basis)) > 1 - 1e-10
-        assert fidelity(out["numeric"], coherent_ket(1j, basis)) > 1 - 1e-8
+        out = coherent_evolution(1.0, 1.0, np.array([np.pi / 2]), basis)
+        assert fidelity(out["analytic"][0], coherent_ket(1j, basis).amps) > 1 - 1e-10
+        assert fidelity(out["numeric"][0], coherent_ket(1j, basis).amps) > 1 - 1e-8
 
     def test_analytic_numeric_agreement(self):
         basis = FockBasis(44)
-        out = coherent_evolution(1.4 + 0.3j, 0.9, 2.31, basis)
-        assert fidelity(out["analytic"], out["numeric"]) > 1 - 1e-8
+        times = np.linspace(0.0, 2.31, 12)
+        out = coherent_evolution(1.4 + 0.3j, 0.9, times, basis)
+        assert out["analytic"].shape == out["numeric"].shape == (len(times), basis.dim)
+        for analytic, numeric in zip(out["analytic"], out["numeric"]):
+            assert fidelity(analytic, numeric) > 1 - 1e-8
 
 
 class TestQuadratures:
@@ -154,6 +208,14 @@ class TestQuadratures:
                 mean = expectation(op, psi).real
                 assert stats[f"mean{name}"] == mean
                 assert stats[f"var{name}"] == expectation(op @ op, psi).real - mean * mean
+
+    def test_stack_matches_one_ket_at_a_time_bit_for_bit(self):
+        basis = FockBasis(40)
+        out = coherent_evolution(2.0 - 1.0j, 0.7, np.linspace(0.0, 5.0, 9), basis)
+        stats = quad_stats(out["numeric"], basis)
+        for k, amps in enumerate(out["numeric"]):
+            one = quad_stats(Ket(amps), basis)
+            assert all(stats[key][k] == one[key] for key in one)
 
     def test_cached_operators_are_read_only(self):
         for mat in _quadratures(12):
