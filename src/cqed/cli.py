@@ -439,10 +439,8 @@ _COMMANDS = {
         _run_coherent, "Coherent-state free evolution and quadratures",
         (("alpha-re", 1.5), ("alpha-im", 0.0), ("omega0", 1.0), ("dim", 48),
          ("t-max", 2 * math.pi, "> 0"), ("steps", 61, ">= 2")),
-        # about eight complex dim x dim matrices held at once (the ladder suite
-        # and the cached quadratures), or three (steps, dim) complex stacks: the
-        # evolved amplitudes beside the analytic recursion, which is run
-        # level-major and copied to one row per time
+        # eight complex dim x dim matrices held at once (the ladder suite and cached
+        # quadratures), or three complex (steps, dim) stacks: numeric, analytic, its copy
         size=lambda a: max(16 * a.dim ** 2, 6 * a.dim * a.steps, 8 * a.steps),
     ),
     "washboard": _Command(

@@ -7,16 +7,9 @@ quarter-wave cavities.  Units: hbar = 1, so omega0 is an energy.
 Truncation is the one place where the finite basis shows through: the
 commutator [a, a^dag] equals the identity except for its top diagonal
 entry, which is -(dim-1) instead of 1, so [a, a^dag] - I has -dim there
-(to within the roundoff of squaring sqrt(n)).  Coherent-state constructors
-enforce an adequacy rule so the discarded Poisson tail stays below 1e-8 in
-norm.
-
-A sweep of coherent states runs their amplitude recursion once over the
-whole stack of amplitudes alpha, one vector step per Fock level, with
-`coherent_ket` as its one-row case.  The stack is written on real and
-imaginary parts so that each row equals, bit for bit, the scalar recursion
-on its one alpha: numpy's vectorized complex multiply and complex abs round
-differently from their scalar forms.
+(to within the roundoff of squaring sqrt(n)).  Coherent states come from one
+batched recursion, each row bit-identical to the scalar one (`_coherent_rows`),
+under an adequacy rule that keeps the discarded Poisson tail below 1e-8 in norm.
 """
 
 from __future__ import annotations
@@ -92,58 +85,40 @@ def fock_ket(n: int, basis: FockBasis) -> Ket:
     return Ket(amps)
 
 
-def min_dim_for(alpha: complex) -> int:
-    """Smallest truncation the adequacy rule accepts for amplitude alpha."""
-    a = abs(alpha)
-    return int(np.ceil(a * a + 10.0 * a + 10.0))
-
-
-def _product(a, b, out=None) -> np.ndarray:
-    """a * b for complex a and b, each element rounded as numpy's scalar product rounds it.
-
-    numpy's array complex multiply may fuse its products with FMA when it
-    vectorizes, which rounds differently, so the product is written out on
-    real and imaginary parts instead.
-    """
-    if out is None:
-        out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+def _product(a, b) -> np.ndarray:
+    """a * b on real and imaginary parts, each element rounded as numpy's scalar product."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
 def _coherent_rows(alphas, dim: int) -> np.ndarray:
-    """Truncated coherent amplitudes for each of ``alphas``, renormalized: (len(alphas), dim).
+    """Renormalized truncated |alpha> for each of ``alphas``, one row each: (len(alphas), dim).
 
-    One recursion c_{n+1} = alpha c_n / sqrt(n+1) from c_0 = exp(-|alpha|^2 / 2)
-    runs over the whole stack, a vector step per level, and every element
-    equals numpy's scalar arithmetic on its one alpha, bit for bit: the
-    products go through `_product`; the division by sqrt(n+1) stays a
-    complex-by-real division, whose signs of zero differ from a multiply by
-    the reciprocal; c_0 and |alpha| are scalar per alpha (np.abs on a complex
-    array rounds differently from scalar abs); and each row's norm is
-    np.linalg.norm of that one row.  Both rules of `coherent_ket` are
-    checked for every alpha.
+    c_{n+1} = alpha c_n / sqrt(n+1) runs once over the stack, each element equal
+    to scalar numpy arithmetic on its one alpha: products on real and imaginary
+    parts (the array complex multiply may fuse them with FMA), complex-by-real
+    division (a reciprocal multiply differs in signs of zero), |alpha| and c_0
+    per alpha (np.abs on a complex array rounds differently), a norm per row.
     """
     c = np.empty((dim, len(alphas)), dtype=np.complex128)
     for k, alpha in enumerate(alphas):
-        if dim < min_dim_for(alpha):
-            raise TruncationTooSmall(
-                f"dim {dim} < adequacy bound {min_dim_for(alpha)} for |alpha|={abs(alpha):.3g}"
-            )
-        c[0, k] = np.exp(-0.5 * abs(alpha) ** 2)
+        a = abs(alpha)
+        bound = int(np.ceil(a * a + 10.0 * a + 10.0))
+        if dim < bound:
+            raise TruncationTooSmall(f"dim {dim} < adequacy bound {bound} for |alpha|={a:.3g}")
+        c[0, k] = np.exp(-0.5 * a ** 2)
     alphas = np.asarray(alphas, dtype=np.complex128)
     for n in range(dim - 1):
-        _product(alphas, c[n], out=c[n + 1])
-        c[n + 1] /= np.sqrt(n + 1.0)
+        c[n + 1] = _product(alphas, c[n]) / np.sqrt(n + 1.0)
     amps = np.ascontiguousarray(c.T)
     nrm = np.array([np.linalg.norm(row) for row in amps])
     deficit = 1.0 - nrm * nrm
     bad = np.flatnonzero(deficit > _RESIDUAL_TOL)
     if bad.size:
-        raise TruncationTooSmall(
-            f"truncated norm deficit {deficit[bad[0]]:.3e} exceeds {_RESIDUAL_TOL}"
-        )
+        worst = deficit[bad[0]]
+        raise TruncationTooSmall(f"truncated norm deficit {worst:.3e} exceeds {_RESIDUAL_TOL}")
     amps /= nrm[:, None]
     return amps
 
@@ -152,8 +127,7 @@ def coherent_ket(alpha: complex, basis: FockBasis) -> Ket:
     """Truncated coherent state |alpha>, renormalized.
 
     Amplitudes follow the recursion c_{n+1} = alpha c_n / sqrt(n+1) from
-    c_0 = exp(-|alpha|^2 / 2), which avoids factorials entirely; this is the
-    one-row case of the stack `coherent_evolution` builds.  Requires
+    c_0 = exp(-|alpha|^2 / 2), which avoids factorials entirely.  Requires
     ``basis.dim >= |alpha|^2 + 10 |alpha| + 10`` and a pre-renormalization
     norm deficit below 1e-8; both failures raise TruncationTooSmall.
     """
@@ -163,25 +137,19 @@ def coherent_ket(alpha: complex, basis: FockBasis) -> Ket:
 def coherent_evolution(
     alpha: complex, omega0: float, times: np.ndarray, basis: FockBasis
 ) -> dict[str, np.ndarray]:
-    """Free evolution of |alpha> at each of ``times``, analytically and numerically.
+    """Free evolution of |alpha>, analytically and numerically, at each of ``times``.
 
-    analytic: |alpha_t> with alpha_t = alpha exp(+i omega0 t), the phase
-    convention in which the Fock state |n> picks up exp(+i n omega0 t).
-    numeric: evolution under H = -omega0 * number, which realizes the same
-    convention.  H is diagonal, so U(t) multiplies each amplitude by
-    exp(-i E_n t), with E_n read off the diagonal of the number operator.
-
-    Returns ``"alpha"`` (alpha_t per time) and the ``"analytic"`` and
-    ``"numeric"`` amplitudes, row k at ``times[k]`` of a (len(times), dim)
-    array; every row of both passes `Ket`'s checks.  The analytic rows come
-    from one batched recursion (see `coherent_ket`), and each alpha_t
-    equals the scalar ``alpha * np.exp(1j * omega0 * t)`` bit for bit.
+    analytic: |alpha exp(+i omega0 t)>, the phase convention in which the
+    Fock state |n> picks up exp(+i n omega0 t).  numeric: evolution under
+    H = -omega0 * number, which realizes the same convention.  H is
+    diagonal, so U(t) multiplies each amplitude by exp(-i E_n t), with E_n
+    read off the diagonal of the number operator.  Returns "alpha" (alpha_t)
+    and the "analytic" and "numeric" (len(times), dim) kets, checked as `Ket`.
     """
-    times = np.asarray(times, dtype=np.float64)
     energies = -omega0 * np.diag(ladder_suite(basis).number).real
     numeric = np.exp(-1j * np.outer(times, energies)) * coherent_ket(alpha, basis).amps
     check_kets(numeric)
-    alphas = _product(complex(alpha), np.exp(_product(1j * omega0, times)))
+    alphas = _product(complex(alpha), np.exp(_product(1j * omega0, np.asarray(times, float))))
     analytic = _coherent_rows(alphas, basis.dim)
     check_kets(analytic)
     return {"alpha": alphas, "analytic": analytic, "numeric": numeric}
@@ -200,12 +168,10 @@ def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 def quad_stats(psi: Ket | np.ndarray, basis: FockBasis) -> dict:
     """Means and variances of the two quadratures in state ``psi``.
 
-    ``psi`` is a Ket, or a (k, dim) stack of normalized amplitude rows such
-    as `coherent_evolution` returns; a stack gives k values per key.  Each value
-    is one ``op @ psi`` and one ``vdot`` per row, as `expectation` computes
-    it.  The quadratures and their squares for the last dimension asked for
-    are cached read-only, so a sweep over many states of one mode builds
-    them once.
+    ``psi`` is a Ket, or a (k, dim) stack of kets' amplitudes, which gives k
+    values per key.  The quadratures and their squares for the last
+    dimension asked for are cached read-only, so a sweep over many states of
+    one mode builds them once.
     """
     amps = psi.amps if isinstance(psi, Ket) else np.asarray(psi)
     if amps.shape[-1] != basis.dim:

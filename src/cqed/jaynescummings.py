@@ -103,11 +103,9 @@ def vacuum_rabi_closed_form(g: float, t: float, space: JCSpace) -> Ket:
 def vacuum_rabi(params: JCParams, times: np.ndarray) -> dict[str, np.ndarray]:
     """Populations of |0, 1> evolved under the exchange coupling, at each sampled time.
 
-    On the orbit cos(gt) |0,1> - i sin(gt) |1,0> the qubit excited-state
-    population (the |0,1> population) is cos^2(gt) and the mean cavity photon
-    number (the |1,0> population: the state stays in the single-excitation
-    block) is sin^2(gt), whatever the truncation.  `vacuum_rabi_closed_form`
-    gives the state itself.
+    On the orbit cos(gt) |0,1> - i sin(gt) |1,0>, in any truncation, the qubit
+    excited-state population is cos^2(gt) and the mean cavity photon number
+    (the |1,0> population) is sin^2(gt); `vacuum_rabi_closed_form` gives the state.
     """
     gt = params.g * np.asarray(times, dtype=np.float64)
     return {"p_qubit_excited": np.cos(gt) ** 2, "p_photon": np.sin(gt) ** 2}

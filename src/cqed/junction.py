@@ -322,8 +322,7 @@ def two_island_dynamics(
     )
     out = np.empty((steps + 1, 4))
     out[0] = y
-    # Each state's four floats go into the array one by one through a
-    # memoryview, which costs less than numpy's per-step sequence assignment.
+    # a memoryview stores each float faster than numpy's sequence assignment
     rows = out.data
     for k in range(1, steps + 1):
         a1, a2, a3, a4 = rhs(n1, n2, th1, th2)

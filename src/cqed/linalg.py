@@ -98,7 +98,7 @@ class Ket:
 
 def check_kets(amps: np.ndarray) -> None:
     """`Ket`'s checks on every row of ``amps`` at once: finite, unit norm within 1e-10."""
-    if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
+    if not np.isfinite(amps).all():
         raise ValueError("ket amplitudes must be finite")
     nrm = np.linalg.norm(amps, axis=-1).reshape(-1)
     off = np.flatnonzero(np.abs(nrm - 1.0) > _NORM_TOL)

@@ -531,7 +531,7 @@ class TestSizeTerm:
             # the (steps, 3) table; no (steps, 2 nmax) amplitudes are built
             (["jc", "--nmax", "24", "--steps", "4001", "--g", "0.9734"], 8 * 3 * 4001),
         ],
-        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+        ids=["coherent", "jc"],
     )
     def test_dynamics_at_bench_size_allocates_no_array_over_its_size_term(
         self, tmp_path, argv, floor

@@ -139,10 +139,11 @@ class TestCoherentEvolution:
         with pytest.raises(TruncationTooSmall, match="adequacy bound 50"):
             coherent_evolution(3.0, 1.0, np.linspace(0.0, 2 * np.pi, 61), FockBasis(49))
 
-    def test_every_alpha_is_checked_for_norm_deficit(self, monkeypatch):
-        monkeypatch.setattr("cqed.fock.min_dim_for", lambda alpha: 2)
-        with pytest.raises(TruncationTooSmall, match="norm deficit"):
-            _coherent_rows([0.0, 3.0], 12)
+    def test_every_alpha_is_checked_for_norm_deficit(self):
+        # |alpha| = 39 passes the adequacy rule at dim 1921, but c_0 =
+        # exp(-760.5) underflows to 0 and leaves an all-zero row
+        with pytest.raises(TruncationTooSmall, match="norm deficit 1.000e"):
+            _coherent_rows([1.0, 39.0], 1921)
 
     def test_zero_time(self):
         basis = FockBasis(40)
