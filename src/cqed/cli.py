@@ -34,6 +34,7 @@ Identical command line + seed -> byte-identical output file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -508,8 +509,8 @@ _COMMANDS = {
     ),
 }
 
-#: Float64 values one array may hold (64 MiB), random draws one run may make,
-#: and bisection loop iterations one run may take (~10 us each).
+#: Float64 values one array may hold (64 MiB), random draws one run may make, and
+#: bisection loop iterations one run may take (a row of a pass: 6-9 us, 2-vCPU Xeon).
 _MAX_VALUES = 2**23
 _MAX_DRAWS = 2**30
 _MAX_LOOPS = 2**19
@@ -556,8 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: One parser per process, built on the first `run_command`.
+_parser = functools.cache(build_parser)
+
+
 def run_command(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     spec = _COMMANDS[args.command]
     out_path = args.out if args.out is not None else f"{args.command}.{args.format}"
     params = {dest: getattr(args, dest) for _, dest, _, _ in _flags(spec)}

@@ -24,7 +24,8 @@ batches of matrices at once and never form an n x n matrix:
   201-point gate-charge grid is a single batched bisection.  A narrow
   batch is multisected (Lo, Philippe & Sameh 1987): each pass counts the
   2^m - 1 dyadic points of every bracket in one sweep and takes m
-  halvings, with the bits plain bisection gives.
+  halvings, with the bits plain bisection gives.  A pass runs its pivot
+  guard only if some pivot needs it (LAPACK's dlaneg, Marques et al. 2006).
 * `tridiagonal_eigvalsh_groups` - that bisection over several batches at
   once, which may differ in size, coupling and k, on ragged
   ``[row, column]`` arrays; each batch keeps its own brackets, pivot
@@ -68,6 +69,8 @@ _CLUSTER = 1e-3
 #: Sturm counts one bisection pass may take: a narrow batch is multisected
 #: at up to this many points per pass, a wide one bisected.
 _COLUMNS = 1024
+#: Sturm pivots in one chunk of a pass, which is counted while in cache.
+_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,13 @@ def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
     (matrix, level) bracket starts at the matrix's Gershgorin interval and is
     halved a fixed number of times, enough to shrink the widest bracket of
     the batch below eps * ||T|| / 16, so the work and the bits of the result
-    depend on the input alone.  As in LAPACK's dstebz, a pivot smaller than
-    pivmin = tiny * max(1, max e_i^2) is replaced by -pivmin, which keeps
-    zero couplings and exact degeneracies finite.  Each pass takes m
-    halvings from Sturm counts at batch * k * (2^m - 1) points, with m = 1
-    for a batch of more than 341 brackets and up to 1024 points otherwise
-    (`_depth`), so work and memory per pass are O(max(batch * k, 1024) * n)
-    over ceil(halvings / m) passes; no n x n matrix is formed.
+    depend on the input alone.  As in LAPACK's dstebz, a pivot below pivmin =
+    tiny * max(1, max e_i^2) becomes -pivmin, which keeps zero couplings and
+    exact degeneracies finite; a pass runs that guard only if a pivot needs
+    it.  Each pass takes m (`_depth`) halvings from Sturm counts at
+    batch * k * (2^m - 1) points, at most 1024 unless m = 1, so work and
+    memory per pass are O(max(batch * k, 1024) * n) over ceil(halvings / m)
+    passes; no n x n matrix is formed.
 
     This is the one-stack case of `tridiagonal_eigvalsh_groups`.
     """
@@ -208,6 +211,11 @@ def _depth(brackets: int, halvings: int) -> int:
     return depth
 
 
+def _sound(magnitude: np.ndarray, pivmin: float) -> bool:
+    """Whether every pivot magnitude is finite and at least ``pivmin`` (a NaN is not)."""
+    return magnitude.min(initial=np.inf) >= pivmin and magnitude.max(initial=0.0) < np.inf
+
+
 def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
     """`tridiagonal_eigvalsh` of several stacks at once, in one bisection.
 
@@ -235,6 +243,10 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
     only the prefix of columns whose matrix has n > i.  The rows are stored
     raggedly, one block per distinct n, and hold k x (2^m - 1) x n values
     per matrix, with no padding to the largest n or k.
+    A pass runs in chunks of `_CHUNK` values, one ``subtract`` per chunk and
+    two calls per row, errors ignored.  If a pivot is not finite or under the
+    largest pivmin in magnitude, the pass runs again with the guard's three
+    calls per row under the caller's error state; else the guard moves nothing.
     """
     groups = [_bracket(diag, off, k) for diag, off, k in groups]
     # Largest n first; the sort is stable, so stacks of equal n keep their order.
@@ -251,14 +263,13 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
     steps = np.repeat([g.halvings for g in stack], counts)
     # Per column: its stack's pivot guard.
     pivmin = np.repeat([g.pivmin for g in stack], [count * points for count in counts])
-    floor = -pivmin
+    floor, pivmax = -pivmin, pivmin.max(initial=0.0)
 
     # Block b holds rows [previous n, n) of the columns whose matrix has at
     # least n rows; row i holds the coupling e_{i-1} that enters its pivot.
     mid = np.empty(pivmin.shape)
-    q = np.empty(pivmin.shape)
     ratio = np.empty(pivmin.shape)
-    negatives, rows = [], []
+    chunks, above = [], None
     ends = sorted({g.d.shape[1] for g in stack})
     for start, end in zip([0, *ends], ends):
         width = sum(count for g, count in zip(stack, counts) if g.d.shape[1] >= end) * points
@@ -278,10 +289,20 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
             d_rows[:, span].reshape(len(d), batch, columns)[...] = d[:, :, None]
             e2_rows[len(d) - len(e):, span].reshape(len(e), batch, columns)[...] = e2[:, :, None]
             column = span.stop
-        negative = np.zeros((end - start, width), dtype=bool)
-        negatives.append(negative)
-        prefix = [a[:width] for a in (mid, q, ratio, pivmin, floor)]
-        rows += [(*row, *prefix) for row in zip(d_rows, e2_rows, negative)]
+        prefix = [a[:width] for a in (ratio, pivmin, floor)]
+        step = min(end - start, max(1, _CHUNK // max(width, 1)))
+        # Chunks take two pivot buffers in turn, keeping the row above each chunk.
+        pivots = [np.empty((step, width)) for _ in range(3)]  # and one for |q|
+        negative = np.empty((step, width), dtype=bool)
+        for r in range(0, end - start, step):
+            d_chunk = d_rows[r:r + step]
+            q_chunk, magnitude_chunk, negative_chunk = (
+                a[:len(d_chunk)] for a in (pivots[len(chunks) % 2], pivots[2], negative))
+            # Each row's pivots enter the next row's, in this chunk or the next.
+            aboves = [above if above is None else above[:width], *q_chunk[:-1]]
+            rows = [(*row, *prefix) for row in zip(e2_rows[r:], q_chunk, negative_chunk, aboves)]
+            above = q_chunk[-1]
+            chunks.append((d_chunk, q_chunk, negative_chunk, magnitude_chunk, mid[:width], rows))
 
     count = np.empty(mid.shape, dtype=np.int32)
     # [bracket, tree point], the points in ascending order.  The root, every
@@ -302,22 +323,26 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
             np.add(inner[:, :-1], inner[:, 1:], out=node[:, 1:-1])
             np.add(inner[:, -1], hi, out=node[:, -1])
             node *= 0.5
-        for i, (d_i, e2_i, negative_i, mid_i, q_i, ratio_i, pivmin_i, floor_i) in enumerate(rows):
-            if i:
-                np.divide(e2_i, q_i, out=ratio_i)
-                np.subtract(d_i, mid_i, out=q_i)
-                np.subtract(q_i, ratio_i, out=q_i)
-            else:
-                np.subtract(d_i, mid_i, out=q_i)
-            # After the guard, q < 0 exactly where q < pivmin before it.  (A
-            # masked np.minimum(..., where=) is several times slower than
-            # minimum plus putmask on this unpredictable mask.)
-            np.less(q_i, pivmin_i, out=negative_i)
-            np.minimum(q_i, floor_i, out=ratio_i)
-            np.putmask(q_i, negative_i, ratio_i)
-        count[...] = 0
-        for negative in negatives:  # int32 sums of bools run twice as fast as int64
-            count[:negative.shape[1]] += negative.sum(axis=0, dtype=np.int32)
+        for guarded in (False, True):
+            with np.errstate(all=None if guarded else "ignore"):
+                count[...] = 0
+                for d_rows, q_rows, negative, magnitude, mid_b, rows in chunks:
+                    np.subtract(d_rows, mid_b, out=q_rows)
+                    for e2_i, q_i, negative_i, above_i, ratio_i, pivmin_i, floor_i in rows:
+                        if above_i is not None:
+                            np.divide(e2_i, above_i, out=ratio_i)
+                            np.subtract(q_i, ratio_i, out=q_i)
+                        if guarded:
+                            # After the guard, q < 0 exactly where q < pivmin before it.
+                            np.less(q_i, pivmin_i, out=negative_i)
+                            np.minimum(q_i, floor_i, out=ratio_i)
+                            np.putmask(q_i, negative_i, ratio_i)
+                    np.less(q_rows, 0.0, out=negative)  # summed as int32, twice as fast as int64
+                    count[:negative.shape[1]] += negative.sum(axis=0, dtype=np.int32)
+                    if not (guarded or _sound(np.abs(q_rows, out=magnitude), pivmax)):
+                        break
+                else:  # every chunk counted
+                    break
         at = roots
         for j in range(depth):
             # below: the bracket's level lies below the point x

@@ -128,6 +128,27 @@ class TestDeterminism:
             assert np.allclose(jrow, [float(v) for v in crow], rtol=1e-11)
 
 
+class TestParserPerProcess:
+    def test_a_run_after_a_bad_argv_writes_what_a_fresh_process_writes(self, tmp_path):
+        argv = ["spectrum", "--ng-steps", "11"]
+        with pytest.raises(SystemExit) as exc:
+            run_command(["spectrum", "--levels", "2", "--ncut", "x"])
+        assert exc.value.code == 2
+        assert run_command(["spectrum", "--levels", "0", "--out", str(tmp_path / "bad.csv")]) == 2
+        assert run_command([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(cqed.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqed", *argv, "--out", str(tmp_path / "b.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_build_parser_still_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+
 class TestExitCodes:
     def test_usage_error_bad_precondition(self, tmp_path):
         code, out = run(tmp_path, "decay", "--t1", "-1")
@@ -570,6 +591,28 @@ class TestSizeTerm:
         args = cli.build_parser().parse_args(argv)
         assert cli._COMMANDS[argv[0]].size(args) <= cli._MAX_VALUES
         cli._check(args, cli._COMMANDS[argv[0]])
+
+    @pytest.mark.parametrize(
+        "argv, table",
+        [
+            (["rabi", "--steps", "200000"], 3 * 200000),
+            (["ramsey", "--steps", "200000"], 2 * 200000),
+            (["washboard", "--steps", "200000"], 2 * 200000),
+            (["fluxwell", "--steps", "200000"], 2 * 200000),
+            (["squid", "--steps", "20000"], 3 * 20000),
+            # At 200 000 steps the profile hook would run at every RK4 step
+            # for minutes; 3000 steps give a table of every row.
+            (["tunnel-ode", "--steps", "3000", "--max-rows", "3001"], 6 * 3001),
+        ],
+        ids=["rabi", "ramsey", "washboard", "fluxwell", "squid", "tunnel-ode"],
+    )
+    def test_curve_allocates_its_table_and_no_array_over_its_size_term(
+        self, tmp_path, argv, table
+    ):
+        size = cli._COMMANDS[argv[0]].size(cli.build_parser().parse_args(argv))
+        code, largest = largest_allocation(tmp_path, argv)
+        assert code == 0
+        assert 8 * table <= largest <= 8 * size
 
 
 class TestWriteTable:

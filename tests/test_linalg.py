@@ -282,6 +282,18 @@ def four_halving_counts():
             (box_diagonals(np.linspace(0, 1, 7), 3) + 1e3, 0.0, 3)]
 
 
+def sound_spy(monkeypatch):
+    """The verdicts of every pivot check of the Sturm kernel, as a list it fills."""
+    verdicts, sound = [], linalg._sound
+
+    def spy(magnitude, pivmin):
+        verdicts.append(sound(magnitude, pivmin))
+        return verdicts[-1]
+
+    monkeypatch.setattr(linalg, "_sound", spy)
+    return verdicts
+
+
 class TestTridiagonalEigvalshGroups:
     @settings(max_examples=150, deadline=None)
     @given(stacks())
@@ -348,6 +360,48 @@ class TestTridiagonalEigvalshGroups:
 
     def test_empty_list(self):
         assert tridiagonal_eigvalsh_groups([]) == []
+
+    @pytest.mark.parametrize("diag, off", [
+        (np.zeros((3, 7)), 0.0),
+        (np.array([[0.0, -1.0, -0.5, 1.0, 0.5]]), 0.0),
+        (box_diagonals([0.0, 0.25, 0.5], 4), 0.0),
+    ], ids=["zero matrix", "zero first pivot", "box without coupling"])
+    def test_zero_couplings_take_the_guarded_rerun(self, monkeypatch, diag, off):
+        verdicts = sound_spy(monkeypatch)
+        k = diag.shape[1]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            vals = tridiagonal_eigvalsh(diag, off, k)
+        assert False in verdicts
+        assert np.array_equal(vals, reference_eigvalsh(diag, off, k))
+
+    @pytest.mark.parametrize("magnitude, sound", [
+        ([[1.0, 2.0]], True), ([[1.0, 0.5]], True), ([[0.0, 1.0]], False),
+        ([[0.25, 1.0]], False), ([[np.inf, 1.0]], False), ([[1.0, np.nan]], False),
+        (np.empty((3, 0)), True)])
+    def test_pivot_check(self, magnitude, sound):
+        # the guard moves a pivot under pivmin = 0.5; inf and NaN come from overflow
+        assert linalg._sound(np.array(magnitude), 0.5) == sound
+
+    @pytest.mark.parametrize("columns, depth", [(63, 1), (63 * 7, 3), (63 * 63, 6)])
+    def test_a_guarded_rerun_of_every_pass_gives_the_same_bits(self, monkeypatch, columns, depth):
+        groups = four_halving_counts()
+        monkeypatch.setattr(linalg, "_COLUMNS", columns)
+        assert _depth(63, max(_bracket(*g).halvings for g in groups)) == depth
+        unguarded = tridiagonal_eigvalsh_groups(groups)
+        monkeypatch.setattr(linalg, "_sound", lambda magnitude, pivmin: False)
+        guarded = tridiagonal_eigvalsh_groups(groups)
+        for (diag, off, k), a, b in zip(groups, unguarded, guarded):
+            assert np.array_equal(a, b)
+            assert np.array_equal(b, reference_eigvalsh(diag, off, k))
+
+    @pytest.mark.parametrize("ej, ncut, levels", [
+        (0.09, 24, 2), (0.1, 24, 2), (0.11, 24, 2), (0.95, 10, 5), (1.0, 10, 5), (1.05, 10, 5)])
+    def test_bench_spectrum_sweeps_take_no_rerun(self, monkeypatch, ej, ncut, levels):
+        # the two 401-point `spectrum` sweeps of the spectra bench, E_C = 1
+        verdicts = sound_spy(monkeypatch)
+        diag = box_diagonals(np.linspace(0.0, 1.0, 401), ncut)
+        tridiagonal_eigvalsh(diag, -0.5 * ej, levels)
+        assert verdicts and all(verdicts)
 
     def test_bad_stack_raises(self):
         with pytest.raises(ValueError):
