@@ -16,7 +16,9 @@ alpha = 3 hides.  The ``transmon-*`` cases pin an unsorted ratio list with
 a duplicate and a ratio below 1, and a fixed ``--ncut``.
 ``jc-g`` runs ``jc`` at a coupling other than 1, where rounding in g t
 reaches the printed digits, and the ``bell-*`` cases pin the three Bell
-states the default ``phi+`` skips.
+states the default ``phi+`` skips.  ``tunnel-ode-unequal`` runs unequal pair
+numbers under a negative coupling, ``fluxwell-six`` finds six minima, and
+``coherent-dim130`` runs a complex alpha above the benchmark's dimension.
 A change that alters an output on purpose regenerates the file and says in
 its notes which digests moved:
 
@@ -63,6 +65,12 @@ CASES = {
     "bell-phi-": ["bell", "--state", "phi-"],
     "bell-psi+": ["bell", "--state", "psi+"],
     "bell-psi-": ["bell", "--state", "psi-"],
+    "tunnel-ode-unequal": ["tunnel-ode", "--n1", "300000", "--n2", "2000000",
+                           "--e-coupling=-2e-6", "--steps", "5000"],
+    "fluxwell-six": ["fluxwell", "--l", "5", "--ej", "1.0", "--phi-min=-3", "--phi-max", "3",
+                     "--steps", "20001"],
+    "coherent-dim130": ["coherent", "--dim", "130", "--alpha-re", "4.5", "--alpha-im", "0.3",
+                        "--steps", "61"],
 }
 
 
