@@ -261,8 +261,7 @@ def _run_coherent(args):
     stats = quad_stats(states["numeric"], basis)
     rows = np.column_stack([
         times, states["alpha"].real, states["alpha"].imag, stats["mean1"], stats["mean2"],
-        stats["var1"], stats["var2"],
-        [fidelity(a, b) for a, b in zip(states["analytic"], states["numeric"])],
+        stats["var1"], stats["var2"], fidelity(states["analytic"], states["numeric"]),
     ])
     columns = ["t", "alpha_re", "alpha_im", "x1_mean", "x2_mean", "x1_var", "x2_var", "fidelity"]
     return columns, rows, f"<n> = {abs(alpha) ** 2:.6g}"

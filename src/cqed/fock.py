@@ -100,7 +100,8 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
     to scalar numpy arithmetic on its one alpha: products on real and imaginary
     parts (the array complex multiply may fuse them with FMA), complex-by-real
     division (a reciprocal multiply differs in signs of zero), |alpha| and c_0
-    per alpha (np.abs on a complex array rounds differently), a norm per row.
+    per alpha (np.abs on a complex array rounds differently), and each row's norm
+    from stacked dots of its real and imaginary parts, as `np.linalg.norm` does.
     """
     c = np.empty((dim, len(alphas)), dtype=np.complex128)
     for k, alpha in enumerate(alphas):
@@ -113,7 +114,7 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
     for n in range(dim - 1):
         c[n + 1] = _product(alphas, c[n]) / np.sqrt(n + 1.0)
     amps = np.ascontiguousarray(c.T)
-    nrm = np.array([np.linalg.norm(row) for row in amps])
+    nrm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
     deficit = 1.0 - nrm * nrm
     bad = np.flatnonzero(deficit > _RESIDUAL_TOL)
     if bad.size:
@@ -171,15 +172,16 @@ def quad_stats(psi: Ket | np.ndarray, basis: FockBasis) -> dict:
     ``psi`` is a Ket, or a (k, dim) stack of kets' amplitudes, which gives k
     values per key.  The quadratures and their squares for the last
     dimension asked for are cached read-only, so a sweep over many states of
-    one mode builds them once.
+    one mode builds them once.  The stacked matmul and vecdot run, per row,
+    the gemv of ``op @ row`` and the zdotc of ``np.vdot``.
     """
     amps = psi.amps if isinstance(psi, Ket) else np.asarray(psi)
     if amps.shape[-1] != basis.dim:
         raise DimensionMismatch("state dimension does not match basis")
-    mats = _quadratures(basis.dim)
-    sums = np.array([[np.vdot(row, op @ row).real for op in mats]
-                     for row in amps.reshape(-1, basis.dim)]).T
-    mean1, second1, mean2, second2 = sums.reshape(4, *amps.shape[:-1])
+    applied = np.empty((*amps.shape, 1), dtype=np.complex128)
+    mean1, second1, mean2, second2 = (
+        np.vecdot(amps, np.matmul(op, amps[..., None], out=applied)[..., 0]).real
+        for op in _quadratures(basis.dim))
     return {"mean1": mean1, "var1": second1 - mean1 * mean1,
             "mean2": mean2, "var2": second2 - mean2 * mean2}
 

@@ -205,8 +205,8 @@ def flux_qubit_potential(
     """Flux-qubit potential u(phi) = phi^2/2L - E_J cos(2 pi (phi - phi_ext)).
 
     ``phis`` is a sorted grid of loop flux values in Phi0 units.  Returns the
-    samples together with every interior local minimum, located by a sign
-    change of the numerical derivative and refined by golden section.
+    samples together with every interior local minimum, located by one array
+    scan for sign changes of the numerical derivative and refined by golden section.
     At phi_ext = 1/2 the potential is even in phi and the two lowest minima
     are degenerate, symmetric about the midpoint phi = 0.
     """
@@ -222,10 +222,9 @@ def flux_qubit_potential(
     samples = u(phis)
     minima = []
     slope = np.diff(samples)
-    for k in range(len(slope) - 1):
-        if slope[k] < 0.0 <= slope[k + 1]:
-            p = _golden_section(u, phis[k], phis[k + 2])
-            minima.append((float(p), float(u(p))))
+    for k in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0)):
+        p = _golden_section(u, phis[k], phis[k + 2])
+        minima.append((float(p), float(u(p))))
     return {"u": samples, "minima": minima}
 
 
@@ -289,12 +288,14 @@ def two_island_dynamics(
     of the initial pair numbers.  Both number derivatives come from a single
     evaluation, so n1 + n2 is conserved to roundoff.
 
-    The stepper runs on Python floats: per step, four right-hand sides and
-    the stage sums y + (dt/2) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4),
-    each component in exactly that operation order, so the trajectory is
-    bit-identical to the same RK4 written on length-4 numpy arrays.  Raises
-    StepUnstable if a pair number is driven to zero or any component of the
-    state stops being finite.
+    The stepper runs on Python floats with the four stages written out: each
+    tests its pair numbers, then its phase difference, before sqrt, sin and cos,
+    and the sums y + (dt/2) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) keep
+    that operation order per component.  n2 subtracts n1's increments, exactly:
+    negation is exact and rounding sign-symmetric, so x + c (-s) is x - c s.
+    The trajectory is thus bit-identical to the same RK4 on length-4 numpy
+    arrays.  Raises StepUnstable if a pair number is driven to zero or any
+    component of the state stops being finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -306,16 +307,9 @@ def two_island_dynamics(
     sixth = dt / 6.0
     inf = math.inf
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
-
-    def rhs(n1, n2, th1, th2):
-        if n1 <= 0.0 or n2 <= 0.0:
-            raise StepUnstable("pair number reached zero during integration")
-        delta = th2 - th1
-        if not -inf < delta < inf:  # math.sin and math.cos raise ValueError on inf
-            raise StepUnstable("phase difference became non-finite during integration")
-        s = e * sqrt(n1 * n2) * sin(delta)
-        cos_d = cos(delta)
-        return s, -s, h * sqrt(n2 / n1) * cos_d, h * sqrt(n1 / n2) * cos_d
+    zero = "pair number reached zero during integration"
+    # tested before each stage: math.sin and math.cos raise ValueError on inf
+    phase = "phase difference became non-finite during integration"
 
     n1, n2, th1, th2 = y = (
         float(state0.n1), float(state0.n2), float(state0.theta1), float(state0.theta2)
@@ -325,15 +319,41 @@ def two_island_dynamics(
     # a memoryview stores each float faster than numpy's sequence assignment
     rows = out.data
     for k in range(1, steps + 1):
-        a1, a2, a3, a4 = rhs(n1, n2, th1, th2)
-        b1, b2, b3, b4 = rhs(n1 + half * a1, n2 + half * a2, th1 + half * a3, th2 + half * a4)
-        c1, c2, c3, c4 = rhs(n1 + half * b1, n2 + half * b2, th1 + half * b3, th2 + half * b4)
-        d1, d2, d3, d4 = rhs(n1 + dt * c1, n2 + dt * c2, th1 + dt * c3, th2 + dt * c4)
+        if n1 <= 0.0 or n2 <= 0.0:
+            raise StepUnstable(zero)
+        delta = th2 - th1
+        if not -inf < delta < inf:
+            raise StepUnstable(phase)
+        a1, cos_d = e * sqrt(n1 * n2) * sin(delta), cos(delta)
+        a3, a4 = h * sqrt(n2 / n1) * cos_d, h * sqrt(n1 / n2) * cos_d
+        p1, p2 = n1 + half * a1, n2 - half * a1
+        if p1 <= 0.0 or p2 <= 0.0:
+            raise StepUnstable(zero)
+        delta = (th2 + half * a4) - (th1 + half * a3)
+        if not -inf < delta < inf:
+            raise StepUnstable(phase)
+        b1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
+        b3, b4 = h * sqrt(p2 / p1) * cos_d, h * sqrt(p1 / p2) * cos_d
+        p1, p2 = n1 + half * b1, n2 - half * b1
+        if p1 <= 0.0 or p2 <= 0.0:
+            raise StepUnstable(zero)
+        delta = (th2 + half * b4) - (th1 + half * b3)
+        if not -inf < delta < inf:
+            raise StepUnstable(phase)
+        c1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
+        c3, c4 = h * sqrt(p2 / p1) * cos_d, h * sqrt(p1 / p2) * cos_d
+        p1, p2 = n1 + dt * c1, n2 - dt * c1
+        if p1 <= 0.0 or p2 <= 0.0:
+            raise StepUnstable(zero)
+        delta = (th2 + dt * c4) - (th1 + dt * c3)
+        if not -inf < delta < inf:
+            raise StepUnstable(phase)
+        d1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
+        s1 = sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
         rows[k, 0], rows[k, 1], rows[k, 2], rows[k, 3] = n1, n2, th1, th2 = (
-            n1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
-            n2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
-            th1 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
-            th2 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+            n1 + s1, n2 - s1,
+            th1 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + h * sqrt(p2 / p1) * cos_d),
+            th2 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + h * sqrt(p1 / p2) * cos_d),
         )
         if not (n1 < inf and n2 < inf and -inf < th1 < inf and -inf < th2 < inf):
             raise StepUnstable(f"state became non-finite at step {k}")

@@ -109,13 +109,17 @@ def check_kets(amps: np.ndarray) -> None:
         raise ValueError(f"ket norm {nrm[off[0]]!r} differs from 1 beyond 1e-10")
 
 
-def fidelity(a: Ket | np.ndarray, b: Ket | np.ndarray) -> float:
-    """|<a|b>|^2 for kets or raw amplitude vectors."""
+def fidelity(a: Ket | np.ndarray, b: Ket | np.ndarray) -> float | np.ndarray:
+    """|<a|b>|^2 for kets or amplitude vectors, row by row for (k, dim) stacks.
+
+    Per row the zdotc, hypot and pow of ``abs(np.vdot(a, b)) ** 2`` on scalars.
+    """
     va = a.amps if isinstance(a, Ket) else np.asarray(a)
     vb = b.amps if isinstance(b, Ket) else np.asarray(b)
     if va.shape != vb.shape:
         raise DimensionMismatch("state dimensions differ")
-    return abs(np.vdot(va, vb)) ** 2
+    overlap = np.vecdot(va, vb)
+    return np.float_power(np.hypot(overlap.real, overlap.imag), 2.0)
 
 
 def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:

@@ -779,6 +779,19 @@ class TestAllCommandsRun:
 
 
 class TestPhysicsThroughCli:
+    @pytest.mark.parametrize("steps", [1, 2, 601])
+    @pytest.mark.parametrize("dim, alpha", [(12, 0.1 + 0.1j), (48, 2.1 - 1.7j), (96, 2.953 + 0.3j),
+                                            (130, 4.5 + 0.3j)])
+    def test_coherent_fidelity_column_matches_fidelity_per_row(self, dim, alpha, steps):
+        argv = ["coherent", "--dim", str(dim), f"--alpha-re={alpha.real}",
+                f"--alpha-im={alpha.imag}", "--omega0=-1.3", "--steps", str(steps)]
+        args = cli.build_parser().parse_args(argv)
+        columns, rows, _ = cli._run_coherent(args)
+        times = np.linspace(0.0, args.t_max, steps)
+        states = cli.coherent_evolution(alpha, -1.3, times, cli.FockBasis(dim))
+        per_row = [abs(np.vdot(a, b)) ** 2 for a, b in zip(states["analytic"], states["numeric"])]
+        assert np.array_equal(rows[:, columns.index("fidelity")], per_row)
+
     def test_squid_switches_off_at_half_quantum(self, tmp_path):
         code, out = run(
             tmp_path, "squid", "--phi-min", "0", "--phi-max", "0.5", "--steps", "3",

@@ -224,6 +224,67 @@ class TestQuadratures:
                 mat[0, 0] = 7.0
 
 
+#: Dimensions and stack heights of the bit-parity tests: tiny, odd, the
+#: benchmark's 96 and one above it; one row, two rows, the benchmark's 601.
+PARITY_DIMS = (1, 2, 3, 12, 48, 96, 130)
+PARITY_ROWS = (1, 2, 601)
+
+
+def random_stack(rows: int, dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    return amps / np.linalg.norm(amps, axis=1)[:, None]
+
+
+def coherent_stack(rows: int, dim: int) -> np.ndarray:
+    """Evolved coherent states with a complex alpha and a negative omega0 that fit ``dim``."""
+    scale = {12: 0.18, 48: 2.7}.get(dim, 4.5)
+    times = np.linspace(0.0, 7.0, rows)
+    return coherent_evolution(scale * (0.6 + 0.8j), -1.3, times, FockBasis(dim))
+
+
+class TestStackedProductsMatchPerRowCalls:
+    """The stacked BLAS products equal the per-row numpy calls in every bit."""
+
+    @pytest.mark.parametrize("rows", PARITY_ROWS)
+    @pytest.mark.parametrize("dim", PARITY_DIMS[1:])  # a Fock basis has at least 2 levels
+    def test_quad_stats(self, dim, rows):
+        basis = FockBasis(dim)
+        stacks = [random_stack(rows, dim, seed=dim + rows)]
+        if dim >= 12:
+            stacks.append(coherent_stack(rows, dim)["numeric"])
+        for amps in stacks:
+            sums = np.array([[np.vdot(row, op @ row).real for op in _quadratures(dim)]
+                             for row in amps]).T
+            mean1, second1, mean2, second2 = sums
+            ref = {"mean1": mean1, "var1": second1 - mean1 * mean1,
+                   "mean2": mean2, "var2": second2 - mean2 * mean2}
+            stats = quad_stats(amps, basis)
+            assert all(np.array_equal(stats[key], ref[key]) for key in ref)
+            one = quad_stats(Ket(amps[-1]), basis)
+            assert all(np.array_equal(one[key], ref[key][-1]) for key in ref)
+
+    @pytest.mark.parametrize("rows", PARITY_ROWS)
+    @pytest.mark.parametrize("dim", PARITY_DIMS)
+    def test_fidelity(self, dim, rows):
+        pairs = [(random_stack(rows, dim, seed=dim), random_stack(rows, dim, seed=dim + 1))]
+        if dim >= 12:
+            out = coherent_stack(rows, dim)
+            pairs.append((out["analytic"], out["numeric"]))
+        for a, b in pairs:
+            ref = np.array([abs(np.vdot(x, y)) ** 2 for x, y in zip(a, b)])
+            assert np.array_equal(fidelity(a, b), ref)
+            assert np.array_equal([fidelity(Ket(x), Ket(y)) for x, y in zip(a, b)], ref)
+
+    @pytest.mark.parametrize("rows", PARITY_ROWS)
+    @pytest.mark.parametrize("dim", PARITY_DIMS[3:])  # the adequacy rule needs 10 levels
+    def test_coherent_row_norms(self, dim, rows):
+        # scalar_recursion divides by np.linalg.norm of each row
+        alphas = coherent_stack(rows, dim)["alpha"]
+        ref = np.array([scalar_recursion(alpha, dim) for alpha in alphas])
+        assert np.array_equal(bits(_coherent_rows(alphas, dim)), bits(ref))
+
+
 class TestCavityModes:
     def test_half_wave_fundamental(self):
         assert cavity_mode_freq("half-wave", 2.0, 0) == 2.0

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cqed.errors import InductanceSingular, NoMinimum, StepUnstable
 from cqed.junction import (
     JunctionSpec,
+    _golden_section,
     TwoIslandState,
     dc_current,
     first_minimum,
@@ -175,6 +178,51 @@ class TestFluxQubitPotential:
             flux_qubit_potential(0.5, 0.4, 0.0, np.array([0.0, -1.0, 1.0]))
 
 
+def scan_minima(l, ej, phi_ext, phis):
+    """The scalar sign-change loop: the reference for the vectorized scan."""
+
+    def u(phi):
+        return phi * phi / (2.0 * l) - ej * np.cos(2.0 * np.pi * (phi - phi_ext))
+
+    slope = np.diff(u(phis))
+    minima = []
+    for k in range(len(slope) - 1):
+        if slope[k] < 0.0 <= slope[k + 1]:
+            p = _golden_section(u, phis[k], phis[k + 2])
+            minima.append((float(p), float(u(p))))
+    return minima
+
+
+class TestFluxScanMatchesScalarLoop:
+    def test_exactly_flat_slope_counts_as_rising(self):
+        # u is even at phi_ext = 0, so the two points around 0 give a slope of exactly 0.0
+        half = np.linspace(0.05, 1.0, 20)
+        phis = np.concatenate([-half[::-1], half])
+        out = flux_qubit_potential(0.5, 0.4, 0.0, phis)
+        slope = np.diff(out["u"])
+        assert slope[len(half) - 1] == 0.0 and slope[len(half) - 2] < 0.0
+        assert any(abs(p) < 1e-6 for p, _ in out["minima"])
+        assert out["minima"] == scan_minima(0.5, 0.4, 0.0, phis)
+
+    def test_monotone_grid_has_no_minima(self):
+        phis = np.linspace(0.5, 2.0, 301)
+        out = flux_qubit_potential(0.5, 0.01, 0.0, phis)
+        assert np.all(np.diff(out["u"]) > 0)
+        assert out["minima"] == scan_minima(0.5, 0.01, 0.0, phis) == []
+
+    def test_three_point_grid(self):
+        phis = np.array([-0.1, 0.0, 0.1])
+        out = flux_qubit_potential(0.5, 0.4, 0.0, phis)
+        assert len(out["minima"]) == 1
+        assert out["minima"] == scan_minima(0.5, 0.4, 0.0, phis)
+
+    def test_benchmark_grid(self):
+        phis = np.linspace(-1.25, 1.25, 20001)
+        out = flux_qubit_potential(0.5, 0.4, 0.517946, phis)
+        assert len(out["minima"]) >= 2
+        assert out["minima"] == scan_minima(0.5, 0.4, 0.517946, phis)
+
+
 class TestFluxoid:
     def test_integer(self):
         assert fluxoid_residual(3.0) == {"n": 3.0, "residual": 0.0}
@@ -211,6 +259,120 @@ def array_rk4(state0, e, dt, steps):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(y)
     return np.array(out)
+
+
+def nested_rk4(state0, e_coupling, dt, steps):
+    """The float stepper with its right-hand side as a nested function, called
+    four times a step: the reference for the written-out stages.
+
+    Returns the (steps + 1, 4) trajectory.  A StepUnstable it raises carries
+    ``where`` = (step, stage), with stage None for the checks after a step.
+    """
+    e = float(e_coupling)
+    h = -0.5 * e
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    inf = math.inf
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+
+    def rhs(n1, n2, th1, th2):
+        if n1 <= 0.0 or n2 <= 0.0:
+            raise StepUnstable("pair number reached zero during integration")
+        delta = th2 - th1
+        if not -inf < delta < inf:
+            raise StepUnstable("phase difference became non-finite during integration")
+        s = e * sqrt(n1 * n2) * sin(delta)
+        cos_d = cos(delta)
+        return s, -s, h * sqrt(n2 / n1) * cos_d, h * sqrt(n1 / n2) * cos_d
+
+    n1, n2, th1, th2 = y = (
+        float(state0.n1), float(state0.n2), float(state0.theta1), float(state0.theta2)
+    )
+    out = [y]
+    where = [None, None]
+    try:
+        for k in range(1, steps + 1):
+            where[:] = k, 1
+            a1, a2, a3, a4 = rhs(n1, n2, th1, th2)
+            where[1] = 2
+            b1, b2, b3, b4 = rhs(n1 + half * a1, n2 + half * a2, th1 + half * a3, th2 + half * a4)
+            where[1] = 3
+            c1, c2, c3, c4 = rhs(n1 + half * b1, n2 + half * b2, th1 + half * b3, th2 + half * b4)
+            where[1] = 4
+            d1, d2, d3, d4 = rhs(n1 + dt * c1, n2 + dt * c2, th1 + dt * c3, th2 + dt * c4)
+            where[1] = None
+            n1, n2, th1, th2 = y = (
+                n1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+                n2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+                th1 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+                th2 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+            )
+            out.append(y)
+            if not (n1 < inf and n2 < inf and -inf < th1 < inf and -inf < th2 < inf):
+                raise StepUnstable(f"state became non-finite at step {k}")
+            if n1 <= 0.0 or n2 <= 0.0:
+                raise StepUnstable(f"pair number went non-positive at step {k}")
+    except StepUnstable as exc:
+        exc.where = tuple(where)
+        raise
+    return np.array(out)
+
+
+def trajectory(traj):
+    return np.stack([traj.n1, traj.n2, traj.theta1, traj.theta2], axis=1)
+
+
+class TestInlineStagesMatchNestedStepper:
+    """Every StepUnstable branch: the same exception, message and step as the
+    nested right-hand side, and the same trajectory up to the failing step."""
+
+    @pytest.mark.parametrize(
+        "n1, n2, theta1, theta2, e, dt, where",
+        [
+            (7.9, 0.72, 0.0, -3.1, -3.7, 0.4, (3, 2)),  # pair number <= 0 in stage 2
+            (0.13, 7.9, 0.0, 1.8, 4.5, 0.86, (3, 3)),  # ... in stage 3
+            (19.0, 380.0, 0.0, -1.2, -1.8, 0.45, (3, 4)),  # ... in stage 4
+            (1.0, 1.0, -1e308, 1e308, 1.0, 1.0, (1, 1)),  # delta overflows in stage 1
+            (1.4e-179, 4.7e230, -2.4e209, -2.4e209, 8.4e-57, 0.06, (1, 2)),  # ... stage 2
+            (1.0, 1.0, 0.0, 0.0, 1e307, 1.0, (36, 4)),  # the phases run off in stage 4
+            # n1 n2 overflows, inf * sin(0) is NaN: stage 2's pair numbers are NaN,
+            # which passes the pair test, and stage 3's phase difference is NaN
+            (1e200, 1e200, 0.0, 0.0, 1.0, 1e-3, (1, 3)),
+            (6.3e-238, 7.8e-104, 0.0, 2.4, 9.3e240, 0.011, (5, None)),  # state non-finite
+            (0.29, 25.0, 0.0, 0.55, 26.0, 0.12, (3, None)),  # pair number < 0 after a step
+        ],
+    )
+    def test_error_paths(self, n1, n2, theta1, theta2, e, dt, where):
+        state0 = TwoIslandState(n1, n2, theta1, theta2)
+        with pytest.raises(StepUnstable) as ref:
+            nested_rk4(state0, e, dt, 100)
+        assert ref.value.where == where
+        step = where[0]
+        with pytest.raises(StepUnstable) as got:
+            two_island_dynamics(state0, e, dt, step)
+        assert str(got.value) == str(ref.value)
+        if step > 1:  # and not a step earlier
+            traj = two_island_dynamics(state0, e, dt, step - 1)
+            assert np.array_equal(trajectory(traj), nested_rk4(state0, e, dt, step - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-3, 1e9), st.floats(1e-3, 1e9), st.floats(-10.0, 10.0),
+        st.floats(-10.0, 10.0), st.floats(1e-9, 1e2), st.booleans(), st.floats(1e-4, 1.0),
+        st.integers(1, 200),
+    )
+    def test_trajectories_equal(self, n1, n2, theta1, theta2, e, negative, dt, steps):
+        assume(n1 != n2)
+        state0 = TwoIslandState(n1, n2, theta1, theta2)
+        e = -e if negative else e
+        try:
+            ref = nested_rk4(state0, e, dt, steps)
+        except StepUnstable as exc:
+            with pytest.raises(StepUnstable, match=f"^{exc}$"):
+                two_island_dynamics(state0, e, dt, steps)
+        else:
+            traj = two_island_dynamics(state0, e, dt, steps)
+            assert np.array_equal(trajectory(traj), ref)
 
 
 class TestTwoIslandDynamics:
