@@ -236,7 +236,7 @@ def random_stack(rows: int, dim: int, seed: int) -> np.ndarray:
     return amps / np.linalg.norm(amps, axis=1)[:, None]
 
 
-def coherent_stack(rows: int, dim: int) -> np.ndarray:
+def coherent_stack(rows: int, dim: int) -> dict[str, np.ndarray]:
     """Evolved coherent states with a complex alpha and a negative omega0 that fit ``dim``."""
     scale = {12: 0.18, 48: 2.7}.get(dim, 4.5)
     times = np.linspace(0.0, 7.0, rows)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cqed.errors import InductanceSingular, NoMinimum, StepUnstable
 from cqed.junction import (
     JunctionSpec,
-    _golden_section,
     TwoIslandState,
     dc_current,
     first_minimum,
@@ -20,6 +19,7 @@ from cqed.junction import (
     taylor_regime,
     two_island_dynamics,
     washboard_u,
+    _golden_section,
 )
 
 SPEC = JunctionSpec(ej=1.0, cj=1.0)
