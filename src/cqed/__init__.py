@@ -5,12 +5,12 @@ Subpackages by physics area:
 * `cqed.linalg` - `Ket`, the one state-vector type, expectation values,
   and batched tridiagonal eigenpairs (Sturm bisection, inverse iteration).
 * `cqed.fock` - truncated oscillator: ladder/quadrature operators,
-  coherent states, cavity mode ladders.
-* `cqed.qubit` - Pauli algebra, Bloch sphere, rotations, Rabi/Ramsey.
-* `cqed.junction` - semiclassical Josephson: washboard, inductances,
-  SQUID, flux-qubit double well, two-island tunnelling ODEs.
+  number and coherent states, quadrature statistics.
+* `cqed.qubit` - rotations, free evolution, Rabi/Ramsey.
+* `cqed.junction` - semiclassical Josephson: washboard, SQUID,
+  flux-qubit double well, two-island tunnelling ODEs.
 * `cqed.chargebox` - Cooper-pair box / transmon spectra, gaps,
-  charge dispersion, sudden and adiabatic gates.
+  charge dispersion, second-order avoided crossings.
 * `cqed.jaynescummings` - resonant qubit-cavity exchange.
 * `cqed.decoherence` - T1 decay, dephasing ensembles, T2 limits,
   Bell states and correlation tables.

@@ -5,20 +5,16 @@ The box Hamiltonian in the Cooper-pair number basis |N>, N = -ncut..ncut:
     H = sum_N  E_C (N - N_g)^2 |N><N|  -  (E_J/2) (|N><N+1| + |N+1><N|)
 
 with the pair charging energy E_C = (2e)^2 / 2 C_Sigma as the reference
-unit.  Everything here reduces to diagonalizing that tridiagonal matrix on
-gate-charge grids: spectra, the two-level reduction and its exact gap, the
-sweet-spot/charge-dispersion analysis that motivates the transmon, the
-second-order avoided crossings, and the sudden/adiabatic gate protocols.
+unit.  Apart from the closed-form two-level gap `exact_gap`, everything
+here reduces to eigenvalues of that tridiagonal matrix on gate-charge
+grids: spectra, the sweet-spot/charge-dispersion analysis that motivates
+the transmon, and the second-order avoided crossings.
 
-Eigenvalue-only work (spectrum sweeps, charge dispersion, the
-avoided-crossing gaps) hands the diagonal and the constant coupling -E_J/2
-straight to the batched Sturm bisection `tridiagonal_eigvalsh`; the
-dispersion scans of a whole list of (E_J, ncut) pairs share one bisection
+All of it hands the diagonal and the constant coupling -E_J/2 straight to
+the batched Sturm bisection `tridiagonal_eigvalsh`; the dispersion scans of
+a whole list of (E_J, ncut) pairs share one bisection
 (`tridiagonal_eigvalsh_groups`), and so do the avoided-crossing gaps of a
-whole E_J list.  The gate simulations need eigenvectors too and take them
-from `tridiagonal_eigh`, inverse iteration on the same bisection's
-eigenvalues.  Neither builds a dense Hamiltonian; `cpb_hamiltonian` exists
-for callers that want one.
+whole E_J list.  No dense Hamiltonian is ever built.
 
 Spectra are periodic in N_g with period 1 and symmetric about N_g = 1/2,
 so no search over N_g is needed: the charge dispersion and the avoided
@@ -36,39 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .linalg import (
-    _EPS, Ket, tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonal_eigvalsh_groups,
-)
-from .qubit import pauli
+from .linalg import _EPS, tridiagonal_eigvalsh, tridiagonal_eigvalsh_groups
 
 __all__ = [
-    "CPBParams",
     "ChargeBasis",
-    "cpb_hamiltonian",
     "spectrum_sweep",
-    "reduced_qubit",
     "exact_gap",
     "charge_dispersion",
     "koch_dispersion",
     "second_order_gap",
-    "sudden_gate_sim",
-    "adiabatic_sweep_sim",
 ]
-
-
-@dataclass(frozen=True)
-class CPBParams:
-    """Charging energy, Josephson energy and gate charge of one box."""
-
-    ec: float
-    ej: float
-    ng: float = 0.0
-
-    def __post_init__(self):
-        if not self.ec > 0:
-            raise ValueError("ec must be positive")
-        if self.ej < 0:
-            raise ValueError("ej must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -90,15 +63,6 @@ class ChargeBasis:
         return np.arange(-self.ncut, self.ncut + 1)
 
 
-def cpb_hamiltonian(params: CPBParams, basis: ChargeBasis) -> np.ndarray:
-    """Real symmetric tridiagonal box Hamiltonian (dimension 2 ncut + 1)."""
-    charges = basis.charges
-    h = np.diag(params.ec * (charges - params.ng) ** 2).astype(np.float64)
-    hop = -0.5 * params.ej * np.ones(basis.dim - 1)
-    h += np.diag(hop, 1) + np.diag(hop, -1)
-    return h
-
-
 def _charging_energies(ec, ng_values, basis: ChargeBasis) -> np.ndarray:
     """Diagonal E_C (N - N_g)^2: one row per gate charge, one column per N."""
     return ec * (basis.charges[None, :] - np.asarray(ng_values)[:, None]) ** 2
@@ -116,19 +80,6 @@ def spectrum_sweep(
         raise ValueError(f"k must be within [1, {2 * ncut - 1}]; top levels are cutoff-polluted")
     ng_values = np.asarray(ng_values, dtype=np.float64)
     return tridiagonal_eigvalsh(_charging_energies(ec, ng_values, basis), -0.5 * ej, k)
-
-
-def reduced_qubit(ec: float, ej: float, dg: float) -> dict[str, object]:
-    """Two-level box Hamiltonian at gate charge N_g = 1/2 + dg.
-
-    Keeping only |0> and |1> gives h2 = E_C dg sigma_z - (E_J/2) sigma_x in
-    the ordered basis (|0>, |1>); the identity part E_C (1/4 + dg^2), equal
-    for both states, is returned separately as ``offset``.
-    """
-    if not abs(dg) < 0.5:
-        raise ValueError("two-level reduction needs |dg| < 1/2")
-    h2 = ec * dg * pauli("z") - 0.5 * ej * pauli("x")
-    return {"h2": h2.real, "offset": ec * (0.25 + dg * dg)}
 
 
 def exact_gap(ec: float, ej: float, dg: float) -> float:
@@ -237,65 +188,3 @@ def second_order_gap(
         "first_order_gaps": first_order,
         "first_order_slope": control,
     }
-
-
-def _eigenpairs(ec, ej, ng_values, ncut) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (points, dim) and eigenvector columns (points, dim, dim)."""
-    return tridiagonal_eigh(_charging_energies(ec, ng_values, ChargeBasis(ncut)), -0.5 * ej)
-
-
-def _ground_state(ec, ej, ng, ncut) -> Ket:
-    return Ket(_eigenpairs(ec, ej, [ng], ncut)[1][0, :, 0])
-
-
-def sudden_gate_sim(
-    ec: float, ej: float, t_hold: np.ndarray, ncut: int = 10
-) -> dict[str, np.ndarray]:
-    """Sudden-switch single-qubit gate: prepare at N_g = 0, hold at 1/2.
-
-    The box relaxes to the ground state at N_g = 0; the gate charge is then
-    switched instantly to the degeneracy point and the state evolves under
-    the full Hamiltonian there.  Reported is the survival probability
-    p0(t) = |<psi(0)|psi(t)>|^2, which for E_J << E_C follows the two-level
-    Rabi form (1 + cos(E_J t))/2; the two-level prediction is returned
-    alongside for comparison.
-    """
-    t_hold = np.asarray(t_hold, dtype=np.float64)
-    psi0 = _ground_state(ec, ej, 0.0, ncut)
-    vals, vecs = _eigenpairs(ec, ej, [0.5], ncut)
-    weights = vecs[0].T @ psi0.amps
-    phases = np.exp(-1j * np.outer(t_hold, vals[0]))
-    overlaps = (phases * weights[None, :]) @ weights.conj()
-    p0 = np.abs(overlaps) ** 2
-    return {
-        "p0": p0,
-        "two_level": 0.5 * (1.0 + np.cos(ej * t_hold)),
-    }
-
-
-def adiabatic_sweep_sim(
-    ec: float, ej: float, ramp_time: float, steps: int, ncut: int = 10
-) -> dict[str, float]:
-    """Adiabatic gate: ramp N_g linearly from 0 to 1/2, track the ground state.
-
-    The ramp is discretized into piecewise-constant segments (midpoint gate
-    charge, spectral propagator per segment); per-segment change of N_g must
-    stay below 1e-3, which bounds ``steps`` from below.  Returns the fidelity
-    of the final state to the instantaneous ground state at N_g = 1/2 - the
-    |+>-like superposition the adiabatic theorem promises for slow ramps.
-    A sudden ramp (ramp_time -> 0) leaves the N_g = 0 ground state behind,
-    whose fidelity to the target is about 1/2.
-    """
-    if steps < 1:
-        raise ValueError("need at least one segment")
-    if 0.5 / steps > 1e-3:
-        raise ValueError("per-step gate-charge change exceeds 1e-3; raise steps")
-    dt = ramp_time / steps
-    midpoints = (np.arange(steps) + 0.5) * (0.5 / steps)
-    vals, vecs = _eigenpairs(ec, ej, midpoints, ncut)
-    psi = _ground_state(ec, ej, 0.0, ncut).amps
-    for k in range(steps):
-        v = vecs[k]
-        psi = v @ (np.exp(-1j * vals[k] * dt) * (v.T @ psi))
-    target = _ground_state(ec, ej, 0.5, ncut).amps
-    return {"fidelity_to_plus": float(abs(np.vdot(target, psi)) ** 2)}

@@ -524,6 +524,9 @@ def _flags(spec: _Command):
 
 def _check(args, spec: _Command) -> None:
     """Reject bad flag values and over-budget runs before any work."""
+    # RngSpec keeps 64 bits, so any other seed would alias one of these.
+    if not 0 <= args.seed < 2**64:
+        raise UsageError("seed must be within [0, 2^64)")
     for flag, dest, _, rule in _flags(spec):
         value = getattr(args, dest)
         # An int past float range fails too: every size term works in floats.

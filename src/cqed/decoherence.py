@@ -49,13 +49,10 @@ __all__ = [
     "OUTCOME_LABELS",
     "t1_curves",
     "ramsey_ensemble",
-    "two_offset_fringe",
-    "general_fringe",
     "decay_limited_ramsey",
     "bell_state",
     "joint_table",
     "marginal_table",
-    "ensemble_marginal",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -356,36 +353,6 @@ def ramsey_ensemble(
     }
 
 
-def two_offset_fringe(delta: float, offset: float, times: np.ndarray) -> np.ndarray:
-    """Equal-weight average of two fringes with phase offsets 0 and ``offset``.
-
-    Averaging the two cosines directly reproduces the single-fringe form
-    (1 + cos(offset/2) * cos(delta t - offset/2)) / 2: a fringe at the mean
-    offset with amplitude reduced by cos(offset/2).
-    """
-    times = np.asarray(times, dtype=np.float64)
-    p_a = 0.5 * (1.0 + np.cos(delta * times))
-    p_b = 0.5 * (1.0 + np.cos(delta * times - offset))
-    return 0.5 * (p_a + p_b)
-
-
-def general_fringe(
-    theta: float, phi: float, delta: float, times: np.ndarray
-) -> dict[str, object]:
-    """Fringe of the superposition cos(theta)|0> + e^{i phi} sin(theta)|1>.
-
-    p_plus(t) = 1/2 + (1/2) sin(2 theta) cos(delta t - phi) while the
-    excited population stays sin^2(theta): for small theta the oscillation
-    amplitude is linear in theta but the population only quadratic, which
-    is why pure decay lets fringes outlive populations by a factor 2.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    return {
-        "p_plus": 0.5 + 0.5 * np.sin(2.0 * theta) * np.cos(delta * times - phi),
-        "p_excited": float(np.sin(theta) ** 2),
-    }
-
-
 def decay_limited_ramsey(
     t1: float,
     delta: float,
@@ -551,19 +518,3 @@ def marginal_table(state: Ket) -> dict[str, float]:
     if spread.max() > 1e-12:
         raise AssertionError("marginals depend on Alice's basis; joint table is broken")
     return dict(zip(OUTCOME_LABELS, per_alice_basis[0]))
-
-
-def ensemble_marginal(
-    states: list[Ket], weights: list[float]
-) -> dict[str, float]:
-    """Bob's marginals for an ensemble mixture (weighted pure states)."""
-    if len(states) != len(weights) or not states:
-        raise ValueError("need matching, non-empty states and weights")
-    w = np.asarray(weights, dtype=np.float64)
-    if abs(w.sum() - 1.0) > 1e-12 or w.min() < 0:
-        raise ValueError("weights must be a probability distribution")
-    acc = {label: 0.0 for label in OUTCOME_LABELS}
-    for state, wk in zip(states, w):
-        for label, p in marginal_table(state).items():
-            acc[label] += wk * p
-    return acc

@@ -23,10 +23,6 @@ class NoMinimum(CqedError):
     """Potential has no local minimum for the requested bias."""
 
 
-class InductanceSingular(CqedError):
-    """Nonlinear Josephson inductance diverges at this flux."""
-
-
 class StepUnstable(CqedError):
     """ODE integration left the physically valid domain."""
 

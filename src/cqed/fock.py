@@ -1,8 +1,8 @@
 """Truncated harmonic-oscillator (Fock) space.
 
 Ladder, number and quadrature operators on the lowest ``dim`` levels,
-coherent states, free evolution and the mode frequencies of half- and
-quarter-wave cavities.  Units: hbar = 1, so omega0 is an energy.
+number and coherent states, free evolution and quadrature statistics.
+Units: hbar = 1, so omega0 is an energy.
 
 Truncation is the one place where the finite basis shows through: the
 commutator [a, a^dag] equals the identity except for its top diagonal
@@ -30,7 +30,6 @@ __all__ = [
     "coherent_ket",
     "coherent_evolution",
     "quad_stats",
-    "cavity_mode_freq",
 ]
 
 _RESIDUAL_TOL = 1e-8
@@ -184,18 +183,3 @@ def quad_stats(psi: Ket | np.ndarray, basis: FockBasis) -> dict:
         for op in _quadratures(basis.dim))
     return {"mean1": mean1, "var1": second1 - mean1 * mean1,
             "mean2": mean2, "var2": second2 - mean2 * mean2}
-
-
-def cavity_mode_freq(kind: str, omega0: float, m: int) -> float:
-    """Frequency of harmonic ``m`` of a waveguide cavity.
-
-    A half-wave cavity supports omega_m = (m+1) omega0; grounding one end
-    (quarter-wave) removes the even harmonics, omega_m = (2m+1) omega0.
-    """
-    if m < 0:
-        raise ValueError("harmonic index must be >= 0")
-    if kind == "half-wave":
-        return (m + 1) * omega0
-    if kind == "quarter-wave":
-        return (2 * m + 1) * omega0
-    raise ValueError(f"unknown cavity kind {kind!r}")

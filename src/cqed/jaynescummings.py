@@ -12,8 +12,7 @@ H conserves the excitation number n + q, so it splits into 2x2 blocks
 block, where it follows cos(gt) |0,1> - i sin(gt) |1,0> exactly; that orbit
 is computed directly, without building or diagonalizing H, and any
 nmax >= 2 holds it.  Its populations are cos^2(gt) and sin^2(gt), so
-`vacuum_rabi` builds no state vectors at all.  `jc_hamiltonian` builds the
-dense H for callers that want to check this.
+`vacuum_rabi` builds no state vectors at all.
 """
 
 from __future__ import annotations
@@ -22,21 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, ladder_suite
 from .linalg import Ket
 
 __all__ = [
     "JCParams",
     "JCSpace",
     "index_of",
-    "jc_hamiltonian",
     "vacuum_rabi",
     "vacuum_rabi_closed_form",
     "transfer_time",
 ]
-
-_SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=np.complex128)   # |1><0|
-_SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |0><1|
 
 
 @dataclass(frozen=True)
@@ -72,19 +66,6 @@ def index_of(n: int, q: int, space: JCSpace) -> int:
     if q not in (0, 1):
         raise ValueError("qubit state must be 0 or 1")
     return 2 * n + q
-
-
-def product_ket(n: int, q: int, space: JCSpace) -> Ket:
-    """Product basis state |n, q>."""
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[index_of(n, q, space)] = 1.0
-    return Ket(amps)
-
-
-def jc_hamiltonian(params: JCParams, space: JCSpace) -> np.ndarray:
-    """g (a (x) sigma_+ + a^dag (x) sigma_-) on the truncated product space."""
-    ops = ladder_suite(FockBasis(space.nmax))
-    return params.g * (np.kron(ops.lower, _SIGMA_PLUS) + np.kron(ops.raise_, _SIGMA_MINUS))
 
 
 def _orbit(g: float, times: np.ndarray, space: JCSpace) -> np.ndarray:

@@ -7,8 +7,7 @@ I0 = 2 pi E_J / Phi_0, and washboard energies in units of I0 Phi0 / 2pi
 
     u(phi) = -(I/I0) phi - cos(phi)
 
-and every formula below is a pure ratio, so a `JunctionSpec` is only needed
-where an absolute scale enters (DC current, inductances).
+and every formula below is a pure ratio: no absolute junction scale enters.
 """
 
 from __future__ import annotations
@@ -18,21 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InductanceSingular, NoMinimum, StepUnstable
+from .errors import NoMinimum, StepUnstable
 
 __all__ = [
-    "JunctionSpec",
     "TwoIslandState",
     "TwoIslandTrajectory",
-    "dc_current",
     "washboard_u",
     "first_minimum",
     "first_minimum_numeric",
-    "inductances",
-    "taylor_regime",
     "squid_effective",
     "flux_qubit_potential",
-    "fluxoid_residual",
     "two_island_dynamics",
 ]
 
@@ -40,31 +34,6 @@ __all__ = [
 _SCAN_STEP = np.pi / 200
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class JunctionSpec:
-    """Physical junction: Josephson energy, critical current, capacitance.
-
-    With the flux quantum set to 1, i0 = 2 pi ej; the charging energy of
-    the junction capacitance is ec = (2e)^2 / (2 cj) when needed.
-    """
-
-    ej: float
-    cj: float = 1.0
-
-    def __post_init__(self):
-        if not (self.ej > 0 and self.cj > 0):
-            raise ValueError("ej and cj must be positive")
-
-    @property
-    def i0(self) -> float:
-        return 2.0 * np.pi * self.ej
-
-
-def dc_current(spec: JunctionSpec, phi: float) -> float:
-    """DC Josephson relation I = I0 sin(phi)."""
-    return spec.i0 * np.sin(phi)
 
 
 def washboard_u(bias: float, phis: np.ndarray) -> np.ndarray:
@@ -139,49 +108,6 @@ def first_minimum(bias: float) -> float:
     return phi
 
 
-def inductances(spec: JunctionSpec, flux: float) -> dict[str, float]:
-    """Linear and nonlinear Josephson inductance at ``flux`` (in Phi0 units).
-
-    linear = Phi0^2 / (4 pi^2 E_J) (Phi0 = 1 here); nonlinear divides by
-    cos(2 pi flux) and diverges at flux = 1/4 + k/2, reported as
-    InductanceSingular.
-    """
-    linear = 1.0 / (4.0 * np.pi**2 * spec.ej)
-    cosf = np.cos(2.0 * np.pi * flux)
-    if abs(cosf) < 1e-9:
-        raise InductanceSingular(f"cos(2 pi {flux}) vanishes: inductance diverges")
-    return {"linear": linear, "nonlinear": linear / cosf}
-
-
-def taylor_regime(regime: str, bias: float) -> dict[str, object]:
-    """Cubic Taylor data of the reduced washboard for the two qubit regimes.
-
-    Returns the expansion point and coefficients [c0, c1, c2, c3] of
-    u(phi) = -bias phi - cos(phi) in powers of (phi - point):
-
-    * ``small-bias``: point 0; approximately quadratic (c2 = 1/2), the
-      harmonic-oscillator regime.
-    * ``critical-bias``: point pi/2; the quadratic term is exactly zero and
-      the cubic coefficient is -1/6, the purely nonlinear regime.
-
-    Coefficients are the exact derivatives of u, so they agree with finite
-    differences of `washboard_u` at the expansion point.
-    """
-    if regime == "small-bias":
-        if abs(bias) > 0.2:
-            raise ValueError("small-bias expansion expects |I/I0| << 1")
-        point = 0.0
-        coeffs = [-1.0, -bias, 0.5, 0.0]
-    elif regime == "critical-bias":
-        if not 0.0 <= bias < 1.0:
-            raise ValueError("critical-bias expansion expects 0 <= I/I0 < 1")
-        point = np.pi / 2.0
-        coeffs = [-bias * np.pi / 2.0, 1.0 - bias, 0.0, -1.0 / 6.0]
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    return {"point": point, "coeffs": coeffs}
-
-
 def squid_effective(i0_each: float, phi_ext: float, n: int = 0) -> dict[str, object]:
     """Split junction (SQUID) as one flux-tunable junction.
 
@@ -226,17 +152,6 @@ def flux_qubit_potential(
         p = _golden_section(u, phis[k], phis[k + 2])
         minima.append((float(p), float(u(p))))
     return {"u": samples, "minima": minima}
-
-
-def fluxoid_residual(total_flux: float) -> dict[str, float]:
-    """Distance of a loop flux (Phi0 units) from the nearest fluxoid level.
-
-    Quantization forces the fluxoid to integer multiples of Phi0; the
-    residual is flux - n with n the nearest integer.  Exact half-integer
-    ties round to even n (numpy's rint), so |residual| <= 1/2 always.
-    """
-    n = float(np.rint(total_flux))
-    return {"n": n, "residual": float(total_flux - n)}
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ oscillator-mode, qubit-cavity and charge states are all `Ket`s, and the
 functions that need a particular space check the dimension.
 
 Operators are plain ``numpy.ndarray`` matrices (complex128, row-major); a
-dedicated matrix class would add nothing but indirection at these sizes
-(everything in this package is well under ~200 dimensions).
+dedicated matrix class would add nothing but indirection.  The dense ones
+stay small (`coherent` admits ladder operators up to dim 724 under its
+size budget); the tridiagonal ones are never formed, so a `spectrum`
+sweep's Sturm blocks may run to thousands of rows.
 
 No dense eigensolver is needed: the cavity and qubit propagators are known
 in closed form, and the only matrices diagonalized numerically are the
@@ -34,8 +36,8 @@ batches of matrices at once and never form an n x n matrix:
   the avoided-crossing gaps of a whole coupling list, run as one
   bisection.
 * `tridiagonal_eigh` - every eigenvalue from that bisection plus its
-  eigenvector from inverse iteration, as in LAPACK's dstein.  The gate
-  simulations use it.
+  eigenvector from inverse iteration, as in LAPACK's dstein.  No command
+  needs eigenvectors; it serves acceptance criterion 15 and the tests.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays.
 """

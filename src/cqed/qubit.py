@@ -1,4 +1,4 @@
-"""Two-level algebra: Pauli matrices, Bloch sphere, rotations, Rabi/Ramsey.
+"""Two-level algebra: rotations, free evolution, Rabi and Ramsey sequences.
 
 Conventions (all with hbar = 1):
 
@@ -12,8 +12,7 @@ Conventions (all with hbar = 1):
   use fidelity, never componentwise equality.
 
 States are `cqed.linalg.Ket`s of dimension 2; every function taking one
-raises DimensionMismatch on any other dimension.  Bloch vectors are plain
-(3,) float arrays (x, y, z).
+raises DimensionMismatch on any other dimension.
 """
 
 from __future__ import annotations
@@ -24,15 +23,11 @@ from .errors import DimensionMismatch, NotUnitAxis
 from .linalg import _NORM_TOL, Ket
 
 __all__ = [
-    "pauli",
     "hadamard",
-    "bloch",
-    "bloch_of_density",
     "rotate",
     "free_evolution",
     "rabi_trace",
     "ramsey_trace",
-    "density_ops",
     "KET_0",
     "KET_1",
     "KET_PLUS",
@@ -62,39 +57,9 @@ def _qubit_amps(psi: Ket) -> np.ndarray:
     return psi.amps
 
 
-def pauli(axis: str) -> np.ndarray:
-    """Pauli matrix sigma_axis for axis in {'x', 'y', 'z'} (copies)."""
-    try:
-        return _SIGMA[axis].copy()
-    except KeyError:
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}") from None
-
-
 def hadamard() -> np.ndarray:
     """Hadamard gate (1/sqrt2) [[1, 1], [1, -1]]; its own inverse."""
     return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-
-
-def bloch(psi: Ket) -> np.ndarray:
-    """Bloch vector (x, y, z) as overlap differences against the three bases.
-
-    x = |<+|psi>|^2 - |<-|psi>|^2, y likewise in the circular basis and
-    z in the computational basis.
-    """
-    amps = _qubit_amps(psi)
-    return np.array([
-        abs(np.vdot(KET_PLUS.amps, amps)) ** 2 - abs(np.vdot(KET_MINUS.amps, amps)) ** 2,
-        abs(np.vdot(KET_PLUS_I.amps, amps)) ** 2 - abs(np.vdot(KET_MINUS_I.amps, amps)) ** 2,
-        abs(amps[0]) ** 2 - abs(amps[1]) ** 2,
-    ])
-
-
-def bloch_of_density(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector tr(rho sigma_j); norm <= 1, equal to 1 for pure rho."""
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise DimensionMismatch("density matrix must be 2x2")
-    return np.array([np.trace(rho @ _SIGMA[axis]).real for axis in "xyz"])
 
 
 def axis_angle_unitary(n: np.ndarray, theta: float) -> np.ndarray:
@@ -155,13 +120,3 @@ def ramsey_numeric(delta: float, t: float) -> float:
     psi = Ket(h @ KET_0.amps)
     final = h @ free_evolution(delta, t, psi).amps
     return float(abs(final[0]) ** 2)
-
-
-def density_ops(psi: Ket, a: np.ndarray) -> dict[str, np.ndarray]:
-    """Density matrix rho = |psi><psi| and its image A rho A^dag."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (2, 2):
-        raise DimensionMismatch("operator must be 2x2")
-    amps = _qubit_amps(psi)
-    rho = np.outer(amps, amps.conj())
-    return {"rho": rho, "rho_evolved": a @ rho @ a.conj().T}

@@ -412,6 +412,10 @@ class TestExitCodes:
             # a negative ncut made the size term negative: exit 1 in np.linspace
             (["spectrum", "--ncut", "-1", "--ng-steps", "1000000000000000"], "ncut must be >= 2"),
             (["transmon", "--ratios", "abc"], "ratios must be"),
+            # were exit 0: the seed was masked to 64 bits, so 2^64 wrote the rows of
+            # seed 0 and -1 those of 2^64 - 1, each under its own "# seed=" line
+            (["decay", "--trials", "20", "--seed", "-1"], "seed must be within [0, 2^64)"),
+            (["decay", "--trials", "20", "--seed", str(2**64)], "seed must be within [0, 2^64)"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )
@@ -421,6 +425,11 @@ class TestExitCodes:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_largest_seed_runs(self, tmp_path):
+        code, out = run(tmp_path, "decay", "--trials", "20", "--seed", str(2**64 - 1))
+        assert code == 0
+        assert read_csv(out)[0]["seed"] == str(2**64 - 1)
 
 
 #: Edge values of each flag type; strings are the ``--ratios`` values.

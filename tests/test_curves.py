@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from cqed.chargebox import sudden_gate_sim
 from cqed.decoherence import (
     NoiseModel,
     RngSpec,
     decay_limited_ramsey,
-    general_fringe,
     ramsey_ensemble,
     t1_curves,
-    two_offset_fringe,
 )
 from cqed.jaynescummings import JCParams, vacuum_rabi
 from cqed.junction import TwoIslandState, two_island_dynamics
@@ -47,13 +44,10 @@ CASES = {
     "t1_curves": lambda: _on_given_times(*t1_curves(1.0, TIMES, MC).values()),
     "ramsey_ensemble-noiseless": lambda: _ramsey_ensemble(0.0),
     "ramsey_ensemble-noisy": lambda: _ramsey_ensemble(0.7),
-    "two_offset_fringe": lambda: _on_given_times(two_offset_fringe(2.0, 0.3, TIMES)),
-    "general_fringe": lambda: _on_given_times(general_fringe(0.4, 0.1, 2.0, TIMES)["p_plus"]),
     "decay_limited_ramsey": _decay_limited_ramsey,
     "vacuum_rabi": lambda: _on_given_times(
         *(vacuum_rabi(JCParams(1.0), TIMES)[key] for key in JC_CURVES)
     ),
-    "sudden_gate_sim": lambda: _on_given_times(*sudden_gate_sim(1.0, 0.1, TIMES, ncut=4).values()),
     "two_island_current": _two_island_current,
 }
 

@@ -10,17 +10,14 @@ from cqed.decoherence import (
     RngSpec,
     bell_state,
     decay_limited_ramsey,
-    ensemble_marginal,
-    general_fringe,
     joint_table,
     marginal_table,
     ramsey_ensemble,
     t1_curves,
-    two_offset_fringe,
 )
 from cqed.errors import DimensionMismatch, FitFailed
 from cqed.linalg import Ket
-from cqed.qubit import KET_PLUS, free_evolution, ramsey_trace
+from cqed.qubit import ramsey_trace
 
 
 class TestRngSpec:
@@ -303,50 +300,6 @@ class TestRamseyEnsemble:
             ramsey_ensemble(10.0, NoiseModel(0.1), 0.05, 4.0, 1000, RngSpec(0))
 
 
-class TestTwoOffsetFringe:
-    def test_reduces_to_single_fringe_with_cos_half_amplitude(self):
-        delta, offset = 3.0, 1.1
-        times = np.linspace(0.0, 8.0, 400)
-        averaged = two_offset_fringe(delta, offset, times)
-        closed = 0.5 + 0.5 * np.cos(offset / 2) * np.cos(delta * times - offset / 2)
-        assert np.abs(averaged - closed).max() < 1e-12
-
-
-class TestGeneralFringe:
-    def test_equal_superposition_full_contrast(self):
-        delta = 2.0
-        times = np.array([0.0, np.pi / delta, 2 * np.pi / delta])  # exact extrema
-        out = general_fringe(np.pi / 4, 0.0, delta, times)
-        assert np.allclose(out["p_plus"], [1.0, 0.0, 1.0], atol=1e-12)
-        assert abs(out["p_excited"] - 0.5) < 1e-12
-
-    def test_ground_state_is_flat(self):
-        out = general_fringe(0.0, 0.0, 2.0, np.linspace(0, 5, 20))
-        assert np.abs(out["p_plus"] - 0.5).max() < 1e-12
-        assert out["p_excited"] == 0.0
-
-    def test_small_angle_scalings(self):
-        times = np.linspace(0.0, 10.0, 300)
-        a = general_fringe(0.01, 0.0, 1.0, times)
-        b = general_fringe(0.02, 0.0, 1.0, times)
-        amp = lambda out: (out["p_plus"].max() - out["p_plus"].min()) / 2
-        assert abs(amp(b) / amp(a) - 2.0) < 0.01
-        assert abs(b["p_excited"] / a["p_excited"] - 4.0) < 0.01
-
-    def test_matches_qubit_evolution(self):
-        rng = np.random.default_rng(33)
-        for _ in range(5):
-            theta = rng.uniform(0, np.pi / 2)
-            phi = rng.uniform(0, 2 * np.pi)
-            delta = rng.uniform(0.5, 3.0)
-            t = rng.uniform(0, 10)
-            psi0 = Ket([np.cos(theta), np.exp(1j * phi) * np.sin(theta)])
-            evolved = free_evolution(delta, t, psi0)
-            p_plus = abs(np.vdot(KET_PLUS.amps, evolved.amps)) ** 2
-            out = general_fringe(theta, phi, delta, np.array([t]))
-            assert abs(out["p_plus"][0] - p_plus) < 1e-10
-
-
 class TestDecayLimitedRamsey:
     def test_t2_is_twice_t1(self):
         out = decay_limited_ramsey(1.0, 20.0, 0.002, 3.0, trials=10_000, rng=RngSpec(999))
@@ -471,14 +424,3 @@ class TestMarginals:
         assert marg["minus"] < 1e-12
         for label in ("0", "1", "plus_i", "minus_i"):
             assert abs(marg[label] - 0.5) < 1e-12
-
-    def test_ensemble_mixture_is_flat(self):
-        zero_zero = Ket([1, 0, 0, 0])
-        zero_one = Ket([0, 1, 0, 0])
-        marg = ensemble_marginal([zero_zero, zero_one], [0.5, 0.5])
-        for label in OUTCOME_LABELS:
-            assert abs(marg[label] - 0.5) < 1e-12
-
-    def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            ensemble_marginal([Ket([1, 0, 0, 0])], [0.7])

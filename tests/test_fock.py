@@ -4,7 +4,6 @@ import pytest
 from cqed.errors import TruncationTooSmall
 from cqed.fock import (
     FockBasis,
-    cavity_mode_freq,
     coherent_evolution,
     coherent_ket,
     fock_ket,
@@ -284,19 +283,3 @@ class TestStackedProductsMatchPerRowCalls:
         ref = np.array([scalar_recursion(alpha, dim) for alpha in alphas])
         assert np.array_equal(bits(_coherent_rows(alphas, dim)), bits(ref))
 
-
-class TestCavityModes:
-    def test_half_wave_fundamental(self):
-        assert cavity_mode_freq("half-wave", 2.0, 0) == 2.0
-
-    def test_half_wave_third_harmonic(self):
-        assert cavity_mode_freq("half-wave", 2.0, 2) == 6.0
-
-    def test_quarter_wave_odd_ladder(self):
-        assert cavity_mode_freq("quarter-wave", 2.0, 2) == 10.0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            cavity_mode_freq("half-wave", 1.0, -1)
-        with pytest.raises(ValueError):
-            cavity_mode_freq("open", 1.0, 0)

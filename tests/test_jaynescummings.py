@@ -1,18 +1,34 @@
 import numpy as np
 import pytest
 
+from cqed.fock import FockBasis, ladder_suite
 from cqed.jaynescummings import (
     JCParams,
     JCSpace,
     _orbit,
     index_of,
-    jc_hamiltonian,
-    product_ket,
     transfer_time,
     vacuum_rabi,
     vacuum_rabi_closed_form,
 )
-from cqed.linalg import fidelity
+from cqed.linalg import Ket, fidelity
+
+SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=np.complex128)   # |1><0|
+SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |0><1|
+
+
+def product_ket(n, q, space):
+    """Product basis state |n, q>."""
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    amps[index_of(n, q, space)] = 1.0
+    return Ket(amps)
+
+
+def jc_hamiltonian(params, space):
+    """Dense g (a (x) sigma_+ + a^dag (x) sigma_-) on the truncated product space."""
+    ops = ladder_suite(FockBasis(space.nmax))
+    return params.g * (np.kron(ops.lower, SIGMA_PLUS) + np.kron(ops.raise_, SIGMA_MINUS))
+
 
 SPACE = JCSpace(nmax=5)
 G = 1.3

@@ -5,48 +5,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cqed.errors import InductanceSingular, NoMinimum, StepUnstable
+from cqed.errors import NoMinimum, StepUnstable
 from cqed.junction import (
-    JunctionSpec,
     TwoIslandState,
-    dc_current,
     first_minimum,
     first_minimum_numeric,
     flux_qubit_potential,
-    fluxoid_residual,
-    inductances,
     squid_effective,
-    taylor_regime,
     two_island_dynamics,
     washboard_u,
     _golden_section,
 )
 
-SPEC = JunctionSpec(ej=1.0, cj=1.0)
-
 
 def numeric_derivative(f, x, order, h=1e-3):
-    """Centered finite-difference derivative, the oracle for Taylor data."""
-    if order == 0:
-        return f(x)
+    """Centered finite-difference first or second derivative."""
     if order == 1:
         return (f(x + h) - f(x - h)) / (2 * h)
     if order == 2:
         return (f(x + h) - 2 * f(x) + f(x - h)) / h**2
-    if order == 3:
-        return (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2 * h**3)
     raise ValueError(order)
-
-
-class TestDCCurrent:
-    def test_zero_phase(self):
-        assert dc_current(SPEC, 0.0) == 0.0
-
-    def test_critical_phase(self):
-        assert abs(dc_current(SPEC, np.pi / 2) - SPEC.i0) < 1e-12
-
-    def test_half_critical(self):
-        assert abs(dc_current(SPEC, np.pi / 6) - SPEC.i0 / 2) < 1e-12
 
 
 class TestWashboard:
@@ -84,51 +62,7 @@ class TestWashboard:
     @pytest.mark.parametrize("bias", [0.0, 0.25, 0.5, 0.99])
     def test_josephson_relation_roundtrip(self, bias):
         # sin(arcsin(bias)) recovers the bias current exactly
-        assert abs(dc_current(SPEC, first_minimum(bias)) - bias * SPEC.i0) < 1e-12
-
-
-class TestInductances:
-    def test_linear_value_and_zero_flux(self):
-        out = inductances(SPEC, 0.0)
-        assert abs(out["linear"] - 1.0 / (4 * np.pi**2 * SPEC.ej)) < 1e-15
-        assert out["nonlinear"] == out["linear"]
-
-    def test_sixth_flux_doubles(self):
-        out = inductances(SPEC, 1.0 / 6.0)
-        assert abs(out["nonlinear"] - 2 * out["linear"]) < 1e-12
-
-    def test_quarter_flux_singular(self):
-        with pytest.raises(InductanceSingular):
-            inductances(SPEC, 0.25)
-
-
-class TestTaylorRegimes:
-    def test_small_bias_zero_current(self):
-        out = taylor_regime("small-bias", 0.0)
-        assert out["point"] == 0.0
-        assert out["coeffs"] == [-1.0, 0.0, 0.5, 0.0]
-
-    def test_critical_quadratic_vanishes(self):
-        out = taylor_regime("critical-bias", 0.9)
-        assert out["coeffs"][2] == 0.0
-        assert out["coeffs"][3] == -1.0 / 6.0
-
-    @pytest.mark.parametrize(
-        "regime,bias", [("small-bias", 0.0), ("small-bias", 0.05), ("critical-bias", 0.9)]
-    )
-    def test_coefficients_match_finite_differences(self, regime, bias):
-        out = taylor_regime(regime, bias)
-        point = out["point"]
-        u = lambda p: washboard_u(bias, np.array([p]))[0]
-        for order, coeff in enumerate(out["coeffs"]):
-            fd = numeric_derivative(u, point, order) / math.factorial(order)
-            assert abs(fd - coeff) < 1e-6, (regime, order)
-
-    def test_regime_validation(self):
-        with pytest.raises(ValueError):
-            taylor_regime("small-bias", 0.9)
-        with pytest.raises(ValueError):
-            taylor_regime("critical-bias", 1.5)
+        assert abs(math.sin(first_minimum(bias)) - bias) < 1e-12
 
 
 class TestSquid:
@@ -221,21 +155,6 @@ class TestFluxScanMatchesScalarLoop:
         out = flux_qubit_potential(0.5, 0.4, 0.517946, phis)
         assert len(out["minima"]) >= 2
         assert out["minima"] == scan_minima(0.5, 0.4, 0.517946, phis)
-
-
-class TestFluxoid:
-    def test_integer(self):
-        assert fluxoid_residual(3.0) == {"n": 3.0, "residual": 0.0}
-
-    def test_half_tie_rounds_even(self):
-        out = fluxoid_residual(2.5)
-        assert out["n"] == 2.0
-        assert out["residual"] == 0.5
-
-    def test_near_integer(self):
-        out = fluxoid_residual(1.98)
-        assert out["n"] == 2.0
-        assert abs(out["residual"] + 0.02) < 1e-12
 
 
 def array_rk4(state0, e, dt, steps):

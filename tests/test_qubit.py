@@ -11,18 +11,27 @@ from cqed.qubit import (
     KET_PLUS,
     KET_PLUS_I,
     axis_angle_unitary,
-    bloch,
-    bloch_of_density,
-    density_ops,
     free_evolution,
     hadamard,
-    pauli,
     rabi_numeric,
     rabi_trace,
     ramsey_numeric,
     ramsey_trace,
     rotate,
 )
+
+
+#: sigma_x, sigma_y, sigma_z
+SX, SY, SZ = SIGMAS = (
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+)
+
+
+def bloch(psi):
+    """Bloch vector <psi|sigma_j|psi>, j = x, y, z."""
+    return np.array([np.vdot(psi.amps, sigma @ psi.amps).real for sigma in SIGMAS])
 
 
 def random_qubit(rng):
@@ -41,26 +50,16 @@ def rodrigues(vec, axis, theta):
 
 
 class TestPauli:
-    def test_matrices_exact(self):
-        assert np.array_equal(pauli("x"), [[0, 1], [1, 0]])
-        assert np.array_equal(pauli("y"), [[0, -1j], [1j, 0]])
-        assert np.array_equal(pauli("z"), [[1, 0], [0, -1]])
-
     def test_sigma_x_actions(self):
-        sx = pauli("x")
-        assert np.allclose(sx @ KET_0.amps, KET_1.amps)
-        assert np.allclose(sx @ KET_PLUS.amps, KET_PLUS.amps)
-        assert np.allclose(sx @ KET_MINUS.amps, -KET_MINUS.amps)
+        assert np.allclose(SX @ KET_0.amps, KET_1.amps)
+        assert np.allclose(SX @ KET_PLUS.amps, KET_PLUS.amps)
+        assert np.allclose(SX @ KET_MINUS.amps, -KET_MINUS.amps)
         # |+i> -> |-i> up to a global phase (i, as it happens)
-        out = sx @ KET_PLUS_I.amps
+        out = SX @ KET_PLUS_I.amps
         assert abs(np.vdot(KET_MINUS_I.amps, out)) ** 2 > 1 - 1e-12
 
     def test_sigma_z_flips_plus(self):
-        assert np.allclose(pauli("z") @ KET_PLUS.amps, KET_MINUS.amps)
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            pauli("w")
+        assert np.allclose(SZ @ KET_PLUS.amps, KET_MINUS.amps)
 
 
 class TestHadamard:
@@ -73,39 +72,6 @@ class TestHadamard:
 
     def test_maps_minus_to_one(self):
         assert np.allclose(hadamard() @ KET_MINUS.amps, KET_1.amps)
-
-
-class TestBloch:
-    @pytest.mark.parametrize(
-        "ket,expected",
-        [
-            (KET_0, (0, 0, 1)),
-            (KET_1, (0, 0, -1)),
-            (KET_PLUS, (1, 0, 0)),
-            (KET_MINUS_I, (0, -1, 0)),
-        ],
-    )
-    def test_named_states(self, ket, expected):
-        v = bloch(ket)
-        assert np.allclose(v, expected, atol=1e-12)
-
-    def test_pure_states_on_sphere(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            assert abs(np.linalg.norm(bloch(random_qubit(rng))) - 1) < 1e-9
-
-    def test_antipodal_orthogonal_states(self):
-        rng = np.random.default_rng(22)
-        for _ in range(10):
-            psi = random_qubit(rng)
-            a0, a1 = psi.amps
-            perp = Ket([-np.conj(a1), np.conj(a0)])
-            assert abs(np.vdot(psi.amps, perp.amps)) < 1e-12
-            assert np.allclose(bloch(psi), -bloch(perp), atol=1e-9)
-
-    def test_mixed_state_inside_sphere(self):
-        v = bloch_of_density(0.5 * np.eye(2))
-        assert np.linalg.norm(v) < 1e-12
 
 
 class TestRotate:
@@ -146,7 +112,9 @@ class TestRotate:
         for _ in range(10):
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
-            ndots = n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z")
+            ndots = n[0] * SX + n[1] * SY + n[2] * SZ
+            # U_n(pi) = -i n.sigma
+            assert np.abs(1j * axis_angle_unitary(n, np.pi) - ndots).max() < 1e-12
             assert np.abs(ndots @ ndots.conj().T - np.eye(2)).max() < 1e-12
             assert np.abs(ndots - ndots.conj().T).max() < 1e-12
 
@@ -207,35 +175,6 @@ class TestRabiRamsey:
             rabi_trace(1.0, np.array([0.0, np.nan]))
 
 
-class TestDensity:
-    def test_matrix_form(self):
-        rng = np.random.default_rng(29)
-        psi = random_qubit(rng)
-        rho = density_ops(psi, np.eye(2))["rho"]
-        a, b = psi.amps
-        expected = np.array([[abs(a) ** 2, a * np.conj(b)], [np.conj(a) * b, abs(b) ** 2]])
-        assert np.abs(rho - expected).max() < 1e-14
-        assert abs(np.trace(rho) - 1) < 1e-12
-        assert np.abs(rho @ rho - rho).max() < 1e-9
-
-    def test_identity_leaves_rho(self):
-        rng = np.random.default_rng(30)
-        res = density_ops(random_qubit(rng), np.eye(2))
-        assert np.abs(res["rho"] - res["rho_evolved"]).max() < 1e-14
-
-    def test_pole_state_invariant_under_z_conjugation(self):
-        # rho = (I + n.sigma)/2 with n = +z is |0><0|, an eigenstate of n.sigma
-        rho1 = density_ops(KET_0, np.eye(2))["rho"]
-        sz = pauli("z")
-        assert np.abs(sz @ rho1 @ sz.conj().T - rho1).max() < 1e-14
-
-    def test_bloch_roundtrip(self):
-        rng = np.random.default_rng(31)
-        psi = random_qubit(rng)
-        rho = density_ops(psi, np.eye(2))["rho"]
-        assert np.allclose(bloch_of_density(rho), bloch(psi), atol=1e-12)
-
-
 class TestQubitKet:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -244,12 +183,10 @@ class TestQubitKet:
     @pytest.mark.parametrize(
         "op",
         [
-            bloch,
             lambda psi: rotate([1, 0, 0], 0.3, psi),
             lambda psi: free_evolution(1.0, 0.3, psi),
-            lambda psi: density_ops(psi, np.eye(2)),
         ],
-        ids=["bloch", "rotate", "free_evolution", "density_ops"],
+        ids=["rotate", "free_evolution"],
     )
     def test_rejects_non_qubit_dimension(self, op):
         with pytest.raises(DimensionMismatch):

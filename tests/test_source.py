@@ -53,3 +53,41 @@ def test_every_module_has_a_readme_layout_row():
     layout = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
     rows = set(re.findall(r"^\| `cqed\.(\w+)`", layout, flags=re.MULTILINE))
     assert [name for name in MODULES if name not in rows] == []
+
+
+def _reads(node) -> set[str]:
+    """Names ``node`` reads: loaded names, attribute names and from-imported names."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def _defines(stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_public_name_is_reached():
+    # A public name must be read by another module, by its own module outside
+    # its own definition, or by the acceptance criteria; one read only by its
+    # unit tests is dead code.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = {name: _reads(tree) for name, tree in trees.items()}
+    acceptance = _reads(ast.parse(Path(__file__).with_name("test_acceptance.py").read_text()))
+    unreached = []
+    for name in MODULES:
+        outside = acceptance.union(*(r for other, r in reads.items() if other != name))
+        body = trees[name].body
+        for stmt in body:
+            own = set().union(*(_reads(s) for s in body if s is not stmt))
+            unreached += [f"{name}.{public}" for public in sorted(_defines(stmt))
+                          if not public.startswith("_") and public not in outside | own]
+    assert unreached == [], unreached
