@@ -11,7 +11,9 @@ from cqed.chargebox import (
 )
 from cqed.cli import _transmon_ncut
 from cqed.errors import TruncationTooSmall
-from cqed.linalg import tridiagonal_eigvalsh
+from cqed.fitting import dominant_frequency
+from cqed.linalg import Ket, fidelity, tridiagonal_eigvalsh
+from cqed.qubit import KET_MINUS, KET_PLUS, rabi_trace
 
 #: The default ``transmon --ratios``.
 RATIOS = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
@@ -161,6 +163,52 @@ class TestExactGap:
         for dg in np.linspace(-0.2, 0.2, 9):
             full = lowest_gap(1.0, 0.1, 0.5 + dg)
             assert abs(full - exact_gap(1.0, 0.1, dg)) < 1e-3
+
+
+class TestTwoLevelReduction:
+    """The charge states 0 and 1 alone: the 2 x 2 block of the dense oracle."""
+
+    @staticmethod
+    def block(ec, ej, ng):
+        return cpb_hamiltonian(ec, ej, ng, 2)[2:4, 2:4]  # charges -2..2: rows of 0 and 1
+
+    @pytest.mark.parametrize("dg", [0.0, 0.05, 0.13, -0.2])
+    def test_splitting_is_the_exact_gap(self, dg):
+        vals = np.linalg.eigvalsh(self.block(1.0, 0.1, 0.5 + dg))
+        assert abs((vals[1] - vals[0]) - exact_gap(1.0, 0.1, dg)) < 1e-13
+
+    def test_sweet_spot_eigenstates_are_plus_and_minus(self):
+        # at N_g = 1/2 the charge terms are equal and -E_J/2 sigma_x is all that is left
+        _, vecs = np.linalg.eigh(self.block(1.0, 0.1, 0.5))
+        assert fidelity(Ket(vecs[:, 0]), KET_PLUS) > 1 - 1e-12
+        assert fidelity(Ket(vecs[:, 1]), KET_MINUS) > 1 - 1e-12
+
+
+def charge_survival(ec, ej, ncut, times):
+    """|<0|exp(-i H t)|0>|^2 at N_g = 1/2 after a sudden gate step, from the dense oracle."""
+    vals, vecs = np.linalg.eigh(cpb_hamiltonian(ec, ej, 0.5, ncut))
+    weights = np.abs(vecs[ncut]) ** 2  # overlaps of charge state 0 with each level
+    return np.abs(weights @ np.exp(-1j * np.outer(vals, times))) ** 2
+
+
+class TestSuddenGate:
+    def test_survival_follows_the_two_level_cosine(self):
+        ej = 0.1
+        times = np.linspace(0.0, 4 * np.pi / ej, 160)
+        two_level = rabi_trace(exact_gap(1.0, ej, 0.0), times)[0]
+        assert np.abs(charge_survival(1.0, ej, 10, times) - two_level).max() < 2e-2
+
+    def test_half_period_empties_the_charge_state(self):
+        # the floor is nonzero at order (E_J / 2 E_C)^2 from charge-state admixture
+        ej = 0.1
+        times = np.array([np.pi / exact_gap(1.0, ej, 0.0)])
+        assert charge_survival(1.0, ej, 10, times)[0] < 2e-2
+
+    def test_oscillation_frequency_is_the_gap(self):
+        ej = 0.1
+        times = np.linspace(0.0, 20 * 2 * np.pi / ej, 2048)
+        freq = dominant_frequency(times, charge_survival(1.0, ej, 10, times))
+        assert abs(freq - exact_gap(1.0, ej, 0.0) / (2 * np.pi)) <= 1.0 / times[-1]
 
 
 class TestSweetSpot:

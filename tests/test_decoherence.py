@@ -424,3 +424,9 @@ class TestMarginals:
         assert marg["minus"] < 1e-12
         for label in ("0", "1", "plus_i", "minus_i"):
             assert abs(marg[label] - 0.5) < 1e-12
+
+    def test_ensemble_mixture_is_flat(self):
+        # an even mixture of |00> and |01> leaves Bob with the maximally mixed state
+        margs = [marginal_table(Ket(amps)) for amps in ([1, 0, 0, 0], [0, 1, 0, 0])]
+        for label in OUTCOME_LABELS:
+            assert abs(0.5 * margs[0][label] + 0.5 * margs[1][label] - 0.5) < 1e-12

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from cqed.errors import TruncationTooSmall
+from cqed.errors import DimensionMismatch, TruncationTooSmall
 from cqed.fock import (
     FockBasis,
     coherent_evolution,
@@ -66,6 +68,18 @@ class TestLadderSuite:
             FockBasis(1)
 
 
+class TestFockKet:
+    @pytest.mark.parametrize("n", [0, 1, 4, 11])
+    def test_number_eigenstate(self, ops12, n):
+        psi = fock_ket(n, FockBasis(12))
+        assert np.abs(ops12.number @ psi.amps - n * psi.amps).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [-1, 12])
+    def test_level_outside_the_basis_is_rejected(self, n):
+        with pytest.raises(DimensionMismatch):
+            fock_ket(n, FockBasis(12))
+
+
 class TestCoherentStates:
     def test_vacuum(self):
         psi = coherent_ket(0.0, FockBasis(12))
@@ -90,6 +104,15 @@ class TestCoherentStates:
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooSmall):
             coherent_ket(3.0, FockBasis(12))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1 + 1j, 2.5j, -3.0])
+    def test_poisson_photon_statistics(self, alpha):
+        # |<n|alpha>|^2 = exp(-|alpha|^2) |alpha|^(2n) / n!
+        dim = 60
+        probs = np.abs(coherent_ket(alpha, FockBasis(dim)).amps) ** 2
+        mean = abs(alpha) ** 2
+        poisson = [math.exp(n * math.log(mean) - mean - math.lgamma(n + 1)) for n in range(dim)]
+        assert np.abs(probs - poisson).max() < 1e-12
 
 
 def scalar_recursion(alpha: np.complex128, dim: int) -> np.ndarray:

@@ -19,11 +19,15 @@ from cqed.junction import (
 
 
 def numeric_derivative(f, x, order, h=1e-3):
-    """Centered finite-difference first or second derivative."""
+    """Centered finite-difference derivative, the oracle for Taylor data."""
+    if order == 0:
+        return f(x)
     if order == 1:
         return (f(x + h) - f(x - h)) / (2 * h)
     if order == 2:
         return (f(x + h) - 2 * f(x) + f(x - h)) / h**2
+    if order == 3:
+        return (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2 * h**3)
     raise ValueError(order)
 
 
@@ -65,6 +69,30 @@ class TestWashboard:
         assert abs(math.sin(first_minimum(bias)) - bias) < 1e-12
 
 
+class TestWashboardTaylor:
+    """Taylor coefficients u^(k)(phi)/k!, k = 0..3, against finite differences."""
+
+    @staticmethod
+    def coefficients(bias, point):
+        u = lambda p: washboard_u(bias, np.array([p]))[0]
+        return np.array(
+            [numeric_derivative(u, point, k) / math.factorial(k) for k in range(4)]
+        )
+
+    @pytest.mark.parametrize("bias", [0.0, 0.05, 0.5, 0.9, -0.5])
+    def test_expansion_about_the_minimum(self, bias):
+        # sin(phi0) = bias: u = u0 + cos(phi0) x^2/2 - sin(phi0) x^3/6 + ...
+        phi0 = first_minimum(bias)
+        root = math.sqrt(1.0 - bias**2)
+        expected = [-bias * phi0 - root, 0.0, root / 2, -bias / 6]
+        assert np.abs(self.coefficients(bias, phi0) - expected).max() < 1e-6
+
+    def test_critical_bias_is_purely_cubic(self):
+        # at I = I0 the minimum has merged with the maximum: no linear or quadratic term
+        coeffs = self.coefficients(1.0, first_minimum(1.0))
+        assert np.abs(coeffs - [-np.pi / 2, 0.0, 0.0, -1.0 / 6]).max() < 1e-6
+
+
 class TestSquid:
     def test_zero_flux_full_current(self):
         assert squid_effective(1.0, 0.0)["critical"] == 2.0
@@ -75,6 +103,17 @@ class TestSquid:
     def test_balanced_phase(self):
         out = squid_effective(1.0, 0.3, n=1)
         assert abs(out["balanced_phase"] - np.pi * (1 - 0.3)) < 1e-12
+
+    def test_third_quantum_halves_the_critical_current(self):
+        # so the loop's Josephson inductance Phi0 / (2 pi I_c) doubles
+        assert abs(squid_effective(1.0, 1.0 / 3.0)["magnitude"] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2])
+    def test_fluxoid_branch_sets_the_sign(self, n):
+        # cos(pi (n - phi)) = (-1)^n cos(pi phi)
+        out, base = squid_effective(0.7, 0.2, n=n), squid_effective(0.7, 0.2)
+        assert abs(out["critical"] - (-1) ** n * base["critical"]) < 1e-12
+        assert abs(out["magnitude"] - base["magnitude"]) < 1e-12
 
     def test_periodic_and_even(self):
         fluxes = np.linspace(-1, 1, 41)
