@@ -19,6 +19,9 @@ reaches the printed digits, and the ``bell-*`` cases pin the three Bell
 states the default ``phi+`` skips.  ``tunnel-ode-unequal`` runs unequal pair
 numbers under a negative coupling, ``fluxwell-six`` finds six minima, and
 ``coherent-dim130`` runs a complex alpha above the benchmark's dimension.
+``coherent-dim700`` (alpha = 20) and ``coherent-dim720`` (a complex alpha)
+pin the quadrature statistics at large dimensions, the second within 1 % of
+the old 16 dim^2 size cap.
 A change that alters an output on purpose regenerates the file and says in
 its notes which digests moved:
 
@@ -70,6 +73,9 @@ CASES = {
     "fluxwell-six": ["fluxwell", "--l", "5", "--ej", "1.0", "--phi-min=-3", "--phi-max", "3",
                      "--steps", "20001"],
     "coherent-dim130": ["coherent", "--dim", "130", "--alpha-re", "4.5", "--alpha-im", "0.3",
+                        "--steps", "61"],
+    "coherent-dim700": ["coherent", "--dim", "700", "--alpha-re", "20", "--steps", "101"],
+    "coherent-dim720": ["coherent", "--dim", "720", "--alpha-re", "4.5", "--alpha-im", "0.3",
                         "--steps", "61"],
 }
 
