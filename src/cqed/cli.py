@@ -439,9 +439,9 @@ _COMMANDS = {
         _run_coherent, "Coherent-state free evolution and quadratures",
         (("alpha-re", 1.5), ("alpha-im", 0.0), ("omega0", 1.0), ("dim", 48),
          ("t-max", 2 * math.pi, "> 0"), ("steps", 61, ">= 2")),
-        # eight complex dim x dim matrices held at once (the ladder suite and cached
-        # quadratures), or three complex (steps, dim) stacks: numeric, analytic, its copy
-        size=lambda a: max(16 * a.dim ** 2, 6 * a.dim * a.steps, 8 * a.steps),
+        # three complex (steps, dim) stacks held at once: numeric, analytic and
+        # its copy; or the (steps, 8) rows
+        size=lambda a: max(6 * a.dim * a.steps, 8 * a.steps),
     ),
     "washboard": _Command(
         _run_washboard, "Tilted washboard potential",
@@ -524,7 +524,7 @@ def _flags(spec: _Command):
 
 def _check(args, spec: _Command) -> None:
     """Reject bad flag values and over-budget runs before any work."""
-    # RngSpec keeps 64 bits, so any other seed would alias one of these.
+    # Every table records its seed, so every command checks it, not only RngSpec.
     if not 0 <= args.seed < 2**64:
         raise UsageError("seed must be within [0, 2^64)")
     for flag, dest, _, rule in _flags(spec):

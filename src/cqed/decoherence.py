@@ -55,7 +55,6 @@ __all__ = [
     "marginal_table",
 ]
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 # Constants of numpy.random.SeedSequence (pool of 4 uint32 words) and of
@@ -202,11 +201,16 @@ class RngSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
+        seed = int(self.seed)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed {seed} is outside [0, 2^64)")
+        object.__setattr__(self, "seed", seed)
 
     def stream(self, trajectory: int) -> np.random.Generator:
+        if not 0 <= trajectory < 2**64:
+            raise ValueError(f"trajectory index {trajectory} is outside [0, 2^64)")
         bitgen = np.random.PCG64(0)
-        index = np.array([trajectory & _MASK64], dtype=np.uint64)
+        index = np.array([trajectory], dtype=np.uint64)
         bitgen.state = _state_dict(_pcg64_states(self.seed, index)[0])
         return np.random.Generator(bitgen)
 

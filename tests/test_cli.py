@@ -336,8 +336,6 @@ class TestExitCodes:
             ["coherent", "--dim", "100000"],
             # three (steps, dim) complex stacks held at once, not one
             ["coherent", "--steps", "29128"],
-            # about eight dim x dim complex matrices held at once, not one
-            ["coherent", "--dim", "1024", "--steps", "2"],
             ["transmon", "--ncut", "100000"],
             ["transmon", "--ratios", "1e12"],
             ["rabi", "--steps", "2796203"],  # (steps, 3) rows: one value over 2^23
@@ -570,6 +568,15 @@ class TestSizeTerm:
         code, largest = largest_allocation(tmp_path, argv)
         assert code == 0
         assert floor <= largest <= 8 * size
+
+    def test_coherent_past_724_levels_allocates_no_array_over_its_size_term(self, tmp_path):
+        # a 16 dim^2 term for dense operators stopped coherent at 724 levels;
+        # alpha = 30 needs 1210 of them
+        argv = ["coherent", "--dim", "1300", "--alpha-re", "30", "--steps", "61"]
+        size = cli._COMMANDS["coherent"].size(cli.build_parser().parse_args(argv))
+        code, largest = largest_allocation(tmp_path, argv)
+        assert code == 0
+        assert 16 * 1300 * 61 <= largest <= 8 * size
 
     def test_jc_size_term_does_not_grow_with_nmax(self, tmp_path):
         # the populations need no state vectors, so nmax costs nothing

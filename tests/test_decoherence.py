@@ -33,6 +33,20 @@ class TestRngSpec:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_seed_or_index_outside_64_bits_raises(self, value):
+        # masked to 64 bits, 2^64 would seed as 0 and -1 as 2^64 - 1
+        with pytest.raises(ValueError, match="outside"):
+            RngSpec(value)
+        with pytest.raises(ValueError, match="outside"):
+            RngSpec(5).stream(value)
+
+    def test_largest_seed_and_index_draw(self):
+        top = 2**64 - 1
+        assert RngSpec(top).seed == top
+        draws = RngSpec(top).stream(top).standard_normal(4)
+        assert np.array_equal(draws, oracle(top, top).standard_normal(4))
+
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
