@@ -137,12 +137,11 @@ def coherent_evolution(
     Fock state |n> picks up exp(+i n omega0 t).  numeric: evolution under
     H = -omega0 * number, which realizes the same convention.  H is
     diagonal, so U(t) multiplies each amplitude by exp(-i E_n t), with
-    E_n = -omega0 n and n squared from sqrt(n), bit for bit the diagonal of
-    the dense a^dag a.  Returns "alpha" (alpha_t) and the "analytic" and "numeric"
+    E_n = -omega0 n and n = sqrt(n)^2, bit for bit the diagonal of the dense
+    a^dag a.  Returns "alpha" (alpha_t) and the "analytic" and "numeric"
     (len(times), dim) kets, checked as `Ket`.
     """
-    root_n = np.sqrt(np.arange(1, basis.dim))
-    energies = -omega0 * np.concatenate(([0.0], root_n * root_n))
+    energies = -omega0 * np.square(np.sqrt(np.arange(basis.dim)))
     numeric = np.exp(-1j * np.outer(times, energies)) * coherent_ket(alpha, basis).amps
     check_kets(numeric)
     alphas = _product(complex(alpha), np.exp(_product(1j * omega0, np.asarray(times, float))))
