@@ -21,7 +21,10 @@ numbers under a negative coupling, ``fluxwell-six`` finds six minima, and
 ``coherent-dim130`` runs a complex alpha above the benchmark's dimension.
 ``coherent-dim700`` (alpha = 20) and ``coherent-dim720`` (a complex alpha)
 pin the quadrature statistics at large dimensions, the second within 1 % of
-the old 16 dim^2 size cap.
+the old 16 dim^2 size cap.  ``decay-offgrid`` samples a 472-step decay at
+times off the dt grid, ``decay-survivors`` runs a decay in which most
+trajectories never jump, and ``squid-branch`` pins a second branch of the
+effective SQUID junction at a smaller critical current.
 A change that alters an output on purpose regenerates the file and says in
 its notes which digests moved:
 
@@ -77,6 +80,12 @@ CASES = {
     "coherent-dim700": ["coherent", "--dim", "700", "--alpha-re", "20", "--steps", "101"],
     "coherent-dim720": ["coherent", "--dim", "720", "--alpha-re", "4.5", "--alpha-im", "0.3",
                         "--steps", "61"],
+    "decay-offgrid": ["decay", "--trials", "3000", "--t-max", "3.3", "--dt", "0.007",
+                      "--steps", "57", "--seed", "5"],
+    "decay-survivors": ["decay", "--trials", "1000", "--t1", "5", "--t-max", "0.5",
+                        "--dt", "0.05", "--steps", "11", "--seed", "3"],
+    "squid-branch": ["squid", "--steps", "20001", "--phi-min=-2.5", "--phi-max", "2.5",
+                     "--branch", "1", "--i0", "0.7"],
 }
 
 
