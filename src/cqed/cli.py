@@ -278,10 +278,8 @@ def _run_washboard(args):
 
 def _run_squid(args):
     fluxes = np.linspace(args.phi_min, args.phi_max, args.steps)
-    rows = np.empty((len(fluxes), 3))
-    for row, f in zip(rows, fluxes):
-        eff = squid_effective(args.i0, float(f), args.branch)
-        row[:] = (f, eff["critical"], eff["magnitude"])
+    eff = squid_effective(args.i0, fluxes, args.branch)
+    rows = np.column_stack([fluxes, eff["critical"], eff["magnitude"]])
     return ["phi_ext", "critical", "magnitude"], rows, f"{len(rows)} samples"
 
 
@@ -439,8 +437,8 @@ _COMMANDS = {
         _run_coherent, "Coherent-state free evolution and quadratures",
         (("alpha-re", 1.5), ("alpha-im", 0.0), ("omega0", 1.0), ("dim", 48),
          ("t-max", 2 * math.pi, "> 0"), ("steps", 61, ">= 2")),
-        # three complex (steps, dim) stacks held at once: numeric, analytic and
-        # its copy; or the (steps, 8) rows
+        # three complex (steps, dim) stacks held at once while the numeric kets
+        # are built (the phases, their exponentials, the kets); or the (steps, 8) rows
         size=lambda a: max(6 * a.dim * a.steps, 8 * a.steps),
     ),
     "washboard": _Command(
@@ -471,8 +469,8 @@ _COMMANDS = {
         _run_decay, "T1 decay, analytic and Monte-Carlo",
         (("t1", 1.0, "> 0"), ("t-max", 4.0, "> 0"), ("steps", 81, ">= 2"),
          ("trials", 0, ">= 0"), ("dt", 0.01, "> 0")),
-        # the table, the decay times, and the trajectory block
-        size=lambda a: max(3 * a.steps, a.trials, _block(a.trials, np.ceil(a.t_max / a.dt))),
+        # the table, or the trajectory block (at least one trajectory's steps)
+        size=lambda a: max(3 * a.steps, _block(a.trials, np.ceil(a.t_max / a.dt))),
         draws=lambda a: a.trials * (a.t_max / a.dt),
     ),
     "dephase": _Command(

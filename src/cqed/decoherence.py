@@ -259,6 +259,19 @@ class NoiseModel:
             raise ValueError("sigma must be >= 0")
 
 
+def _first_jumps(rng: RngSpec, trials: int, nsteps: int, hazard) -> np.ndarray:
+    """Per step, how many of ``trials`` trajectories first jump there (int64).
+
+    Trajectory i jumps at step k if ``rng.stream(i).random(nsteps)[k] < hazard``,
+    a scalar or one value per step; one that never jumps is counted nowhere.
+    """
+    counts = np.zeros(nsteps, dtype=np.int64)
+    for _, u in rng._blocks(trials, nsteps, "random"):
+        hits = u < hazard
+        counts += np.bincount(np.argmax(hits, axis=1)[hits.any(axis=1)], minlength=nsteps)
+    return counts
+
+
 def t1_curves(
     t1: float,
     times: np.ndarray,
@@ -268,9 +281,9 @@ def t1_curves(
 
     The protocol behind the estimator: prepare |1>, wait t, measure, repeat.
     With ``mc = {"dt": ..., "trials": ..., "rng": RngSpec(...)}`` each
-    trajectory decays with per-step probability 1 - exp(-dt / t1) and the
-    estimate at each requested time is the surviving fraction.  ``dt`` must
-    resolve the decay (dt <= t1 / 100).
+    trajectory decays at its first jump, step k meaning time (k + 1) dt, with
+    per-step probability 1 - exp(-dt / t1), and the estimate at each requested
+    time is the surviving fraction.  ``dt`` must resolve the decay (dt <= t1 / 100).
     """
     if not t1 > 0:
         raise ValueError("t1 must be positive")
@@ -284,16 +297,11 @@ def t1_curves(
         raise ValueError("Monte-Carlo step must satisfy dt <= t1 / 100")
     # At least one step: with times.max() == 0 every estimate is 1 anyway.
     nsteps = max(1, int(np.ceil(times.max() / dt)))
-    p_step = 1.0 - np.exp(-dt / t1)
-    decay_times = np.empty(trials)
-    for start, u in rng._blocks(trials, nsteps, "random"):
-        hits = u < p_step
-        first = (np.argmax(hits, axis=1) + 1) * dt
-        decay_times[start : start + len(u)] = np.where(hits.any(axis=1), first, np.inf)
-    # Surviving fraction at each time: an exact count over trials, so equal
-    # to the mean of the (times x trials) survival matrix without building it.
-    decay_times.sort()
-    estimate = (trials - np.searchsorted(decay_times, times, side="right")) / trials
+    decayed = np.cumsum(_first_jumps(rng, trials, nsteps, 1.0 - np.exp(-dt / t1)))
+    # Decayed by each time: every first jump in a step ended by then.  An exact
+    # count, so equal to the mean of the (times x trials) survival matrix.
+    over = np.searchsorted(np.arange(1, nsteps + 1) * dt, times, side="right")
+    estimate = (trials - np.where(over > 0, decayed[over - 1], 0)) / trials
     return {"analytic": analytic, "monte_carlo": estimate}
 
 
@@ -402,12 +410,7 @@ def decay_limited_ramsey(
         a[k], b[k] = ak, bk
 
     # Each trajectory is summarized by its first jump step (or none).
-    jump_counts = np.zeros(nsteps, dtype=np.int64)
-    for _, u in rng._blocks(trials, nsteps, "random"):
-        hits = u < hazard
-        first = np.argmax(hits, axis=1)[hits.any(axis=1)]
-        jump_counts += np.bincount(first, minlength=nsteps)
-    alive = trials - np.cumsum(jump_counts)
+    alive = trials - np.cumsum(_first_jumps(rng, trials, nsteps, hazard))
 
     frac_alive = alive / trials
     p_plus = frac_alive * (0.5 + a * b * np.cos(delta * times)) + (1 - frac_alive) * 0.5

@@ -96,17 +96,16 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
     per alpha (np.abs on a complex array rounds differently), and each row's norm
     from stacked dots of its real and imaginary parts, as `np.linalg.norm` does.
     """
-    c = np.empty((dim, len(alphas)), dtype=np.complex128)
+    amps = np.empty((len(alphas), dim), dtype=np.complex128)
     for k, alpha in enumerate(alphas):
         a = abs(alpha)
         bound = int(np.ceil(a * a + 10.0 * a + 10.0))
         if dim < bound:
             raise TruncationTooSmall(f"dim {dim} < adequacy bound {bound} for |alpha|={a:.3g}")
-        c[0, k] = np.exp(-0.5 * a ** 2)
+        amps[k, 0] = np.exp(-0.5 * a ** 2)
     alphas = np.asarray(alphas, dtype=np.complex128)
     for n in range(dim - 1):
-        c[n + 1] = _product(alphas, c[n]) / np.sqrt(n + 1.0)
-    amps = np.ascontiguousarray(c.T)
+        amps[:, n + 1] = _product(alphas, amps[:, n]) / np.sqrt(n + 1.0)
     nrm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
     deficit = 1.0 - nrm * nrm
     bad = np.flatnonzero(deficit > _RESIDUAL_TOL)

@@ -108,21 +108,19 @@ def first_minimum(bias: float) -> float:
     return phi
 
 
-def squid_effective(i0_each: float, phi_ext: float, n: int = 0) -> dict[str, object]:
+def squid_effective(i0_each: float, phi_ext, n: int = 0) -> dict[str, object]:
     """Split junction (SQUID) as one flux-tunable junction.
 
     For two identical junctions of critical current ``i0_each`` in a loop
     threaded by ``phi_ext`` (Phi0 units) on fluxoid branch ``n``, the pair
     obeys I = 2 I0 cos(pi (n - phi_ext)) sin(dphi): a single junction whose
     critical current is tunable through zero at half-integer flux.  The
-    balanced phase is what both junction phases equal at I = 0.
+    balanced phase is what both junction phases equal at I = 0.  An array
+    ``phi_ext`` gives one value per flux for each key.
     """
     critical = 2.0 * i0_each * np.cos(np.pi * (n - phi_ext))
-    return {
-        "critical": float(critical),
-        "magnitude": float(abs(critical)),
-        "balanced_phase": float(np.pi * (n - phi_ext)),
-    }
+    return {"critical": critical, "magnitude": abs(critical),
+            "balanced_phase": np.pi * (n - phi_ext)}
 
 
 def flux_qubit_potential(

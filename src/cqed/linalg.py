@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernel.
+"""Linear algebra kernel: states, overlaps and tridiagonal eigensolvers.
 
 Everything downstream (oscillators, qubits, charge boxes, cavities) runs on
 the handful of primitives defined here: a normalized state vector (`Ket`),
@@ -8,10 +8,10 @@ oscillator-mode, qubit-cavity and charge states are all `Ket`s, and the
 functions that need a particular space check the dimension.
 
 Operators are plain ``numpy.ndarray`` matrices (complex128, row-major); a
-dedicated matrix class would add nothing but indirection.  The dense ones
-stay small (`coherent` admits ladder operators up to dim 724 under its
-size budget); the tridiagonal ones are never formed, so a `spectrum`
-sweep's Sturm blocks may run to thousands of rows.
+dedicated matrix class would add nothing but indirection.  No command
+builds a dense one (`cqed.fock.ladder_suite` does, as a reference for
+`expectation` and the tests); the tridiagonal ones are never formed, so a
+`spectrum` sweep's Sturm blocks may run to thousands of rows.
 
 No dense eigensolver is needed: the cavity and qubit propagators are known
 in closed form, and the only matrices diagonalized numerically are the

@@ -597,6 +597,7 @@ class TestSizeTerm:
         "argv",
         [
             ["decay", "--trials", str(2**23), "--t-max", "0.01", "--dt", "0.01"],
+            ["decay", "--trials", "9000000", "--t-max", "0.01", "--dt", "0.01"],
             ["decay", "--trials", "8", "--t-max", str(2**20), "--dt", "0.125"],
             ["dephase", "--sigma2", "0", "--horizon", str(2**22 / 8), "--dt", "0.125"],
             ["dephase", "--trials", "1000", "--horizon", str(2**20 / 8), "--dt", "0.125"],

@@ -224,6 +224,24 @@ def reference_ramsey(delta0, sigma, dt, horizon, trials, seed):
 class TestBlockedLoopsMatchPerTrajectoryLoops:
     """Blocked ensembles equal the per-trajectory loops bit for bit."""
 
+    @pytest.mark.parametrize(
+        "hazard",
+        [1e-3, 2e-3 * np.exp(-np.arange(1000) / 400.0)],
+        ids=["scalar", "per-step"],
+    )
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_jumps(self, seed, hazard):
+        nsteps = 1000
+        trials = 2 * (2**17 // nsteps) + 5  # two full blocks and a partial one
+        expected = np.zeros(nsteps, dtype=np.int64)
+        for i in range(trials):
+            hits = RngSpec(seed).stream(i).random(nsteps) < hazard
+            if hits.any():
+                expected[int(np.argmax(hits))] += 1
+        counts = decoherence._first_jumps(RngSpec(seed), trials, nsteps, hazard)
+        assert counts.dtype == np.int64 and np.array_equal(counts, expected)
+        assert 0 < counts.sum() < trials  # some trajectories jump, some never do
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_t1_curves(self, seed):
         times = np.array([0.0, 0.013, 0.5, 1.0, 2.5, 2.0, 3.0])  # unsorted on purpose

@@ -104,6 +104,14 @@ class TestSquid:
         out = squid_effective(1.0, 0.3, n=1)
         assert abs(out["balanced_phase"] - np.pi * (1 - 0.3)) < 1e-12
 
+    @pytest.mark.parametrize("n", [0, 1, -3])
+    def test_array_of_fluxes_equals_scalar_calls_bit_for_bit(self, n):
+        fluxes = np.linspace(-2.5, 2.5, 2001)
+        out = squid_effective(0.7, fluxes, n)
+        for key, values in out.items():
+            expected = np.array([squid_effective(0.7, float(f), n)[key] for f in fluxes])
+            assert values.tobytes() == expected.tobytes()
+
     def test_third_quantum_halves_the_critical_current(self):
         # so the loop's Josephson inductance Phi0 / (2 pi I_c) doubles
         assert abs(squid_effective(1.0, 1.0 / 3.0)["magnitude"] - 1.0) < 1e-12
