@@ -118,9 +118,9 @@ def squid_effective(i0_each: float, phi_ext, n: int = 0) -> dict[str, object]:
     balanced phase is what both junction phases equal at I = 0.  An array
     ``phi_ext`` gives one value per flux for each key.
     """
-    critical = 2.0 * i0_each * np.cos(np.pi * (n - phi_ext))
-    return {"critical": critical, "magnitude": abs(critical),
-            "balanced_phase": np.pi * (n - phi_ext)}
+    phase = np.pi * (n - phi_ext)
+    critical = 2.0 * i0_each * np.cos(phase)
+    return {"critical": critical, "magnitude": abs(critical), "balanced_phase": phase}
 
 
 def flux_qubit_potential(
