@@ -335,32 +335,26 @@ def ramsey_ensemble(
     times = np.arange(1, nsteps + 1) * dt
 
     if noise.sigma == 0.0:
-        p_plus = ramsey_trace(delta0, times)
-        return {
-            "times": times,
-            "p_plus": p_plus,
-            "fitted_t2": None,
-            "fitted_freq": 2.0 * np.pi * dominant_frequency(times, p_plus),
-        }
-
-    if trials < 1000:
-        raise ValueError("ensemble averaging needs at least 1e3 trajectories")
-    kick_scale = noise.sigma * np.sqrt(dt)
-    acc = np.zeros(nsteps)
-    base_phase = delta0 * times
-    for _, kicks in rng._blocks(trials, nsteps, "standard_normal"):
-        kicks *= kick_scale
-        np.cumsum(kicks, axis=1, out=kicks)
-        kicks += base_phase
-        # Row by row in trajectory order: a summed block would round differently.
-        for row in np.cos(kicks, out=kicks):
-            acc += row
-    p_plus = 0.5 * (1.0 + acc / trials)
-    fit = fit_exponential_envelope(times, p_plus, delta0)
+        p_plus, fitted_t2 = ramsey_trace(delta0, times), None
+    else:
+        if trials < 1000:
+            raise ValueError("ensemble averaging needs at least 1e3 trajectories")
+        kick_scale = noise.sigma * np.sqrt(dt)
+        acc = np.zeros(nsteps)
+        base_phase = delta0 * times
+        for _, kicks in rng._blocks(trials, nsteps, "standard_normal"):
+            kicks *= kick_scale
+            np.cumsum(kicks, axis=1, out=kicks)
+            kicks += base_phase
+            # Row by row in trajectory order: a summed block would round differently.
+            for row in np.cos(kicks, out=kicks):
+                acc += row
+        p_plus = 0.5 * (1.0 + acc / trials)
+        fitted_t2 = fit_exponential_envelope(times, p_plus, delta0)["t2"]
     return {
         "times": times,
         "p_plus": p_plus,
-        "fitted_t2": fit["t2"],
+        "fitted_t2": fitted_t2,
         "fitted_freq": 2.0 * np.pi * dominant_frequency(times, p_plus),
     }
 

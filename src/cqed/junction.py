@@ -42,7 +42,7 @@ def washboard_u(bias: float, phis: np.ndarray) -> np.ndarray:
     return -bias * phis - np.cos(phis)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-7) -> float:
+def _golden_section(f, lo: float, hi: float) -> float:
     """Minimum of a unimodal f on [lo, hi]: golden section + parabolic polish.
 
     Pure golden section cannot resolve the minimum below the flat-basin
@@ -54,7 +54,7 @@ def _golden_section(f, lo: float, hi: float, tol: float = 1e-7) -> float:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > 1e-7:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -90,22 +90,11 @@ def first_minimum_numeric(bias: float) -> float:
 def first_minimum(bias: float) -> float:
     """Location of the first washboard minimum, phi = arcsin(I/I0).
 
-    Raises NoMinimum for |bias| > 1, where the tilt removes every local
-    minimum.  For |bias| <= 0.95 the closed form is cross-checked against
-    the numerical minimizer to 1e-8 on every call; closer to the critical
-    tilt the potential flattens (u'' = sqrt(1 - bias^2) -> 0) and any
-    function-value minimizer loses the resolution needed for that check.
+    Raises NoMinimum for |bias| > 1, where the tilt removes every local minimum.
     """
     if abs(bias) > 1.0:
         raise NoMinimum(f"|I/I0| = {abs(bias):.4g} > 1: washboard has no local minima")
-    phi = float(np.arcsin(bias))
-    if abs(bias) <= 0.95:
-        numeric = first_minimum_numeric(bias)
-        if abs(numeric - phi) > 1e-8:
-            raise AssertionError(
-                f"arcsin({bias}) = {phi} disagrees with minimizer {numeric}"
-            )
-    return phi
+    return float(np.arcsin(bias))
 
 
 def squid_effective(i0_each: float, phi_ext, n: int = 0) -> dict[str, object]:
@@ -114,13 +103,11 @@ def squid_effective(i0_each: float, phi_ext, n: int = 0) -> dict[str, object]:
     For two identical junctions of critical current ``i0_each`` in a loop
     threaded by ``phi_ext`` (Phi0 units) on fluxoid branch ``n``, the pair
     obeys I = 2 I0 cos(pi (n - phi_ext)) sin(dphi): a single junction whose
-    critical current is tunable through zero at half-integer flux.  The
-    balanced phase is what both junction phases equal at I = 0.  An array
+    critical current is tunable through zero at half-integer flux.  An array
     ``phi_ext`` gives one value per flux for each key.
     """
-    phase = np.pi * (n - phi_ext)
-    critical = 2.0 * i0_each * np.cos(phase)
-    return {"critical": critical, "magnitude": abs(critical), "balanced_phase": phase}
+    critical = 2.0 * i0_each * np.cos(np.pi * (n - phi_ext))
+    return {"critical": critical, "magnitude": abs(critical)}
 
 
 def flux_qubit_potential(
@@ -201,9 +188,11 @@ def two_island_dynamics(
     of the initial pair numbers.  Both number derivatives come from a single
     evaluation, so n1 + n2 is conserved to roundoff.
 
-    The stepper runs on Python floats with the four stages written out: each
-    tests its pair numbers, then its phase difference, before sqrt, sin and cos,
-    and the sums y + (dt/2) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) keep
+    The stepper runs on Python floats with the four stages written out.  Stage 1
+    tests only its phase difference: its pair numbers are positive, checked by
+    TwoIslandState for step 1 and by the end of every step after.  Stages 2-4
+    test their pair numbers, then their phase difference, before sqrt, sin and
+    cos, and the sums y + (dt/2) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) keep
     that operation order per component.  n2 subtracts n1's increments, exactly:
     negation is exact and rounding sign-symmetric, so x + c (-s) is x - c s.
     The trajectory is thus bit-identical to the same RK4 on length-4 numpy
@@ -232,8 +221,6 @@ def two_island_dynamics(
     # a memoryview stores each float faster than numpy's sequence assignment
     rows = out.data
     for k in range(1, steps + 1):
-        if n1 <= 0.0 or n2 <= 0.0:
-            raise StepUnstable(zero)
         delta = th2 - th1
         if not -inf < delta < inf:
             raise StepUnstable(phase)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqed
-from cqed import cli
+from cqed import cli, junction
 from cqed.cli import run_command
 
 #: An int past float range: bad input for every int flag.
@@ -824,6 +824,21 @@ class TestPhysicsThroughCli:
         assert code == 0
         meta, _, _ = read_csv(out)
         assert abs(float(meta["first_minimum"]) - np.arcsin(0.5)) < 1e-9
+
+    @pytest.mark.parametrize("bias", [0.90649, 0.93127, 0.93936, 0.94226])
+    def test_washboard_near_critical_tilt_exits_0(self, tmp_path, bias):
+        code, out = run(tmp_path, "washboard", "--bias", str(bias), "--steps", "11")
+        assert code == 0
+        meta, _, _ = read_csv(out)
+        assert meta["first_minimum"] == f"{float(np.arcsin(bias)):.12g}"
+
+    def test_washboard_runs_no_search(self, tmp_path, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("a golden-section search ran")
+
+        monkeypatch.setattr(junction, "_golden_section", search)
+        code, _ = run(tmp_path, "washboard", "--bias", "0.5", "--steps", "11")
+        assert code == 0
 
     def test_dephase_noiseless_reports_no_t2(self, tmp_path):
         code, out = run(tmp_path, "dephase", "--sigma2", "0", "--horizon", "4")

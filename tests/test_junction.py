@@ -100,10 +100,6 @@ class TestSquid:
     def test_half_quantum_switches_off(self):
         assert abs(squid_effective(1.0, 0.5)["critical"]) < 1e-12
 
-    def test_balanced_phase(self):
-        out = squid_effective(1.0, 0.3, n=1)
-        assert abs(out["balanced_phase"] - np.pi * (1 - 0.3)) < 1e-12
-
     @pytest.mark.parametrize("n", [0, 1, -3])
     def test_array_of_fluxes_equals_scalar_calls_bit_for_bit(self, n):
         fluxes = np.linspace(-2.5, 2.5, 2001)
