@@ -55,10 +55,6 @@ class ChargeBasis:
             raise ValueError("ncut must be at least 2")
 
     @property
-    def dim(self) -> int:
-        return 2 * self.ncut + 1
-
-    @property
     def charges(self) -> np.ndarray:
         return np.arange(-self.ncut, self.ncut + 1)
 
@@ -162,29 +158,18 @@ def second_order_gap(
     N_g = 1 (the midpoint), where |1> lies below them, so the crossing is
     between the second and third levels.  The coupling connecting |0> to
     |2> appears only at second order in the tunnelling, so the minimal gap
-    scales as (E_J/2)^2; the log-log slope over ``ej_values`` is returned,
-    along with the first-order sweet-spot gap (slope 1) as a control.
+    scales as (E_J/2)^2; the gaps and their log-log slope over
+    ``ej_values`` are returned.
 
-    No search is needed for the minima: the spectrum has period 1 in N_g
+    No search is needed for the minimum: the spectrum has period 1 in N_g
     and is symmetric about N_g = 1/2, so every gap is stationary at the
-    symmetry points, and the avoided crossings sit exactly at N_g = 1
-    (levels 1, 2) and N_g = 1/2 (levels 0, 1).  All 2 x len(ej_values)
-    matrices run as one bisection, each its own stack.
+    symmetry points, and the avoided crossing sits exactly at N_g = 1.
+    All len(ej_values) matrices run as one bisection, each its own stack.
     """
     ej_values = np.asarray(ej_values, dtype=np.float64)
     if np.any(ej_values > 0.2 * ec):
         raise ValueError("second-order scaling needs E_J << E_C")
-    basis = ChargeBasis(ncut)
-    crossings = tridiagonal_eigvalsh_groups(
-        [(_charging_energies(ec, [1.0], basis), -0.5 * ej, 3) for ej in ej_values]
-        + [(_charging_energies(ec, [0.5], basis), -0.5 * ej, 2) for ej in ej_values])
-    gaps = np.array([vals[0, 2] - vals[0, 1] for vals in crossings[:len(ej_values)]])
-    first_order = np.array([vals[0, 1] - vals[0, 0] for vals in crossings[len(ej_values):]])
-    slope = float(np.polyfit(np.log(ej_values), np.log(gaps), 1)[0])
-    control = float(np.polyfit(np.log(ej_values), np.log(first_order), 1)[0])
-    return {
-        "gaps": gaps,
-        "slope": slope,
-        "first_order_gaps": first_order,
-        "first_order_slope": control,
-    }
+    diag = _charging_energies(ec, [1.0], ChargeBasis(ncut))
+    crossings = tridiagonal_eigvalsh_groups([(diag, -0.5 * ej, 3) for ej in ej_values])
+    gaps = np.array([vals[0, 2] - vals[0, 1] for vals in crossings])
+    return {"gaps": gaps, "slope": float(np.polyfit(np.log(ej_values), np.log(gaps), 1)[0])}

@@ -9,8 +9,8 @@ every flag check come from that table: a number flag must be finite as a
 float (an int past float range is not), and a flag must lie within its
 bound.  Three budgets are checked from the size terms before any array
 exists: no array over 2^23 float64 values (64 MiB), no run over 2^30
-random draws, and no run over 2^19 iterations of the Sturm bisection's
-Python loop over charges.
+random draws, and no ``transmon`` run over 2^19 iterations of the Sturm
+bisection's Python loop over charges.
 
 CSV files start with ``# key=value`` metadata lines (command, parameters,
 seed, version), then a header row; floats carry 12 significant digits.
@@ -53,7 +53,7 @@ from .decoherence import (
 )
 from .errors import CqedError
 from .fock import FockBasis, coherent_evolution, quad_stats
-from .jaynescummings import JCParams, JCSpace, transfer_time, vacuum_rabi
+from .jaynescummings import JCParams, transfer_time, vacuum_rabi
 from .junction import (
     TwoIslandState, first_minimum, flux_qubit_potential, squid_effective, two_island_dynamics,
     washboard_u,
@@ -72,16 +72,16 @@ class UsageError(Exception):
 class OutputTable:
     """One experiment's tabular result plus its provenance metadata.
 
-    ``rows`` is either a 2-D float array (one row per sample) or a list of
-    rows in which each column holds values of one type, such as ``str``,
-    ``str``, ``float``.
+    ``rows`` is always a 2-D array, one row per sample: float64, or object
+    when its columns hold values of different types, such as ``str``,
+    ``str``, ``float``; each column holds values of one type.
     """
 
     command: str
     params: dict
     seed: int
     columns: list[str]
-    rows: np.ndarray | list[list]
+    rows: np.ndarray
     summary: str = ""
     extra_metadata: dict = field(default_factory=dict)
 
@@ -104,23 +104,17 @@ def _json_value(value):
     return value
 
 
-def _cell_formats(rows) -> list[str]:
-    """Each column's cell format: ``%.12g`` for floats, ``%s`` otherwise."""
-    if isinstance(rows, np.ndarray):
-        return ["%.12g"] * rows.shape[1]
-    if not rows:
-        return []
-    return ["%.12g" if isinstance(v, float) else "%s" for v in rows[0]]
+def _cell_formats(rows: np.ndarray) -> list[str]:
+    """Each column's cell format, from the first row: ``%.12g`` for floats,
+    ``%s`` otherwise (none for an empty table, which formats no cell)."""
+    return ["%.12g" if isinstance(v, float) else "%s" for v in rows[:1].ravel()]
 
 
-def _blocks(rows):
+def _blocks(rows: np.ndarray):
     """Yield ``(row count, flat cell values)`` for blocks of ``_BLOCK_ROWS`` rows."""
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        if isinstance(block, np.ndarray):
-            yield len(block), block.ravel().tolist()
-        else:
-            yield len(block), [v for row in block for v in row]
+        yield len(block), block.ravel().tolist()
 
 
 def _json_float(text: str) -> str:
@@ -294,7 +288,6 @@ def _run_fluxwell(args):
 
 def _run_jc(args):
     params = JCParams(args.g)
-    JCSpace(args.nmax)  # rejects nmax < 2, though the orbit fits any truncation
     times = np.linspace(0.0, args.t_max, args.steps)
     result = vacuum_rabi(params, times)
     rows = np.column_stack([times, result["p_qubit_excited"], result["p_photon"]])
@@ -328,8 +321,9 @@ def _run_dephase(args):
 
 def _run_bell(args):
     table = joint_table(bell_state(args.state))
-    rows = [[alice, bob, float(table.probs[i, j])]
-            for i, alice in enumerate(OUTCOME_LABELS) for j, bob in enumerate(OUTCOME_LABELS)]
+    rows = np.array([[alice, bob, float(table.probs[i, j])]
+                     for i, alice in enumerate(OUTCOME_LABELS)
+                     for j, bob in enumerate(OUTCOME_LABELS)], dtype=object)
     return ["alice", "bob", "probability"], rows, "36 joint probabilities"
 
 
@@ -419,9 +413,9 @@ _COMMANDS = {
          ("ng-steps", 201, ">= 2"), ("levels", 3, ">= 1"), ("ncut", 10, ">= 2")),
         # the (charges, columns) arrays of the Sturm bisection: a column per
         # (gate charge, level), or up to _COLUMNS when multisection widens a
-        # narrow sweep
+        # narrow sweep.  The value budget keeps charges x _HALVINGS under the
+        # loop budget, so spectrum needs no loops term.
         size=lambda a: (2 * a.ncut + 1) * max(a.ng_steps * a.levels, _COLUMNS),
-        loops=lambda a: (2 * a.ncut + 1) * _HALVINGS,
     ),
     "rabi": _Command(
         _run_rabi, "Rabi oscillation populations",
@@ -461,7 +455,7 @@ _COMMANDS = {
     ),
     "jc": _Command(
         _run_jc, "Vacuum Rabi oscillation of a qubit-cavity pair",
-        (("g", 1.0), ("nmax", 4), ("t-max", 2 * math.pi, "> 0"), ("steps", 101, ">= 2")),
+        (("g", 1.0), ("nmax", 4, ">= 2"), ("t-max", 2 * math.pi, "> 0"), ("steps", 101, ">= 2")),
         # the (steps, 3) table; the populations need no state vectors
         size=lambda a: 3 * a.steps,
     ),

@@ -25,7 +25,7 @@ def dominant_frequency(t: np.ndarray, values: np.ndarray) -> float:
 
 def fit_exponential_envelope(
     t: np.ndarray, values: np.ndarray, angular_freq: float
-) -> dict[str, float]:
+) -> float:
     """Fit A exp(-t / T2) to the fringe envelope of samples ``values`` at ``t``.
 
     The signal is assumed to oscillate about 1/2 at angular frequency
@@ -35,7 +35,7 @@ def fit_exponential_envelope(
     0.02 carry no envelope information at finite trial counts and are
     excluded.  Raises FitFailed with fewer than 3 usable extrema.
 
-    Returns {"t2": fitted lifetime, "amplitude": fitted A}.
+    Returns the fitted lifetime T2; the intercept log A is fitted but not returned.
     """
     if angular_freq <= 0:
         raise FitFailed("need a positive oscillation frequency to locate extrema")
@@ -49,8 +49,7 @@ def fit_exponential_envelope(
     keep = amps > 0.02
     if keep.sum() < 3:
         raise FitFailed(f"only {int(keep.sum())} usable extrema, need >= 3")
-    coef = np.polyfit(t_ext[keep], np.log(amps[keep]), 1)
-    slope, intercept = coef[0], coef[1]
+    slope = np.polyfit(t_ext[keep], np.log(amps[keep]), 1)[0]
     if slope >= 0:
         raise FitFailed("envelope is not decaying")
-    return {"t2": -1.0 / slope, "amplitude": float(np.exp(intercept))}
+    return -1.0 / slope

@@ -302,19 +302,15 @@ class TestSecondOrderGap:
         ej = np.array([0.02, 0.04, 0.08])
         out = second_order_gap(1.0, ej, ncut=10)
         assert abs(out["slope"] - 2.0) < 0.1
-        assert abs(out["first_order_slope"] - 1.0) < 0.05
         # absolute size: degenerate PT gives gap = E_J^2 / (2 E_C)
         assert np.allclose(out["gaps"], ej**2 / 2, rtol=0.05)
 
-    def test_symmetry_points_are_the_minima(self):
+    def test_symmetry_point_is_the_minimum(self):
         ej_values = np.array([0.02, 0.04])
         out = second_order_gap(1.0, ej_values, ncut=8)
-        for k, ej in enumerate(ej_values):
-            for (lo, hi), ng, gap in (((1, 2), 1.0, out["gaps"][k]),
-                                      ((0, 1), 0.5, out["first_order_gaps"][k])):
-                near = ng + np.array([-1e-3, 1e-3])
-                levels = spectrum_sweep(1.0, ej, near, ncut=8, k=3)
-                assert np.all(levels[:, hi] - levels[:, lo] > gap)
+        for ej, gap in zip(ej_values, out["gaps"]):
+            levels = spectrum_sweep(1.0, ej, 1.0 + np.array([-1e-3, 1e-3]), ncut=8, k=3)
+            assert np.all(levels[:, 2] - levels[:, 1] > gap)
 
     def test_gap_vanishes_with_coupling(self):
         out = second_order_gap(1.0, np.array([0.005, 0.01]), ncut=8)
@@ -327,9 +323,8 @@ class TestSecondOrderGap:
     def test_one_bisection_matches_separate_calls_bit_for_bit(self):
         ej_values = np.array([0.02, 0.04, 0.08])
         out = second_order_gap(1.0, ej_values, ncut=10)
-        for k, ej in enumerate(ej_values):
-            for key, (lo, hi), ng in (("gaps", (1, 2), 1.0), ("first_order_gaps", (0, 1), 0.5)):
-                diag = (np.arange(-10, 11)[None, :] - ng) ** 2
-                vals = tridiagonal_eigvalsh(diag, -0.5 * ej, hi + 1)[0]
-                assert out[key][k] == vals[hi] - vals[lo]
+        diag = (np.arange(-10, 11)[None, :] - 1.0) ** 2
+        for ej, gap in zip(ej_values, out["gaps"]):
+            vals = tridiagonal_eigvalsh(diag, -0.5 * ej, 3)[0]
+            assert gap == vals[2] - vals[1]
 

@@ -340,10 +340,12 @@ class TestExitCodes:
             ["transmon", "--ratios", "1e12"],
             ["rabi", "--steps", "2796203"],  # (steps, 3) rows: one value over 2^23
             ["dephase", "--trials", "1000000000000"],  # random draws, not bytes
-            # 8 M values, but 2.3e8 iterations of the bisection's loop over charges
+            # 2 brackets multisected over 1022 columns: 4000001 x 1024 values
             ["spectrum", "--ng-steps", "2", "--levels", "1", "--ncut", "2000000"],
-            # 2 brackets multisected over 1022 columns: 8401 x 1024 values
+            # 8401 x 1024 values
             ["spectrum", "--ng-steps", "2", "--levels", "1", "--ncut", "4200"],
+            # 8193 x 1024 values: the smallest ncut over the value budget
+            ["spectrum", "--ng-steps", "2", "--levels", "1", "--ncut", "4096"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -364,6 +366,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget" in err
+
+    def test_spectrum_value_budget_also_bounds_its_bisection_loop(self, tmp_path, capsys):
+        # At most 2^23 // _COLUMNS charges fit the value budget, and each takes
+        # at most _HALVINGS passes: under the loop budget, which only transmon
+        # can exceed.
+        assert (2**23 // cli._COLUMNS) * cli._HALVINGS < cli._MAX_LOOPS
+        code, _ = run(tmp_path, "spectrum", "--ncut", "4096", "--ng-steps", "2", "--levels", "1")
+        assert code == 2
+        assert "float64 values in one array exceed the budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -407,6 +418,7 @@ class TestExitCodes:
             (["squid", "--i0", "-1"], "i0 must be > 0"),
             (["squid", "--i0", "0"], "i0 must be > 0"),
             (["transmon", "--ncut", "-5"], "ncut must be >= 0"),
+            (["jc", "--nmax", "1"], "nmax must be >= 2"),
             # a negative ncut made the size term negative: exit 1 in np.linspace
             (["spectrum", "--ncut", "-1", "--ng-steps", "1000000000000000"], "ncut must be >= 2"),
             (["transmon", "--ratios", "abc"], "ratios must be"),
@@ -647,7 +659,7 @@ class TestWriteTable:
         assert not any(target.iterdir())
 
     def test_unknown_format_raises_before_any_temp_file(self, tmp_path):
-        table = cli.OutputTable("bell", {}, 0, ["a"], [[1.0]])
+        table = cli.OutputTable("bell", {}, 0, ["a"], np.array([[1.0]]))
         with pytest.raises(cli.UsageError):
             cli.write_table(table, str(tmp_path / "out.xml"), "xml")
         assert not any(tmp_path.iterdir())
@@ -669,7 +681,7 @@ def reference_text(table, fmt):
     def json_value(v):
         return float(f"{v:.12g}") if isinstance(v, float) else v
 
-    rows = table.rows.tolist() if isinstance(table.rows, np.ndarray) else table.rows
+    rows = table.rows.tolist()
     if fmt == "csv":
         lines = [f"# command={table.command}"]
         lines += [f"# {k}={cell(v)}" for k, v in table.params.items()]
@@ -723,13 +735,13 @@ class TestWriterMatchesPerCellReference:
         rows = np.linspace(-2.0, 7.0, 3 * nrows).reshape(nrows, 3) ** 3
         self.check(tmp_path, float_table(rows, ["t", "a", "b"]), fmt)
 
-    def test_empty_list_rows(self, tmp_path, fmt):
-        table = cli.OutputTable("probe", {}, 0, ["a", "b"], [])
+    def test_empty_object_rows(self, tmp_path, fmt):
+        table = cli.OutputTable("probe", {}, 0, ["a", "b"], np.empty((0, 2), dtype=object))
         self.check(tmp_path, table, fmt)
 
     def test_bell_like_mixed_columns(self, tmp_path, fmt):
-        rows = [[a, b, 0.25 * k] for k, (a, b) in enumerate(
-            [("0", "plus"), ("minus_i", "1"), ("plus_i", "minus")])]
+        rows = np.array([[a, b, 0.25 * k] for k, (a, b) in enumerate(
+            [("0", "plus"), ("minus_i", "1"), ("plus_i", "minus")])], dtype=object)
         table = cli.OutputTable("bell", {"state": "phi+"}, 0, ["alice", "bob", "p"], rows)
         self.check(tmp_path, table, fmt)
 
@@ -776,7 +788,7 @@ class TestAllCommandsRun:
             ["washboard", "--steps", "21"],
             ["squid", "--steps", "11"],
             ["fluxwell", "--steps", "101"],
-            ["jc", "--steps", "11"],
+            ["jc", "--steps", "11", "--nmax", "2"],  # the smallest nmax
             ["decay", "--steps", "11", "--trials", "100"],
             ["dephase", "--trials", "1000", "--horizon", "4"],
             ["bell"],

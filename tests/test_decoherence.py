@@ -338,8 +338,12 @@ class TestDecayLimitedRamsey:
         assert 1.7 <= out["fitted_t2"] <= 2.3
 
     def test_population_control_rate(self):
+        # p_e(t) = exp(-t / t1) / 2: a 1/t1 decay rate, fitted on the
+        # statistically solid part
         out = decay_limited_ramsey(1.0, 20.0, 0.002, 3.0, trials=10_000, rng=RngSpec(999))
-        assert abs(out["excited_rate"] - 1.0) < 0.1
+        window = out["p_excited"] > 0.02
+        rate = -np.polyfit(out["times"][window], np.log(out["p_excited"][window]), 1)[0]
+        assert abs(rate - 1.0) < 0.1
 
     def test_no_decay_limit_keeps_fringes(self):
         out = decay_limited_ramsey(1e6, 20.0, 0.002, 3.0, trials=200, rng=RngSpec(1))
@@ -402,31 +406,31 @@ class TestBellStates:
 
 
 class TestJointTable:
+    # Outcomes index the table as OUTCOME_LABELS orders them:
+    # 0, 1 | plus, minus | plus_i, minus_i.
     def test_phi_plus_same_basis_cells(self):
-        table = joint_table(bell_state("phi+"))
+        probs = joint_table(bell_state("phi+")).probs
         # computational and +- bases: perfectly correlated
-        for a, b in (("0", "1"), ("plus", "minus")):
-            assert abs(table.cell(a, a) - 0.5) < 1e-12
-            assert abs(table.cell(b, b) - 0.5) < 1e-12
-            assert table.cell(a, b) < 1e-12
-            assert table.cell(b, a) < 1e-12
+        for a, b in ((0, 1), (2, 3)):
+            assert abs(probs[a, a] - 0.5) < 1e-12
+            assert abs(probs[b, b] - 0.5) < 1e-12
+            assert probs[a, b] < 1e-12
+            assert probs[b, a] < 1e-12
         # circular basis: anti-correlated
-        assert abs(table.cell("plus_i", "minus_i") - 0.5) < 1e-12
-        assert abs(table.cell("minus_i", "plus_i") - 0.5) < 1e-12
-        assert table.cell("plus_i", "plus_i") < 1e-12
+        assert abs(probs[4, 5] - 0.5) < 1e-12
+        assert abs(probs[5, 4] - 0.5) < 1e-12
+        assert probs[4, 4] < 1e-12
 
     def test_phi_plus_cross_basis_flat(self):
-        table = joint_table(bell_state("phi+"))
-        for a in ("0", "1"):
-            for b in ("plus", "minus", "plus_i", "minus_i"):
-                assert abs(table.cell(a, b) - 0.25) < 1e-12
+        probs = joint_table(bell_state("phi+")).probs
+        assert np.abs(probs[0:2, 2:6] - 0.25).max() < 1e-12
 
     def test_product_state_rows(self):
-        table = joint_table(Ket([1, 0, 0, 0]))  # |0,0>
-        assert abs(table.cell("0", "0") - 1.0) < 1e-12
-        assert table.cell("0", "1") < 1e-15
-        assert table.cell("1", "0") < 1e-15
-        assert abs(table.cell("0", "plus") - 0.5) < 1e-12
+        probs = joint_table(Ket([1, 0, 0, 0])).probs  # |0,0>
+        assert abs(probs[0, 0] - 1.0) < 1e-12
+        assert probs[0, 1] < 1e-15
+        assert probs[1, 0] < 1e-15
+        assert abs(probs[0, 2] - 0.5) < 1e-12
 
     def test_cell_sums_validated(self):
         # constructor enforces each basis-pair cell summing to 1
@@ -443,7 +447,26 @@ class TestJointTable:
             Ket([1, 0, 0, 1])
 
 
+def two_qubit_ket(case):
+    """A Bell state by name, or a random normalized two-qubit ket by seed."""
+    if isinstance(case, str):
+        return bell_state(case)
+    v = np.array([1, 1j]) @ np.random.default_rng(case).normal(size=(2, 4))
+    return Ket(v / np.linalg.norm(v))
+
+
 class TestMarginals:
+    @pytest.mark.parametrize("case", ["phi+", "phi-", "psi+", "psi-", 40, 41, 42, 43, 44])
+    def test_no_signalling(self, case):
+        # Alice's choice of basis cannot steer Bob's outcome probabilities
+        state = two_qubit_ket(case)
+        probs = joint_table(state).probs
+        per_basis = np.stack([probs[a:a + 2].sum(axis=0) for a in (0, 2, 4)])
+        assert np.ptp(per_basis, axis=0).max() < 1e-12
+        marginals = marginal_table(state)
+        assert tuple(marginals) == OUTCOME_LABELS
+        assert np.array_equal(list(marginals.values()), per_basis[0])
+
     def test_phi_plus_fully_random(self):
         marg = marginal_table(bell_state("phi+"))
         for label in OUTCOME_LABELS:

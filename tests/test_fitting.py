@@ -49,10 +49,10 @@ class TestFitExponentialEnvelope:
 
     @pytest.mark.parametrize("t2,amplitude", [(5.0, 1.0), (20.0, 0.8), (2.0, 0.6)])
     def test_recovers_lifetime_and_amplitude(self, t2, amplitude):
+        # the lifetime is recovered whatever the fringe amplitude
         values = fringe(self.TIMES, self.OMEGA, t2, amplitude)
-        out = fit_exponential_envelope(self.TIMES, values, self.OMEGA)
-        assert out["t2"] == pytest.approx(t2, rel=1e-6)
-        assert out["amplitude"] == pytest.approx(amplitude, rel=1e-6)
+        t2_fit = fit_exponential_envelope(self.TIMES, values, self.OMEGA)
+        assert t2_fit == pytest.approx(t2, rel=1e-6)
 
     def test_extrema_below_the_floor_are_left_out(self):
         # past t = 15 the envelope is under 0.02, so scrambling those samples
@@ -60,8 +60,8 @@ class TestFitExponentialEnvelope:
         values = fringe(self.TIMES, self.OMEGA, 4.0, 1.0)
         late = self.TIMES > 15.0
         values[late] = 0.5 + 0.005 * np.random.default_rng(36).uniform(-1, 1, late.sum())
-        out = fit_exponential_envelope(self.TIMES, values, self.OMEGA)
-        assert out["t2"] == pytest.approx(4.0, rel=1e-6)
+        t2_fit = fit_exponential_envelope(self.TIMES, values, self.OMEGA)
+        assert t2_fit == pytest.approx(4.0, rel=1e-6)
 
     @pytest.mark.parametrize("omega", [0.0, -1.0])
     def test_non_positive_frequency_raises(self, omega):

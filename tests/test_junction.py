@@ -389,3 +389,11 @@ class TestTwoIslandDynamics:
     def test_state_validation(self):
         with pytest.raises(ValueError):
             TwoIslandState(0.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n1, n2", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0),
+                                        (1.0, np.nan)])
+    def test_non_finite_pair_number_rejected(self, n1, n2):
+        # an infinite one used to pass, and the integrator then blamed a pair
+        # number reaching zero
+        with pytest.raises(ValueError, match="finite"):
+            TwoIslandState(n1, n2, 0.0, 0.3)

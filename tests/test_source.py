@@ -95,8 +95,7 @@ def test_every_public_name_is_reached():
 
 def test_no_assertion_error_in_the_package():
     # An AssertionError escapes run_command's exit-code mapping and ends a
-    # command in an exit-1 traceback.  Only decoherence.marginal_table, which no
-    # command reaches, may raise one.
+    # command in an exit-1 traceback.
     found = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -105,4 +104,4 @@ def test_no_assertion_error_in_the_package():
                 raised = getattr(raised, "func", raised)
                 if isinstance(node, ast.Assert) or getattr(raised, "id", "") == "AssertionError":
                     found.append(f"{path.stem}.{getattr(top, 'name', '')}:{node.lineno}")
-    assert [f for f in found if not f.startswith("decoherence.marginal_table:")] == []
+    assert found == []
