@@ -25,6 +25,10 @@ the old 16 dim^2 size cap.  ``decay-offgrid`` samples a 472-step decay at
 times off the dt grid, ``decay-survivors`` runs a decay in which most
 trajectories never jump, and ``squid-branch`` pins a second branch of the
 effective SQUID junction at a smaller critical current.
+``tunnel-ode-stride`` prints every 168th of 1003 steps, so 163 steps run
+after its last printed row.  ``washboard-mixed`` puts phi = 0 (u = -1, an
+integer) at row 1024: its second 1024-row block holds integer-valued cells
+and the others do not.
 A change that alters an output on purpose regenerates the file and says in
 its notes which digests moved:
 
@@ -86,6 +90,8 @@ CASES = {
                         "--dt", "0.05", "--steps", "11", "--seed", "3"],
     "squid-branch": ["squid", "--steps", "20001", "--phi-min=-2.5", "--phi-max", "2.5",
                      "--branch", "1", "--i0", "0.7"],
+    "tunnel-ode-stride": ["tunnel-ode", "--steps", "1003", "--max-rows", "7"],
+    "washboard-mixed": ["washboard", "--phi-min=-0.25", "--phi-max", "0.75", "--steps", "4097"],
 }
 
 
