@@ -111,10 +111,10 @@ def _cell_formats(rows: np.ndarray) -> list[str]:
 
 
 def _blocks(rows: np.ndarray):
-    """Yield ``(row count, flat cell values)`` for blocks of ``_BLOCK_ROWS`` rows."""
+    """Yield ``(row count, rows)`` for blocks of ``_BLOCK_ROWS`` rows."""
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        yield len(block), block.ravel().tolist()
+        yield len(block), block
 
 
 def _json_float(text: str) -> str:
@@ -151,20 +151,39 @@ def _write_csv(table: OutputTable, fh) -> None:
         fh.write(f"# {key}={_fmt(value)}\n")
     fh.write(",".join(table.columns) + "\n")
     line = ",".join(_cell_formats(table.rows)) + "\n"
-    for n, values in _blocks(table.rows):
-        fh.write(line * n % tuple(values))
+    for n, block in _blocks(table.rows):
+        fh.write(line * n % tuple(block.ravel().tolist()))
 
 
 def _write_json_rows(rows, fh) -> None:
-    """The ``rows`` value of the JSON document, nested one level deep."""
+    """The ``rows`` value of the JSON document, nested one level deep.
+
+    A float64 block whose cells are all finite and none integer-valued is
+    formatted in one pass, ``%.12g`` straight into the row template.  That
+    text is kept if it holds no ``e`` or ``n`` and one point per cell: then
+    every cell is fixed-point text with a point, which `_json_float` returns
+    unchanged, so the bytes are those of the per-cell path.  Every other
+    block (an object table, an integer or non-finite cell, an exponent form,
+    a cell such as 0.99999999999995 whose text is ``1``) goes cell by cell
+    through `_json_cells`.
+    """
     formats = _cell_formats(rows)
     width = len(formats)
     line = "\n  [\n   " + ",\n   ".join(["%s"] * width) + "\n  ]"
+    fast = line.replace("%s", "%.12g") if rows.dtype == np.float64 else None
     sep = "["
-    for n, values in _blocks(rows):
-        for col, fmt in enumerate(formats):
-            values[col::width] = _json_cells(values[col::width], fmt)
-        fh.write(sep + ",".join([line] * n) % tuple(values))
+    for n, block in _blocks(rows):
+        values = block.ravel().tolist()
+        text = None
+        if fast and np.isfinite(block).all() and not (block == np.trunc(block)).any():
+            text = sep + ",".join([fast] * n) % tuple(values)
+            if "e" in text or "n" in text or text.count(".") != len(values):
+                text = None
+        if text is None:
+            for col, fmt in enumerate(formats):
+                values[col::width] = _json_cells(values[col::width], fmt)
+            text = sep + ",".join([line] * n) % tuple(values)
+        fh.write(text)
         sep = ","
     fh.write("[]" if sep == "[" else "\n ]")
 
@@ -364,12 +383,12 @@ def _run_transmon(args):
 
 def _run_tunnel_ode(args):
     state0 = TwoIslandState(args.n1, args.n2, args.theta1, args.theta2)
-    traj = two_island_dynamics(state0, args.e_coupling, args.dt, args.steps)
     # steps // stride + 1 <= max_rows rows, the first at t = 0
     stride = -(-args.steps // (args.max_rows - 1))
-    delta = traj.delta[::stride]
-    rows = np.column_stack([traj.times[::stride], traj.n1[::stride], traj.n2[::stride], delta,
-                            traj.current[::stride], traj.i0 * np.sin(delta)])
+    traj = two_island_dynamics(state0, args.e_coupling, args.dt, args.steps, stride)
+    delta = traj.delta
+    rows = np.column_stack([traj.times, traj.n1, traj.n2, delta, traj.current,
+                            traj.i0 * np.sin(delta)])
     return ["t", "n1", "n2", "delta", "current", "i0_sin_delta"], rows, f"I0 = {traj.i0:.6g}"
 
 
@@ -495,7 +514,9 @@ _COMMANDS = {
         (("n1", 1.0e6), ("n2", 1.0e6), ("theta1", 0.0), ("theta2", 0.7),
          ("e-coupling", 1.0e-6), ("dt", 1.0e-3, "> 0"), ("steps", 10000, ">= 1"),
          ("max-rows", 501, ">= 2")),
-        # the (steps + 1, 4) trajectory and the (rows, 6) table
+        # the (rows, 6) table; the RK4 keeps only those rows, so 4 (steps + 1),
+        # the size its full trajectory had, now bounds the steps (2^21 at most,
+        # about 6.5 s) and keeps every exit code as it was
         size=lambda a: max(4 * (a.steps + 1), 6 * min(a.max_rows, a.steps + 1)),
     ),
 }

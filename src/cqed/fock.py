@@ -86,26 +86,38 @@ def _product(a, b) -> np.ndarray:
     return out
 
 
+def _check_adequate(alpha, dim: int) -> None:
+    """Raise TruncationTooSmall if ``dim`` < |alpha|^2 + 10 |alpha| + 10."""
+    a = abs(alpha)
+    bound = int(np.ceil(a * a + 10.0 * a + 10.0))
+    if dim < bound:
+        raise TruncationTooSmall(f"dim {dim} < adequacy bound {bound} for |alpha|={a:.3g}")
+
+
 def _coherent_rows(alphas, dim: int) -> np.ndarray:
     """Renormalized truncated |alpha> for each of ``alphas``, one row each: (len(alphas), dim).
 
     c_{n+1} = alpha c_n / sqrt(n+1) runs once over the stack, each element equal
-    to scalar numpy arithmetic on its one alpha: products on real and imaginary
-    parts (the array complex multiply may fuse them with FMA), complex-by-real
-    division (a reciprocal multiply differs in signs of zero), |alpha| and c_0
-    per alpha (np.abs on a complex array rounds differently), and each row's norm
-    from stacked dots of its real and imaginary parts, as `np.linalg.norm` does.
+    to scalar numpy arithmetic on its one alpha: |alpha| as np.hypot (np.abs on a
+    complex array rounds differently), |alpha|^2 in c_0 as np.float_power, products
+    on real and imaginary parts (the array complex multiply may fuse them with
+    FMA), complex-by-real division (a reciprocal multiply differs in signs of
+    zero), and each row's norm from stacked dots of its real and imaginary parts,
+    as `np.linalg.norm` does.  The first alpha whose adequacy bound is over
+    ``dim``, or not finite, raises through `_check_adequate`, as it always has.
     """
-    amps = np.empty((len(alphas), dim), dtype=np.complex128)
-    for k, alpha in enumerate(alphas):
-        a = abs(alpha)
-        bound = int(np.ceil(a * a + 10.0 * a + 10.0))
-        if dim < bound:
-            raise TruncationTooSmall(f"dim {dim} < adequacy bound {bound} for |alpha|={a:.3g}")
-        amps[k, 0] = np.exp(-0.5 * a ** 2)
-    alphas = np.asarray(alphas, dtype=np.complex128)
+    values = np.asarray(alphas, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        a = np.hypot(values.real, values.imag)
+        bound = np.ceil(a * a + 10.0 * a + 10.0)
+    # NaN fails every comparison, so this picks it out as well
+    bad = np.flatnonzero(~(bound <= dim))
+    if bad.size:
+        _check_adequate(alphas[bad[0]], dim)
+    amps = np.empty((len(values), dim), dtype=np.complex128)
+    amps[:, 0] = np.exp(-0.5 * np.float_power(a, 2.0))
     for n in range(dim - 1):
-        amps[:, n + 1] = _product(alphas, amps[:, n]) / np.sqrt(n + 1.0)
+        amps[:, n + 1] = _product(values, amps[:, n]) / np.sqrt(n + 1.0)
     nrm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
     deficit = 1.0 - nrm * nrm
     bad = np.flatnonzero(deficit > _RESIDUAL_TOL)

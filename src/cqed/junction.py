@@ -172,9 +172,9 @@ class TwoIslandTrajectory:
 
 
 def two_island_dynamics(
-    state0: TwoIslandState, e_coupling: float, dt: float, steps: int
+    state0: TwoIslandState, e_coupling: float, dt: float, steps: int, every: int = 1
 ) -> TwoIslandTrajectory:
-    """Integrate the coupled tunnel equations with fixed-step RK4.
+    """Integrate the coupled tunnel equations with fixed-step RK4 for ``steps`` steps.
 
     The equations (hbar = 1, Cooper-pair charge 1) are
 
@@ -195,7 +195,12 @@ def two_island_dynamics(
     negation is exact and rounding sign-symmetric, so x + c (-s) is x - c s.
     The trajectory is thus bit-identical to the same RK4 on length-4 numpy
     arrays.  Raises StepUnstable if a pair number is driven to zero or any
-    component of the state stops being finite.
+    component of the state stops being finite, at whatever step that happens.
+
+    Only the states at steps 0, ``every``, 2 ``every``, ... are kept, and the
+    returned arrays hold those rows alone: bit for bit the full trajectory's
+    ``[::every]``.  Steps past the last kept row are integrated and checked
+    all the same.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -214,50 +219,54 @@ def two_island_dynamics(
     n1, n2, th1, th2 = y = (
         float(state0.n1), float(state0.n2), float(state0.theta1), float(state0.theta2)
     )
-    out = np.empty((steps + 1, 4))
+    out = np.empty((steps // every + 1, 4))
     out[0] = y
     # a memoryview stores each float faster than numpy's sequence assignment
     rows = out.data
-    for k in range(1, steps + 1):
-        delta = th2 - th1
-        if not -inf < delta < inf:
-            raise StepUnstable(phase)
-        a1, cos_d = e * sqrt(n1 * n2) * sin(delta), cos(delta)
-        a3, a4 = h * sqrt(n2 / n1) * cos_d, h * sqrt(n1 / n2) * cos_d
-        p1, p2 = n1 + half * a1, n2 - half * a1
-        if p1 <= 0.0 or p2 <= 0.0:
-            raise StepUnstable(zero)
-        delta = (th2 + half * a4) - (th1 + half * a3)
-        if not -inf < delta < inf:
-            raise StepUnstable(phase)
-        b1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
-        b3, b4 = h * sqrt(p2 / p1) * cos_d, h * sqrt(p1 / p2) * cos_d
-        p1, p2 = n1 + half * b1, n2 - half * b1
-        if p1 <= 0.0 or p2 <= 0.0:
-            raise StepUnstable(zero)
-        delta = (th2 + half * b4) - (th1 + half * b3)
-        if not -inf < delta < inf:
-            raise StepUnstable(phase)
-        c1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
-        c3, c4 = h * sqrt(p2 / p1) * cos_d, h * sqrt(p1 / p2) * cos_d
-        p1, p2 = n1 + dt * c1, n2 - dt * c1
-        if p1 <= 0.0 or p2 <= 0.0:
-            raise StepUnstable(zero)
-        delta = (th2 + dt * c4) - (th1 + dt * c3)
-        if not -inf < delta < inf:
-            raise StepUnstable(phase)
-        d1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
-        s1 = sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
-        rows[k, 0], rows[k, 1], rows[k, 2], rows[k, 3] = n1, n2, th1, th2 = (
-            n1 + s1, n2 - s1,
-            th1 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + h * sqrt(p2 / p1) * cos_d),
-            th2 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + h * sqrt(p1 / p2) * cos_d),
-        )
-        if not (n1 < inf and n2 < inf and -inf < th1 < inf and -inf < th2 < inf):
-            raise StepUnstable(f"state became non-finite at step {k}")
-        if n1 <= 0.0 or n2 <= 0.0:
-            raise StepUnstable(f"pair number went non-positive at step {k}")
-    times = np.arange(steps + 1) * dt
+    # one pass of the outer loop per kept row, the last maybe cut short at steps
+    for row, stop in enumerate(range(every, steps + every, every), 1):
+        for k in range(stop - every + 1, min(stop, steps) + 1):
+            delta = th2 - th1
+            if not -inf < delta < inf:
+                raise StepUnstable(phase)
+            a1, cos_d = e * sqrt(n1 * n2) * sin(delta), cos(delta)
+            a3, a4 = h * sqrt(n2 / n1) * cos_d, h * sqrt(n1 / n2) * cos_d
+            p1, p2 = n1 + half * a1, n2 - half * a1
+            if p1 <= 0.0 or p2 <= 0.0:
+                raise StepUnstable(zero)
+            delta = (th2 + half * a4) - (th1 + half * a3)
+            if not -inf < delta < inf:
+                raise StepUnstable(phase)
+            b1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
+            b3, b4 = h * sqrt(p2 / p1) * cos_d, h * sqrt(p1 / p2) * cos_d
+            p1, p2 = n1 + half * b1, n2 - half * b1
+            if p1 <= 0.0 or p2 <= 0.0:
+                raise StepUnstable(zero)
+            delta = (th2 + half * b4) - (th1 + half * b3)
+            if not -inf < delta < inf:
+                raise StepUnstable(phase)
+            c1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
+            c3, c4 = h * sqrt(p2 / p1) * cos_d, h * sqrt(p1 / p2) * cos_d
+            p1, p2 = n1 + dt * c1, n2 - dt * c1
+            if p1 <= 0.0 or p2 <= 0.0:
+                raise StepUnstable(zero)
+            delta = (th2 + dt * c4) - (th1 + dt * c3)
+            if not -inf < delta < inf:
+                raise StepUnstable(phase)
+            d1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
+            s1 = sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+            # one name at a time: no 4-tuple is built and unpacked per step
+            n1 = n1 + s1
+            n2 = n2 - s1
+            th1 = th1 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + h * sqrt(p2 / p1) * cos_d)
+            th2 = th2 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + h * sqrt(p1 / p2) * cos_d)
+            if not (n1 < inf and n2 < inf and -inf < th1 < inf and -inf < th2 < inf):
+                raise StepUnstable(f"state became non-finite at step {k}")
+            if n1 <= 0.0 or n2 <= 0.0:
+                raise StepUnstable(f"pair number went non-positive at step {k}")
+        if stop <= steps:
+            rows[row, 0], rows[row, 1], rows[row, 2], rows[row, 3] = n1, n2, th1, th2
+    times = np.arange(0, steps + 1, every) * dt
     n1, n2, th1, th2 = out.T
     delta = th2 - th1
     current = e_coupling * np.sqrt(n1 * n2) * np.sin(delta)

@@ -590,6 +590,13 @@ class TestSizeTerm:
         assert code == 0
         assert 16 * 1300 * 61 <= largest <= 8 * size
 
+    def test_tunnel_ode_keeps_only_its_printed_rows(self, tmp_path):
+        # 3000 steps print every 6th state: the (501, 6) table is the largest
+        # array, where the (3001, 4) trajectory held 8 * 4 * 3001 bytes
+        code, largest = largest_allocation(tmp_path, ["tunnel-ode", "--steps", "3000"])
+        assert code == 0
+        assert largest == 8 * 6 * 501
+
     def test_jc_size_term_does_not_grow_with_nmax(self, tmp_path):
         # the populations need no state vectors, so nmax costs nothing
         code, _ = run(tmp_path, "jc", "--nmax", "100000")
@@ -761,6 +768,54 @@ class TestWriterMatchesPerCellReference:
         with tempfile.TemporaryDirectory() as tmp:
             for fmt in ("csv", "json"):
                 self.check(Path(tmp), table, fmt)
+
+
+#: Cells that keep a block off the one-pass JSON path: integers and zeros,
+#: exponent forms, values whose %.12g text is an integer, and non-finite ones.
+ODD_CELLS = [0.0, -0.0, 3.0, -7.0, 1e-05, -2.5e-17, 1.5e12, 123456789012.4, 0.99999999999995,
+             -2.99999999999996, np.inf, -np.inf, np.nan]
+
+
+class TestOnePassJsonBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 2 * cli._BLOCK_ROWS + 40), st.integers(1, 3), st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(ODD_CELLS)), max_size=6),
+    )
+    def test_matches_the_per_cell_text(self, nrows, width, seed, odd):
+        values = np.random.default_rng(seed).uniform(-50.0, 50.0, nrows * width)
+        for where, value in odd:
+            values[where % values.size] = value
+        table = float_table(values.reshape(nrows, width))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "t.json"
+            cli.write_table(table, str(out), "json")
+            assert out.read_bytes() == reference_text(table, "json").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "cell, per_cell",
+        [
+            (None, [1]),  # phi = 0 makes u = -1 in the second block only
+            (0.99999999999995, [0, 1]),  # prints as 1: passes the pre-check, fails the text test
+            (2.5e-07, [0, 1]),  # an exponent form
+        ],
+    )
+    def test_only_blocks_with_odd_cells_go_cell_by_cell(self, monkeypatch, cell, per_cell):
+        phis = np.linspace(-0.25, 0.75, 4097)
+        rows = np.column_stack([phis, -0.5 * phis - np.cos(phis)])
+        if cell is not None:
+            rows[5, 1] = cell
+        firsts = []
+        real = cli._json_cells
+
+        def spy(values, fmt):
+            firsts.append(values[0])
+            return real(values, fmt)
+
+        monkeypatch.setattr(cli, "_json_cells", spy)
+        cli._write_json_rows(rows, io.StringIO())
+        # one call per column of each block taken cell by cell, phi's first
+        assert firsts[::2] == [phis[cli._BLOCK_ROWS * k] for k in per_cell]
 
 
 class TestModuleEntryPoint:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,49 @@ class TestCoherentEvolution:
         # exp(-760.5) underflows to 0 and leaves an all-zero row
         with pytest.raises(TruncationTooSmall, match="norm deficit 1.000e"):
             _coherent_rows([1.0, 39.0], 1921)
+
+    def test_wide_alpha_range_matches_scalar_recursion_bit_for_bit(self):
+        # |alpha| and c_0 for the whole stack at once, over eight decades of |alpha|
+        rng = np.random.default_rng(7)
+        size = 10.0 ** rng.uniform(-8.0, np.log10(2.4), 1500)
+        alphas = size * np.exp(1j * rng.uniform(-np.pi, np.pi, 1500))
+        alphas[::7] = alphas[::7].real
+        ref = np.array([scalar_recursion(alpha, 40) for alpha in alphas])
+        assert np.array_equal(bits(_coherent_rows(alphas, 40)), bits(ref))
+
+    @pytest.mark.parametrize(
+        "alphas, dim",
+        [
+            ([1.0, 2.0, 4.0, 30.0], 50),  # the first inadequate alpha is named
+            ([1.0, np.nan, 30.0], 50),  # NaN, then an inadequate alpha
+            ([1.0, 30.0, np.nan], 50),
+            ([1.0, 1e200, np.nan], 10**6),  # |alpha|^2 overflows
+            ([1.0, complex(1.7e308, 1.7e308)], 50),  # |alpha| overflows
+            ([complex(np.inf, 0.0)], 50),
+            ([complex(np.nan, 1.0)], 50),
+        ],
+    )
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("faults", [{}, {"over": "raise", "invalid": "raise"}])
+    def test_failing_alpha_raises_as_the_per_alpha_loop(self, alphas, dim, as_array, faults):
+        def loop(alphas):
+            # the adequacy rule and c_0, one alpha at a time
+            for alpha in alphas:
+                a = abs(alpha)
+                bound = int(np.ceil(a * a + 10.0 * a + 10.0))
+                if dim < bound:
+                    raise TruncationTooSmall(
+                        f"dim {dim} < adequacy bound {bound} for |alpha|={a:.3g}")
+                np.exp(-0.5 * a**2)
+
+        alphas = np.array(alphas, dtype=np.complex128) if as_array else [complex(a) for a in alphas]
+        with np.errstate(**faults), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(Exception) as ref:
+                loop(alphas)
+            with pytest.raises(type(ref.value)) as got:
+                _coherent_rows(alphas, dim)
+        assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
 
     def test_zero_time(self):
         basis = FockBasis(40)

@@ -337,6 +337,42 @@ class TestInlineStagesMatchNestedStepper:
             assert np.array_equal(trajectory(traj), ref)
 
 
+class TestKeptRows:
+    """``every`` keeps steps 0, every, 2 every, ... and integrates the rest."""
+
+    @pytest.mark.parametrize("steps", [5, 1000, 1003])
+    @pytest.mark.parametrize("every", [1, 6, 7, 40])
+    def test_rows_equal_the_full_trajectory_strided(self, every, steps):
+        state0 = TwoIslandState(1e6, 3e5, 0.2, 0.9)
+        full = two_island_dynamics(state0, -2e-6, 1e-3, steps)
+        kept = two_island_dynamics(state0, -2e-6, 1e-3, steps, every)
+        for name in ("times", "n1", "n2", "theta1", "theta2", "current"):
+            got, ref = getattr(kept, name), getattr(full, name)[::every]
+            assert got.shape == (steps // every + 1,) and np.array_equal(got, ref), name
+        assert kept.i0 == full.i0
+
+    @pytest.mark.parametrize("every", [7, 40])
+    @pytest.mark.parametrize(
+        "n1, n2, theta1, theta2, e, dt, step",
+        [
+            (1.0, 1.0, 0.0, 0.0, 1e307, 1.0, 36),  # the phases run off in stage 4
+            (6.3e-238, 7.8e-104, 0.0, 2.4, 9.3e240, 0.011, 5),  # state non-finite
+            (0.29, 25.0, 0.0, 0.55, 26.0, 0.12, 3),  # pair number < 0 after a step
+        ],
+    )
+    def test_failure_after_the_last_kept_row_keeps_message_and_step(
+        self, n1, n2, theta1, theta2, e, dt, step, every
+    ):
+        assert step % every  # the failing step is integrated but never kept
+        state0 = TwoIslandState(n1, n2, theta1, theta2)
+        with pytest.raises(StepUnstable) as ref:
+            nested_rk4(state0, e, dt, step)
+        assert ref.value.where[0] == step
+        with pytest.raises(StepUnstable) as got:
+            two_island_dynamics(state0, e, dt, step, every)
+        assert str(got.value) == str(ref.value)
+
+
 class TestTwoIslandDynamics:
     def run(self, delta0=0.7, steps=10_000):
         state0 = TwoIslandState(1e6, 1e6, 0.0, delta0)
