@@ -284,6 +284,19 @@ class TestChargeDispersion:
         assert out["dispersion_floor"][-1] == np.finfo(float).eps * h_norm * dim
 
 
+class TestNcutRule:
+    # Every box function refuses ncut 1, before any other check: spectrum_sweep's
+    # k = 5 is out of range for it too.
+    @pytest.mark.parametrize("call", [
+        lambda: spectrum_sweep(1.0, 0.1, [0.0], 1, 5),
+        lambda: charge_dispersion(1.0, 1.0, 1),
+        lambda: second_order_gap(1.0, np.array([0.02]), ncut=1),
+    ], ids=["spectrum_sweep", "charge_dispersion", "second_order_gap"])
+    def test_ncut_one_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"^ncut must be at least 2$"):
+            call()
+
+
 class TestKochDispersion:
     def test_agrees_with_the_bisection_above_the_floor(self):
         ncuts = [_transmon_ncut(r) for r in RATIOS]

@@ -177,6 +177,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: TruncationTooSmall: dispersion moved by {moved} when doubling ncut=3\n")
 
+    def test_transmon_ncut_one_exits_2(self, tmp_path, capsys):
+        code, out = run(tmp_path, "transmon", "--ncut", "1")
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: ncut must be at least 2\n"
+
+    def test_spectrum_checks_its_levels_before_building_the_diagonal(self, tmp_path, capsys):
+        # E_C (N - N_g)^2 overflows here, but the level count is refused first
+        code, out = run(tmp_path, "spectrum", "--ec", "1e308", "--ng-max", "1e200",
+                        "--levels", "30")
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: k must be within [1, 19]; top levels are cutoff-polluted\n")
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_command(["warp-drive"])
