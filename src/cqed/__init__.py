@@ -16,7 +16,7 @@ Subpackages by physics area:
   Bell states and correlation tables.
 * `cqed.fitting` - dominant frequency and exponential fringe envelopes
   of sampled (t, values) arrays.
-* `cqed.errors` - the `CqedError` exception hierarchy.
+* `cqed.errors` - `CqedError` and its subclasses (CLI exit code 3).
 * `cqed.cli` - the `cqed` command: deterministic CSV/JSON sweeps.
 
 Units: hbar = 1 throughout (time is inverse energy); flux quantum = 1 in

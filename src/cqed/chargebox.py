@@ -11,31 +11,29 @@ grids: spectra, the sweet-spot/charge-dispersion analysis that motivates
 the transmon, and the second-order avoided crossings.
 
 All of it hands the diagonal and the constant coupling -E_J/2 straight to
-the batched Sturm bisection `tridiagonal_eigvalsh`; the dispersion scans of
-a whole list of (E_J, ncut) pairs share one bisection
-(`tridiagonal_eigvalsh_groups`), and so do the avoided-crossing gaps of a
-whole E_J list.  No dense Hamiltonian is ever built.
+the batched Sturm bisection `tridiagonal_eigvalsh_groups`: a spectrum sweep
+is one stack, the dispersion scans of a whole list of (E_J, ncut) pairs
+share one bisection, and so do the avoided-crossing gaps of a whole E_J
+list.  No dense Hamiltonian is ever built.
 
 Spectra are periodic in N_g with period 1 and symmetric about N_g = 1/2,
 so no search over N_g is needed: the charge dispersion and the avoided
 crossings are evaluated at their symmetry points, and `koch_dispersion`
 gives the dispersion's large-E_J/E_C asymptote as an independent check.
-Truncation: states near |+-ncut| are polluted by the hard cutoff, so
-callers never get more than 2 ncut - 1 levels, and the dispersion scan
-re-runs itself at doubled ncut to prove the cutoff is irrelevant.
+Truncation: the charges run over N = -ncut..ncut with ncut >= 2, and
+states near |+-ncut| are polluted by the hard cutoff, so callers never get
+more than 2 ncut - 1 levels; the dispersion scan re-runs itself at doubled
+ncut to prove the cutoff is irrelevant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import TruncationTooSmall
-from .linalg import _EPS, tridiagonal_eigvalsh, tridiagonal_eigvalsh_groups
+from .linalg import _EPS, tridiagonal_eigvalsh_groups
 
 __all__ = [
-    "ChargeBasis",
     "spectrum_sweep",
     "exact_gap",
     "charge_dispersion",
@@ -44,24 +42,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChargeBasis:
-    """Charge states |-ncut> ... |+ncut|; dimension 2 ncut + 1."""
-
-    ncut: int
-
-    def __post_init__(self):
-        if self.ncut < 2:
-            raise ValueError("ncut must be at least 2")
-
-    @property
-    def charges(self) -> np.ndarray:
-        return np.arange(-self.ncut, self.ncut + 1)
-
-
-def _charging_energies(ec, ng_values, basis: ChargeBasis) -> np.ndarray:
-    """Diagonal E_C (N - N_g)^2: one row per gate charge, one column per N."""
-    return ec * (basis.charges[None, :] - np.asarray(ng_values)[:, None]) ** 2
+def _charging_energies(ec, ng_values, ncut, k) -> np.ndarray:
+    """Diagonal E_C (N - N_g)^2, N = -ncut..ncut: one row per gate charge, one
+    column per N.  Checks ncut >= 2, then 1 <= k <= 2 ncut - 1 for the k
+    levels the caller will take, before any arithmetic."""
+    if ncut < 2:
+        raise ValueError("ncut must be at least 2")
+    if not 1 <= k <= 2 * ncut - 1:
+        raise ValueError(f"k must be within [1, {2 * ncut - 1}]; top levels are cutoff-polluted")
+    charges = np.arange(-ncut, ncut + 1)
+    return ec * (charges[None, :] - np.asarray(ng_values, dtype=np.float64)[:, None]) ** 2
 
 
 def spectrum_sweep(
@@ -71,11 +61,8 @@ def spectrum_sweep(
 
     Returns shape (len(ng_values), k), ascending along each row.
     """
-    basis = ChargeBasis(ncut)
-    if not 1 <= k <= 2 * ncut - 1:
-        raise ValueError(f"k must be within [1, {2 * ncut - 1}]; top levels are cutoff-polluted")
-    ng_values = np.asarray(ng_values, dtype=np.float64)
-    return tridiagonal_eigvalsh(_charging_energies(ec, ng_values, basis), -0.5 * ej, k)
+    return tridiagonal_eigvalsh_groups([(_charging_energies(ec, ng_values, ncut, k),
+                                         -0.5 * ej, k)])[0]
 
 
 def exact_gap(ec: float, ej: float, dg: float) -> float:
@@ -113,7 +100,7 @@ def charge_dispersion(ec: float, ej, ncut) -> dict[str, object]:
     """
     scalar = np.ndim(ej) == 0 and np.ndim(ncut) == 0
     pairs = list(zip(np.atleast_1d(ej).tolist(), np.atleast_1d(ncut).tolist(), strict=True))
-    scans = [(_charging_energies(ec, [0.0, 0.5], ChargeBasis(n)), -0.5 * ej_, 2)
+    scans = [(_charging_energies(ec, [0.0, 0.5], n, 2), -0.5 * ej_, 2)
              for ej_, ncut_ in pairs for n in (ncut_, 2 * ncut_)]
     gaps = [vals[:, 1] - vals[:, 0] for vals in tridiagonal_eigvalsh_groups(scans)]
     out = {"max_gap": [], "min_gap": [], "dispersion": [], "dispersion_floor": []}
@@ -169,7 +156,7 @@ def second_order_gap(
     ej_values = np.asarray(ej_values, dtype=np.float64)
     if np.any(ej_values > 0.2 * ec):
         raise ValueError("second-order scaling needs E_J << E_C")
-    diag = _charging_energies(ec, [1.0], ChargeBasis(ncut))
+    diag = _charging_energies(ec, [1.0], ncut, 3)
     crossings = tridiagonal_eigvalsh_groups([(diag, -0.5 * ej, 3) for ej in ej_values])
     gaps = np.array([vals[0, 2] - vals[0, 1] for vals in crossings])
     return {"gaps": gaps, "slope": float(np.polyfit(np.log(ej_values), np.log(gaps), 1)[0])}

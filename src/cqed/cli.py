@@ -64,10 +64,6 @@ from .qubit import rabi_trace, ramsey_trace
 __all__ = ["main", "OutputTable", "run_command"]
 
 
-class UsageError(Exception):
-    """Invalid parameter combination detected before any computation."""
-
-
 @dataclass
 class OutputTable:
     """One experiment's tabular result plus its provenance metadata.
@@ -222,7 +218,7 @@ def write_table(table: OutputTable, path: str, fmt: str) -> None:
     """Serialize atomically: stream to a sibling temp file, then rename."""
     writer = _WRITERS.get(fmt)
     if writer is None:
-        raise UsageError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {fmt!r}")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -327,7 +323,7 @@ def _run_decay(args):
 
 def _run_dephase(args):
     if args.sigma2 > 0 and args.delta <= 0:
-        raise UsageError("the noisy-fringe fit needs delta > 0")
+        raise ValueError("the noisy-fringe fit needs delta > 0")
     result = ramsey_ensemble(args.delta, NoiseModel(np.sqrt(args.sigma2)), args.dt,
                              args.horizon, args.trials, RngSpec(args.seed))
     extra = {"fitted_freq": result["fitted_freq"]}
@@ -353,7 +349,7 @@ def _ratios(text: str) -> list[float]:
     except ValueError:
         ratios = []
     if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
-        raise UsageError("ratios must be a comma-separated list of finite positive numbers")
+        raise ValueError("ratios must be a comma-separated list of finite positive numbers")
     return ratios
 
 
@@ -539,21 +535,21 @@ def _check(args, spec: _Command) -> None:
     """Reject bad flag values and over-budget runs before any work."""
     # Every table records its seed, so every command checks it, not only RngSpec.
     if not 0 <= args.seed < 2**64:
-        raise UsageError("seed must be within [0, 2^64)")
+        raise ValueError("seed must be within [0, 2^64)")
     for flag, dest, _, rule in _flags(spec):
         value = getattr(args, dest)
         # An int past float range fails too: every size term works in floats.
         if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-            raise UsageError(f"{flag} must be finite")
+            raise ValueError(f"{flag} must be finite")
         if isinstance(rule, str):
             op, limit = rule.split()
             if not _BOUNDS[op](value, float(limit)):
-                raise UsageError(f"{flag} must be {rule}")
+                raise ValueError(f"{flag} must be {rule}")
     for amount, limit, what in ((spec.size(args), _MAX_VALUES, "float64 values in one array"),
                                 (spec.draws(args), _MAX_DRAWS, "random draws"),
                                 (spec.loops(args), _MAX_LOOPS, "bisection loop iterations")):
         if amount > limit:
-            raise UsageError(f"{amount:.3g} {what} exceed the budget of {limit}")
+            raise ValueError(f"{amount:.3g} {what} exceed the budget of {limit}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,7 +582,7 @@ def run_command(argv: list[str]) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _check(args, spec)
             table = OutputTable(args.command, params, args.seed, *spec.run(args))
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CqedError, ArithmeticError) as exc:

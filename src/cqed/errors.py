@@ -1,9 +1,8 @@
-"""Exception hierarchy shared by all simulation modules.
+"""Exception classes shared by all simulation modules.
 
-``CqedError`` is the common base so callers (notably the CLI) can map any
-simulation failure to a single exit path.  ``NumericalError`` groups the
-failures that arise from numerics (inadequate truncation, failed fits) as
-opposed to invalid inputs.
+Every class derives from ``CqedError`` directly, so the CLI maps any
+simulation failure to one exit path: code 3, with the class name on
+stderr.  Invalid inputs raise ``ValueError`` (exit 2) instead.
 """
 
 
@@ -27,13 +26,9 @@ class StepUnstable(CqedError):
     """ODE integration left the physically valid domain."""
 
 
-class NumericalError(CqedError):
-    """Base class for numerical failures (CLI exit code 3)."""
-
-
-class TruncationTooSmall(NumericalError):
+class TruncationTooSmall(CqedError):
     """Basis truncation is inadequate for the requested state or sweep."""
 
 
-class FitFailed(NumericalError):
+class FitFailed(CqedError):
     """Envelope fit could not be performed (too few usable extrema)."""

@@ -109,7 +109,7 @@ def squid_effective(i0_each: float, phi_ext, n: int = 0) -> dict[str, object]:
     critical current is tunable through zero at half-integer flux.  An array
     ``phi_ext`` gives one value per flux for each key.
     """
-    critical = 2.0 * i0_each * np.cos(np.pi * (n - phi_ext))
+    critical = np.multiply(2.0, i0_each) * np.cos(np.pi * (n - phi_ext))
     return {"critical": critical, "magnitude": abs(critical)}
 
 

@@ -20,21 +20,19 @@ rather than delegated to LAPACK so that their iteration counts are fixed
 and their results bit-reproducible across runs.  They operate on whole
 batches of matrices at once and never form an n x n matrix:
 
-* `tridiagonal_eigvalsh` - Sturm-count bisection (Barth, Martin &
-  Wilkinson 1967) for the k lowest eigenvalues of a batch of same-sized
-  matrices.  The charge-box spectrum sweeps use it: one sweep over a
-  201-point gate-charge grid is a single batched bisection.  A narrow
-  batch is multisected (Lo, Philippe & Sameh 1987): each pass counts the
-  2^m - 1 dyadic points of every bracket in one sweep and takes m
-  halvings, with the bits plain bisection gives.  A pass runs its pivot
-  guard only if some pivot needs it (LAPACK's dlaneg, Marques et al. 2006).
-* `tridiagonal_eigvalsh_groups` - that bisection over several batches at
-  once, which may differ in size, coupling and k, on ragged
+* `tridiagonal_eigvalsh_groups` - Sturm-count bisection (Barth, Martin &
+  Wilkinson 1967) for the k lowest eigenvalues of one or more batches of
+  matrices, which may differ in size, coupling and k, on ragged
   ``[row, column]`` arrays; each batch keeps its own brackets, pivot
   guard and halving count, so its values are bit for bit those of a
-  separate call.  The charge-dispersion scans of a whole ratio list, and
-  the avoided-crossing gaps of a whole coupling list, run as one
-  bisection.
+  separate call.  A `spectrum` sweep over a 201-point gate-charge grid is
+  one batch; the charge-dispersion scans of a whole ratio list, and the
+  avoided-crossing gaps of a whole coupling list, run as one bisection.
+  A narrow bisection is multisected (Lo, Philippe & Sameh 1987): each
+  pass counts the 2^m - 1 dyadic points of every bracket in one sweep and
+  takes m halvings, with the bits plain bisection gives.  A pass runs its
+  pivot guard only if some pivot needs it (LAPACK's dlaneg, Marques et
+  al. 2006).
 * `tridiagonal_eigh` - every eigenvalue from that bisection plus its
   eigenvector from inverse iteration, as in LAPACK's dstein.  No command
   needs eigenvectors; it serves acceptance criterion 15 and the tests.
@@ -54,7 +52,6 @@ from .errors import DimensionMismatch
 __all__ = [
     "Ket",
     "check_kets",
-    "tridiagonal_eigvalsh",
     "tridiagonal_eigvalsh_groups",
     "tridiagonal_eigh",
     "expectation",
@@ -124,42 +121,6 @@ def fidelity(a: Ket | np.ndarray, b: Ket | np.ndarray) -> float | np.ndarray:
     return np.float_power(np.hypot(overlap.real, overlap.imag), 2.0)
 
 
-def tridiagonal_eigvalsh(diag: np.ndarray, off, k: int) -> np.ndarray:
-    """k lowest eigenvalues of a stack of real symmetric tridiagonal matrices.
-
-    Parameters
-    ----------
-    diag :
-        Diagonals, shape (batch, n).
-    off :
-        Off-diagonals, broadcastable to (batch, n - 1); a scalar gives every
-        matrix the same constant coupling.
-    k :
-        Number of levels, 1 <= k <= n.
-
-    Returns
-    -------
-    values :
-        Shape (batch, k), ascending per matrix; an empty batch gives (0, k).
-
-    Sturm-count bisection: the number of negative pivots of the LDL^T
-    factorization of T - x I is the number of eigenvalues below x.  Every
-    (matrix, level) bracket starts at the matrix's Gershgorin interval and is
-    halved a fixed number of times, enough to shrink the widest bracket of
-    the batch below eps * ||T|| / 16, so the work and the bits of the result
-    depend on the input alone.  As in LAPACK's dstebz, a pivot below pivmin =
-    tiny * max(1, max e_i^2) becomes -pivmin, which keeps zero couplings and
-    exact degeneracies finite; a pass runs that guard only if a pivot needs
-    it.  Each pass takes m (`_depth`) halvings from Sturm counts at
-    batch * k * (2^m - 1) points, at most 1024 unless m = 1, so work and
-    memory per pass are O(max(batch * k, 1024) * n) over ceil(halvings / m)
-    passes; no n x n matrix is formed.
-
-    This is the one-stack case of `tridiagonal_eigvalsh_groups`.
-    """
-    return tridiagonal_eigvalsh_groups([(diag, off, k)])[0]
-
-
 class _Group(NamedTuple):
     """One stack of a bisection, checked and bracketed by `_bracket`."""
 
@@ -223,14 +184,27 @@ def _sound(magnitude: np.ndarray, pivmin: float) -> bool:
 
 
 def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
-    """`tridiagonal_eigvalsh` of several stacks at once, in one bisection.
+    """k lowest eigenvalues of stacks of real symmetric tridiagonal matrices.
 
-    ``groups`` is a sequence of ``(diag, off, k)`` triples as taken by
-    `tridiagonal_eigvalsh`; the stacks may differ in n, k and coupling.
-    Returns one (batch, k) array per stack, bit for bit the values that
-    stack gives alone: each stack keeps its own Gershgorin brackets, pivot
-    guard pivmin and halving count, and its brackets stop moving after its
-    own halvings, even in the middle of a pass.
+    ``groups`` is a sequence of ``(diag, off, k)`` triples, one per stack:
+    diagonals of shape (batch, n), off-diagonals broadcastable to (batch,
+    n - 1) (a scalar gives every matrix the same coupling), and the number
+    of levels, 1 <= k <= n.  The stacks may differ in n, k and coupling.
+
+    Returns one (batch, k) array per stack, ascending per matrix (an empty
+    batch gives (0, k)), bit for bit the values that stack gives alone: each
+    stack keeps its own Gershgorin brackets, pivot guard pivmin and halving
+    count, and its brackets stop moving after its own halvings, even in the
+    middle of a pass.
+
+    Sturm-count bisection: the number of negative pivots of the LDL^T
+    factorization of T - x I is the number of eigenvalues below x.  Every
+    (matrix, level) bracket starts at the matrix's Gershgorin interval and is
+    halved a fixed number of times, enough to shrink the widest bracket of
+    its stack below eps * ||T|| / 16, so the work and the bits of the result
+    depend on the input alone.  As in LAPACK's dstebz, a pivot below pivmin =
+    tiny * max(1, max e_i^2) becomes -pivmin, which keeps zero couplings and
+    exact degeneracies finite.  No n x n matrix is formed.
 
     Multisection (Lo, Philippe & Sameh 1987): each pass Sturm-counts the
     2^m - 1 points of a depth-m dyadic tree in every bracket in one sweep,
@@ -240,7 +214,8 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
     count plain bisection computes, at the same point, and the values keep
     their bits for every m without assuming monotone Sturm counts.  The
     depth m comes from `_depth`: a batch of more than `_COLUMNS` / 3
-    brackets takes m = 1, which is plain bisection.
+    brackets takes m = 1, which is plain bisection.  So work and memory per
+    pass are O(max(brackets, `_COLUMNS`) * n), over ceil(halvings / m) passes.
 
     The work arrays are ``[row, column]``, one column per (matrix, level,
     tree point), with the columns of a matrix side by side, so every numpy
@@ -373,9 +348,9 @@ def tridiagonal_eigvalsh_groups(groups) -> list[np.ndarray]:
 def tridiagonal_eigh(diag: np.ndarray, off) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a stack of real symmetric tridiagonal matrices.
 
-    ``diag`` and ``off`` are as for `tridiagonal_eigvalsh`.  Returns
+    ``diag`` and ``off`` are as for `tridiagonal_eigvalsh_groups`.  Returns
     ``(values, vectors)``: values of shape (batch, n), ascending and bit for
-    bit ``tridiagonal_eigvalsh(diag, off, n)``; vectors of shape
+    bit ``tridiagonal_eigvalsh_groups([(diag, off, n)])[0]``; vectors of shape
     (batch, n, n), real and orthonormal, eigenvector j in column j, whose
     largest-magnitude entry (the first, on a tie) is positive.
 
@@ -389,7 +364,7 @@ def tridiagonal_eigh(diag: np.ndarray, off) -> tuple[np.ndarray, np.ndarray]:
     dstein: without that, inverse iteration turns every vector of a
     (near-)degenerate cluster towards the same direction.
     """
-    values = tridiagonal_eigvalsh(diag, off, np.shape(diag)[-1])
+    values = tridiagonal_eigvalsh_groups([(diag, off, np.shape(diag)[-1])])[0]
     d = np.asarray(diag, dtype=np.float64)
     batch, n = d.shape
     e = np.broadcast_to(np.asarray(off, dtype=np.float64), (batch, n - 1))

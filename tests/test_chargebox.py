@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cqed.chargebox import (
-    ChargeBasis,
     charge_dispersion,
     exact_gap,
     koch_dispersion,
@@ -12,7 +11,7 @@ from cqed.chargebox import (
 from cqed.cli import _transmon_ncut
 from cqed.errors import TruncationTooSmall
 from cqed.fitting import dominant_frequency
-from cqed.linalg import Ket, fidelity, tridiagonal_eigvalsh
+from cqed.linalg import Ket, fidelity, tridiagonal_eigvalsh_groups
 from cqed.qubit import KET_MINUS, KET_PLUS, rabi_trace
 
 #: The default ``transmon --ratios``.
@@ -21,7 +20,7 @@ RATIOS = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
 
 def cpb_hamiltonian(ec, ej, ng, ncut):
     """Dense real symmetric tridiagonal box Hamiltonian (dimension 2 ncut + 1)."""
-    charges = ChargeBasis(ncut).charges
+    charges = np.arange(-ncut, ncut + 1)
     h = np.diag(ec * (charges - ng) ** 2).astype(np.float64)
     hop = -0.5 * ej * np.ones(2 * ncut)
     h += np.diag(hop, 1) + np.diag(hop, -1)
@@ -36,10 +35,9 @@ def lowest_gap(ec, ej, ng, ncut=10):
 
 class TestHamiltonian:
     def test_no_coupling_is_diagonal_parabola(self):
-        basis = ChargeBasis(4)
-        h = cpb_hamiltonian(1.0, 0.0, 0.3, basis.ncut)
+        h = cpb_hamiltonian(1.0, 0.0, 0.3, 4)
         assert np.array_equal(h, np.diag(np.diag(h)))
-        assert np.allclose(np.diag(h), (basis.charges - 0.3) ** 2)
+        assert np.allclose(np.diag(h), (np.arange(-4, 5) - 0.3) ** 2)
 
     def test_crossing_point_energies(self):
         # bare parabola values at the special gate offsets
@@ -70,7 +68,7 @@ class TestSpectrumSweep:
     def test_zero_coupling_matches_parabolas(self):
         grid = np.linspace(0.0, 1.0, 21)
         sweep = spectrum_sweep(1.0, 0.0, grid, ncut=6, k=3)
-        charges = ChargeBasis(6).charges
+        charges = np.arange(-6, 7)
         for ng, levels in zip(grid, sweep):
             expected = np.sort((charges - ng) ** 2)[:3]
             assert np.abs(levels - expected).max() < 1e-10
@@ -338,6 +336,6 @@ class TestSecondOrderGap:
         out = second_order_gap(1.0, ej_values, ncut=10)
         diag = (np.arange(-10, 11)[None, :] - 1.0) ** 2
         for ej, gap in zip(ej_values, out["gaps"]):
-            vals = tridiagonal_eigvalsh(diag, -0.5 * ej, 3)[0]
+            vals = tridiagonal_eigvalsh_groups([(diag, -0.5 * ej, 3)])[0][0]
             assert gap == vals[2] - vals[1]
 

@@ -459,7 +459,7 @@ class TestExitCodes:
 
 #: Edge values of each flag type; strings are the ``--ratios`` values.
 EDGE_ARGS = {
-    float: ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300"],
+    float: ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e308"],
     int: ["0", "-1", "1000000000000000", HUGE_INT],
     str: ["abc", "", ",", "1,-3", "1,nan", "inf", "0", "1e400"],
 }
@@ -485,7 +485,8 @@ class TestEdgeValuesFromTheCommandTable:
     # (exit 1 in np.linspace), arrays over any budget (exit 1 with
     # _ArrayMemoryError), NaN or inf rows (exit 0), an OverflowError or a
     # ZeroDivisionError traceback (exit 1), warnings before the error line,
-    # and an int past float range (exit 3).
+    # an int past float range (exit 3), and a Python-float product that
+    # overflows to inf without raising (exit 0 with inf cells).
     @example(["spectrum", "--ncut=-1", "--ng-steps=1000000000000000"])
     @example(["rabi", "--steps=1000000000000000"])
     @example(["dephase", "--horizon=1e300"])
@@ -496,6 +497,7 @@ class TestEdgeValuesFromTheCommandTable:
     @example(["tunnel-ode", "--max-rows=0"])
     @example(["spectrum", "--ej=1e300"])
     @example(["rabi", f"--steps={HUGE_INT}"])
+    @example(["squid", "--i0=1e308"])
     def test_exit_code_stderr_and_cells(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "t.csv"
@@ -682,7 +684,7 @@ class TestWriteTable:
 
     def test_unknown_format_raises_before_any_temp_file(self, tmp_path):
         table = cli.OutputTable("bell", {}, 0, ["a"], np.array([[1.0]]))
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
             cli.write_table(table, str(tmp_path / "out.xml"), "xml")
         assert not any(tmp_path.iterdir())
 

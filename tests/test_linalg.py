@@ -12,12 +12,16 @@ from cqed.linalg import (
     expectation,
     fidelity,
     tridiagonal_eigh,
-    tridiagonal_eigvalsh,
     tridiagonal_eigvalsh_groups,
 )
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 EPS = np.finfo(np.float64).eps
+
+
+def one_stack(diag, off, k):
+    """The k lowest eigenvalues of one (batch, n) stack, alone in its bisection."""
+    return tridiagonal_eigvalsh_groups([(diag, off, k)])[0]
 
 
 def random_hermitian(rng, n):
@@ -111,7 +115,7 @@ class TestHermitianEigen:
         diag, off = random_tridiagonal(rng, 3, 17)
         vals, vecs = tridiagonal_eigh(diag, off)
         assert np.all(np.diff(vals, axis=1) >= 0)
-        assert np.array_equal(vals, tridiagonal_eigvalsh(diag, off, 17))
+        assert np.array_equal(vals, one_stack(diag, off, 17))
         lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
         assert lead.min() > 0
 
@@ -181,14 +185,14 @@ class TestTridiagonalEigvalsh:
         lapack = np.linalg.eigvalsh(mats)
         bound = (1e-12 + n * EPS) * np.linalg.norm(mats, axis=(1, 2))
         for k in (1, n):
-            vals = tridiagonal_eigvalsh(diag, off, k)
+            vals = one_stack(diag, off, k)
             assert vals.shape == (20, k)
             assert np.all(np.abs(vals - lapack[:, :k]) <= bound[:, None])
 
     def test_zero_coupling_keeps_exact_degeneracy(self):
         # E_J = 0 at N_g = 1/2: charge states 0 and 1 both sit at 1/4, -1 and 2 at 9/4
         diag = ((np.arange(-5, 6) - 0.5) ** 2)[None, :]
-        vals = tridiagonal_eigvalsh(diag, 0.0, 4)[0]
+        vals = one_stack(diag, 0.0, 4)[0]
         assert vals[0] == vals[1] and vals[2] == vals[3]
         assert np.abs(vals - [0.25, 0.25, 2.25, 2.25]).max() <= 4 * EPS * 30.25
 
@@ -197,7 +201,7 @@ class TestTridiagonalEigvalsh:
         # the first pivot is exactly zero and, with e = 0, only the pivmin
         # guard keeps the rest of that Sturm count from turning into NaN.
         diag = np.array([[0.0, -1.0, -0.5, 1.0, 0.5]])
-        vals = tridiagonal_eigvalsh(diag, 0.0, 5)[0]
+        vals = one_stack(diag, 0.0, 5)[0]
         assert np.abs(vals - np.sort(diag[0])).max() <= 8 * EPS
 
     def test_bit_identical_reruns(self):
@@ -205,29 +209,29 @@ class TestTridiagonalEigvalsh:
         diag = rng.normal(size=(7, 13))
         off = rng.normal(size=(7, 12))
         assert np.array_equal(
-            tridiagonal_eigvalsh(diag, off, 5), tridiagonal_eigvalsh(diag, off, 5)
+            one_stack(diag, off, 5), one_stack(diag, off, 5)
         )
 
     def test_rejects_bad_input(self):
         diag = np.zeros((2, 3))
         with pytest.raises(ValueError):
-            tridiagonal_eigvalsh(diag, 1.0, 0)
+            one_stack(diag, 1.0, 0)
         with pytest.raises(ValueError):
-            tridiagonal_eigvalsh(diag, 1.0, 4)
+            one_stack(diag, 1.0, 4)
         with pytest.raises(ValueError):
-            tridiagonal_eigvalsh(diag, np.nan, 1)
+            one_stack(diag, np.nan, 1)
         with pytest.raises(DimensionMismatch):
-            tridiagonal_eigvalsh(np.zeros(3), 1.0, 1)
+            one_stack(np.zeros(3), 1.0, 1)
 
     def test_empty_batch(self):
-        vals = tridiagonal_eigvalsh(np.zeros((0, 5)), 0.3, 2)
+        vals = one_stack(np.zeros((0, 5)), 0.3, 2)
         assert vals.shape == (0, 2)
 
 
 def reference_eigvalsh(diag, off, k):
     """The bisection of one stack on plain ``[row, matrix, level]`` arrays.
 
-    The same operations on every element as `tridiagonal_eigvalsh`, with no
+    The same operations on every element as `tridiagonal_eigvalsh_groups`, with no
     grouping, no ragged rows and no in-place updates.
     """
     g = _bracket(diag, off, k)
@@ -302,7 +306,7 @@ class TestTridiagonalEigvalshGroups:
             values = tridiagonal_eigvalsh_groups(groups)
         assert len(values) == len(groups)
         for (diag, off, k), vals in zip(groups, values):
-            assert np.array_equal(vals, tridiagonal_eigvalsh(diag, off, k))
+            assert np.array_equal(vals, one_stack(diag, off, k))
             assert np.array_equal(vals, reference_eigvalsh(diag, off, k))
 
     def test_stacks_with_different_halving_counts(self):
@@ -370,7 +374,7 @@ class TestTridiagonalEigvalshGroups:
         verdicts = sound_spy(monkeypatch)
         k = diag.shape[1]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            vals = tridiagonal_eigvalsh(diag, off, k)
+            vals = one_stack(diag, off, k)
         assert False in verdicts
         assert np.array_equal(vals, reference_eigvalsh(diag, off, k))
 
@@ -400,7 +404,7 @@ class TestTridiagonalEigvalshGroups:
         # the two 401-point `spectrum` sweeps of the spectra bench, E_C = 1
         verdicts = sound_spy(monkeypatch)
         diag = box_diagonals(np.linspace(0.0, 1.0, 401), ncut)
-        tridiagonal_eigvalsh(diag, -0.5 * ej, levels)
+        one_stack(diag, -0.5 * ej, levels)
         assert verdicts and all(verdicts)
 
     def test_bad_stack_raises(self):
