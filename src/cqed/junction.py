@@ -109,6 +109,7 @@ def squid_effective(i0_each: float, phi_ext, n: int = 0) -> dict[str, object]:
     critical current is tunable through zero at half-integer flux.  An array
     ``phi_ext`` gives one value per flux for each key.
     """
+    # numpy's product, not Python's, so 2 I0 overflowing raises under np.errstate
     critical = np.multiply(2.0, i0_each) * np.cos(np.pi * (n - phi_ext))
     return {"critical": critical, "magnitude": abs(critical)}
 
