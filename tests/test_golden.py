@@ -29,8 +29,9 @@ effective SQUID junction at a smaller critical current.
 after its last printed row.  ``washboard-mixed`` puts phi = 0 (u = -1, an
 integer) at row 1024: its second 1024-row block holds integer-valued cells
 and the others do not.
-A change that alters an output on purpose regenerates the file and says in
-its notes which digests moved:
+A change that alters an output on purpose regenerates the file, which
+prints the name of every digest it adds, moves or drops, and says in its
+notes which digests moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -122,4 +123,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {f"{name}.{f}": digest(argv, f, Path(tmp))
                    for name, argv in argvs.items() for f in FORMATS}
+    pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for key in sorted(pinned.keys() | digests.keys()):
+        if key not in pinned:
+            print(f"added {key}")
+        elif key not in digests:
+            print(f"dropped {key}")
+        elif pinned[key] != digests[key]:
+            print(f"moved {key}")
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
