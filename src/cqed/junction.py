@@ -30,11 +30,6 @@ __all__ = [
     "two_island_dynamics",
 ]
 
-#: Grid step used to bracket minima before golden-section refinement.
-_SCAN_STEP = np.pi / 200
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 def washboard_u(bias: float, phis: np.ndarray) -> np.ndarray:
     """Reduced washboard u(phi) = -bias phi - cos(phi), vectorized."""
@@ -42,52 +37,36 @@ def washboard_u(bias: float, phis: np.ndarray) -> np.ndarray:
     return -bias * phis - np.cos(phis)
 
 
-def _golden_section(f, lo: float, hi: float) -> float:
-    """Minimum of a unimodal f on [lo, hi]: golden section + parabolic polish.
+def _newton(slope, lo: float, hi: float) -> float:
+    """Root of a slope u' that rises through zero on [lo, hi]: safeguarded Newton.
 
-    Pure golden section cannot resolve the minimum below the flat-basin
-    width sqrt(eps |f| / f''), about 1e-8 for order-one washboards, so the
-    bracket is finished with one parabolic vertex fit, which averages the
-    roundoff away.  Against the exact minima (Newton's method on the closed
-    form of f'), it lands 1.2e-13 to 1.8e-10 off on 21 flux-well minima, and
-    1e-9 to 1.1e-8 off on washboard first minima at bias 0.5 to 0.99, whose
-    curvature is lower.
+    ``slope(x)`` gives (u'(x), u''(x)).  An end where u' = 0 is the root; else
+    the search starts mid-bracket, keeps u' < 0 at lo and u' >= 0 at hi, and
+    bisects when u'' is not positive and finite, or Newton's step leaves the
+    bracket or is over half the step before the last.  It stops when the next
+    point is the last again: the bracket cannot shrink.
     """
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > 1e-7:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    m = 0.5 * (a + b)
-    h = max(b - a, 1e-7)
-    fa, fm, fb = f(m - h), f(m), f(m + h)
-    denom = fa - 2.0 * fm + fb
-    if denom <= 0.0:  # flat to roundoff: the midpoint is as good as it gets
-        return m
-    vertex = m + 0.5 * h * (fa - fb) / denom
-    return min(max(vertex, a - h), b + h)
+    for end in (lo, hi):
+        if slope(end)[0] == 0.0:
+            return end
+    x = 0.5 * (lo + hi)
+    last = before = hi - lo
+    while True:
+        g, dg = slope(x)
+        lo, hi = (x, hi) if g < 0.0 else (lo, x)
+        nxt = x - g / dg if 0.0 < dg < math.inf else math.nan
+        if nxt == x:
+            return x
+        if not (lo < nxt < hi and abs(nxt - x) <= 0.5 * before):
+            nxt = 0.5 * (lo + hi)
+            if nxt == lo or nxt == hi:
+                return x
+        before, last, x = last, abs(nxt - x), nxt
 
 
 def first_minimum_numeric(bias: float) -> float:
-    """First washboard minimum located by grid scan plus golden section.
-
-    Independent of the arcsin closed form: brackets the minimum of u(phi)
-    on [-pi/2, pi/2] from a pi/200 grid and refines by golden section.
-    """
-    grid = np.arange(-np.pi / 2, np.pi / 2 + _SCAN_STEP, _SCAN_STEP)
-    us = washboard_u(bias, grid)
-    k = int(np.argmin(us))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    return _golden_section(lambda p: -bias * p - np.cos(p), lo, hi)
+    """The arcsin-free oracle: `_newton` on u' = sin(phi) - bias, rising on [-pi/2, pi/2]."""
+    return _newton(lambda p: (math.sin(p) - bias, math.cos(p)), -math.pi / 2, math.pi / 2)
 
 
 def first_minimum(bias: float) -> float:
@@ -120,10 +99,10 @@ def flux_qubit_potential(
     """Flux-qubit potential u(phi) = phi^2/2L - E_J cos(2 pi (phi - phi_ext)).
 
     ``phis`` is a sorted grid of loop flux values in Phi0 units.  Returns the
-    samples together with every interior local minimum, located by one array
-    scan for sign changes of the numerical derivative and refined by golden section.
-    At phi_ext = 1/2 the potential is even in phi and the two lowest minima
-    are degenerate, symmetric about the midpoint phi = 0.
+    samples and every interior local minimum: an array scan for sign changes
+    of the numerical derivative brackets each, and `_newton` finds it on the
+    closed-form slope.  At phi_ext = 1/2 the potential is even in phi and the
+    two lowest minima are degenerate mirror images about phi = 0.
     """
     phis = np.asarray(phis, dtype=np.float64)
     if phis.ndim != 1 or len(phis) < 3:
@@ -134,13 +113,15 @@ def flux_qubit_potential(
     def u(phi):
         return phi * phi / (2.0 * l) - ej * np.cos(2.0 * np.pi * (phi - phi_ext))
 
+    def slope(phi):  # Python floats: a product that overflows only steers _newton
+        w = 2.0 * math.pi * (phi - phi_ext)
+        return phi / l + 2 * math.pi * ej * math.sin(w), 1 / l + 4 * math.pi**2 * ej * math.cos(w)
+
     samples = u(phis)
-    minima = []
-    slope = np.diff(samples)
-    for k in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0)):
-        p = _golden_section(u, phis[k], phis[k + 2])
-        minima.append((float(p), float(u(p))))
-    return {"u": samples, "minima": minima}
+    rise = np.diff(samples)
+    brackets = np.flatnonzero((rise[:-1] < 0.0) & (rise[1:] >= 0.0))
+    minima = [_newton(slope, float(phis[k]), float(phis[k + 2])) for k in brackets]
+    return {"u": samples, "minima": [(p, float(u(p))) for p in minima]}
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ def test_criterion_09_washboard_minimum():
     except NoMinimum:
         raised = True
     ok = worst < 1e-8 and raised
-    report(9, "washboard minimum arcsin vs golden-section oracle", ok,
+    report(9, "washboard minimum arcsin vs Newton oracle", ok,
            f"max |diff| {worst:.1e}, NoMinimum at 1.01: {raised}")
     assert ok
 

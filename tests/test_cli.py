@@ -893,6 +893,23 @@ class TestPhysicsThroughCli:
         per_row = [abs(np.vdot(a, b)) ** 2 for a, b in zip(states["analytic"], states["numeric"])]
         assert np.array_equal(rows[:, columns.index("fidelity")], per_row)
 
+    def test_default_fluxwell_prints_mirror_minima(self, tmp_path):
+        # phi_ext = 1/2 makes the well even; golden section printed -0.442701435752
+        code, out = run(tmp_path, "fluxwell")
+        assert code == 0
+        meta, _, _ = read_csv(out)
+        positions = [meta[f"minimum_{k}"].split(":")[0] for k in range(2)]
+        assert positions == ["-0.442701435684", "0.442701435684"]
+        assert "minimum_2" not in meta
+
+    def test_fluxwell_slope_overflow_only_steers_the_search(self, tmp_path):
+        # 2 pi E_J overflows: the golden-section polish exited 3 on it, while
+        # bisection finds the wells at phi_ext + n that the cosine term sets
+        code, out = run(tmp_path, "fluxwell", "--ej=1e308")
+        assert code == 0
+        meta, _, _ = read_csv(out)
+        assert [meta["minimum_0"], meta["minimum_1"]] == ["-0.5:-1e+308", "0.5:-1e+308"]
+
     def test_squid_switches_off_at_half_quantum(self, tmp_path):
         code, out = run(
             tmp_path, "squid", "--phi-min", "0", "--phi-max", "0.5", "--steps", "3",
@@ -918,9 +935,9 @@ class TestPhysicsThroughCli:
 
     def test_washboard_runs_no_search(self, tmp_path, monkeypatch):
         def search(*args, **kwargs):
-            raise AssertionError("a golden-section search ran")
+            raise AssertionError("a Newton search ran")
 
-        monkeypatch.setattr(junction, "_golden_section", search)
+        monkeypatch.setattr(junction, "_newton", search)
         code, _ = run(tmp_path, "washboard", "--bias", "0.5", "--steps", "11")
         assert code == 0
 

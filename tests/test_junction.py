@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cqed import cli, junction
 from cqed.errors import NoMinimum, StepUnstable
 from cqed.junction import (
     TwoIslandState,
@@ -14,7 +15,7 @@ from cqed.junction import (
     squid_effective,
     two_island_dynamics,
     washboard_u,
-    _golden_section,
+    _newton,
 )
 
 
@@ -46,9 +47,15 @@ class TestWashboard:
         assert abs(first_minimum(1.0) - np.pi / 2) < 1e-12
         assert abs(first_minimum(0.5) - np.pi / 6) < 1e-12
 
-    def test_first_minimum_against_golden_section(self):
+    def test_first_minimum_against_newton_oracle(self):
         for bias in (0.1, 0.5, 0.9):
             assert abs(first_minimum(bias) - first_minimum_numeric(bias)) < 1e-8
+
+    @pytest.mark.parametrize("bias", [0.0, 0.5, -0.5, 0.93936, 0.999999, -0.999999, 1.0, -1.0])
+    def test_newton_oracle_reaches_arcsin_to_roundoff(self, bias):
+        # the golden-section oracle missed by 1.08e-8 at 0.93936; at +-1 the
+        # root is an end of [-pi/2, pi/2], where u' is exactly zero
+        assert abs(first_minimum_numeric(bias) - math.asin(bias)) < 1e-13
 
     def test_no_minimum_beyond_critical(self):
         with pytest.raises(NoMinimum):
@@ -161,12 +168,16 @@ def scan_minima(l, ej, phi_ext, phis):
     def u(phi):
         return phi * phi / (2.0 * l) - ej * np.cos(2.0 * np.pi * (phi - phi_ext))
 
-    slope = np.diff(u(phis))
+    def slope(phi):
+        w = 2.0 * math.pi * (phi - phi_ext)
+        return phi / l + 2 * math.pi * ej * math.sin(w), 1 / l + 4 * math.pi**2 * ej * math.cos(w)
+
+    rise = np.diff(u(phis))
     minima = []
-    for k in range(len(slope) - 1):
-        if slope[k] < 0.0 <= slope[k + 1]:
-            p = _golden_section(u, phis[k], phis[k + 2])
-            minima.append((float(p), float(u(p))))
+    for k in range(len(rise) - 1):
+        if rise[k] < 0.0 <= rise[k + 1]:
+            p = _newton(slope, float(phis[k]), float(phis[k + 2]))
+            minima.append((p, float(u(p))))
     return minima
 
 
@@ -198,6 +209,84 @@ class TestFluxScanMatchesScalarLoop:
         out = flux_qubit_potential(0.5, 0.4, 0.517946, phis)
         assert len(out["minima"]) >= 2
         assert out["minima"] == scan_minima(0.5, 0.4, 0.517946, phis)
+
+
+def fluxwell_argvs():
+    """The three golden ``fluxwell`` argv and the benchmark's, seed 1."""
+    from bench.workloads import build
+    from test_golden import CASES
+
+    (flux,) = [inv for inv in build("dynamics", 1) if inv.command == "fluxwell"]
+    return {"fluxwell": ["fluxwell"], "fluxwell-long": CASES["fluxwell-long"],
+            "fluxwell-six": CASES["fluxwell-six"], "bench": flux.argv("unused.csv")}
+
+
+def fluxwell_minima(argv):
+    """(l, ej, phi_ext, minima) of ``argv`` on the grid the CLI builds."""
+    args = cli.build_parser().parse_args(argv)
+    phis = np.linspace(args.phi_min, args.phi_max, args.steps)
+    return args.l, args.ej, args.phi_ext, flux_qubit_potential(args.l, args.ej, args.phi_ext,
+                                                               phis)["minima"]
+
+
+def counting_newton(monkeypatch):
+    """Patch `_newton` to record how many slope evaluations each search takes."""
+    counts = []
+
+    def counted(slope, lo, hi):
+        calls = []
+
+        def tally(x):
+            calls.append(x)
+            return slope(x)
+
+        root = _newton(tally, lo, hi)
+        counts.append(len(calls))
+        return root
+
+    monkeypatch.setattr(junction, "_newton", counted)
+    return counts
+
+
+class TestFluxMinimaToRoundoff:
+    @pytest.mark.parametrize("name", ["fluxwell", "fluxwell-long", "fluxwell-six", "bench"])
+    def test_every_minimum_against_a_40_digit_root(self, name):
+        # golden section plus a parabolic polish landed up to 5.3e-10 off
+        mpmath = pytest.importorskip("mpmath")
+        l, ej, phi_ext, minima = fluxwell_minima(fluxwell_argvs()[name])
+        assert minima
+        with mpmath.workdps(40):
+            big_l, big_ej, big_ext = (mpmath.mpf(v) for v in (l, ej, phi_ext))
+            two_pi = 2 * mpmath.pi
+
+            def slope(x):
+                return x / big_l + two_pi * big_ej * mpmath.sin(two_pi * (x - big_ext))
+
+            for p, _ in minima:
+                root = mpmath.findroot(slope, mpmath.mpf(p))
+                assert 1 / big_l + two_pi**2 * big_ej * mpmath.cos(two_pi * (root - big_ext)) > 0
+                assert abs(float(root - p)) <= 1e-15
+
+    def test_every_bracket_takes_at_most_100_slope_evaluations(self, monkeypatch):
+        counts = counting_newton(monkeypatch)
+        found = sum(len(fluxwell_minima(argv)[3]) for argv in fluxwell_argvs().values())
+        biases = (0.0, 0.5, -0.5, 0.93936, 0.999999, -0.999999, 1.0, -1.0)
+        for bias in biases:
+            junction.first_minimum_numeric(bias)
+        assert len(counts) == found + len(biases)
+        assert max(counts) <= 100
+
+    @pytest.mark.parametrize("ej", [1e308, 3e307, 5e-324])
+    def test_overflowed_or_vanishing_slope_still_brackets(self, monkeypatch, ej):
+        # 2 pi E_J or 4 pi^2 E_J overflows to inf in the slope: bisection finds
+        # the well at phi_ext + n, where the cosine term dominates
+        counts = counting_newton(monkeypatch)
+        minima = flux_qubit_potential(0.5, ej, 0.5, np.linspace(-1.25, 1.25, 501))["minima"]
+        assert max(counts) <= 100
+        if ej > 1:
+            assert [round(p, 12) for p, _ in minima] == [-0.5, 0.5]
+        else:
+            assert [p for p, _ in minima] == [0.0]
 
 
 def array_rk4(state0, e, dt, steps):
