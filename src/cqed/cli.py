@@ -49,7 +49,8 @@ import numpy as np
 from . import __version__
 from .chargebox import charge_dispersion, koch_dispersion, spectrum_sweep
 from .decoherence import (
-    OUTCOME_LABELS, NoiseModel, RngSpec, bell_state, joint_table, ramsey_ensemble, t1_curves,
+    OUTCOME_LABELS, NoiseModel, RngSpec, _block_rows, bell_state, joint_table, ramsey_ensemble,
+    t1_curves,
 )
 from .errors import CqedError
 from .fock import FockBasis, coherent_evolution, quad_stats
@@ -418,7 +419,7 @@ def _block(trials, steps):
     """Float64 values in the trajectory block that `RngSpec._blocks` fills for
     ``trials`` trajectories of ``steps`` steps: at most max(2^17, steps)."""
     steps = max(1.0, steps)
-    return min(trials, max(1, 2**17 // steps)) * steps if trials else 0
+    return min(trials, _block_rows(steps)) * steps if trials else 0
 
 
 _COMMANDS = {
@@ -478,16 +479,16 @@ _COMMANDS = {
         _run_decay, "T1 decay, analytic and Monte-Carlo",
         (("t1", 1.0, "> 0"), ("t-max", 4.0, "> 0"), ("steps", 81, ">= 2"),
          ("trials", 0, ">= 0"), ("dt", 0.01, "> 0")),
-        # the table, or the trajectory block (at least one trajectory's steps)
+        # the table, or the trajectory block; a trajectory takes max(1, ceil(t_max / dt)) steps
         size=lambda a: max(3 * a.steps, _block(a.trials, np.ceil(a.t_max / a.dt))),
-        draws=lambda a: a.trials * (a.t_max / a.dt),
+        draws=lambda a: a.trials * max(1.0, float(np.ceil(a.t_max / a.dt))),
     ),
     "dephase": _Command(
         _run_dephase, "Ramsey ensemble under white frequency noise",
         (("delta", 5.0), ("sigma2", 0.5, ">= 0"), ("dt", 0.02, "> 0"), ("horizon", 8.0, "> 0"),
          ("trials", 2000, ">= 0")),
         size=lambda a: max(2 * a.horizon / a.dt, _block(a.trials, np.round(a.horizon / a.dt))),
-        draws=lambda a: a.trials * (a.horizon / a.dt) if a.sigma2 > 0 else 0,
+        draws=lambda a: a.trials * float(np.round(a.horizon / a.dt)) if a.sigma2 > 0 else 0,
     ),
     "bell": _Command(
         _run_bell, "Joint outcome table of a Bell state",

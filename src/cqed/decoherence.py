@@ -185,6 +185,11 @@ def _state_view(bitgen: np.random.PCG64) -> tuple[np.ndarray, list[int]]:
     return view, [_PROBE.index(word) for word in found]
 
 
+def _block_rows(nsteps):
+    """Trajectories per block of `RngSpec._blocks`: max(1, 2^17 // nsteps), about 1 MB."""
+    return max(1, 2**17 // nsteps)
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Master seed plus the per-trajectory stream derivation rule.
@@ -218,18 +223,17 @@ class RngSpec:
         """Yield ``(start, block)`` covering trajectories 0 .. trials-1.
 
         Row r of ``block`` holds the first ``nsteps`` values of
-        ``stream(start + r).<draw>()``.  Blocks hold max(1, 2^17 // nsteps)
-        rows, about 1 MB, and share one buffer, so each is overwritten by
-        the next.  ``draw`` is ``random`` or ``standard_normal``: both take
-        whole 64-bit outputs, so the buffered 32-bit half that the state
-        words leave alone is never read.
+        ``stream(start + r).<draw>()``.  Blocks hold `_block_rows` rows and
+        share one buffer, so each is overwritten by the next.  ``draw`` is
+        ``random`` or ``standard_normal``: both take whole 64-bit outputs, so
+        the buffered 32-bit half that the state words leave alone is never read.
         """
         if draw not in ("random", "standard_normal"):
             raise ValueError(f"unsupported draw {draw!r}")
         bitgen = np.random.PCG64(0)  # every row writes its own state
         view, order = _state_view(bitgen)
         fill = getattr(np.random.Generator(bitgen), draw)
-        height = max(1, 2**17 // nsteps)
+        height = _block_rows(nsteps)
         buf = np.empty((min(height, trials), nsteps))
         for start in range(0, trials, height):
             block = buf[: min(height, trials - start)]

@@ -382,6 +382,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv, draws",
+        [
+            # one step per trajectory, not t_max / dt = 1e-306 of one
+            (["decay", "--t-max", "1e-308", "--trials", "2000000000"], "2e+09"),
+            # round(1.6) = 2 steps per trajectory, not 1.6
+            (["dephase", "--horizon", "0.032", "--dt", "0.02", "--trials", "600000000"],
+             "1.2e+09"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_draw_budget_counts_the_steps_a_trajectory_takes(self, argv, draws):
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(ValueError) as caught:
+            cli._check(args, cli._COMMANDS[argv[0]])
+        assert str(caught.value) == f"{draws} random draws exceed the budget of {cli._MAX_DRAWS}"
+
     def test_spectrum_value_budget_also_bounds_its_bisection_loop(self, tmp_path, capsys):
         # At most 2^23 // _COLUMNS charges fit the value budget, and each takes
         # at most _HALVINGS passes: under the loop budget, which only transmon
@@ -628,6 +645,12 @@ class TestSizeTerm:
         # decay's term counted t_max / dt values and dephase's 2 horizon / dt
         # before the block, and the budget is over 2^17: no exit code moves.
         assert 0 <= cli._block(trials, steps) <= max(2**17, steps)
+
+    @pytest.mark.parametrize("trials, steps", [(5, 1), (3, 7), (2, 2**16 + 1), (3, 2**17 + 1)])
+    def test_trajectory_block_term_is_the_block_the_ensembles_fill(self, trials, steps):
+        blocks = [len(block) for _, block in cli.RngSpec(0)._blocks(trials, steps, "random")]
+        assert blocks[0] * steps == cli._block(trials, steps)
+        assert sum(blocks) == trials
 
     @pytest.mark.parametrize(
         "argv",
