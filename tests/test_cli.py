@@ -917,7 +917,7 @@ class TestPhysicsThroughCli:
         assert np.array_equal(rows[:, columns.index("fidelity")], per_row)
 
     def test_default_fluxwell_prints_mirror_minima(self, tmp_path):
-        # phi_ext = 1/2 makes the well even; golden section printed -0.442701435752
+        # phi_ext = 1/2 makes the well even, so its two minima are mirror images
         code, out = run(tmp_path, "fluxwell")
         assert code == 0
         meta, _, _ = read_csv(out)
@@ -926,8 +926,8 @@ class TestPhysicsThroughCli:
         assert "minimum_2" not in meta
 
     def test_fluxwell_slope_overflow_only_steers_the_search(self, tmp_path):
-        # 2 pi E_J overflows: the golden-section polish exited 3 on it, while
-        # bisection finds the wells at phi_ext + n that the cosine term sets
+        # 2 pi E_J overflows to inf; bisection still finds the wells at
+        # phi_ext + n that the cosine term sets
         code, out = run(tmp_path, "fluxwell", "--ej=1e308")
         assert code == 0
         meta, _, _ = read_csv(out)

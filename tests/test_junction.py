@@ -47,15 +47,12 @@ class TestWashboard:
         assert abs(first_minimum(1.0) - np.pi / 2) < 1e-12
         assert abs(first_minimum(0.5) - np.pi / 6) < 1e-12
 
-    def test_first_minimum_against_newton_oracle(self):
-        for bias in (0.1, 0.5, 0.9):
-            assert abs(first_minimum(bias) - first_minimum_numeric(bias)) < 1e-8
-
-    @pytest.mark.parametrize("bias", [0.0, 0.5, -0.5, 0.93936, 0.999999, -0.999999, 1.0, -1.0])
-    def test_newton_oracle_reaches_arcsin_to_roundoff(self, bias):
-        # the golden-section oracle missed by 1.08e-8 at 0.93936; at +-1 the
-        # root is an end of [-pi/2, pi/2], where u' is exactly zero
-        assert abs(first_minimum_numeric(bias) - math.asin(bias)) < 1e-13
+    @pytest.mark.parametrize(
+        "bias", [0.0, 0.1, 0.5, -0.5, 0.9, 0.93936, 0.999999, -0.999999, 1.0, -1.0]
+    )
+    def test_first_minimum_against_newton_oracle(self, bias):
+        # at +-1 the root is an end of [-pi/2, pi/2], where u' is exactly zero
+        assert abs(first_minimum(bias) - first_minimum_numeric(bias)) < 1e-13
 
     def test_no_minimum_beyond_critical(self):
         with pytest.raises(NoMinimum):
@@ -212,11 +209,14 @@ class TestFluxScanMatchesScalarLoop:
 
 
 def fluxwell_argvs():
-    """The three golden ``fluxwell`` argv and the benchmark's, seed 1."""
+    """The three golden ``fluxwell`` argv and the benchmark's at seed 2.
+
+    Seed 1's benchmark argv is ``fluxwell-long``.
+    """
     from bench.workloads import build
     from test_golden import CASES
 
-    (flux,) = [inv for inv in build("dynamics", 1) if inv.command == "fluxwell"]
+    (flux,) = [inv for inv in build("dynamics", 2) if inv.command == "fluxwell"]
     return {"fluxwell": ["fluxwell"], "fluxwell-long": CASES["fluxwell-long"],
             "fluxwell-six": CASES["fluxwell-six"], "bench": flux.argv("unused.csv")}
 
@@ -251,7 +251,6 @@ def counting_newton(monkeypatch):
 class TestFluxMinimaToRoundoff:
     @pytest.mark.parametrize("name", ["fluxwell", "fluxwell-long", "fluxwell-six", "bench"])
     def test_every_minimum_against_a_40_digit_root(self, name):
-        # golden section plus a parabolic polish landed up to 5.3e-10 off
         mpmath = pytest.importorskip("mpmath")
         l, ej, phi_ext, minima = fluxwell_minima(fluxwell_argvs()[name])
         assert minima
