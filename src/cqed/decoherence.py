@@ -1,16 +1,11 @@
 """Decay, dephasing and two-qubit correlation experiments.
 
-Monte-Carlo experiments here are stochastic but exactly reproducible: every
-trajectory draws from its own pseudo-random stream derived from a 64-bit
-master seed and the trajectory index through `RngSpec`.  Trajectory i uses
-PCG64(splitmix64(seed XOR i * GOLDEN64)), and trajectories are reduced in
-index order, so fixed (seed, trials) gives bit-identical output.  The
-ensemble loops derive the PCG64 states of a block of trajectories at once,
-replaying numpy's own seeding on whole arrays, as four 64-bit words each.
-They write each trajectory's words straight into one reused bit
-generator, in the word order found by setting a known state through
-numpy's own setter, and draw it into one row of a reused block of about
-1 MB; the draws are the ones ``RngSpec.stream(i)`` returns.
+Monte-Carlo experiments here are stochastic but exactly reproducible: an
+ensemble of trajectories of nsteps steps each draws from one PCG64 stream
+seeded by a 64-bit master seed (`RngSpec`), trajectory i reading the i-th
+run of nsteps values, and trajectories are reduced in index order, so fixed
+(seed, trials) gives bit-identical output.  The ensemble loops fill one
+reused block of trajectories, about 1 MB, with one numpy call at a time.
 
 Mixed states never appear as density matrices in this module: ensembles are
 weighted lists of pure states, which is all the experiments below need.
@@ -24,7 +19,6 @@ read out as p_plus, the probability of finding |+>.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,135 +49,6 @@ __all__ = [
     "marginal_table",
 ]
 
-_GOLDEN64 = 0x9E3779B97F4A7C15
-
-# Constants of numpy.random.SeedSequence (pool of 4 uint32 words) and of
-# PCG64's 128-bit LCG, as in numpy/random/bit_generator.pyx and pcg64.h.
-_SEEDSEQ_INIT_A, _SEEDSEQ_MULT_A = 0x43B0D7E5, 0x931E8875
-_SEEDSEQ_INIT_B, _SEEDSEQ_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SEEDSEQ_MIX_L, _SEEDSEQ_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = (np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4))  # (lo, hi)
-_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-#: Four distinct words (state_lo, state_hi, inc_lo, inc_hi) that locate each
-#: word of a PCG64 state in memory.
-_PROBE = [0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589EFCDAB, 0x3210765498FEDCBB]
-
-
-def _hash_steps(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, multiplier) columns of n successive SeedSequence hash steps.
-
-    SeedSequence's hash constant evolves independently of the data, so the
-    whole sequence is known in advance: step k xors the word with xor[k]
-    and multiplies it by mult[k].
-    """
-    consts = [init]
-    for _ in range(n):
-        consts.append((consts[-1] * mult) & 0xFFFFFFFF)
-    consts = np.array(consts, dtype=np.uint32)[:, None]
-    return consts[:-1], consts[1:]
-
-
-# One hash per pool word entered, then one per ordered pair of pool words.
-_POOL_XOR, _POOL_MULT = _hash_steps(_SEEDSEQ_INIT_A, _SEEDSEQ_MULT_A, 4 + 4 * 3)
-_STATE_XOR, _STATE_MULT = _hash_steps(_SEEDSEQ_INIT_B, _SEEDSEQ_MULT_B, 8)
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """One splitmix64 output step on uint64 words; the documented mixing function."""
-    x = x + np.uint64(_GOLDEN64)
-    z = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) limbs of a + b mod 2^128, both given as (lo, hi) uint64 limbs."""
-    lo = a[0] + b[0]
-    return lo, a[1] + b[1] + (lo < a[0])
-
-
-def _muladd128(x: tuple, m: tuple, c: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) limbs of x * m + c mod 2^128, all given as (lo, hi) uint64 limbs.
-
-    uint64 products wrap mod 2^64, so only the high half of x_lo * m_lo
-    needs 32-bit partial products; x_hi * m_hi falls off the top.
-    """
-    x0, x1 = x[0] & _LO32, x[0] >> _32
-    m0, m1 = m[0] & _LO32, m[0] >> _32
-    cross_x, cross_m = x1 * m0, x0 * m1
-    mid = ((x0 * m0) >> _32) + (cross_x & _LO32) + (cross_m & _LO32)
-    carry = x1 * m1 + (cross_x >> _32) + (cross_m >> _32) + (mid >> _32)
-    return _add128((x[0] * m[0], carry + x[0] * m[1] + x[1] * m[0]), c)
-
-
-def _pcg64_states(seed: int, trajectories: np.ndarray) -> np.ndarray:
-    """``PCG64(splitmix64(seed ^ i * GOLDEN64))``'s state for each index i.
-
-    Row i holds the four 64-bit words (state_lo, state_hi, inc_lo, inc_hi)
-    of the 128-bit state and increment.  Replays numpy's seeding on whole
-    arrays instead of building one SeedSequence per key: the key enters a
-    pool of four 32-bit words as its low and high halves (for keys below
-    2^32 numpy enters one word, and hashing the missing word as 0 is what
-    it does anyway), the pool is mixed, and ``generate_state(4, uint64)``
-    gives PCG64's seed and stream words, which the srandom step turns into
-    (state, inc) on 64-bit limbs.
-    """
-    i = np.asarray(trajectories, dtype=np.uint64)
-    keys = _splitmix64(np.uint64(seed) ^ (i * np.uint64(_GOLDEN64)))
-    words = np.zeros((4, keys.size), dtype=np.uint32)
-    words[0] = keys & _LO32
-    words[1] = keys >> _32
-    pool = _hashmix(words, _POOL_XOR[:4], _POOL_MULT[:4])
-    for src in range(4):
-        # Mixing pool[src] into the other three words: independent updates.
-        dst = [d for d in range(4) if d != src]
-        steps = slice(4 + 3 * src, 7 + 3 * src)
-        hashed = _hashmix(pool[src], _POOL_XOR[steps], _POOL_MULT[steps])
-        mixed = _SEEDSEQ_MIX_L * pool[dst] - _SEEDSEQ_MIX_R * hashed
-        pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    out = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MULT).astype(np.uint64)
-    seed_hi, seed_lo, stream_hi, stream_lo = out[0::2] | (out[1::2] << _32)
-    # PCG64 srandom: inc = 2 initseq + 1, state = (inc + initstate) MULT + inc.
-    inc = ((stream_lo << np.uint64(1)) | np.uint64(1),
-           (stream_hi << np.uint64(1)) | (stream_lo >> np.uint64(63)))
-    state = _muladd128(_add128(inc, (seed_lo, seed_hi)), _PCG64_MULT, inc)
-    return np.column_stack([*state, *inc])
-
-
-def _state_dict(words) -> dict:
-    """The ``bit_generator.state`` dict of one row of `_pcg64_states`."""
-    state_lo, state_hi, inc_lo, inc_hi = (int(w) for w in words)
-    return {"bit_generator": "PCG64",
-            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0, "uinteger": 0}
-
-
-def _state_view(bitgen: np.random.PCG64) -> tuple[np.ndarray, list[int]]:
-    """A uint64 view of ``bitgen``'s 128-bit state and inc, and its word order.
-
-    numpy's PCG64 keeps a pointer to its (state, inc) pair at
-    ``ctypes.state_address``.  A known state is set through numpy's own
-    setter and its four words located in the view; ``order[j]`` is the
-    `_pcg64_states` column that view word j holds.  Any other layout raises
-    rather than draws.
-    """
-    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
-    # The pair lives inside the bit generator object; never follow a
-    # pointer that leads elsewhere.
-    if not id(bitgen) <= address <= id(bitgen) + type(bitgen).__basicsize__ - 32:
-        raise RuntimeError(f"numpy {np.__version__}: PCG64 state is not where expected")
-    view = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
-    bitgen.state = _state_dict(_PROBE)
-    found = view.tolist()
-    if sorted(found) != sorted(_PROBE):
-        raise RuntimeError(f"numpy {np.__version__}: PCG64 state words not found")
-    return view, [_PROBE.index(word) for word in found]
-
 
 def _block_rows(nsteps):
     """Trajectories per block of `RngSpec._blocks`: max(1, 2^17 // nsteps), about 1 MB."""
@@ -192,15 +57,12 @@ def _block_rows(nsteps):
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Master seed plus the per-trajectory stream derivation rule.
+    """Master seed of a Monte-Carlo ensemble's one pseudo-random stream.
 
-    Trajectory ``i`` uses ``PCG64(splitmix64(seed XOR (i * GOLDEN64)))``
-    where GOLDEN64 = 0x9E3779B97F4A7C15.  Identical (seed, i) always yields
-    the identical stream.  The states are derived in bulk as four 64-bit
-    words each (`_pcg64_states`).  ``stream`` is the one-trajectory case and
-    sets them through numpy's ``state`` setter; the ensemble loops draw
-    block by block through ``_blocks``, which writes the words straight
-    into one bit generator in the order `_state_view` probes.
+    An ensemble of trajectories of ``nsteps`` steps each draws from one
+    ``Generator(PCG64(seed))``: trajectory i reads the i-th run of ``nsteps``
+    values.  Identical (seed, nsteps) always yields the identical ensemble,
+    however it is split into blocks, and fewer trials read a prefix of it.
     """
 
     seed: int
@@ -211,36 +73,36 @@ class RngSpec:
             raise ValueError(f"seed {seed} is outside [0, 2^64)")
         object.__setattr__(self, "seed", seed)
 
-    def stream(self, trajectory: int) -> np.random.Generator:
-        if not 0 <= trajectory < 2**64:
-            raise ValueError(f"trajectory index {trajectory} is outside [0, 2^64)")
-        bitgen = np.random.PCG64(0)
-        index = np.array([trajectory], dtype=np.uint64)
-        bitgen.state = _state_dict(_pcg64_states(self.seed, index)[0])
-        return np.random.Generator(bitgen)
+    def stream(self, trajectory: int, nsteps: int) -> np.random.Generator:
+        """Trajectory ``trajectory``'s ``random`` draws in an ensemble of ``nsteps`` steps.
+
+        The stream advanced past the ``trajectory * nsteps`` outputs of the
+        rows before it.  ``random`` takes one output per value, so
+        ``stream(i, nsteps).random(nsteps)`` is row i of the ``random``
+        ensemble; ``standard_normal`` takes a varying number, so its rows
+        past the first have no stream of their own.
+        """
+        if not (0 <= trajectory < 2**64 and 0 <= nsteps < 2**64):
+            raise ValueError(f"trajectory {trajectory} or nsteps {nsteps} is outside [0, 2^64)")
+        return np.random.Generator(np.random.PCG64(self.seed).advance(trajectory * nsteps))
 
     def _blocks(self, trials: int, nsteps: int, draw: str):
         """Yield ``(start, block)`` covering trajectories 0 .. trials-1.
 
-        Row r of ``block`` holds the first ``nsteps`` values of
-        ``stream(start + r).<draw>()``.  Blocks hold `_block_rows` rows and
-        share one buffer, so each is overwritten by the next.  ``draw`` is
-        ``random`` or ``standard_normal``: both take whole 64-bit outputs, so
-        the buffered 32-bit half that the state words leave alone is never read.
+        Stacked in order, the blocks are ``Generator(PCG64(seed)).<draw>(trials
+        * nsteps)`` reshaped to (trials, nsteps): row r of ``block`` is trajectory
+        start + r.  Each block is one ``<draw>(out=block)`` call.  Blocks hold
+        `_block_rows` rows and share one buffer, so each is overwritten by the
+        next.  ``draw`` is ``random`` or ``standard_normal``.
         """
         if draw not in ("random", "standard_normal"):
             raise ValueError(f"unsupported draw {draw!r}")
-        bitgen = np.random.PCG64(0)  # every row writes its own state
-        view, order = _state_view(bitgen)
-        fill = getattr(np.random.Generator(bitgen), draw)
+        fill = getattr(np.random.Generator(np.random.PCG64(self.seed)), draw)
         height = _block_rows(nsteps)
         buf = np.empty((min(height, trials), nsteps))
         for start in range(0, trials, height):
             block = buf[: min(height, trials - start)]
-            indices = np.arange(start, start + len(block), dtype=np.uint64)
-            for row, words in zip(block, _pcg64_states(self.seed, indices)[:, order]):
-                view[:] = words
-                fill(out=row)
+            fill(out=block)
             yield start, block
 
 
@@ -266,7 +128,7 @@ class NoiseModel:
 def _first_jumps(rng: RngSpec, trials: int, nsteps: int, hazard) -> np.ndarray:
     """Per step, how many of ``trials`` trajectories first jump there (int64).
 
-    Trajectory i jumps at step k if ``rng.stream(i).random(nsteps)[k] < hazard``,
+    Trajectory i jumps at step k if ``rng.stream(i, nsteps).random(nsteps)[k] < hazard``,
     a scalar or one value per step; one that never jumps is counted nowhere.
     """
     counts = np.zeros(nsteps, dtype=np.int64)

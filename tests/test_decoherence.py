@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from cqed import decoherence
 from cqed.decoherence import (
@@ -20,170 +18,108 @@ from cqed.linalg import Ket
 from cqed.qubit import ramsey_trace
 
 
+SEEDS = (0, 1, 2**63 + 7, 2**64 - 1)
+
+
+def one_call(seed, draw, trials, nsteps):
+    """The whole ensemble as one draw from the seed's stream, one trajectory per row."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    return getattr(gen, draw)(trials * nsteps).reshape(trials, nsteps)
+
+
 class TestRngSpec:
     def test_streams_reproducible(self):
-        a = RngSpec(42).stream(7).standard_normal(16)
-        b = RngSpec(42).stream(7).standard_normal(16)
+        a = RngSpec(42).stream(7, 16).random(16)
+        b = RngSpec(42).stream(7, 16).random(16)
         assert np.array_equal(a, b)
 
     def test_streams_independent(self):
-        a = RngSpec(42).stream(0).standard_normal(16)
-        b = RngSpec(42).stream(1).standard_normal(16)
-        c = RngSpec(43).stream(0).standard_normal(16)
+        a = RngSpec(42).stream(0, 16).random(16)
+        b = RngSpec(42).stream(1, 16).random(16)
+        c = RngSpec(43).stream(0, 16).random(16)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("value", [-1, 2**64])
-    def test_seed_or_index_outside_64_bits_raises(self, value):
-        # masked to 64 bits, 2^64 would seed as 0 and -1 as 2^64 - 1
+    def test_seed_index_or_steps_outside_64_bits_raises(self, value):
+        # masked to 64 bits, 2^64 would seed as 0 and -1 as 2^64 - 1; a
+        # negative advance would step the stream backwards
         with pytest.raises(ValueError, match="outside"):
             RngSpec(value)
         with pytest.raises(ValueError, match="outside"):
-            RngSpec(5).stream(value)
+            RngSpec(5).stream(value, 8)
+        with pytest.raises(ValueError, match="outside"):
+            RngSpec(5).stream(0, value)
 
     def test_largest_seed_and_index_draw(self):
         top = 2**64 - 1
         assert RngSpec(top).seed == top
-        draws = RngSpec(top).stream(top).standard_normal(4)
-        assert np.array_equal(draws, oracle(top, top).standard_normal(4))
+        first = RngSpec(top).stream(0, 4).random(4)
+        assert np.array_equal(first, one_call(top, "random", 1, 4)[0])
+        # the advance top * top wraps past 2^64 and stays exact modulo 2^128
+        far = RngSpec(top).stream(top, top).bit_generator
+        near = np.random.PCG64(top).advance(top).advance(top * (top - 1))
+        assert far.state == near.state
 
 
-MASK64 = (1 << 64) - 1
-GOLDEN64 = 0x9E3779B97F4A7C15
-SEEDS = (0, 1, 2**63 + 7, 2**64 - 1)
+def trial_counts(nsteps):
+    """1, a block less one, one block, a block and one, and 20 001 trajectories,
+    each while the whole ensemble fits 2^23 values (64 MB)."""
+    height = decoherence._block_rows(nsteps)
+    counts = {1, height - 1, height, height + 1, 20_001}
+    return sorted(n for n in counts if n * nsteps <= 2**23)
 
 
-def splitmix64(x):
-    x = (x + GOLDEN64) & MASK64
-    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
-def unsplitmix64(z):
-    """Inverse of splitmix64: the input that produces output z."""
-    def unxorshift(y, s):
-        x = y
-        for _ in range(64 // s + 1):
-            x = y ^ (x >> s)
-        return x
-    z = unxorshift(z, 31)
-    z = unxorshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64, 27)
-    z = unxorshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64, 30)
-    return (z - GOLDEN64) & MASK64
-
-
-def oracle(seed, i):
-    """The documented stream, built the slow way: one SeedSequence per key."""
-    return np.random.Generator(np.random.PCG64(splitmix64((seed ^ (i * GOLDEN64)) & MASK64)))
-
-
-def state_words(state):
-    """A ``bit_generator.state`` dict as (state_lo, state_hi, inc_lo, inc_hi)."""
-    pair = state["state"]
-    return [pair["state"] & MASK64, pair["state"] >> 64, pair["inc"] & MASK64, pair["inc"] >> 64]
-
-
-def limbs(x):
-    """(lo, hi) uint64 limbs of a 128-bit int."""
-    return np.array([x & MASK64], dtype=np.uint64), np.array([x >> 64], dtype=np.uint64)
-
-
-U128 = st.integers(0, 2**128 - 1)
-ALL_ONES = 2**128 - 1
-
-
-class TestStreamDerivation:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_bulk_states_match_numpy_seeding(self, seed):
-        indices = np.array([0, 1, 2, 255, 65_537, 2**32 + 3, 2**63, 2**64 - 1], dtype=np.uint64)
-        states = decoherence._pcg64_states(seed, indices)
-        assert states.shape == (len(indices), 4) and states.dtype == np.uint64
-        for i, words in zip(indices.tolist(), states.tolist()):
-            assert words == state_words(oracle(seed, i).bit_generator.state)
-
-    @pytest.mark.parametrize("key", [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1])
-    def test_keys_on_both_sides_of_two_to_the_32(self, key):
-        # numpy hashes a key below 2^32 as one 32-bit word, above as two
-        seed = unsplitmix64(key)
-        assert splitmix64(seed) == key
-        expected = np.random.PCG64(key).state
-        words = decoherence._pcg64_states(seed, np.zeros(1, dtype=np.uint64))
-        assert words.tolist() == [state_words(expected)]
-        assert RngSpec(seed).stream(0).bit_generator.state == expected
-
-    @given(U128, U128, U128)
-    @example(ALL_ONES, ALL_ONES, ALL_ONES)
-    @example(2**32 - 1, 2**32 + 1, 0)  # x_lo * m_lo carries across 2^32 and 2^64
-    @example(2**64 - 1, 2**64 - 1, 1)
-    @example(2**64 - 1, 1, 2**64 - 1)  # the low limbs of the add carry into the high
-    @example(ALL_ONES, 2**64 - 1, 2**64)
-    def test_limb_multiply_add_is_mod_two_to_the_128(self, x, m, c):
-        lo, hi = decoherence._muladd128(limbs(x), limbs(m), limbs(c))
-        assert (int(hi[0]) << 64 | int(lo[0])) == (x * m + c) % 2**128
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_words_written_through_the_view_read_back_as_numpy_state(self, seed):
-        bitgen = np.random.PCG64(0)
-        view, order = decoherence._state_view(bitgen)
-        indices = np.array([0, 3, 2**32 + 3, 2**64 - 1], dtype=np.uint64)
-        for i, words in zip(indices.tolist(), decoherence._pcg64_states(seed, indices)[:, order]):
-            view[:] = words
-            assert bitgen.state == oracle(seed, i).bit_generator.state
-
-    def test_a_layout_without_the_probe_words_raises(self):
-        class Shifted(np.random.PCG64):
-            """Sets every state one past the one asked for."""
-
-            @property
-            def state(self):
-                return np.random.PCG64.state.__get__(self)
-
-            @state.setter
-            def state(self, value):
-                pair = {**value["state"], "state": value["state"]["state"] + 1}
-                shifted = {**value, "bit_generator": "Shifted", "state": pair}
-                np.random.PCG64.state.__set__(self, shifted)
-
-        with pytest.raises(RuntimeError, match="words not found") as raised:
-            decoherence._state_view(Shifted(0))
-        assert np.__version__ in str(raised.value)
-
+class TestEnsembleStream:
     @pytest.mark.parametrize("draw", ["integers", "standard_exponential", "bytes"])
     def test_unsupported_draw_raises(self, draw):
         with pytest.raises(ValueError, match=draw):
             next(RngSpec(1)._blocks(4, 8, draw))
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_stream_matches_oracle(self, seed):
-        for i in (0, 1, 4095, 2**40 + 1):
-            assert np.array_equal(
-                RngSpec(seed).stream(i).standard_normal(64), oracle(seed, i).standard_normal(64)
-            )
-
+    @pytest.mark.parametrize("nsteps", [1, 2, 400, 2**17 + 1])
     @pytest.mark.parametrize("draw", ["random", "standard_normal"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_blocks_cover_every_trajectory_in_order(self, seed, draw):
-        nsteps = 2**17 // 5 + 1  # four rows per block
-        block = max(1, 2**17 // nsteps)
-        assert block == 4
-        for trials in (1, block - 1, block, block + 1):
+    def test_blocks_are_one_draw_of_the_whole_ensemble(self, seed, draw, nsteps):
+        height = decoherence._block_rows(nsteps)
+        for trials in trial_counts(nsteps):
+            expected = one_call(seed, draw, trials, nsteps)
             seen = 0
             for start, rows in RngSpec(seed)._blocks(trials, nsteps, draw):
-                assert start == seen and rows.shape[1] == nsteps
-                for r, row in enumerate(rows):
-                    assert np.array_equal(row, getattr(oracle(seed, start + r), draw)(nsteps))
+                assert start == seen and rows.shape == (min(height, trials - start), nsteps)
+                assert np.array_equal(rows, expected[start:start + len(rows)])
                 seen += len(rows)
             assert seen == trials
 
+    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
+    @pytest.mark.parametrize("seed", SEEDS[::3])
+    def test_fewer_trials_read_a_prefix(self, seed, draw):
+        def stacked(trials):
+            blocks = RngSpec(seed)._blocks(trials, 300, draw)
+            return np.concatenate([rows.copy() for _, rows in blocks])
+
+        full = stacked(1000)
+        for trials in (1, 436, 437, 999):
+            assert np.array_equal(stacked(trials), full[:trials])
+
+    @pytest.mark.parametrize("nsteps", [1, 400, 2**17 + 1])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stream_is_its_row_of_the_random_ensemble(self, seed, nsteps):
+        trials = 2 * decoherence._block_rows(nsteps) + 3  # two full blocks and a partial one
+        indices = sorted({0, 1, trials // 2, trials - 1})
+        blocks = RngSpec(seed)._blocks(trials, nsteps, "random")
+        rows = {start + r: row.copy() for start, block in blocks
+                for r, row in enumerate(block) if start + r in indices}
+        for i in indices:
+            assert np.array_equal(RngSpec(seed).stream(i, nsteps).random(nsteps), rows[i])
+
 
 def reference_t1_estimate(t1, times, dt, trials, seed):
-    """The per-trajectory T1 Monte-Carlo loop, one fresh stream per trajectory."""
+    """The per-trajectory T1 Monte-Carlo loop, one advanced stream per trajectory."""
     nsteps = int(np.ceil(times.max() / dt))
     p_step = 1.0 - np.exp(-dt / t1)
     decay_times = np.empty(trials)
     for i in range(trials):
-        hits = oracle(seed, i).random(nsteps) < p_step
+        hits = RngSpec(seed).stream(i, nsteps).random(nsteps) < p_step
         decay_times[i] = (int(np.argmax(hits)) + 1) * dt if hits.any() else np.inf
     return (decay_times[None, :] > times[:, None]).mean(axis=1)
 
@@ -202,7 +138,7 @@ def reference_decay_limited(t1, delta, dt, horizon, trials, seed):
         a[k], b[k] = ak, bk
     jump_counts = np.zeros(nsteps, dtype=np.int64)
     for i in range(trials):
-        hits = oracle(seed, i).random(nsteps) < hazard
+        hits = RngSpec(seed).stream(i, nsteps).random(nsteps) < hazard
         if hits.any():
             jump_counts[int(np.argmax(hits))] += 1
     frac_alive = (trials - np.cumsum(jump_counts)) / trials
@@ -211,18 +147,18 @@ def reference_decay_limited(t1, delta, dt, horizon, trials, seed):
 
 
 def reference_ramsey(delta0, sigma, dt, horizon, trials, seed):
-    """Per-trajectory noisy-fringe loop of ramsey_ensemble: p_plus."""
+    """Per-trajectory noisy-fringe loop of ramsey_ensemble over one draw of all kicks: p_plus."""
     nsteps = int(np.round(horizon / dt))
     times = np.arange(1, nsteps + 1) * dt
     acc = np.zeros(nsteps)
-    for i in range(trials):
-        kicks = oracle(seed, i).standard_normal(nsteps) * (sigma * np.sqrt(dt))
+    for normals in one_call(seed, "standard_normal", trials, nsteps):
+        kicks = normals * (sigma * np.sqrt(dt))
         acc += np.cos(delta0 * times + np.cumsum(kicks))
     return 0.5 * (1.0 + acc / trials)
 
 
-class TestBlockedLoopsMatchPerTrajectoryLoops:
-    """Blocked ensembles equal the per-trajectory loops bit for bit."""
+class TestEnsemblesMatchPerTrajectoryLoops:
+    """The blocked ensembles equal the per-trajectory loops bit for bit."""
 
     @pytest.mark.parametrize(
         "hazard",
@@ -235,7 +171,7 @@ class TestBlockedLoopsMatchPerTrajectoryLoops:
         trials = 2 * (2**17 // nsteps) + 5  # two full blocks and a partial one
         expected = np.zeros(nsteps, dtype=np.int64)
         for i in range(trials):
-            hits = RngSpec(seed).stream(i).random(nsteps) < hazard
+            hits = RngSpec(seed).stream(i, nsteps).random(nsteps) < hazard
             if hits.any():
                 expected[int(np.argmax(hits))] += 1
         counts = decoherence._first_jumps(RngSpec(seed), trials, nsteps, hazard)
@@ -263,6 +199,21 @@ class TestBlockedLoopsMatchPerTrajectoryLoops:
         out = ramsey_ensemble(5.0, NoiseModel(sigma), dt, horizon, trials, RngSpec(2**63 + 7))
         expected = reference_ramsey(5.0, sigma, dt, horizon, trials, 2**63 + 7)
         assert np.array_equal(out["p_plus"], expected)
+
+
+class TestRamseyEnsembleStatistics:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_p_plus_within_five_standard_errors_of_the_exact_mean(self, seed):
+        # phi(t_k) = delta t_k + a sum of k Gaussian kicks of variance sigma^2 dt,
+        # so <cos phi> = exp(-sigma^2 t / 2) cos(delta t) exactly at each t_k
+        delta, sigma2, trials = 5.0, 0.5, 4000
+        out = ramsey_ensemble(delta, NoiseModel(np.sqrt(sigma2)), 0.02, 4.0, trials,
+                              RngSpec(seed))
+        t = out["times"]
+        mean = np.exp(-sigma2 * t / 2) * np.cos(delta * t)
+        second = (1 + np.exp(-2 * sigma2 * t) * np.cos(2 * delta * t)) / 2  # <cos^2 phi>
+        stderr = np.sqrt((second - mean**2) / trials) / 2
+        assert np.all(np.abs(out["p_plus"] - (1 + mean) / 2) < 5 * stderr)
 
 
 class TestT1Curves:
