@@ -212,9 +212,10 @@ def ramsey_ensemble(
             kicks *= kick_scale
             np.cumsum(kicks, axis=1, out=kicks)
             kicks += base_phase
-            # Row by row in trajectory order: a summed block would round differently.
-            for row in np.cos(kicks, out=kicks):
-                acc += row
+            np.cos(kicks, out=kicks)
+            # An axis-0 reduce adds the rows in trajectory order, as a row loop does.
+            kicks[0] += acc
+            np.add.reduce(kicks, axis=0, out=acc)
         p_plus = 0.5 * (1.0 + acc / trials)
         fitted_t2 = fit_exponential_envelope(times, p_plus, delta0)
     return {

@@ -200,6 +200,22 @@ class TestEnsemblesMatchPerTrajectoryLoops:
         expected = reference_ramsey(5.0, sigma, dt, horizon, trials, 2**63 + 7)
         assert np.array_equal(out["p_plus"], expected)
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(1, 1), (1, 400), (2, 3), (3, 1), (7, 5), (327, 400), (1000, 131), (4, 2**17 + 1)],
+    )
+    def test_block_reduce_adds_rows_as_the_row_loop_does(self, rows, cols):
+        # the reduce ramsey_ensemble runs per block, against adding row by row
+        gen = np.random.default_rng(rows * cols)
+        acc = gen.standard_normal(cols) * 100.0
+        block = np.cos(gen.standard_normal((rows, cols)) * 50.0)
+        expected = acc.copy()
+        for row in block:
+            expected += row
+        block[0] += acc
+        np.add.reduce(block, axis=0, out=acc)
+        assert np.array_equal(acc.view(np.uint64), expected.view(np.uint64))
+
 
 class TestRamseyEnsembleStatistics:
     @pytest.mark.parametrize("seed", SEEDS)
