@@ -104,7 +104,8 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
     FMA), complex-by-real division (a reciprocal multiply differs in signs of
     zero), and each row's norm from stacked dots of its real and imaginary parts,
     as `np.linalg.norm` does.  The first alpha whose adequacy bound is over
-    ``dim``, or not finite, raises through `_check_adequate`, as it always has.
+    ``dim``, or not finite, raises through `_check_adequate`, as it always has;
+    an alpha whose c_0 underflows to 0 raises before the recursion runs.
     """
     values = np.asarray(alphas, dtype=np.complex128)
     with np.errstate(over="ignore"):
@@ -116,6 +117,10 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
         _check_adequate(alphas[bad[0]], dim)
     amps = np.empty((len(values), dim), dtype=np.complex128)
     amps[:, 0] = np.exp(-0.5 * np.float_power(a, 2.0))
+    bad = np.flatnonzero(amps[:, 0] == 0.0)
+    if bad.size:
+        raise TruncationTooSmall(
+            f"c_0 = exp(-|alpha|^2 / 2) underflows to 0 for |alpha|={a[bad[0]]:.6g}")
     for n in range(dim - 1):
         amps[:, n + 1] = _product(values, amps[:, n]) / np.sqrt(n + 1.0)
     nrm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
@@ -133,8 +138,9 @@ def coherent_ket(alpha: complex, basis: FockBasis) -> Ket:
 
     Amplitudes follow the recursion c_{n+1} = alpha c_n / sqrt(n+1) from
     c_0 = exp(-|alpha|^2 / 2), which avoids factorials entirely.  Requires
-    ``basis.dim >= |alpha|^2 + 10 |alpha| + 10`` and a pre-renormalization
-    norm deficit below 1e-8; both failures raise TruncationTooSmall.
+    ``basis.dim >= |alpha|^2 + 10 |alpha| + 10``, a c_0 that does not
+    underflow to 0 (|alpha| below about 38.6) and a pre-renormalization norm
+    deficit below 1e-8; each failure raises TruncationTooSmall.
     """
     return Ket(_coherent_rows([alpha], basis.dim)[0])
 

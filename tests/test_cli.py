@@ -167,6 +167,16 @@ class TestExitCodes:
         assert not out.exists()
         assert "TruncationTooSmall" in capsys.readouterr().err
 
+    def test_coherent_names_the_underflow_of_c0(self, tmp_path, capsys):
+        # |alpha| = 39 passes the adequacy bound at 2200 levels, but
+        # c_0 = exp(-760.5) is 0: the truncation is not what failed
+        code, out = run(tmp_path, "coherent", "--alpha-re", "39", "--dim", "2200")
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: TruncationTooSmall: c_0 = exp(-|alpha|^2 / 2) underflows to 0"
+            " for |alpha|=39\n")
+
     @pytest.mark.parametrize("ratios,moved", [("1,60", "3.765e-06"), ("60,1", "8.353e-02")])
     def test_transmon_reports_first_failing_ratio(self, tmp_path, capsys, ratios, moved):
         # both ratios fail the doubled-ncut check; the message names the first

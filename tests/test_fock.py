@@ -182,10 +182,10 @@ class TestCoherentEvolution:
         with pytest.raises(TruncationTooSmall, match="adequacy bound 50"):
             coherent_evolution(3.0, 1.0, np.linspace(0.0, 2 * np.pi, 61), FockBasis(49))
 
-    def test_every_alpha_is_checked_for_norm_deficit(self):
+    def test_every_alpha_is_checked_for_underflow(self):
         # |alpha| = 39 passes the adequacy rule at dim 1921, but c_0 =
-        # exp(-760.5) underflows to 0 and leaves an all-zero row
-        with pytest.raises(TruncationTooSmall, match="norm deficit 1.000e"):
+        # exp(-760.5) underflows to 0 and would leave an all-zero row
+        with pytest.raises(TruncationTooSmall, match=r"underflows to 0 for \|alpha\|=39$"):
             _coherent_rows([1.0, 39.0], 1921)
 
     def test_wide_alpha_range_matches_scalar_recursion_bit_for_bit(self):
