@@ -22,20 +22,33 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
+def _imports(path: Path):
+    """(line, top-level module) of each absolute import in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
 def test_imports_are_numpy_and_stdlib_only():
     # The package promises to need numpy alone.
-    foreign = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                roots = [alias.name.split(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                roots = [node.module.split(".")[0]]
-            else:
-                continue
-            foreign += [f"{path.name}:{node.lineno} {root}" for root in roots
-                        if root != "numpy" and root not in sys.stdlib_module_names]
+    foreign = [f"{path.name}:{line} {root}" for path in sorted(SRC.glob("*.py"))
+               for line, root in _imports(path)
+               if root != "numpy" and root not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_no_module_reaches_memory_through_ctypes():
+    # A pointer write into a numpy object's memory bypasses numpy's checks
+    # and depends on its private layout; numpy's ``.ctypes`` and ``ctypeslib``
+    # are the same door.
+    found = [f"{path.name}:{line} ctypes" for path in sorted(SRC.glob("*.py"))
+             for line, root in _imports(path) if root == "ctypes"]
+    found += [f"{path.name}:{node.lineno} .{node.attr}" for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and node.attr in ("ctypes", "ctypeslib")]
+    assert found == []
 
 
 def test_no_source_line_over_99_characters():
