@@ -76,8 +76,8 @@ class RngSpec:
     def stream(self, trajectory: int, nsteps: int) -> np.random.Generator:
         """Trajectory ``trajectory``'s ``random`` draws in an ensemble of ``nsteps`` steps.
 
-        The stream advanced past the ``trajectory * nsteps`` outputs of the
-        rows before it.  ``random`` takes one output per value, so
+        It is the ensemble's stream advanced past the ``trajectory * nsteps``
+        outputs of the rows before it.  ``random`` takes one output per value, so
         ``stream(i, nsteps).random(nsteps)`` is row i of the ``random``
         ensemble; ``standard_normal`` takes a varying number, so its rows
         past the first have no stream of their own.
@@ -89,11 +89,11 @@ class RngSpec:
     def _blocks(self, trials: int, nsteps: int, draw: str):
         """Yield ``(start, block)`` covering trajectories 0 .. trials-1.
 
-        Stacked in order, the blocks are ``Generator(PCG64(seed)).<draw>(trials
-        * nsteps)`` reshaped to (trials, nsteps): row r of ``block`` is trajectory
-        start + r.  Each block is one ``<draw>(out=block)`` call.  Blocks hold
-        `_block_rows` rows and share one buffer, so each is overwritten by the
-        next.  ``draw`` is ``random`` or ``standard_normal``.
+        Row r of ``block`` is trajectory start + r.  Stacked in order, the
+        blocks equal one ``Generator(PCG64(seed)).<draw>(trials * nsteps)``
+        reshaped to (trials, nsteps); each is one ``<draw>(out=block)`` call.
+        Blocks hold `_block_rows` rows and share one buffer, so each is
+        overwritten by the next.  ``draw`` is ``random`` or ``standard_normal``.
         """
         if draw not in ("random", "standard_normal"):
             raise ValueError(f"unsupported draw {draw!r}")

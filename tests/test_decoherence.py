@@ -63,8 +63,8 @@ class TestRngSpec:
 
 
 def trial_counts(nsteps):
-    """1, a block less one, one block, a block and one, and 20 001 trajectories,
-    each while the whole ensemble fits 2^23 values (64 MB)."""
+    """1, a block less one, a block, a block and one, and 20 001 trials, as far
+    as the whole ensemble fits in 2^23 values (64 MB)."""
     height = decoherence._block_rows(nsteps)
     counts = {1, height - 1, height, height + 1, 20_001}
     return sorted(n for n in counts if n * nsteps <= 2**23)
