@@ -4,8 +4,10 @@ Monte-Carlo experiments here are stochastic but exactly reproducible: an
 ensemble of trajectories of nsteps steps each draws from one PCG64 stream
 seeded by a 64-bit master seed (`RngSpec`), trajectory i reading the i-th
 run of nsteps values, and trajectories are reduced in index order, so fixed
-(seed, trials) gives bit-identical output.  The ensemble loops fill one
-reused block of trajectories, about 1 MB, with one numpy call at a time.
+(seed, trials) gives bit-identical output.  The ensemble loops read blocks
+of trajectories, about 1 MB each, from two alternating buffers: a helper
+thread fills the next block with one numpy call while the caller reduces the
+current one, and a block stays valid until the caller asks for the next.
 
 Mixed states never appear as density matrices in this module: ensembles are
 weighted lists of pure states, which is all the experiments below need.
@@ -19,6 +21,7 @@ read out as p_plus, the probability of finding |+>.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,18 +95,57 @@ class RngSpec:
         Row r of ``block`` is trajectory start + r.  Stacked in order, the
         blocks equal one ``Generator(PCG64(seed)).<draw>(trials * nsteps)``
         reshaped to (trials, nsteps); each is one ``<draw>(out=block)`` call.
-        Blocks hold `_block_rows` rows and share one buffer, so each is
-        overwritten by the next.  ``draw`` is ``random`` or ``standard_normal``.
+        Blocks hold `_block_rows` rows and alternate between two buffers (one
+        when there is one block): a yielded block is valid until the next one
+        is requested.  One helper thread makes every fill, in order, into the
+        buffer the caller does not hold, so block k+1 is drawn while the caller
+        works on block k.  The helper is joined before this generator finishes,
+        is closed or passes on an exception, and a fill's exception is raised
+        here.  ``draw`` is ``random`` or ``standard_normal``.
         """
         if draw not in ("random", "standard_normal"):
             raise ValueError(f"unsupported draw {draw!r}")
         fill = getattr(np.random.Generator(np.random.PCG64(self.seed)), draw)
         height = _block_rows(nsteps)
-        buf = np.empty((min(height, trials), nsteps))
-        for start in range(0, trials, height):
-            block = buf[: min(height, trials - start)]
-            fill(out=block)
-            yield start, block
+        starts = range(0, trials, height)
+        bufs = [np.empty((min(height, trials - start), nsteps)) for start in starts[:2]]
+
+        def block(k):
+            return bufs[k % 2][: min(height, trials - starts[k])]
+
+        # free: buffers the helper may fill; filled: blocks whose outcome (None
+        # or the fill's exception) is in outcomes, in block order.
+        free, filled = threading.Semaphore(len(bufs)), threading.Semaphore(0)
+        stop, outcomes = threading.Event(), []
+
+        def fill_ahead():
+            for k in range(len(starts)):
+                free.acquire()
+                if stop.is_set():
+                    return
+                try:
+                    fill(out=block(k))
+                    outcomes.append(None)
+                except BaseException as exc:  # handed over: the caller raises it
+                    outcomes.append(exc)
+                    return
+                finally:
+                    filled.release()
+
+        # A daemon, so a generator never closed does not hold up interpreter exit.
+        helper = threading.Thread(target=fill_ahead, name="cqed-fill", daemon=True)
+        helper.start()
+        try:
+            for k, start in enumerate(starts):
+                filled.acquire()
+                if outcomes[k] is not None:
+                    raise outcomes[k]
+                yield start, block(k)
+                free.release()
+        finally:
+            stop.set()
+            free.release()
+            helper.join()
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,6 +119,119 @@ class TestEnsembleStream:
                 for r, row in enumerate(block) if start + r in indices}
         for i in indices:
             assert np.array_equal(RngSpec(seed).stream(i, nsteps).random(nsteps), rows[i])
+
+
+class FailingGenerator:
+    """Stands in for ``np.random.Generator``: ``fail_at`` fills of zeros, then one that raises."""
+
+    fail_at = 1
+
+    def __init__(self, bit_generator):
+        self.calls = 0
+
+    def random(self, out):
+        self.calls += 1
+        if self.calls > self.fail_at:
+            raise FloatingPointError(f"fill {self.calls} failed")
+        out[...] = 0.0
+
+    standard_normal = random
+
+
+class TestFillAhead:
+    """`_blocks` fills the next block on a helper thread while the caller holds one."""
+
+    def test_helper_is_joined_after_a_full_pass(self):
+        before = threading.active_count()
+        for _ in RngSpec(3)._blocks(2000, 400, "standard_normal"):
+            pass
+        assert threading.active_count() == before
+
+    def test_helper_is_joined_when_the_caller_closes_after_one_block(self):
+        before = threading.active_count()
+        blocks = RngSpec(3)._blocks(2000, 400, "random")
+        next(blocks)
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_helper_is_joined_when_the_caller_raises_mid_loop(self):
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            for start, _ in RngSpec(3)._blocks(2000, 400, "random"):
+                if start:
+                    raise KeyError(start)
+        assert threading.active_count() == before
+
+    def test_a_generator_left_open_does_not_hold_up_interpreter_exit(self):
+        # the helper waits for a buffer that is never released
+        code = ("from cqed.decoherence import RngSpec\n"
+                "blocks = RngSpec(1)._blocks(2000, 400, 'random')\n"
+                "next(blocks)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(decoherence.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert proc.returncode == 0
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 3])
+    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
+    def test_a_failing_fill_raises_its_own_type_in_the_caller(self, monkeypatch, draw, fail_at):
+        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+        monkeypatch.setattr(FailingGenerator, "fail_at", fail_at)
+        before = threading.active_count()
+        seen = []
+        with pytest.raises(FloatingPointError, match=f"fill {fail_at + 1} failed"):
+            for start, _ in RngSpec(3)._blocks(2000, 400, draw):
+                seen.append(start)
+        # every block filled before the failure reaches the caller, in order
+        assert seen == [327 * k for k in range(fail_at)]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
+    def test_a_held_block_stays_put_while_the_helper_runs_ahead(self, draw):
+        trials, nsteps = 3 * 327 + 5, 400  # three full blocks and a partial one
+        expected = one_call(5, draw, trials, nsteps)
+        for start, rows in RngSpec(5)._blocks(trials, nsteps, draw):
+            held = rows.copy()
+            time.sleep(0.03)  # long enough for the helper to fill the next block
+            assert np.array_equal(rows, held)
+            assert np.array_equal(rows, expected[start:start + len(rows)])
+
+    def test_ensembles_on_more_threads_than_cores_each_read_their_own_draws(self):
+        # eight callers and their eight helpers, switching as often as they can
+        trials, seeds = 5 * 327 + 5, range(8)
+        seen = {}
+
+        def stack(seed):
+            blocks = RngSpec(seed)._blocks(trials, 400, "standard_normal")
+            seen[seed] = np.concatenate([rows.copy() for _, rows in blocks])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=stack, args=(seed,)) for seed in seeds]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            assert np.array_equal(seen[seed], one_call(seed, "standard_normal", trials, 400))
+
+    @pytest.mark.parametrize("trials, buffers", [(327, 1), (328, 2), (3 * 327, 2)])
+    def test_a_second_buffer_only_for_a_second_block(self, trials, buffers):
+        # 327 rows of 400 steps make one block; the buffers are the run's only
+        # arrays (the helper thread adds a few kB), and the second holds as
+        # many rows as its first block
+        tracemalloc.start()
+        try:
+            for _ in RngSpec(3)._blocks(trials, 400, "random"):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = 8 * 400 * (327 + min(327, trials - 327) * (buffers - 1))
+        assert size <= peak < size + 2**16
 
 
 def reference_t1_estimate(t1, times, dt, trials, seed):
