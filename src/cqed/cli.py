@@ -7,10 +7,11 @@ name, a default that gives its type, and an optional bound (``> x`` or
 ``>= x``) or list of choices.  The parser, the ``params`` metadata and
 every flag check come from that table: a number flag must be finite as a
 float (an int past float range is not), and a flag must lie within its
-bound.  Three budgets are checked from the size terms before any array
+bound.  Four budgets are checked from the size terms before any array
 exists: no array over 2^23 float64 values (64 MiB), no run over 2^30
-random draws, and no ``transmon`` run over 2^19 iterations of the Sturm
-bisection's Python loop over charges.
+random draws, no ``transmon`` run over 2^19 iterations of the Sturm
+bisection's Python loop over charges, and no ``tunnel-ode`` run over
+2^21 - 1 RK4 steps.
 
 CSV files start with ``# key=value`` metadata lines (command, parameters,
 seed, version), then a header row; floats carry 12 significant digits.
@@ -397,8 +398,9 @@ class _Command:
     """One subcommand.  A flag is ``(name, default)``, ``(name, default, bound)``
     with a bound ``"> x"`` or ``">= x"``, or ``(name, default, choices)``.
     ``size`` counts the float64 values of the largest array (or list of
-    arrays) the command holds at once, ``draws`` its random draws and
-    ``loops`` the iterations of its bisections' Python loop.
+    arrays) the command holds at once, ``draws`` its random draws, ``loops``
+    the iterations of its bisections' Python loop and ``steps`` the steps of
+    its RK4 integration.
     """
 
     run: Callable
@@ -407,6 +409,7 @@ class _Command:
     size: Callable = lambda args: 0
     draws: Callable = lambda args: 0
     loops: Callable = lambda args: 0
+    steps: Callable = lambda args: 0
 
 
 #: Halvings of one Sturm bisection, at most: the Gershgorin bracket (about
@@ -511,18 +514,19 @@ _COMMANDS = {
         (("n1", 1.0e6), ("n2", 1.0e6), ("theta1", 0.0), ("theta2", 0.7),
          ("e-coupling", 1.0e-6), ("dt", 1.0e-3, "> 0"), ("steps", 10000, ">= 1"),
          ("max-rows", 501, ">= 2")),
-        # the (rows, 6) table; the RK4 keeps only those rows, so 4 (steps + 1),
-        # the size its full trajectory had, now bounds the steps (2^21 at most,
-        # about 6.5 s) and keeps every exit code as it was
-        size=lambda a: max(4 * (a.steps + 1), 6 * min(a.max_rows, a.steps + 1)),
+        # the (rows, 6) table: the RK4 keeps only those rows
+        size=lambda a: 6 * min(a.max_rows, a.steps + 1),
+        steps=lambda a: a.steps,
     ),
 }
 
-#: Float64 values one array may hold (64 MiB), random draws one run may make, and
-#: bisection loop iterations one run may take (a row of a pass: 6-9 us, 2-vCPU Xeon).
+#: Float64 values one array may hold (64 MiB), random draws one run may make,
+#: bisection loop iterations one run may take (a row of a pass: 6-9 us, 2-vCPU Xeon)
+#: and RK4 steps one run may take (about 3 us each, so about 6.5 s in all).
 _MAX_VALUES = 2**23
 _MAX_DRAWS = 2**30
 _MAX_LOOPS = 2**19
+_MAX_STEPS = 2**21 - 1
 _BOUNDS = {">": operator.gt, ">=": operator.ge}
 
 
@@ -548,7 +552,8 @@ def _check(args, spec: _Command) -> None:
                 raise ValueError(f"{flag} must be {rule}")
     for amount, limit, what in ((spec.size(args), _MAX_VALUES, "float64 values in one array"),
                                 (spec.draws(args), _MAX_DRAWS, "random draws"),
-                                (spec.loops(args), _MAX_LOOPS, "bisection loop iterations")):
+                                (spec.loops(args), _MAX_LOOPS, "bisection loop iterations"),
+                                (spec.steps(args), _MAX_STEPS, "RK4 steps")):
         if amount > limit:
             raise ValueError(f"{amount:.3g} {what} exceed the budget of {limit}")
 

@@ -105,7 +105,8 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
     zero), and each row's norm from stacked dots of its real and imaginary parts,
     as `np.linalg.norm` does.  The first alpha whose adequacy bound is over
     ``dim``, or not finite, raises through `_check_adequate`, as it always has;
-    an alpha whose c_0 underflows to 0 raises before the recursion runs.
+    an alpha whose c_0 is subnormal or 0 (|alpha| over about 37.64) raises
+    before the recursion runs, and so does a norm that misses 1 either way.
     """
     values = np.asarray(alphas, dtype=np.complex128)
     with np.errstate(over="ignore"):
@@ -115,17 +116,23 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
     bad = np.flatnonzero(~(bound <= dim))
     if bad.size:
         _check_adequate(alphas[bad[0]], dim)
-    amps = np.empty((len(values), dim), dtype=np.complex128)
-    amps[:, 0] = np.exp(-0.5 * np.float_power(a, 2.0))
-    bad = np.flatnonzero(amps[:, 0] == 0.0)
+    c0 = np.exp(-0.5 * np.float_power(a, 2.0))
+    # A subnormal c_0 keeps too few significant bits for the norm check to mean anything.
+    bad = np.flatnonzero(c0 < np.finfo(np.float64).tiny)
     if bad.size:
+        k = bad[0]
+        if c0[k] == 0.0:
+            raise TruncationTooSmall(
+                f"c_0 = exp(-|alpha|^2 / 2) underflows to 0 for |alpha|={a[k]:.6g}")
         raise TruncationTooSmall(
-            f"c_0 = exp(-|alpha|^2 / 2) underflows to 0 for |alpha|={a[bad[0]]:.6g}")
+            f"c_0 = exp(-|alpha|^2 / 2) = {c0[k]:.3e} is subnormal for |alpha|={a[k]:.6g}")
+    amps = np.empty((len(values), dim), dtype=np.complex128)
+    amps[:, 0] = c0
     for n in range(dim - 1):
         amps[:, n + 1] = _product(values, amps[:, n]) / np.sqrt(n + 1.0)
     nrm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
     deficit = 1.0 - nrm * nrm
-    bad = np.flatnonzero(deficit > _RESIDUAL_TOL)
+    bad = np.flatnonzero(np.abs(deficit) > _RESIDUAL_TOL)
     if bad.size:
         worst = deficit[bad[0]]
         raise TruncationTooSmall(f"truncated norm deficit {worst:.3e} exceeds {_RESIDUAL_TOL}")
@@ -138,9 +145,10 @@ def coherent_ket(alpha: complex, basis: FockBasis) -> Ket:
 
     Amplitudes follow the recursion c_{n+1} = alpha c_n / sqrt(n+1) from
     c_0 = exp(-|alpha|^2 / 2), which avoids factorials entirely.  Requires
-    ``basis.dim >= |alpha|^2 + 10 |alpha| + 10``, a c_0 that does not
-    underflow to 0 (|alpha| below about 38.6) and a pre-renormalization norm
-    deficit below 1e-8; each failure raises TruncationTooSmall.
+    ``basis.dim >= |alpha|^2 + 10 |alpha| + 10``, a c_0 that is a normal
+    float64, at least 2^-1022 (|alpha| up to about 37.64), and a
+    pre-renormalization norm within 1e-8 of 1 either way; each failure raises
+    TruncationTooSmall.
     """
     return Ket(_coherent_rows([alpha], basis.dim)[0])
 

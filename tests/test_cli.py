@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -176,6 +177,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: TruncationTooSmall: c_0 = exp(-|alpha|^2 / 2) underflows to 0"
             " for |alpha|=39\n")
+
+    def test_coherent_near_the_c0_limit_passes_its_norm_check_or_names_c0(
+        self, tmp_path, capsys
+    ):
+        # Past |alpha| = 37.64, c_0 = exp(-|alpha|^2 / 2) is subnormal: 38.2
+        # used to fail as a norm deficit of 1.583e-07 and 38.4-38.6 to pass
+        # with a norm over 1.  The scalar recursion gives each deficit.
+        alphas = np.arange(360, 390) / 10.0
+        c = np.exp(-0.5 * alphas**2)
+        norm2 = c * c
+        for n in range(2199):
+            c = c * alphas / np.sqrt(n + 1.0)
+            norm2 += c * c
+        outcomes = []
+        for alpha, deficit in zip(alphas, 1.0 - norm2):
+            code, out = run(tmp_path, "coherent", "--alpha-re", str(alpha), "--dim", "2200",
+                            "--steps", "2")
+            err = capsys.readouterr().err
+            if code == 0:
+                assert abs(deficit) <= 1e-8
+            else:
+                assert code == 3 and err.startswith("error: TruncationTooSmall: c_0 = ")
+                assert f"for |alpha|={alpha:g}\n" in err
+            outcomes.append(code)
+        assert outcomes == [0] * 17 + [3] * 13  # 37.6 passes; from 37.7 c_0 is subnormal
 
     @pytest.mark.parametrize("ratios,moved", [("1,60", "3.765e-06"), ("60,1", "8.353e-02")])
     def test_transmon_reports_first_failing_ratio(self, tmp_path, capsys, ratios, moved):
@@ -408,6 +434,28 @@ class TestExitCodes:
         with pytest.raises(ValueError) as caught:
             cli._check(args, cli._COMMANDS[argv[0]])
         assert str(caught.value) == f"{draws} random draws exceed the budget of {cli._MAX_DRAWS}"
+
+    @pytest.mark.parametrize(
+        "steps, err",
+        [
+            ("100000000000", "1e+11 RK4 steps exceed the budget of 2097151"),
+            ("2097152", "2.1e+06 RK4 steps exceed the budget of 2097151"),
+        ],
+    )
+    def test_tunnel_ode_step_budget_counts_rk4_steps(self, tmp_path, capsys, monkeypatch,
+                                                     steps, err):
+        # The RK4 keeps only the printed rows, so no array of 4 (steps + 1)
+        # values exists to name; the step limit is where that term stopped.
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before the budget check")
+
+        monkeypatch.setattr(cli, "two_island_dynamics", no_work)
+        assert run(tmp_path, "tunnel-ode", "--steps", steps)[0] == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_tunnel_ode_at_the_step_budget_is_still_accepted(self):
+        args = cli.build_parser().parse_args(["tunnel-ode", "--steps", str(2**21 - 1)])
+        cli._check(args, cli._COMMANDS["tunnel-ode"])
 
     def test_spectrum_value_budget_also_bounds_its_bisection_loop(self, tmp_path, capsys):
         # At most 2^23 // _COLUMNS charges fit the value budget, and each takes
@@ -699,6 +747,48 @@ class TestSizeTerm:
         code, largest = largest_allocation(tmp_path, argv)
         assert code == 0
         assert 8 * table <= largest <= 8 * size
+
+
+class TestNoThreadOutlivesARun:
+    """The ensembles' fill-ahead thread is joined before `run_command` returns."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["dephase", "--trials", "2000"], 0),
+            (["decay", "--trials", "2000", "--steps", "41"], 0),
+            (["dephase", "--trials", "1000000000000"], 2),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    )
+    def test_ensemble_run(self, tmp_path, argv, expected):
+        before = threading.active_count()
+        assert run(tmp_path, *argv)[0] == expected
+        assert threading.active_count() == before
+
+    def test_failing_fill_exits_3(self, tmp_path, monkeypatch, capsys):
+        class Failing:
+            def __init__(self, bit_generator):
+                pass
+
+            def standard_normal(self, out):
+                raise FloatingPointError("overflow in fill")
+
+        monkeypatch.setattr(np.random, "Generator", Failing)
+        before = threading.active_count()
+        assert run(tmp_path, "dephase", "--trials", "2000")[0] == 3
+        assert threading.active_count() == before
+        assert capsys.readouterr().err == "error: FloatingPointError: overflow in fill\n"
+
+    def test_exception_in_a_trajectory_loop(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("cumsum failed")
+
+        monkeypatch.setattr(np, "cumsum", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="cumsum failed"):
+            run(tmp_path, "dephase", "--trials", "2000")
+        assert threading.active_count() == before
 
 
 class TestWriteTable:

@@ -51,6 +51,16 @@ def test_no_module_reaches_memory_through_ctypes():
     assert found == []
 
 
+def test_no_module_starts_processes_or_loads_logging():
+    # The package runs in one process (threads at most), and every import
+    # counts in each run's start-up: ``concurrent.futures`` alone pulls in
+    # ``logging``, about 7 ms.
+    found = [f"{path.name}:{line} {root}" for path in sorted(SRC.glob("*.py"))
+             for line, root in _imports(path)
+             if root in ("multiprocessing", "concurrent", "subprocess", "logging")]
+    assert found == []
+
+
 def test_no_source_line_over_99_characters():
     long_lines = [
         f"{path.name}:{number}"
