@@ -189,8 +189,10 @@ def _write_json_rows(rows, fh) -> None:
 def _write_json(table: OutputTable, fh) -> None:
     """The bytes of ``json.dumps(doc, indent=1, sort_keys=True)`` plus a newline.
 
-    ``doc`` holds the rows as ``_json_value`` makes them; they are written
-    block by block, every other key through ``json.dumps``.
+    ``doc`` holds the rows as ``_json_value`` makes them.  Every other key is
+    dumped once with empty rows, and the rows are written block by block in
+    their place: at indent 1 only a top-level key starts a line with
+    ``\\n "``, since encoded JSON strings hold no raw newline.
     """
     doc = {
         "command": table.command,
@@ -199,18 +201,12 @@ def _write_json(table: OutputTable, fh) -> None:
         "version": __version__,
         "metadata": {k: _json_value(v) for k, v in table.extra_metadata.items()},
         "columns": table.columns,
-        "rows": table.rows,
+        "rows": [],
     }
-    sep = "{"
-    for key in sorted(doc):
-        fh.write(f'{sep}\n "{key}": ')
-        if key == "rows":
-            _write_json_rows(table.rows, fh)
-        else:
-            # Encoded JSON strings hold no raw newline, so this only indents.
-            fh.write(json.dumps(doc[key], indent=1, sort_keys=True).replace("\n", "\n "))
-        sep = ","
-    fh.write("\n}\n")
+    head, tail = json.dumps(doc, indent=1, sort_keys=True).split('\n "rows": []')
+    fh.write(head + '\n "rows": ')
+    _write_json_rows(table.rows, fh)
+    fh.write(tail + "\n")
 
 
 _WRITERS = {"csv": _write_csv, "json": _write_json}

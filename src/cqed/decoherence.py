@@ -6,8 +6,8 @@ seeded by a 64-bit master seed (`RngSpec`), trajectory i reading the i-th
 run of nsteps values, and trajectories are reduced in index order, so fixed
 (seed, trials) gives bit-identical output.  The ensemble loops read blocks
 of trajectories, about 1 MB each, from two alternating buffers: a helper
-thread fills the next block with one numpy call while the caller reduces the
-current one, and a block stays valid until the caller asks for the next.
+thread fills each requested block with one numpy call while the caller
+reduces the one before, and a block stays valid until the next is requested.
 
 Mixed states never appear as density matrices in this module: ensembles are
 weighted lists of pure states, which is all the experiments below need.
@@ -21,6 +21,7 @@ read out as p_plus, the probability of finding |+>.
 
 from __future__ import annotations
 
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -97,11 +98,12 @@ class RngSpec:
         reshaped to (trials, nsteps); each is one ``<draw>(out=block)`` call.
         Blocks hold `_block_rows` rows and alternate between two buffers (one
         when there is one block): a yielded block is valid until the next one
-        is requested.  One helper thread makes every fill, in order, into the
-        buffer the caller does not hold, so block k+1 is drawn while the caller
-        works on block k.  The helper is joined before this generator finishes,
-        is closed or passes on an exception, and a fill's exception is raised
-        here.  ``draw`` is ``random`` or ``standard_normal``.
+        is requested.  A helper thread makes every fill, in order, on a request
+        from here, and answers it with None or the fill's exception, raised
+        here.  Block k+1, in block k-1's buffer, is requested as the caller
+        asks for block k and drawn while it works on block k.  The helper is
+        stopped and joined before this generator returns, is closed or raises.
+        ``draw`` is ``random`` or ``standard_normal``.
         """
         if draw not in ("random", "standard_normal"):
             raise ValueError(f"unsupported draw {draw!r}")
@@ -113,38 +115,32 @@ class RngSpec:
         def block(k):
             return bufs[k % 2][: min(height, trials - starts[k])]
 
-        # free: buffers the helper may fill; filled: blocks whose outcome (None
-        # or the fill's exception) is in outcomes, in block order.
-        free, filled = threading.Semaphore(len(bufs)), threading.Semaphore(0)
-        stop, outcomes = threading.Event(), []
+        # requests: the next block to fill, or None to stop; outcomes: None or
+        # that fill's exception, one per request, in order.
+        requests, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
 
         def fill_ahead():
-            for k in range(len(starts)):
-                free.acquire()
-                if stop.is_set():
-                    return
+            for k in iter(requests.get, None):
                 try:
                     fill(out=block(k))
-                    outcomes.append(None)
+                    outcomes.put(None)
                 except BaseException as exc:  # handed over: the caller raises it
-                    outcomes.append(exc)
-                    return
-                finally:
-                    filled.release()
+                    outcomes.put(exc)
 
         # A daemon, so a generator never closed does not hold up interpreter exit.
         helper = threading.Thread(target=fill_ahead, name="cqed-fill", daemon=True)
         helper.start()
         try:
+            requests.put(0)
             for k, start in enumerate(starts):
-                filled.acquire()
-                if outcomes[k] is not None:
-                    raise outcomes[k]
+                if k + 1 < len(starts):
+                    requests.put(k + 1)
+                failure = outcomes.get()
+                if failure is not None:
+                    raise failure
                 yield start, block(k)
-                free.release()
         finally:
-            stop.set()
-            free.release()
+            requests.put(None)
             helper.join()
 
 
@@ -176,7 +172,7 @@ def _first_jumps(rng: RngSpec, trials: int, nsteps: int, hazard) -> np.ndarray:
     counts = np.zeros(nsteps, dtype=np.int64)
     for _, u in rng._blocks(trials, nsteps, "random"):
         hits = u < hazard
-        counts += np.bincount(np.argmax(hits, axis=1)[hits.any(axis=1)], minlength=nsteps)
+        np.add.at(counts, np.argmax(hits, axis=1)[hits.any(axis=1)], 1)
     return counts
 
 

@@ -122,48 +122,99 @@ class TestEnsembleStream:
 
 
 class FailingGenerator:
-    """Stands in for ``np.random.Generator``: ``fail_at`` fills of zeros, then one that raises."""
+    """Stands in for ``np.random.Generator``: ``fail_at`` fills of zeros, then
+    one that sleeps ``delay`` s and raises; ``started`` lists the fills begun."""
 
     fail_at = 1
+    delay = 0.0
+    started = []  # a fresh list per test: see `stub_generator`
 
     def __init__(self, bit_generator):
         self.calls = 0
 
     def random(self, out):
         self.calls += 1
+        self.started.append(self.calls)
         if self.calls > self.fail_at:
+            time.sleep(self.delay)
             raise FloatingPointError(f"fill {self.calls} failed")
         out[...] = 0.0
 
     standard_normal = random
 
 
+@pytest.fixture
+def stub_generator(monkeypatch):
+    """`FailingGenerator` in place of numpy's, with a fresh list of fills begun."""
+    monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+    monkeypatch.setattr(FailingGenerator, "started", [])
+    return FailingGenerator
+
+
+#: Seconds a test waits for a worker before failing, well under the suite's
+#: per-test limit, so a hung handoff fails its own test.
+WORKER_TIMEOUT = 30
+
+
+def on_a_worker(work):
+    """``work()``'s result, run on a daemon thread joined with a timeout, so that a
+    deadlock in it fails the test instead of hanging the suite; its exception is
+    raised here."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = work()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=WORKER_TIMEOUT)
+    assert not worker.is_alive(), f"still running after {WORKER_TIMEOUT} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome.get("value")
+
+
+def drain(blocks):
+    for _ in blocks:
+        pass
+
+
 class TestFillAhead:
-    """`_blocks` fills the next block on a helper thread while the caller holds one."""
+    """`_blocks` fills the next block on a helper thread while the caller holds
+    one.  Each test runs its blocks on a thread joined with a timeout, or in a
+    subprocess with one, so a hung handoff fails the test."""
 
     def test_helper_is_joined_after_a_full_pass(self):
         before = threading.active_count()
-        for _ in RngSpec(3)._blocks(2000, 400, "standard_normal"):
-            pass
+        on_a_worker(lambda: drain(RngSpec(3)._blocks(2000, 400, "standard_normal")))
         assert threading.active_count() == before
 
     def test_helper_is_joined_when_the_caller_closes_after_one_block(self):
+        def close_after_one():
+            blocks = RngSpec(3)._blocks(2000, 400, "random")
+            next(blocks)
+            blocks.close()
+
         before = threading.active_count()
-        blocks = RngSpec(3)._blocks(2000, 400, "random")
-        next(blocks)
-        blocks.close()
+        on_a_worker(close_after_one)
         assert threading.active_count() == before
 
     def test_helper_is_joined_when_the_caller_raises_mid_loop(self):
-        before = threading.active_count()
-        with pytest.raises(KeyError):
+        def raise_at_the_second_block():
             for start, _ in RngSpec(3)._blocks(2000, 400, "random"):
                 if start:
                     raise KeyError(start)
+
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            on_a_worker(raise_at_the_second_block)
         assert threading.active_count() == before
 
     def test_a_generator_left_open_does_not_hold_up_interpreter_exit(self):
-        # the helper waits for a buffer that is never released
+        # the helper waits for a request that never comes
         code = ("from cqed.decoherence import RngSpec\n"
                 "blocks = RngSpec(1)._blocks(2000, 400, 'random')\n"
                 "next(blocks)\n")
@@ -173,27 +224,82 @@ class TestFillAhead:
 
     @pytest.mark.parametrize("fail_at", [0, 1, 3])
     @pytest.mark.parametrize("draw", ["random", "standard_normal"])
-    def test_a_failing_fill_raises_its_own_type_in_the_caller(self, monkeypatch, draw, fail_at):
-        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
-        monkeypatch.setattr(FailingGenerator, "fail_at", fail_at)
+    def test_a_failing_fill_raises_its_own_type_in_the_caller(
+        self, stub_generator, monkeypatch, draw, fail_at
+    ):
+        monkeypatch.setattr(stub_generator, "fail_at", fail_at)
         before = threading.active_count()
         seen = []
-        with pytest.raises(FloatingPointError, match=f"fill {fail_at + 1} failed"):
+
+        def record_starts():
             for start, _ in RngSpec(3)._blocks(2000, 400, draw):
                 seen.append(start)
+
+        with pytest.raises(FloatingPointError, match=f"fill {fail_at + 1} failed"):
+            on_a_worker(record_starts)
         # every block filled before the failure reaches the caller, in order
         assert seen == [327 * k for k in range(fail_at)]
         assert threading.active_count() == before
+
+    def test_the_fill_exception_is_the_object_the_caller_gets(self, monkeypatch):
+        failure = FloatingPointError("the one fill failure")
+
+        class Failing:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, out):
+                raise failure
+
+        monkeypatch.setattr(np.random, "Generator", Failing)
+        with pytest.raises(FloatingPointError) as caught:
+            on_a_worker(lambda: drain(RngSpec(3)._blocks(2000, 400, "random")))
+        assert caught.value is failure
+
+    def test_the_helper_is_never_more_than_one_block_ahead(self, stub_generator, monkeypatch):
+        monkeypatch.setattr(stub_generator, "fail_at", 10**9)
+        ahead = []
+
+        def hold_each_block():
+            for k, _ in enumerate(RngSpec(3)._blocks(6 * 327, 400, "random")):
+                time.sleep(0.02)  # time enough for a free helper to fill several blocks
+                ahead.append(len(stub_generator.started) - k)
+
+        on_a_worker(hold_each_block)
+        # block k and at most the one requested after it
+        assert max(ahead) == 2 and len(stub_generator.started) == 6
+
+    def test_closing_during_a_slow_fill_joins_the_helper_and_drops_its_failure(
+        self, stub_generator, monkeypatch
+    ):
+        monkeypatch.setattr(stub_generator, "fail_at", 1)
+        monkeypatch.setattr(stub_generator, "delay", 0.2)
+
+        def close_while_block_1_is_filled():
+            blocks = RngSpec(3)._blocks(3 * 327, 400, "random")
+            next(blocks)  # block 1 is requested: its fill sleeps, then raises
+            while len(stub_generator.started) < 2:
+                time.sleep(0.001)
+            blocks.close()  # waits for that fill and raises nothing
+
+        before = threading.active_count()
+        on_a_worker(close_while_block_1_is_filled)
+        assert threading.active_count() == before
+        assert stub_generator.started == [1, 2]
 
     @pytest.mark.parametrize("draw", ["random", "standard_normal"])
     def test_a_held_block_stays_put_while_the_helper_runs_ahead(self, draw):
         trials, nsteps = 3 * 327 + 5, 400  # three full blocks and a partial one
         expected = one_call(5, draw, trials, nsteps)
-        for start, rows in RngSpec(5)._blocks(trials, nsteps, draw):
-            held = rows.copy()
-            time.sleep(0.03)  # long enough for the helper to fill the next block
-            assert np.array_equal(rows, held)
-            assert np.array_equal(rows, expected[start:start + len(rows)])
+
+        def hold_each_block():
+            for start, rows in RngSpec(5)._blocks(trials, nsteps, draw):
+                held = rows.copy()
+                time.sleep(0.03)  # long enough for the helper to fill the next block
+                assert np.array_equal(rows, held)
+                assert np.array_equal(rows, expected[start:start + len(rows)])
+
+        on_a_worker(hold_each_block)
 
     def test_ensembles_on_more_threads_than_cores_each_read_their_own_draws(self):
         # eight callers and their eight helpers, switching as often as they can
@@ -207,11 +313,12 @@ class TestFillAhead:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=stack, args=(seed,)) for seed in seeds]
+            callers = [threading.Thread(target=stack, args=(seed,), daemon=True)
+                       for seed in seeds]
             for caller in callers:
                 caller.start()
             for caller in callers:
-                caller.join(timeout=60)
+                caller.join(timeout=WORKER_TIMEOUT)
             assert not any(caller.is_alive() for caller in callers)
         finally:
             sys.setswitchinterval(interval)
@@ -221,12 +328,11 @@ class TestFillAhead:
     @pytest.mark.parametrize("trials, buffers", [(327, 1), (328, 2), (3 * 327, 2)])
     def test_a_second_buffer_only_for_a_second_block(self, trials, buffers):
         # 327 rows of 400 steps make one block; the buffers are the run's only
-        # arrays (the helper thread adds a few kB), and the second holds as
-        # many rows as its first block
+        # arrays (the helper and worker threads add a few kB), and the second
+        # holds as many rows as its first block
         tracemalloc.start()
         try:
-            for _ in RngSpec(3)._blocks(trials, 400, "random"):
-                pass
+            on_a_worker(lambda: drain(RngSpec(3)._blocks(trials, 400, "random")))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -298,6 +404,20 @@ class TestEnsemblesMatchPerTrajectoryLoops:
         counts = decoherence._first_jumps(RngSpec(seed), trials, nsteps, hazard)
         assert counts.dtype == np.int64 and np.array_equal(counts, expected)
         assert 0 < counts.sum() < trials  # some trajectories jump, some never do
+
+    def test_first_jumps_of_one_row_blocks_add_no_per_block_count_array(self):
+        # two one-row blocks: their two buffers, the int64 counts and the
+        # boolean hits, and no whole-row bincount per block beside them
+        nsteps = 2**18
+        decoherence._first_jumps(RngSpec(1), 2, nsteps, 1e-3)  # first-call allocations
+        tracemalloc.start()
+        try:
+            counts = decoherence._first_jumps(RngSpec(1), 2, nsteps, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 2
+        assert 8 * nsteps * 3 <= peak < 8 * nsteps * 3.5
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_t1_curves(self, seed):
