@@ -2,18 +2,18 @@
 
 Subpackages by physics area:
 
-* `cqed.linalg` - `Ket`, the one state-vector type, expectation values,
-  and batched tridiagonal eigenpairs (Sturm bisection, inverse iteration).
-* `cqed.fock` - truncated oscillator: ladder/quadrature operators,
-  number and coherent states, quadrature statistics.
-* `cqed.qubit` - rotations, free evolution, Rabi/Ramsey.
+* `cqed.linalg` - `Ket`, the one state-vector type, fidelities, and
+  batched tridiagonal eigenpairs (Sturm bisection, inverse iteration).
+* `cqed.fock` - truncated oscillator: coherent states, their free
+  evolution, quadrature statistics.
+* `cqed.qubit` - the six axis states, Rabi and Ramsey fringes.
 * `cqed.junction` - semiclassical Josephson: washboard, SQUID,
   flux-qubit double well, two-island tunnelling ODEs.
 * `cqed.chargebox` - Cooper-pair box / transmon spectra, gaps,
   charge dispersion, second-order avoided crossings.
 * `cqed.jaynescummings` - resonant qubit-cavity exchange.
 * `cqed.decoherence` - T1 decay, dephasing ensembles, T2 limits,
-  Bell states and correlation tables.
+  Bell states and joint outcome tables.
 * `cqed.fitting` - dominant frequency and exponential fringe envelopes
   of sampled (t, values) arrays.
 * `cqed.errors` - `CqedError` and its subclasses (CLI exit code 3).

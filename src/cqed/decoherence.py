@@ -12,7 +12,7 @@ reduces the one before, and a block stays valid until the next is requested.
 Mixed states never appear as density matrices in this module: ensembles are
 weighted lists of pure states, which is all the experiments below need.
 Two-qubit states are `cqed.linalg.Ket`s over (|00>, |01>, |10>, |11>),
-the first qubit Alice's; the correlation tables reject any other dimension.
+the first qubit Alice's; the joint table rejects any other dimension.
 
 Conventions: hbar = 1; a qubit with gap ``delta`` accumulates relative phase
 delta * t between |0> and |1> during free evolution; Ramsey fringes are
@@ -50,7 +50,6 @@ __all__ = [
     "decay_limited_ramsey",
     "bell_state",
     "joint_table",
-    "marginal_table",
 ]
 
 
@@ -91,7 +90,7 @@ class RngSpec:
         return np.random.Generator(np.random.PCG64(self.seed).advance(trajectory * nsteps))
 
     def _blocks(self, trials: int, nsteps: int, draw: str):
-        """Yield ``(start, block)`` covering trajectories 0 .. trials-1.
+        """Yield ``(start, block)`` covering trajectories 0 .. trials-1, none for 0 trials.
 
         Row r of ``block`` is trajectory start + r.  Stacked in order, the
         blocks equal one ``Generator(PCG64(seed)).<draw>(trials * nsteps)``
@@ -131,7 +130,8 @@ class RngSpec:
         helper = threading.Thread(target=fill_ahead, name="cqed-fill", daemon=True)
         helper.start()
         try:
-            requests.put(0)
+            if starts:
+                requests.put(0)
             for k, start in enumerate(starts):
                 if k + 1 < len(starts):
                     requests.put(k + 1)
@@ -197,6 +197,8 @@ def t1_curves(
         return {"analytic": analytic, "monte_carlo": None}
 
     dt, trials, rng = mc["dt"], int(mc["trials"]), mc["rng"]
+    if trials < 1:
+        raise ValueError("need at least one trajectory")
     if dt > t1 / 100.0:
         raise ValueError("Monte-Carlo step must satisfy dt <= t1 / 100")
     # At least one step: with times.max() == 0 every estimate is 1 anyway.
@@ -282,9 +284,10 @@ def decay_limited_ramsey(
     ensemble reproduces p_e(t) = exp(-t/t1)/2 and fringe amplitude
     exp(-t / 2 t1), the T2 = 2 T1 limit.
 
-    Returns the time grid, the averaged fringe and excitation arrays on it,
-    and the fitted T2.
+    Returns the time grid, the averaged fringe on it and the fitted T2.
     """
+    if trials < 1:
+        raise ValueError("need at least one trajectory")
     if delta * t1 < 20.0:
         raise ValueError("need delta * t1 >= 20 so fringes fit inside the decay")
     if dt * delta > 0.1 + 1e-12:
@@ -316,7 +319,6 @@ def decay_limited_ramsey(
     return {
         "times": times,
         "p_plus": p_plus,
-        "p_excited": frac_alive * (b * b),
         "fitted_t2": fit_exponential_envelope(times, p_plus, delta),
     }
 
@@ -397,13 +399,3 @@ def joint_table(state: Ket) -> JointProbabilityTable:
             amp = alice.conj() @ psi @ bob.conj()
             probs[i, j] = abs(amp) ** 2
     return JointProbabilityTable(probs)
-
-
-def marginal_table(state: Ket) -> dict[str, float]:
-    """Bob's outcome probabilities ignoring Alice entirely.
-
-    The joint table summed over Alice's computational-basis outcomes.  No
-    signalling makes her other two bases give the same sums: her remote
-    choice of basis cannot steer Bob's marginals.
-    """
-    return dict(zip(OUTCOME_LABELS, joint_table(state).probs[0:2].sum(axis=0)))

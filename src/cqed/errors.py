@@ -14,10 +14,6 @@ class DimensionMismatch(CqedError):
     """Operands have incompatible dimensions."""
 
 
-class NotUnitAxis(CqedError):
-    """Rotation axis is not a unit vector."""
-
-
 class NoMinimum(CqedError):
     """Potential has no local minimum for the requested bias."""
 

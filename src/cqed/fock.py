@@ -1,8 +1,8 @@
 """Truncated harmonic-oscillator (Fock) space.
 
-Number and coherent states on the lowest ``dim`` levels, their free evolution
-and quadrature statistics, all from the bidiagonal ladder's sqrt(n), and the
-dense ladder, number and quadrature matrices as their reference.
+Coherent states on the lowest ``dim`` levels, their free evolution and the
+quadrature statistics of any state, all from the bidiagonal ladder's sqrt(n):
+no dense operator matrix is built.
 Units: hbar = 1, so omega0 is an energy.
 
 Truncation is the one place where the finite basis shows through: the
@@ -24,9 +24,6 @@ from .linalg import Ket, check_kets
 
 __all__ = [
     "FockBasis",
-    "LadderOps",
-    "ladder_suite",
-    "fock_ket",
     "coherent_ket",
     "coherent_evolution",
     "quad_stats",
@@ -44,38 +41,6 @@ class FockBasis:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("a truncated Fock basis needs at least 2 levels")
-
-
-@dataclass(frozen=True)
-class LadderOps:
-    """Matrix suite for one truncated mode.
-
-    lower |n> = sqrt(n) |n-1>, raise_ = lower^dag, number = raise_ @ lower,
-    and the quadratures x1 = (a + a^dag)/2, x2 = -i (a - a^dag)/2.
-    """
-
-    lower: np.ndarray
-    raise_: np.ndarray
-    number: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-
-
-def ladder_suite(basis: FockBasis) -> LadderOps:
-    """Build dense annihilation/creation, number and quadrature matrices."""
-    lower = np.diag(np.sqrt(np.arange(1, basis.dim)), 1).astype(np.complex128)
-    raise_ = lower.conj().T
-    return LadderOps(lower=lower, raise_=raise_, number=raise_ @ lower,
-                     x1=0.5 * (lower + raise_), x2=-0.5j * (lower - raise_))
-
-
-def fock_ket(n: int, basis: FockBasis) -> Ket:
-    """Number state |n>."""
-    if not 0 <= n < basis.dim:
-        raise DimensionMismatch(f"|{n}> does not fit in {basis.dim} levels")
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[n] = 1.0
-    return Ket(amps)
 
 
 def _product(a, b) -> np.ndarray:

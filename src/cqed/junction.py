@@ -24,7 +24,6 @@ __all__ = [
     "TwoIslandTrajectory",
     "washboard_u",
     "first_minimum",
-    "first_minimum_numeric",
     "squid_effective",
     "flux_qubit_potential",
     "two_island_dynamics",
@@ -62,11 +61,6 @@ def _newton(slope, lo: float, hi: float) -> float:
             if nxt == lo or nxt == hi:
                 return x
         before, last, x = last, abs(nxt - x), nxt
-
-
-def first_minimum_numeric(bias: float) -> float:
-    """The arcsin-free oracle: `_newton` on u' = sin(phi) - bias, rising on [-pi/2, pi/2]."""
-    return _newton(lambda p: (math.sin(p) - bias, math.cos(p)), -math.pi / 2, math.pi / 2)
 
 
 def first_minimum(bias: float) -> float:

@@ -2,15 +2,14 @@
 
 Everything downstream (oscillators, qubits, charge boxes, cavities) runs on
 the handful of primitives defined here: a normalized state vector (`Ket`),
-expectation values and fidelities, and the eigenpairs of real symmetric
-tridiagonal matrices.  `Ket` is the one state type: qubit, two-qubit,
-oscillator-mode, qubit-cavity and charge states are all `Ket`s, and the
-functions that need a particular space check the dimension.
+fidelities, and the eigenpairs of real symmetric tridiagonal matrices.
+`Ket` is the one state type: qubit, two-qubit, oscillator-mode and charge
+states are all `Ket`s, and the functions that need a particular space check
+the dimension.
 
 Operators are plain ``numpy.ndarray`` matrices (complex128, row-major); a
 dedicated matrix class would add nothing but indirection.  No command
-builds a dense one (`cqed.fock.ladder_suite` does, as a reference for
-`expectation` and the tests); the tridiagonal ones are never formed, so a
+builds a dense one, and the tridiagonal ones are never formed, so a
 `spectrum` sweep's Sturm blocks may run to thousands of rows.
 
 No dense eigensolver is needed: the cavity and qubit propagators are known
@@ -54,7 +53,6 @@ __all__ = [
     "check_kets",
     "tridiagonal_eigvalsh_groups",
     "tridiagonal_eigh",
-    "expectation",
     "fidelity",
 ]
 
@@ -398,13 +396,3 @@ def tridiagonal_eigh(diag: np.ndarray, off) -> tuple[np.ndarray, np.ndarray]:
             vecs[:, :, j] /= np.linalg.norm(vecs[:, :, j], axis=1, keepdims=True)
     lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
     return values, vecs * np.copysign(1.0, lead)
-
-
-def expectation(a: np.ndarray, psi: Ket) -> complex:
-    """<psi| A |psi>.  Real within roundoff whenever A is Hermitian."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("operator must be square")
-    if a.shape[0] != psi.dim:
-        raise DimensionMismatch("operator and state dimensions differ")
-    return complex(np.vdot(psi.amps, a @ psi.amps))

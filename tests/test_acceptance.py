@@ -26,29 +26,27 @@ from cqed.decoherence import (
     bell_state,
     decay_limited_ramsey,
     joint_table,
-    marginal_table,
     ramsey_ensemble,
 )
 from cqed.errors import NoMinimum
-from cqed.fock import FockBasis, coherent_ket, fock_ket, ladder_suite, quad_stats
-from cqed.jaynescummings import (
-    JCParams,
+from cqed.fock import FockBasis, coherent_ket, quad_stats
+from cqed.jaynescummings import JCParams, transfer_time, vacuum_rabi
+from cqed.junction import TwoIslandState, first_minimum, squid_effective, two_island_dynamics
+from cqed.linalg import Ket, fidelity, tridiagonal_eigh
+from cqed.qubit import rabi_trace, ramsey_trace
+from oracles import (
     JCSpace,
     _orbit,
+    expectation,
+    first_minimum_numeric,
+    fock_ket,
     index_of,
-    transfer_time,
-    vacuum_rabi,
+    ladder_suite,
+    marginal_table,
+    rabi_numeric,
+    ramsey_numeric,
     vacuum_rabi_closed_form,
 )
-from cqed.junction import (
-    TwoIslandState,
-    first_minimum,
-    first_minimum_numeric,
-    squid_effective,
-    two_island_dynamics,
-)
-from cqed.linalg import Ket, expectation, fidelity, tridiagonal_eigh
-from cqed.qubit import rabi_numeric, rabi_trace, ramsey_numeric, ramsey_trace
 
 
 _T0 = 0.0

@@ -30,7 +30,7 @@ def _ramsey_ensemble(sigma):
 
 def _decay_limited_ramsey():
     out = decay_limited_ramsey(1.0, 20.0, 0.004, 3.0, 300, RngSpec(3))
-    return out["times"], np.arange(1, 750 + 1) * 0.004, [out["p_plus"], out["p_excited"]]
+    return out["times"], np.arange(1, 750 + 1) * 0.004, [out["p_plus"]]
 
 
 def _two_island_current():

@@ -1,4 +1,5 @@
 import os
+import queue
 import subprocess
 import sys
 import threading
@@ -17,13 +18,13 @@ from cqed.decoherence import (
     bell_state,
     decay_limited_ramsey,
     joint_table,
-    marginal_table,
     ramsey_ensemble,
     t1_curves,
 )
 from cqed.errors import DimensionMismatch, FitFailed
 from cqed.linalg import Ket
 from cqed.qubit import ramsey_trace
+from oracles import marginal_table
 
 
 SEEDS = (0, 1, 2**63 + 7, 2**64 - 1)
@@ -325,6 +326,22 @@ class TestFillAhead:
         for seed in seeds:
             assert np.array_equal(seen[seed], one_call(seed, "standard_normal", trials, 400))
 
+    def test_no_trials_make_no_block_and_no_request(self, stub_generator, monkeypatch):
+        # block 0 does not exist, so requesting it would fail in the helper
+        # before any fill, with an answer that nobody reads
+        answers = []
+
+        class Recorded(queue.SimpleQueue):
+            def put(self, item, *args, **kwargs):
+                answers.append(item)
+                super().put(item, *args, **kwargs)
+
+        monkeypatch.setattr(stub_generator, "fail_at", 10**9)
+        monkeypatch.setattr(decoherence.queue, "SimpleQueue", Recorded)
+        assert on_a_worker(lambda: list(RngSpec(1)._blocks(0, 5, "random"))) == []
+        assert stub_generator.started == []
+        assert answers == [None]  # the stop request alone
+
     @pytest.mark.parametrize("trials, buffers", [(327, 1), (328, 2), (3 * 327, 2)])
     def test_a_second_buffer_only_for_a_second_block(self, trials, buffers):
         # 327 rows of 400 steps make one block; the buffers are the run's only
@@ -352,7 +369,7 @@ def reference_t1_estimate(t1, times, dt, trials, seed):
 
 
 def reference_decay_limited(t1, delta, dt, horizon, trials, seed):
-    """Per-trajectory quantum-jump loop of decay_limited_ramsey: (p_plus, p_e)."""
+    """Per-trajectory quantum-jump loop of decay_limited_ramsey: p_plus."""
     nsteps = int(np.round(horizon / dt))
     times = np.arange(1, nsteps + 1) * dt
     a, b, hazard = np.empty(nsteps), np.empty(nsteps), np.empty(nsteps)
@@ -369,8 +386,7 @@ def reference_decay_limited(t1, delta, dt, horizon, trials, seed):
         if hits.any():
             jump_counts[int(np.argmax(hits))] += 1
     frac_alive = (trials - np.cumsum(jump_counts)) / trials
-    p_plus = frac_alive * (0.5 + a * b * np.cos(delta * times)) + (1 - frac_alive) * 0.5
-    return p_plus, frac_alive * (b * b)
+    return frac_alive * (0.5 + a * b * np.cos(delta * times)) + (1 - frac_alive) * 0.5
 
 
 def reference_ramsey(delta0, sigma, dt, horizon, trials, seed):
@@ -430,9 +446,8 @@ class TestEnsemblesMatchPerTrajectoryLoops:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_decay_limited_ramsey(self, seed):
         out = decay_limited_ramsey(1.0, 20.0, 0.004, 3.0, trials=300, rng=RngSpec(seed))
-        p_plus, p_exc = reference_decay_limited(1.0, 20.0, 0.004, 3.0, 300, seed)
+        p_plus = reference_decay_limited(1.0, 20.0, 0.004, 3.0, 300, seed)
         assert np.array_equal(out["p_plus"], p_plus)
-        assert np.array_equal(out["p_excited"], p_exc)
 
     @pytest.mark.parametrize("dt, horizon", [(0.02, 8.0), (0.013, 3.37)])
     def test_ramsey_ensemble(self, dt, horizon):
@@ -505,6 +520,12 @@ class TestT1Curves:
         with pytest.raises(ValueError):
             t1_curves(1.0, np.array([1.0]), mc={"dt": 0.5, "trials": 10, "rng": RngSpec(0)})
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_an_ensemble_needs_a_trajectory(self, trials):
+        # 0 trials would give 0 / 0, a NaN estimate
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            t1_curves(1.0, np.array([0.5]), {"dt": 0.01, "trials": trials, "rng": RngSpec(1)})
+
 
 class TestRamseyEnsemble:
     def test_noiseless_matches_closed_form_exactly(self):
@@ -545,14 +566,6 @@ class TestDecayLimitedRamsey:
         out = decay_limited_ramsey(1.0, 20.0, 0.002, 3.0, trials=10_000, rng=RngSpec(999))
         assert 1.7 <= out["fitted_t2"] <= 2.3
 
-    def test_population_control_rate(self):
-        # p_e(t) = exp(-t / t1) / 2: a 1/t1 decay rate, fitted on the
-        # statistically solid part
-        out = decay_limited_ramsey(1.0, 20.0, 0.002, 3.0, trials=10_000, rng=RngSpec(999))
-        window = out["p_excited"] > 0.02
-        rate = -np.polyfit(out["times"][window], np.log(out["p_excited"][window]), 1)[0]
-        assert abs(rate - 1.0) < 0.1
-
     def test_no_decay_limit_keeps_fringes(self):
         out = decay_limited_ramsey(1e6, 20.0, 0.002, 3.0, trials=200, rng=RngSpec(1))
         fringe = np.abs(2 * out["p_plus"] - 1)
@@ -568,6 +581,11 @@ class TestDecayLimitedRamsey:
     def test_horizon_shorter_than_one_step(self):
         with pytest.raises(ValueError):
             decay_limited_ramsey(1.0, 20.0, 0.002, 0.0009, trials=100, rng=RngSpec(0))
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_an_ensemble_needs_a_trajectory(self, trials):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            decay_limited_ramsey(1.0, 20.0, 0.004, 3.0, trials, RngSpec(3))
 
 
 class TestFitFailure:

@@ -126,6 +126,17 @@ def test_every_public_name_is_reached():
     assert unreached == [], unreached
 
 
+def test_no_test_oracle_is_defined_in_the_package():
+    # The reference implementations in tests/oracles.py serve only the tests;
+    # one back in the package would be code that no command runs.
+    oracles = ast.parse(Path(__file__).with_name("oracles.py").read_text()).body
+    names = set().union(*(_defines(stmt) for stmt in oracles))
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body for name in sorted(_defines(stmt))
+             if name in names]
+    assert found == []
+
+
 def test_a_name_read_only_as_a_base_class_is_not_reached():
     tree = ast.parse("class A(Base, metaclass=Meta):\n    x = y\n")
     assert _reads(tree) == {"Meta", "y"}
