@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cqed.errors import TruncationTooSmall
+from cqed.errors import DimensionMismatch, TruncationTooSmall
 from cqed.fock import (
     FockBasis,
     coherent_evolution,
@@ -278,6 +278,11 @@ class TestQuadratures:
         stats = quad_stats(fock_ket(3, basis), basis)
         assert abs(stats["var1"] - (1.5 + 0.25)) < 1e-12
         assert abs(stats["var2"] - (1.5 + 0.25)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [11, 13])
+    def test_state_outside_the_basis_is_rejected(self, dim):
+        with pytest.raises(DimensionMismatch):
+            quad_stats(fock_ket(3, FockBasis(12)), FockBasis(dim))
 
     def test_coherent_state(self):
         basis = FockBasis(48)

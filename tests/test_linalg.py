@@ -577,6 +577,10 @@ class TestKet:
         assert abs(np.vdot(a.amps, b.amps) - 1 / np.sqrt(2)) < 1e-12
         assert abs(fidelity(a, b) - 0.5) < 1e-12
 
+    def test_fidelity_rejects_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            fidelity(Ket([1, 0]), Ket([1, 0, 0]))
+
     def test_amps_immutable(self):
         psi = Ket([1, 0])
         with pytest.raises(ValueError):
