@@ -90,7 +90,7 @@ class RngSpec:
         return np.random.Generator(np.random.PCG64(self.seed).advance(trajectory * nsteps))
 
     def _blocks(self, trials: int, nsteps: int, draw: str):
-        """Yield ``(start, block)`` covering trajectories 0 .. trials-1, none for 0 trials.
+        """Yield ``(start, block)`` covering trajectories 0 .. trials-1.
 
         Row r of ``block`` is trajectory start + r.  Stacked in order, the
         blocks equal one ``Generator(PCG64(seed)).<draw>(trials * nsteps)``
@@ -102,10 +102,13 @@ class RngSpec:
         here.  Block k+1, in block k-1's buffer, is requested as the caller
         asks for block k and drawn while it works on block k.  The helper is
         stopped and joined before this generator returns, is closed or raises.
+        With no trials there is no block and no helper.
         ``draw`` is ``random`` or ``standard_normal``.
         """
         if draw not in ("random", "standard_normal"):
             raise ValueError(f"unsupported draw {draw!r}")
+        if trials < 1:
+            return
         fill = getattr(np.random.Generator(np.random.PCG64(self.seed)), draw)
         height = _block_rows(nsteps)
         starts = range(0, trials, height)
@@ -130,8 +133,7 @@ class RngSpec:
         helper = threading.Thread(target=fill_ahead, name="cqed-fill", daemon=True)
         helper.start()
         try:
-            if starts:
-                requests.put(0)
+            requests.put(0)
             for k, start in enumerate(starts):
                 if k + 1 < len(starts):
                     requests.put(k + 1)

@@ -58,9 +58,15 @@ class TestVacuumRabi:
     def test_matches_closed_form(self):
         times = np.linspace(0.0, 3 * np.pi / G, 40)
         out = vacuum_rabi(JCParams(G), times)
-        probs = np.abs(_orbit(G, times, SPACE)) ** 2
-        assert np.abs(out["p_qubit_excited"] - probs[:, index_of(0, 1, SPACE)]).max() < 1e-12
-        assert np.abs(out["p_photon"] - probs[:, index_of(1, 0, SPACE)]).max() < 1e-12
+        states = _orbit(G, times, SPACE)
+        assert states.shape == (len(times), SPACE.dim)
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-10
+        for t, amps, p_excited, p_photon in zip(times, states, out["p_qubit_excited"],
+                                                out["p_photon"]):
+            ref = vacuum_rabi_closed_form(G, t, SPACE)
+            assert 1 - fidelity(amps, ref.amps) < 1e-9
+            assert abs(p_excited - abs(ref.amps[index_of(0, 1, SPACE)]) ** 2) < 1e-12
+            assert abs(p_photon - abs(ref.amps[index_of(1, 0, SPACE)]) ** 2) < 1e-12
 
     @pytest.mark.parametrize("nmax", [2, 4, 6])
     @pytest.mark.parametrize("g", [0.37, 1.0, 2.5])

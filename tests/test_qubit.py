@@ -319,3 +319,9 @@ class TestRabiRamsey:
     def test_rejects_non_finite_times(self):
         with pytest.raises(ValueError):
             rabi_trace(1.0, np.array([0.0, np.nan]))
+
+
+class TestQubitKet:
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError):
+            Ket([1.0, 1.0])

@@ -71,11 +71,6 @@ def test_no_source_line_over_99_characters():
     assert long_lines == []
 
 
-def test_sources_parse_as_python_3_10():
-    for path in [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
-        ast.parse(path.read_text(), path.name, feature_version=(3, 10))
-
-
 def test_every_module_has_a_readme_layout_row():
     readme = (SRC.parents[1] / "README.md").read_text()
     layout = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
