@@ -54,8 +54,8 @@ from .decoherence import (
     t1_curves,
 )
 from .errors import CqedError
-from .fock import FockBasis, coherent_evolution, quad_stats
-from .jaynescummings import JCParams, transfer_time, vacuum_rabi
+from .fock import coherent_evolution, quad_stats
+from .jaynescummings import transfer_time, vacuum_rabi
 from .junction import (
     TwoIslandState, first_minimum, flux_qubit_potential, squid_effective, two_island_dynamics,
     washboard_u,
@@ -262,10 +262,9 @@ def _run_ramsey(args):
 
 def _run_coherent(args):
     alpha = complex(args.alpha_re, args.alpha_im)
-    basis = FockBasis(args.dim)
     times = np.linspace(0.0, args.t_max, args.steps)
-    states = coherent_evolution(alpha, args.omega0, times, basis)
-    stats = quad_stats(states["numeric"], basis)
+    states = coherent_evolution(alpha, args.omega0, times, args.dim)
+    stats = quad_stats(states["numeric"])
     rows = np.column_stack([
         times, states["alpha"].real, states["alpha"].imag, stats["mean1"], stats["mean2"],
         stats["var1"], stats["var2"], fidelity(states["analytic"], states["numeric"]),
@@ -300,12 +299,11 @@ def _run_fluxwell(args):
 
 
 def _run_jc(args):
-    params = JCParams(args.g)
     times = np.linspace(0.0, args.t_max, args.steps)
-    result = vacuum_rabi(params, times)
+    result = vacuum_rabi(args.g, times)
     rows = np.column_stack([times, result["p_qubit_excited"], result["p_photon"]])
     return (["t", "p_qubit_excited", "p_photon"], rows,
-            f"transfer time pi/2g = {transfer_time(params):.9g}")
+            f"transfer time pi/2g = {transfer_time(args.g):.9g}")
 
 
 def _run_decay(args):
@@ -334,7 +332,7 @@ def _run_dephase(args):
 
 def _run_bell(args):
     table = joint_table(bell_state(args.state))
-    rows = np.array([[alice, bob, float(table.probs[i, j])]
+    rows = np.array([[alice, bob, float(table[i, j])]
                      for i, alice in enumerate(OUTCOME_LABELS)
                      for j, bob in enumerate(OUTCOME_LABELS)], dtype=object)
     return ["alice", "bob", "probability"], rows, "36 joint probabilities"
@@ -380,10 +378,10 @@ def _run_tunnel_ode(args):
     # steps // stride + 1 <= max_rows rows, the first at t = 0
     stride = -(-args.steps // (args.max_rows - 1))
     traj = two_island_dynamics(state0, args.e_coupling, args.dt, args.steps, stride)
-    delta = traj.delta
-    rows = np.column_stack([traj.times, traj.n1, traj.n2, delta, traj.current,
-                            traj.i0 * np.sin(delta)])
-    return ["t", "n1", "n2", "delta", "current", "i0_sin_delta"], rows, f"I0 = {traj.i0:.6g}"
+    delta, i0 = traj["delta"], traj["i0"]
+    rows = np.column_stack([traj["times"], traj["n1"], traj["n2"], delta, traj["current"],
+                            i0 * np.sin(delta)])
+    return ["t", "n1", "n2", "delta", "current", "i0_sin_delta"], rows, f"I0 = {i0:.6g}"
 
 
 # --- the command table -----------------------------------------------------
@@ -444,7 +442,7 @@ _COMMANDS = {
     ),
     "coherent": _Command(
         _run_coherent, "Coherent-state free evolution and quadratures",
-        (("alpha-re", 1.5), ("alpha-im", 0.0), ("omega0", 1.0), ("dim", 48),
+        (("alpha-re", 1.5), ("alpha-im", 0.0), ("omega0", 1.0), ("dim", 48, ">= 2"),
          ("t-max", 2 * math.pi, "> 0"), ("steps", 61, ">= 2")),
         # three complex (steps, dim) stacks held at once while the numeric kets
         # are built (the phases, their exponentials, the kets); or the (steps, 8) rows
@@ -470,7 +468,8 @@ _COMMANDS = {
     ),
     "jc": _Command(
         _run_jc, "Vacuum Rabi oscillation of a qubit-cavity pair",
-        (("g", 1.0), ("nmax", 4, ">= 2"), ("t-max", 2 * math.pi, "> 0"), ("steps", 101, ">= 2")),
+        (("g", 1.0, "> 0"), ("nmax", 4, ">= 2"), ("t-max", 2 * math.pi, "> 0"),
+         ("steps", 101, ">= 2")),
         # the (steps, 3) table; the populations need no state vectors
         size=lambda a: 3 * a.steps,
     ),

@@ -43,7 +43,6 @@ from .qubit import (
 __all__ = [
     "RngSpec",
     "NoiseModel",
-    "JointProbabilityTable",
     "OUTCOME_LABELS",
     "t1_curves",
     "ramsey_ensemble",
@@ -341,10 +340,6 @@ _OUTCOME_KETS = (
     KET_MINUS_I.amps,
 )
 
-#: The three standard bases as index pairs into OUTCOME_LABELS.
-_BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))
-
-
 _BELL_AMPS = {
     "phi+": np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2),
     "phi-": np.array([1, 0, 0, -1], dtype=np.complex128) / np.sqrt(2),
@@ -364,34 +359,13 @@ def bell_state(kind: str) -> Ket:
         raise ValueError(f"kind must be one of {sorted(_BELL_AMPS)}, got {kind!r}") from None
 
 
-@dataclass(frozen=True)
-class JointProbabilityTable:
+def joint_table(state: Ket) -> np.ndarray:
     """6x6 grid of joint outcome probabilities p(a, b) = |(<a| (x) <b|) psi|^2.
 
     Rows are Alice's outcome, columns Bob's, both ordered as OUTCOME_LABELS.
     Each 2x2 same- or cross-basis cell describes one choice of measurement
     bases and sums to 1.
     """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.shape != (6, 6):
-            raise DimensionMismatch("joint table must be 6x6")
-        if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-12:
-            raise ValueError("probabilities out of [0, 1]")
-        for ra, rb in _BASIS_PAIRS:
-            for ca, cb in _BASIS_PAIRS:
-                cell = probs[ra : rb + 1, ca : cb + 1].sum()
-                if abs(cell - 1.0) > 1e-12:
-                    raise ValueError(f"basis-pair cell sums to {cell!r}, not 1")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-
-def joint_table(state: Ket) -> JointProbabilityTable:
-    """Joint probabilities of all 36 outcome pairs over the standard bases."""
     if state.dim != 4:
         raise DimensionMismatch(f"a two-qubit state has 4 amplitudes, not {state.dim}")
     psi = state.amps.reshape(2, 2)
@@ -400,4 +374,4 @@ def joint_table(state: Ket) -> JointProbabilityTable:
         for j, bob in enumerate(_OUTCOME_KETS):
             amp = alice.conj() @ psi @ bob.conj()
             probs[i, j] = abs(amp) ** 2
-    return JointProbabilityTable(probs)
+    return probs

@@ -2,7 +2,8 @@
 
 Coherent states on the lowest ``dim`` levels, their free evolution and the
 quadrature statistics of any state, all from the bidiagonal ladder's sqrt(n):
-no dense operator matrix is built.
+no dense operator matrix is built.  The truncation is a plain level count,
+``dim``; `quad_stats` reads it off the state's last axis.
 Units: hbar = 1, so omega0 is an energy.
 
 Truncation is the one place where the finite basis shows through: the
@@ -15,32 +16,18 @@ under an adequacy rule that keeps the discarded Poisson tail below 1e-8 in norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, TruncationTooSmall
+from .errors import TruncationTooSmall
 from .linalg import Ket, check_kets
 
 __all__ = [
-    "FockBasis",
     "coherent_ket",
     "coherent_evolution",
     "quad_stats",
 ]
 
 _RESIDUAL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FockBasis:
-    """Levels |0> ... |dim-1> of one oscillator mode."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("a truncated Fock basis needs at least 2 levels")
 
 
 def _product(a, b) -> np.ndarray:
@@ -105,21 +92,21 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
     return amps
 
 
-def coherent_ket(alpha: complex, basis: FockBasis) -> Ket:
+def coherent_ket(alpha: complex, dim: int) -> Ket:
     """Truncated coherent state |alpha>, renormalized.
 
     Amplitudes follow the recursion c_{n+1} = alpha c_n / sqrt(n+1) from
     c_0 = exp(-|alpha|^2 / 2), which avoids factorials entirely.  Requires
-    ``basis.dim >= |alpha|^2 + 10 |alpha| + 10``, a c_0 that is a normal
+    ``dim >= |alpha|^2 + 10 |alpha| + 10``, a c_0 that is a normal
     float64, at least 2^-1022 (|alpha| up to about 37.64), and a
     pre-renormalization norm within 1e-8 of 1 either way; each failure raises
     TruncationTooSmall.
     """
-    return Ket(_coherent_rows([alpha], basis.dim)[0])
+    return Ket(_coherent_rows([alpha], dim)[0])
 
 
 def coherent_evolution(
-    alpha: complex, omega0: float, times: np.ndarray, basis: FockBasis
+    alpha: complex, omega0: float, times: np.ndarray, dim: int
 ) -> dict[str, np.ndarray]:
     """Free evolution of |alpha>, analytically and numerically, at each of ``times``.
 
@@ -131,30 +118,30 @@ def coherent_evolution(
     a^dag a.  Returns "alpha" (alpha_t) and the "analytic" and "numeric"
     (len(times), dim) kets, checked as `Ket`.
     """
-    energies = -omega0 * np.square(np.sqrt(np.arange(basis.dim)))
-    numeric = np.exp(-1j * np.outer(times, energies)) * coherent_ket(alpha, basis).amps
+    energies = -omega0 * np.square(np.sqrt(np.arange(dim)))
+    numeric = np.exp(-1j * np.outer(times, energies)) * coherent_ket(alpha, dim).amps
     check_kets(numeric)
     alphas = _product(complex(alpha), np.exp(_product(1j * omega0, np.asarray(times, float))))
-    analytic = _coherent_rows(alphas, basis.dim)
+    analytic = _coherent_rows(alphas, dim)
     check_kets(analytic)
     return {"alpha": alphas, "analytic": analytic, "numeric": numeric}
 
 
-def quad_stats(psi: Ket | np.ndarray, basis: FockBasis) -> dict:
+def quad_stats(psi: Ket | np.ndarray) -> dict:
     """Means and variances of the two quadratures in state ``psi``.
 
     ``psi`` is a Ket, or a (k, dim) stack of kets' amplitudes, which gives k
-    values per key.  x1 psi = (a psi + a^dag psi) / 2 and x2 psi = -i (a psi - a^dag psi) / 2
+    values per key; the truncation dim is the length of its last axis.
+    x1 psi = (a psi + a^dag psi) / 2 and x2 psi = -i (a psi - a^dag psi) / 2
     are shifted products with sqrt(n), formed about 2^13 amplitudes at a time;
     the means are <psi|x psi> and the second moments ||x psi||^2.
     """
     amps = psi.amps if isinstance(psi, Ket) else np.asarray(psi)
-    if amps.shape[-1] != basis.dim:
-        raise DimensionMismatch("state dimension does not match basis")
-    root_n = np.sqrt(np.arange(1, basis.dim))
-    rows = amps.reshape(-1, basis.dim)
+    dim = amps.shape[-1]
+    root_n = np.sqrt(np.arange(1, dim))
+    rows = amps.reshape(-1, dim)
     sums = np.empty((4, len(rows)))
-    step = max(1, 2**13 // basis.dim)
+    step = max(1, 2**13 // dim)
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         lower = np.pad(block[:, 1:] * root_n, ((0, 0), (0, 1)))  # a psi

@@ -9,44 +9,31 @@ H conserves the excitation number n + q, so it splits into 2x2 blocks
 40 (1993) 1195).  Started from |0, 1> the state never leaves the first
 block, where it follows cos(gt) |0,1> - i sin(gt) |1,0> exactly, in any
 truncation that holds |1,0>.  Its populations are cos^2(gt) and sin^2(gt), so
-`vacuum_rabi` builds neither H nor a state vector.
+`vacuum_rabi` builds neither H nor a state vector, and both functions take
+the coupling g (energy units, g > 0 for a transfer time) as a plain number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "JCParams",
     "vacuum_rabi",
     "transfer_time",
 ]
 
 
-@dataclass(frozen=True)
-class JCParams:
-    """Exchange coupling strength g > 0 (energy units)."""
-
-    g: float
-
-    def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError("coupling g must be positive")
-
-
-def vacuum_rabi(params: JCParams, times: np.ndarray) -> dict[str, np.ndarray]:
+def vacuum_rabi(g: float, times: np.ndarray) -> dict[str, np.ndarray]:
     """Populations of |0, 1> evolved under the exchange coupling, at each sampled time.
 
     On the orbit cos(gt) |0,1> - i sin(gt) |1,0>, in any truncation, the qubit
     excited-state population is cos^2(gt) and the mean cavity photon number
     (the |1,0> population) is sin^2(gt).
     """
-    gt = params.g * np.asarray(times, dtype=np.float64)
+    gt = g * np.asarray(times, dtype=np.float64)
     return {"p_qubit_excited": np.cos(gt) ** 2, "p_photon": np.sin(gt) ** 2}
 
 
-def transfer_time(params: JCParams) -> float:
+def transfer_time(g: float) -> float:
     """Time pi / 2g for the excitation to move entirely into the cavity."""
-    return np.pi / (2.0 * params.g)
+    return np.pi / (2.0 * g)

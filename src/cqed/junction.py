@@ -21,7 +21,6 @@ from .errors import NoMinimum, StepUnstable
 
 __all__ = [
     "TwoIslandState",
-    "TwoIslandTrajectory",
     "washboard_u",
     "first_minimum",
     "squid_effective",
@@ -132,24 +131,9 @@ class TwoIslandState:
             raise ValueError("pair numbers must be positive and finite")
 
 
-@dataclass(frozen=True)
-class TwoIslandTrajectory:
-    times: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
-    current: np.ndarray
-    i0: float
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.theta2 - self.theta1
-
-
 def two_island_dynamics(
     state0: TwoIslandState, e_coupling: float, dt: float, steps: int, every: int = 1
-) -> TwoIslandTrajectory:
+) -> dict[str, object]:
     """Integrate the coupled tunnel equations with fixed-step RK4 for ``steps`` steps.
 
     The equations (hbar = 1, Cooper-pair charge 1) are
@@ -176,7 +160,9 @@ def two_island_dynamics(
     Only the states at steps 0, ``every``, 2 ``every``, ... are kept, and the
     returned arrays hold those rows alone: bit for bit the full trajectory's
     ``[::every]``.  Steps past the last kept row are integrated and checked
-    all the same.
+    all the same.  Returns the arrays "times", "n1", "n2", "theta1", "theta2",
+    "delta" (theta2 - theta1) and "current", one value per kept row, and the
+    float "i0".
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -247,12 +233,5 @@ def two_island_dynamics(
     delta = th2 - th1
     current = e_coupling * np.sqrt(n1 * n2) * np.sin(delta)
     n0 = float(np.sqrt(state0.n1 * state0.n2))
-    return TwoIslandTrajectory(
-        times=times,
-        n1=n1,
-        n2=n2,
-        theta1=th1,
-        theta2=th2,
-        current=current,
-        i0=n0 * e_coupling,
-    )
+    return {"times": times, "n1": n1, "n2": n2, "theta1": th1, "theta2": th2,
+            "delta": delta, "current": current, "i0": n0 * e_coupling}

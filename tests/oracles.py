@@ -66,21 +66,21 @@ def ramsey_numeric(delta: float, t: float) -> float:
     return float(abs(final[0]) ** 2)
 
 
-def ladder_suite(basis) -> SimpleNamespace:
-    """Dense matrices of one truncated mode of ``basis.dim`` levels.
+def ladder_suite(dim: int) -> SimpleNamespace:
+    """Dense matrices of one truncated mode of ``dim`` levels.
 
     ``lower`` |n> = sqrt(n) |n-1>, ``raise_`` = lower^dag, ``number`` = raise_ @ lower,
     and the quadratures ``x1`` = (a + a^dag)/2, ``x2`` = -i (a - a^dag)/2.
     """
-    lower = np.diag(np.sqrt(np.arange(1, basis.dim)), 1).astype(np.complex128)
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
     raise_ = lower.conj().T
     return SimpleNamespace(lower=lower, raise_=raise_, number=raise_ @ lower,
                            x1=0.5 * (lower + raise_), x2=-0.5j * (lower - raise_))
 
 
-def fock_ket(n: int, basis) -> Ket:
-    """Number state |n> of ``basis``."""
-    return Ket(np.eye(basis.dim)[n])
+def fock_ket(n: int, dim: int) -> Ket:
+    """Number state |n> of a mode truncated to ``dim`` levels."""
+    return Ket(np.eye(dim)[n])
 
 
 class JCSpace(NamedTuple):
@@ -123,7 +123,7 @@ def marginal_table(state: Ket) -> dict[str, float]:
     signalling makes her other two bases give the same sums: her remote
     choice of basis cannot steer Bob's marginals.
     """
-    return dict(zip(OUTCOME_LABELS, joint_table(state).probs[0:2].sum(axis=0)))
+    return dict(zip(OUTCOME_LABELS, joint_table(state)[0:2].sum(axis=0)))
 
 
 def first_minimum_numeric(bias: float) -> float:

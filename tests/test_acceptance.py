@@ -29,8 +29,8 @@ from cqed.decoherence import (
     ramsey_ensemble,
 )
 from cqed.errors import NoMinimum
-from cqed.fock import FockBasis, coherent_ket, quad_stats
-from cqed.jaynescummings import JCParams, transfer_time, vacuum_rabi
+from cqed.fock import coherent_ket, quad_stats
+from cqed.jaynescummings import transfer_time, vacuum_rabi
 from cqed.junction import TwoIslandState, first_minimum, squid_effective, two_island_dynamics
 from cqed.linalg import Ket, fidelity, tridiagonal_eigh
 from cqed.qubit import rabi_trace, ramsey_trace
@@ -153,23 +153,23 @@ def test_criterion_06_rabi_ramsey_closed_forms():
 
 
 def test_criterion_07_coherent_states():
-    basis = FockBasis(48)
-    ops = ladder_suite(basis)
+    dim = 48
+    ops = ladder_suite(dim)
     ok = True
     details = []
     for alpha in (0.5, 1.5, 2 + 1j):
-        psi = coherent_ket(alpha, basis)
+        psi = coherent_ket(alpha, dim)
         n_mean = expectation(ops.number, psi).real
         n_var = expectation(ops.number @ ops.number, psi).real - n_mean**2
         target = abs(alpha) ** 2
         ok &= abs(n_mean - target) < 1e-7 and abs(n_var - target) < 1e-7
         details.append(f"{alpha}: <n> err {abs(n_mean - target):.1e}")
     for state, v_expected in (
-        (coherent_ket(1.5, basis), 0.25),
-        (fock_ket(0, basis), 0.25),
-        (fock_ket(3, basis), 1.75),
+        (coherent_ket(1.5, dim), 0.25),
+        (fock_ket(0, dim), 0.25),
+        (fock_ket(3, dim), 1.75),
     ):
-        stats = quad_stats(state, basis)
+        stats = quad_stats(state)
         ok &= abs(stats["var1"] - v_expected) < 1e-6
         ok &= abs(stats["var2"] - v_expected) < 1e-6
     report(7, "coherent-state statistics and quadrature variances", ok,
@@ -187,7 +187,7 @@ def test_criterion_08_jaynes_cummings():
         1 - fidelity(amps, vacuum_rabi_closed_form(g, t, space).amps)
         for t, amps in zip(times, states)
     )
-    transfer = vacuum_rabi(JCParams(g), np.array([transfer_time(JCParams(g))]))
+    transfer = vacuum_rabi(g, np.array([transfer_time(g)]))
     transfer_err = abs(transfer["p_photon"][0] - 1.0)
     mid = vacuum_rabi_closed_form(g, np.pi / (4 * g), space).amps
     amp_err = max(
@@ -233,11 +233,11 @@ def test_criterion_10_squid():
 def test_criterion_11_two_island_ode():
     state0 = TwoIslandState(1e6, 1e6, 0.0, 0.7)
     traj = two_island_dynamics(state0, e_coupling=1e-6, dt=1e-3, steps=10_000)
-    drift = np.abs(traj.delta - 0.7).max()
+    drift = np.abs(traj["delta"] - 0.7).max()
     total0 = state0.n1 + state0.n2
-    conservation = np.abs((traj.n1 + traj.n2 - total0) / total0).max()
-    expected = traj.i0 * np.sin(traj.delta)
-    current_rel = (np.abs(traj.current - expected) / np.abs(expected)).max()
+    conservation = np.abs((traj["n1"] + traj["n2"] - total0) / total0).max()
+    expected = traj["i0"] * np.sin(traj["delta"])
+    current_rel = (np.abs(traj["current"] - expected) / np.abs(expected)).max()
     ok = drift < 1e-9 and conservation < 1e-9 and current_rel < 1e-6
     report(11, "two-island RK4: constant phase, conserved pairs, I0 sin(delta)", ok,
            f"drift {drift:.1e}, conservation {conservation:.1e}, current {current_rel:.1e}")
@@ -249,7 +249,7 @@ def test_criterion_12_bell_tables():
     ok = True
     for i in range(6):
         for j in range(6):
-            v = table.probs[i, j]
+            v = table[i, j]
             ok &= min(abs(v - x) for x in (0.0, 0.25, 0.5)) < 1e-12
     expected = np.zeros((6, 6))
     same = {(0, 0): 0.5, (1, 1): 0.5, (2, 2): 0.5, (3, 3): 0.5, (4, 5): 0.5, (5, 4): 0.5}
@@ -259,11 +259,11 @@ def test_criterion_12_bell_tables():
         for j in range(6):
             if (i // 2) != (j // 2):
                 expected[i, j] = 0.25
-    ok &= np.abs(table.probs - expected).max() < 1e-12
+    ok &= np.abs(table - expected).max() < 1e-12
     marginals = marginal_table(bell_state("phi+"))
     ok &= all(abs(marginals[k] - 0.5) < 1e-12 for k in OUTCOME_LABELS)
     report(12, "Bell-state joint and marginal tables", ok,
-           f"max table deviation {np.abs(table.probs - expected).max():.1e}")
+           f"max table deviation {np.abs(table - expected).max():.1e}")
     assert ok
 
 
@@ -319,7 +319,7 @@ def test_criterion_15_property_suites():
     ok &= np.abs(once - twice).max() < 1e-9
     # truncated-commutator artifact
     dim = 11
-    ops = ladder_suite(FockBasis(dim))
+    ops = ladder_suite(dim)
     defect = ops.lower @ ops.raise_ - ops.raise_ @ ops.lower - np.eye(dim)
     expected = np.zeros(dim)
     expected[dim - 1] = -dim

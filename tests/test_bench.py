@@ -5,6 +5,7 @@ reads the tables, so a rename or an output change in the package can break
 the harness while every other test passes.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,41 @@ def test_bench_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest passed" in proc.stdout
+
+
+#: One traced tiny pass each of ``ensembles`` and ``dynamics``, run from
+#: ``bench/`` so that its modules and BLAS settings stay out of this process.
+HOOK_PASS = """
+import json, tempfile
+from pathlib import Path
+import run, tracing, workloads
+modules = run.import_cqed()
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for workload in ("ensembles", "dynamics"):
+        runner = run.Runner(modules["cli"], workloads.build(workload, 0, tiny=True), Path(tmp))
+        tracer = tracing.Tracer()
+        tracer.install(modules)
+        try:
+            runner.run_pass(tracer)
+        finally:
+            tracer.remove()
+        out[workload] = {"codes": runner.codes, **tracer.counters}
+print(json.dumps(out))
+"""
+
+
+def test_tracing_hooks_read_the_work_from_call_arguments():
+    # The hooks read ramsey_ensemble's trials (args[4]) and noise (args[1].sigma),
+    # t1_curves's mc dict and two_island_dynamics's steps (args[3]): a reordered
+    # signature would change these counts, or crash the pass, and nothing else.
+    proc = subprocess.run([sys.executable, "-c", HOOK_PASS], cwd=ROOT / "bench",
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    counters = json.loads(proc.stdout)
+    assert counters["ensembles"]["codes"] == [0, 0, 0]
+    assert counters["dynamics"]["codes"] == [0] * 6
+    # 1000 trials in each of the tiny pass's dephase, decay and dephase runs
+    assert counters["ensembles"]["trajectories"] == 3000
+    # the tiny tunnel-ode run: 20000 // 20 steps
+    assert counters["dynamics"]["rk4_steps"] == 1000

@@ -509,6 +509,10 @@ class TestExitCodes:
             (["squid", "--i0", "0"], "i0 must be > 0"),
             (["transmon", "--ncut", "-5"], "ncut must be >= 0"),
             (["jc", "--nmax", "1"], "nmax must be >= 2"),
+            (["jc", "--g", "0"], "g must be > 0"),
+            (["jc", "--g", "-1"], "g must be > 0"),
+            (["coherent", "--dim", "1"], "dim must be >= 2"),
+            (["coherent", "--dim", "-3"], "dim must be >= 2"),
             # a negative ncut made the size term negative: exit 1 in np.linspace
             (["spectrum", "--ncut", "-1", "--ng-steps", "1000000000000000"], "ncut must be >= 2"),
             (["transmon", "--ratios", "abc"], "ratios must be"),
@@ -1012,7 +1016,7 @@ class TestPhysicsThroughCli:
         args = cli.build_parser().parse_args(argv)
         columns, rows, _ = cli._run_coherent(args)
         times = np.linspace(0.0, args.t_max, steps)
-        states = cli.coherent_evolution(alpha, -1.3, times, cli.FockBasis(dim))
+        states = cli.coherent_evolution(alpha, -1.3, times, dim)
         per_row = [abs(np.vdot(a, b)) ** 2 for a, b in zip(states["analytic"], states["numeric"])]
         assert np.array_equal(rows[:, columns.index("fidelity")], per_row)
 

@@ -10,7 +10,7 @@ from cqed.decoherence import (
     ramsey_ensemble,
     t1_curves,
 )
-from cqed.jaynescummings import JCParams, vacuum_rabi
+from cqed.jaynescummings import vacuum_rabi
 from cqed.junction import TwoIslandState, two_island_dynamics
 from cqed.qubit import rabi_trace, ramsey_trace
 
@@ -35,7 +35,7 @@ def _decay_limited_ramsey():
 
 def _two_island_current():
     traj = two_island_dynamics(TwoIslandState(1.0, 2.0, 0.0, 0.5), 0.1, 0.01, 50)
-    return traj.times, np.arange(50 + 1) * 0.01, [traj.current]
+    return traj["times"], np.arange(50 + 1) * 0.01, [traj["current"]]
 
 
 CASES = {
@@ -46,7 +46,7 @@ CASES = {
     "ramsey_ensemble-noisy": lambda: _ramsey_ensemble(0.7),
     "decay_limited_ramsey": _decay_limited_ramsey,
     "vacuum_rabi": lambda: _on_given_times(
-        *(vacuum_rabi(JCParams(1.0), TIMES)[key] for key in JC_CURVES)
+        *(vacuum_rabi(1.0, TIMES)[key] for key in JC_CURVES)
     ),
     "two_island_current": _two_island_current,
 }

@@ -22,7 +22,7 @@ from cqed.decoherence import (
 )
 from cqed.errors import DimensionMismatch, FitFailed
 from cqed.linalg import Ket
-from cqed.qubit import ramsey_trace
+from cqed.qubit import KET_0, KET_1, KET_MINUS, KET_MINUS_I, KET_PLUS, KET_PLUS_I, ramsey_trace
 from oracles import marginal_table
 
 
@@ -620,11 +620,25 @@ class TestBellStates:
             bell_state("omega+")
 
 
+#: One qubit's outcomes in the order of OUTCOME_LABELS.
+OUTCOME_KETS = (KET_0, KET_1, KET_PLUS, KET_MINUS, KET_PLUS_I, KET_MINUS_I)
+#: The four Bell states and five random two-qubit kets, by seed.
+TWO_QUBIT_CASES = ["phi+", "phi-", "psi+", "psi-", 40, 41, 42, 43, 44]
+
+
+def two_qubit_ket(case):
+    """A Bell state by name, or a random normalized two-qubit ket by seed."""
+    if isinstance(case, str):
+        return bell_state(case)
+    v = np.array([1, 1j]) @ np.random.default_rng(case).normal(size=(2, 4))
+    return Ket(v / np.linalg.norm(v))
+
+
 class TestJointTable:
     # Outcomes index the table as OUTCOME_LABELS orders them:
     # 0, 1 | plus, minus | plus_i, minus_i.
     def test_phi_plus_same_basis_cells(self):
-        probs = joint_table(bell_state("phi+")).probs
+        probs = joint_table(bell_state("phi+"))
         # computational and +- bases: perfectly correlated
         for a, b in ((0, 1), (2, 3)):
             assert abs(probs[a, a] - 0.5) < 1e-12
@@ -637,21 +651,31 @@ class TestJointTable:
         assert probs[4, 4] < 1e-12
 
     def test_phi_plus_cross_basis_flat(self):
-        probs = joint_table(bell_state("phi+")).probs
+        probs = joint_table(bell_state("phi+"))
         assert np.abs(probs[0:2, 2:6] - 0.25).max() < 1e-12
 
     def test_product_state_rows(self):
-        probs = joint_table(Ket([1, 0, 0, 0])).probs  # |0,0>
+        probs = joint_table(Ket([1, 0, 0, 0]))  # |0,0>
         assert abs(probs[0, 0] - 1.0) < 1e-12
         assert probs[0, 1] < 1e-15
         assert probs[1, 0] < 1e-15
         assert abs(probs[0, 2] - 0.5) < 1e-12
 
-    def test_cell_sums_validated(self):
-        # constructor enforces each basis-pair cell summing to 1
-        rng = np.random.default_rng(35)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        joint_table(Ket(v / np.linalg.norm(v)))  # must not raise
+    @pytest.mark.parametrize("case", TWO_QUBIT_CASES)
+    def test_entries_and_cell_sums(self, case):
+        psi = two_qubit_ket(case)
+        probs = joint_table(psi)
+        assert probs.shape == (6, 6) and probs.dtype == np.float64
+        assert probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12
+        # each 2x2 block is one choice of bases, Alice's rows by Bob's columns
+        for a in (0, 2, 4):
+            for b in (0, 2, 4):
+                assert abs(probs[a:a + 2, b:b + 2].sum() - 1.0) <= 1e-12
+        # a swap of two outcomes within a basis keeps every block sum: each
+        # entry is also |(<a| (x) <b|) psi|^2 with the product ket built by kron
+        ref = [[abs(np.vdot(np.kron(a.amps, b.amps), psi.amps)) ** 2 for b in OUTCOME_KETS]
+               for a in OUTCOME_KETS]
+        assert np.abs(probs - ref).max() < 1e-12
 
     def test_rejects_non_two_qubit_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -662,20 +686,12 @@ class TestJointTable:
             Ket([1, 0, 0, 1])
 
 
-def two_qubit_ket(case):
-    """A Bell state by name, or a random normalized two-qubit ket by seed."""
-    if isinstance(case, str):
-        return bell_state(case)
-    v = np.array([1, 1j]) @ np.random.default_rng(case).normal(size=(2, 4))
-    return Ket(v / np.linalg.norm(v))
-
-
 class TestMarginals:
-    @pytest.mark.parametrize("case", ["phi+", "phi-", "psi+", "psi-", 40, 41, 42, 43, 44])
+    @pytest.mark.parametrize("case", TWO_QUBIT_CASES)
     def test_no_signalling(self, case):
         # Alice's choice of basis cannot steer Bob's outcome probabilities
         state = two_qubit_ket(case)
-        probs = joint_table(state).probs
+        probs = joint_table(state)
         per_basis = np.stack([probs[a:a + 2].sum(axis=0) for a in (0, 2, 4)])
         assert np.ptp(per_basis, axis=0).max() < 1e-12
         marginals = marginal_table(state)

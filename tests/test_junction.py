@@ -369,7 +369,7 @@ def nested_rk4(state0, e_coupling, dt, steps):
 
 
 def trajectory(traj):
-    return np.stack([traj.n1, traj.n2, traj.theta1, traj.theta2], axis=1)
+    return np.stack([traj["n1"], traj["n2"], traj["theta1"], traj["theta2"]], axis=1)
 
 
 class TestInlineStagesMatchNestedStepper:
@@ -434,10 +434,10 @@ class TestKeptRows:
         state0 = TwoIslandState(1e6, 3e5, 0.2, 0.9)
         full = two_island_dynamics(state0, -2e-6, 1e-3, steps)
         kept = two_island_dynamics(state0, -2e-6, 1e-3, steps, every)
-        for name in ("times", "n1", "n2", "theta1", "theta2", "current"):
-            got, ref = getattr(kept, name), getattr(full, name)[::every]
+        for name in ("times", "n1", "n2", "theta1", "theta2", "delta", "current"):
+            got, ref = kept[name], full[name][::every]
             assert got.shape == (steps // every + 1,) and np.array_equal(got, ref), name
-        assert kept.i0 == full.i0
+        assert kept["i0"] == full["i0"]
 
     @pytest.mark.parametrize("every", [7, 40])
     @pytest.mark.parametrize(
@@ -468,28 +468,28 @@ class TestTwoIslandDynamics:
 
     def test_phase_difference_constant(self):
         traj = self.run()
-        assert np.abs(traj.delta - 0.7).max() < 1e-9
+        assert np.abs(traj["delta"] - 0.7).max() < 1e-9
 
     def test_total_pairs_conserved(self):
         traj = self.run()
-        total0 = traj.n1[0] + traj.n2[0]
-        assert np.abs((traj.n1 + traj.n2 - total0) / total0).max() < 1e-9
+        total0 = traj["n1"][0] + traj["n2"][0]
+        assert np.abs((traj["n1"] + traj["n2"] - total0) / total0).max() < 1e-9
 
     def test_current_matches_josephson_relation(self):
         traj = self.run()
-        expected = traj.i0 * np.sin(traj.delta)
-        rel = np.abs(traj.current - expected) / np.abs(expected).max()
+        expected = traj["i0"] * np.sin(traj["delta"])
+        rel = np.abs(traj["current"] - expected) / np.abs(expected).max()
         assert rel.max() < 1e-6
 
     def test_zero_phase_zero_current(self):
         traj = self.run(delta0=0.0, steps=500)
-        assert np.abs(traj.current).max() == 0.0
+        assert np.abs(traj["current"]).max() == 0.0
 
     def test_asymmetric_flow_direction(self):
         # pairs flow into island 1 for 0 < delta < pi
         traj = self.run(steps=200)
-        assert traj.n1[-1] > traj.n1[0]
-        assert traj.n2[-1] < traj.n2[0]
+        assert traj["n1"][-1] > traj["n1"][0]
+        assert traj["n2"][-1] < traj["n2"][0]
 
     def test_step_unstable(self):
         state0 = TwoIslandState(1.0, 100.0, 0.0, -np.pi / 2)
@@ -501,7 +501,7 @@ class TestTwoIslandDynamics:
     def test_matches_array_rk4_bit_for_bit(self, theta2, steps):
         state0 = TwoIslandState(1e6, 1e6, 0.0, theta2)
         traj = two_island_dynamics(state0, e_coupling=1e-6, dt=1e-3, steps=steps)
-        got = np.stack([traj.n1, traj.n2, traj.theta1, traj.theta2], axis=1)
+        got = np.stack([traj["n1"], traj["n2"], traj["theta1"], traj["theta2"]], axis=1)
         assert np.array_equal(got, array_rk4(state0, 1e-6, 1e-3, steps))
 
     def test_non_finite_state_mid_integration_is_unstable(self):
