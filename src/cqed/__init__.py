@@ -8,7 +8,7 @@ Subpackages by physics area:
   evolution, quadrature statistics.
 * `cqed.qubit` - the six axis states, Rabi and Ramsey fringes.
 * `cqed.junction` - semiclassical Josephson: washboard, SQUID,
-  flux-qubit double well, two-island tunnelling ODEs.
+  flux-qubit double well, two-island tunnelling in closed form.
 * `cqed.chargebox` - Cooper-pair box / transmon spectra, gaps,
   charge dispersion, second-order avoided crossings.
 * `cqed.jaynescummings` - resonant qubit-cavity exchange.

@@ -7,11 +7,10 @@ name, a default that gives its type, and an optional bound (``> x`` or
 ``>= x``) or list of choices.  The parser, the ``params`` metadata and
 every flag check come from that table: a number flag must be finite as a
 float (an int past float range is not), and a flag must lie within its
-bound.  Four budgets are checked from the size terms before any array
+bound.  Three budgets are checked from the size terms before any array
 exists: no array over 2^23 float64 values (64 MiB), no run over 2^30
-random draws, no ``transmon`` run over 2^19 iterations of the Sturm
-bisection's Python loop over charges, and no ``tunnel-ode`` run over
-2^21 - 1 RK4 steps.
+random draws, and no ``transmon`` run over 2^19 iterations of the Sturm
+bisection's Python loop over charges.
 
 CSV files start with ``# key=value`` metadata lines (command, parameters,
 seed, version), then a header row; floats carry 12 significant digits.
@@ -57,8 +56,7 @@ from .errors import CqedError
 from .fock import coherent_evolution, quad_stats
 from .jaynescummings import transfer_time, vacuum_rabi
 from .junction import (
-    TwoIslandState, first_minimum, flux_qubit_potential, squid_effective, two_island_dynamics,
-    washboard_u,
+    first_minimum, flux_qubit_potential, squid_effective, two_island_dynamics, washboard_u,
 )
 from .linalg import _COLUMNS, fidelity
 from .qubit import rabi_trace, ramsey_trace
@@ -374,7 +372,7 @@ def _run_transmon(args):
 
 
 def _run_tunnel_ode(args):
-    state0 = TwoIslandState(args.n1, args.n2, args.theta1, args.theta2)
+    state0 = (args.n1, args.n2, args.theta1, args.theta2)
     # steps // stride + 1 <= max_rows rows, the first at t = 0
     stride = -(-args.steps // (args.max_rows - 1))
     traj = two_island_dynamics(state0, args.e_coupling, args.dt, args.steps, stride)
@@ -392,9 +390,8 @@ class _Command:
     """One subcommand.  A flag is ``(name, default)``, ``(name, default, bound)``
     with a bound ``"> x"`` or ``">= x"``, or ``(name, default, choices)``.
     ``size`` counts the float64 values of the largest array (or list of
-    arrays) the command holds at once, ``draws`` its random draws, ``loops``
-    the iterations of its bisections' Python loop and ``steps`` the steps of
-    its RK4 integration.
+    arrays) the command holds at once, ``draws`` its random draws and ``loops``
+    the iterations of its bisections' Python loop.
     """
 
     run: Callable
@@ -403,7 +400,6 @@ class _Command:
     size: Callable = lambda args: 0
     draws: Callable = lambda args: 0
     loops: Callable = lambda args: 0
-    steps: Callable = lambda args: 0
 
 
 #: Halvings of one Sturm bisection, at most: the Gershgorin bracket (about
@@ -506,22 +502,19 @@ _COMMANDS = {
     ),
     "tunnel-ode": _Command(
         _run_tunnel_ode, "Semiclassical two-island tunnelling",
-        (("n1", 1.0e6), ("n2", 1.0e6), ("theta1", 0.0), ("theta2", 0.7),
+        (("n1", 1.0e6, "> 0"), ("n2", 1.0e6, "> 0"), ("theta1", 0.0), ("theta2", 0.7),
          ("e-coupling", 1.0e-6), ("dt", 1.0e-3, "> 0"), ("steps", 10000, ">= 1"),
          ("max-rows", 501, ">= 2")),
-        # the (rows, 6) table: the RK4 keeps only those rows
+        # the (rows, 6) table: the closed form is evaluated at those rows alone
         size=lambda a: 6 * min(a.max_rows, a.steps + 1),
-        steps=lambda a: a.steps,
     ),
 }
 
-#: Float64 values one array may hold (64 MiB), random draws one run may make,
-#: bisection loop iterations one run may take (a row of a pass: 6-9 us, 2-vCPU Xeon)
-#: and RK4 steps one run may take (about 3 us each, so about 6.5 s in all).
+#: Float64 values one array may hold (64 MiB), random draws one run may make
+#: and bisection loop iterations one run may take (a row of a pass: 6-9 us, 2-vCPU Xeon).
 _MAX_VALUES = 2**23
 _MAX_DRAWS = 2**30
 _MAX_LOOPS = 2**19
-_MAX_STEPS = 2**21 - 1
 _BOUNDS = {">": operator.gt, ">=": operator.ge}
 
 
@@ -547,8 +540,7 @@ def _check(args, spec: _Command) -> None:
                 raise ValueError(f"{flag} must be {rule}")
     for amount, limit, what in ((spec.size(args), _MAX_VALUES, "float64 values in one array"),
                                 (spec.draws(args), _MAX_DRAWS, "random draws"),
-                                (spec.loops(args), _MAX_LOOPS, "bisection loop iterations"),
-                                (spec.steps(args), _MAX_STEPS, "RK4 steps")):
+                                (spec.loops(args), _MAX_LOOPS, "bisection loop iterations")):
         if amount > limit:
             raise ValueError(f"{amount:.3g} {what} exceed the budget of {limit}")
 

@@ -19,7 +19,7 @@ class NoMinimum(CqedError):
 
 
 class StepUnstable(CqedError):
-    """ODE integration left the physically valid domain."""
+    """A row at a node: a pair number too close to 0 for its phase to be determined."""
 
 
 class TruncationTooSmall(CqedError):

@@ -36,4 +36,5 @@ def vacuum_rabi(g: float, times: np.ndarray) -> dict[str, np.ndarray]:
 
 def transfer_time(g: float) -> float:
     """Time pi / 2g for the excitation to move entirely into the cavity."""
-    return np.pi / (2.0 * g)
+    # numpy's operations, so a quotient that overflows raises under np.errstate
+    return np.divide(np.pi, np.multiply(2.0, g))

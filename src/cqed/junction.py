@@ -13,14 +13,12 @@ and every formula below is a pure ratio: no absolute junction scale enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoMinimum, StepUnstable
 
 __all__ = [
-    "TwoIslandState",
     "washboard_u",
     "first_minimum",
     "squid_effective",
@@ -117,121 +115,73 @@ def flux_qubit_potential(
     return {"u": samples, "minima": [(p, float(u(p))) for p in minima]}
 
 
-@dataclass(frozen=True)
-class TwoIslandState:
-    """Semiclassical condensates sqrt(n_j) exp(i theta_j) on two islands."""
-
-    n1: float
-    n2: float
-    theta1: float
-    theta2: float
-
-    def __post_init__(self):
-        if not (0 < self.n1 < math.inf and 0 < self.n2 < math.inf):
-            raise ValueError("pair numbers must be positive and finite")
-
-
 def two_island_dynamics(
-    state0: TwoIslandState, e_coupling: float, dt: float, steps: int, every: int = 1
+    state0: tuple, e_coupling: float, dt: float, steps: int, every: int = 1
 ) -> dict[str, object]:
-    """Integrate the coupled tunnel equations with fixed-step RK4 for ``steps`` steps.
+    """The coupled tunnel equations, solved exactly at steps 0, ``every``, 2 ``every``, ...
 
     The equations (hbar = 1, Cooper-pair charge 1) are
 
         dn1/dt = E sqrt(n1 n2) sin(delta)        dn2/dt = -dn1/dt
         dtheta_j/dt = -(E/2) sqrt(n_k/n_j) cos(delta)
 
-    with delta = theta2 - theta1.  The emitted current is dn1/dt, to be
-    compared against I0 sin(delta) with I0 = n0 E and n0 the geometric mean
-    of the initial pair numbers.  Both number derivatives come from a single
-    evaluation, so n1 + n2 is conserved to roundoff.
+    with delta = theta2 - theta1 and ``state0`` = (n1, n2, theta1, theta2), n_j > 0.
+    For psi_j = sqrt(n_j) exp(i theta_j) they are i dpsi/dt = (E/2) sigma_x psi
+    (Feynman Lectures III, 21-9), so with phi = E t / 2 and delta0 = delta(0)
 
-    The stepper runs on Python floats with the four stages written out.  Stage 1
-    tests only its phase difference: its pair numbers are positive, checked by
-    TwoIslandState for step 1 and by the end of every step after.  Stages 2-4
-    test their pair numbers, then their phase difference, before sqrt, sin and
-    cos, and the sums y + (dt/2) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) keep
-    that operation order per component.  n2 subtracts n1's increments, exactly:
-    negation is exact and rounding sign-symmetric, so x + c (-s) is x - c s.
-    The trajectory is thus bit-identical to the same RK4 on length-4 numpy
-    arrays.  Raises StepUnstable if a pair number is driven to zero or any
-    component of the state stops being finite, at whatever step that happens.
+        z1 = psi_1 exp(-i theta1(0)) = sqrt(n1) cos(phi) - i sqrt(n2) exp(i delta0) sin(phi)
+        z2 = psi_2 exp(-i theta2(0)) = sqrt(n2) cos(phi) - i sqrt(n1) exp(-i delta0) sin(phi)
 
-    Only the states at steps 0, ``every``, 2 ``every``, ... are kept, and the
-    returned arrays hold those rows alone: bit for bit the full trajectory's
-    ``[::every]``.  Steps past the last kept row are integrated and checked
-    all the same.  Returns the arrays "times", "n1", "n2", "theta1", "theta2",
-    "delta" (theta2 - theta1) and "current", one value per kept row, and the
-    float "i0".
+    and n_j = |z_j|^2.  Each z_j is a real-linear image of (cos phi, sin phi), so
+    its argument is monotone in phi and gains -sign(cos delta0) pi per pi of
+    phi: with k = round(phi / pi), theta_j = theta_j(0) - sign(cos delta0) k pi
+    + Arg((-1)^k z_j), exact on each row however many windings lie between
+    rows, with no unwrapping.  <sigma_x> / 2 = sqrt(n1 n2) cos(delta) is
+    conserved, so cos(delta) keeps the sign of cos(delta0), delta stays within
+    pi of delta0, and delta = delta0 + Arg(z2 conj(z1)): theta2 - theta1
+    without the cancellation of their windings.  cos and sin take phi itself,
+    since numpy reduces the argument exactly (phi - k pi would not be exact).
+
+    Every rounding leaves about eps sqrt(n1 + n2) in z_j, so about
+    eps sqrt((n1 + n2) / n_j) in theta_j.  A row where a pair number falls
+    below eps (n1 + n2), next to a node of psi_j, raises StepUnstable: its
+    phase (to worse than sqrt(eps)) and the pair number itself are not
+    determined.
+
+    The rows are the times k ``every`` dt for k = 0 .. ``steps`` // ``every``.
+    Returns the arrays "times", "n1", "n2", "theta1", "theta2", "delta" and
+    "current" (dn1/dt), one value per row, and the float "i0" = E sqrt(n1 n2)
+    at t = 0.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("need at least one step")
-    e = float(e_coupling)
-    h = -0.5 * e
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    inf = math.inf
-    sin, cos, sqrt = math.sin, math.cos, math.sqrt
-    zero = "pair number reached zero during integration"
-    # tested before each stage: math.sin and math.cos raise ValueError on inf
-    phase = "phase difference became non-finite during integration"
-
-    n1, n2, th1, th2 = y = (
-        float(state0.n1), float(state0.n2), float(state0.theta1), float(state0.theta2)
-    )
-    out = np.empty((steps // every + 1, 4))
-    out[0] = y
-    # a memoryview stores each float faster than numpy's sequence assignment
-    rows = out.data
-    # one pass of the outer loop per kept row, the last maybe cut short at steps
-    for row, stop in enumerate(range(every, steps + every, every), 1):
-        for k in range(stop - every + 1, min(stop, steps) + 1):
-            delta = th2 - th1
-            if not -inf < delta < inf:
-                raise StepUnstable(phase)
-            a1, cos_d = e * sqrt(n1 * n2) * sin(delta), cos(delta)
-            a3, a4 = h * sqrt(n2 / n1) * cos_d, h * sqrt(n1 / n2) * cos_d
-            p1, p2 = n1 + half * a1, n2 - half * a1
-            if p1 <= 0.0 or p2 <= 0.0:
-                raise StepUnstable(zero)
-            delta = (th2 + half * a4) - (th1 + half * a3)
-            if not -inf < delta < inf:
-                raise StepUnstable(phase)
-            b1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
-            b3, b4 = h * sqrt(p2 / p1) * cos_d, h * sqrt(p1 / p2) * cos_d
-            p1, p2 = n1 + half * b1, n2 - half * b1
-            if p1 <= 0.0 or p2 <= 0.0:
-                raise StepUnstable(zero)
-            delta = (th2 + half * b4) - (th1 + half * b3)
-            if not -inf < delta < inf:
-                raise StepUnstable(phase)
-            c1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
-            c3, c4 = h * sqrt(p2 / p1) * cos_d, h * sqrt(p1 / p2) * cos_d
-            p1, p2 = n1 + dt * c1, n2 - dt * c1
-            if p1 <= 0.0 or p2 <= 0.0:
-                raise StepUnstable(zero)
-            delta = (th2 + dt * c4) - (th1 + dt * c3)
-            if not -inf < delta < inf:
-                raise StepUnstable(phase)
-            d1, cos_d = e * sqrt(p1 * p2) * sin(delta), cos(delta)
-            s1 = sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
-            # one name at a time: no 4-tuple is built and unpacked per step
-            n1 = n1 + s1
-            n2 = n2 - s1
-            th1 = th1 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + h * sqrt(p2 / p1) * cos_d)
-            th2 = th2 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + h * sqrt(p1 / p2) * cos_d)
-            if not (n1 < inf and n2 < inf and -inf < th1 < inf and -inf < th2 < inf):
-                raise StepUnstable(f"state became non-finite at step {k}")
-            if n1 <= 0.0 or n2 <= 0.0:
-                raise StepUnstable(f"pair number went non-positive at step {k}")
-        if stop <= steps:
-            rows[row, 0], rows[row, 1], rows[row, 2], rows[row, 3] = n1, n2, th1, th2
-    times = np.arange(0, steps + 1, every) * dt
-    n1, n2, th1, th2 = out.T
-    delta = th2 - th1
-    current = e_coupling * np.sqrt(n1 * n2) * np.sin(delta)
-    n0 = float(np.sqrt(state0.n1 * state0.n2))
-    return {"times": times, "n1": n1, "n2": n2, "theta1": th1, "theta2": th2,
-            "delta": delta, "current": current, "i0": n0 * e_coupling}
+    n1, n2, th1, th2 = (np.float64(v) for v in state0)
+    # (k every) dt: the bits of np.arange(0, steps + 1, every) * dt while k every
+    # < 2^53, and no int64 or object array for a step count past that
+    times = np.arange(steps // every + 1, dtype=np.float64) * float(every) * dt
+    phi = 0.5 * e_coupling * times
+    # numpy's difference, so one that overflows raises under np.errstate
+    delta0 = np.subtract(th2, th1)
+    cos_d, sin_d = np.cos(delta0), np.sin(delta0)
+    r1, r2 = np.sqrt(n1), np.sqrt(n2)
+    c, s = np.cos(phi), np.sin(phi)
+    # z_j = x_j + i y_j
+    x1, y1 = r1 * c + r2 * sin_d * s, -r2 * cos_d * s
+    x2, y2 = r2 * c - r1 * sin_d * s, -r1 * cos_d * s
+    pairs1, pairs2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    floor = np.finfo(np.float64).eps * (n1 + n2)
+    (low,) = np.nonzero(np.minimum(pairs1, pairs2) < floor)
+    if len(low):
+        raise StepUnstable(f"a pair number at t = {times[low[0]]:.6g} is below eps (n1 + n2) "
+                           f"= {floor:.3g}: its phase is not determined")
+    k = np.round(phi / np.pi)
+    flip = 1.0 - 2.0 * (k % 2.0)
+    turns = np.sign(cos_d) * np.pi * k
+    theta1 = (th1 - turns) + np.arctan2(flip * y1, flip * x1)
+    theta2 = (th2 - turns) + np.arctan2(flip * y2, flip * x2)
+    delta = delta0 + np.arctan2(y2 * x1 - x2 * y1, x2 * x1 + y2 * y1)
+    current = e_coupling * np.sqrt(pairs1 * pairs2) * np.sin(delta)
+    return {"times": times, "n1": pairs1, "n2": pairs2, "theta1": theta1, "theta2": theta2,
+            "delta": delta, "current": current, "i0": float(np.sqrt(n1 * n2)) * e_coupling}

@@ -4,8 +4,9 @@ No command runs any of these.  Each is the explicit, step-by-step or dense
 version of something the package computes in closed form or on a band: the
 qubit gates behind the Rabi and Ramsey circuits, dense ladder matrices of a
 truncated mode, the Jaynes-Cummings single-excitation orbit on the
-cavity-major product space, Bob's marginals of a joint table, and a Newton
-search for the washboard minimum.  They check none of their inputs: every
+cavity-major product space, Bob's marginals of a joint table, a Newton
+search for the washboard minimum, and a fixed-step RK4 of the two-island
+tunnel equations.  They check none of their inputs: every
 caller is a test that knows what it passes.
 """
 
@@ -131,3 +132,33 @@ def first_minimum_numeric(bias: float) -> float:
     rising on [-pi/2, pi/2]; looked up on the module, so a test that patches it sees it."""
     return junction._newton(lambda p: (math.sin(p) - bias, math.cos(p)),
                             -math.pi / 2, math.pi / 2)
+
+
+def two_island_rk4(state0, e: float, dt: float, steps: int) -> np.ndarray:
+    """Fixed-step RK4 of the two-island tunnel equations on Python floats.
+
+    ``state0`` is (n1, n2, theta1, theta2); returns the (steps + 1, 4)
+    trajectory.  The stages sum as ((k1 + 2 k2) + 2 k3) + k4 per component.
+    Its error is O(dt^4), against the closed form of
+    `cqed.junction.two_island_dynamics`.
+    """
+    h = -0.5 * e
+    half, sixth = 0.5 * dt, dt / 6.0
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+
+    def rhs(n1, n2, th1, th2):
+        s = e * sqrt(n1 * n2) * sin(th2 - th1)
+        cos_d = cos(th2 - th1)
+        return s, -s, h * sqrt(n2 / n1) * cos_d, h * sqrt(n1 / n2) * cos_d
+
+    y = tuple(float(v) for v in state0)
+    out = [y]
+    for _ in range(steps):
+        k1 = rhs(*y)
+        k2 = rhs(*[v + half * k for v, k in zip(y, k1)])
+        k3 = rhs(*[v + half * k for v, k in zip(y, k2)])
+        k4 = rhs(*[v + dt * k for v, k in zip(y, k3)])
+        y = tuple(v + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+                  for v, a, b, c, d in zip(y, k1, k2, k3, k4))
+        out.append(y)
+    return np.array(out)

@@ -31,7 +31,7 @@ from cqed.decoherence import (
 from cqed.errors import NoMinimum
 from cqed.fock import coherent_ket, quad_stats
 from cqed.jaynescummings import transfer_time, vacuum_rabi
-from cqed.junction import TwoIslandState, first_minimum, squid_effective, two_island_dynamics
+from cqed.junction import first_minimum, squid_effective, two_island_dynamics
 from cqed.linalg import Ket, fidelity, tridiagonal_eigh
 from cqed.qubit import rabi_trace, ramsey_trace
 from oracles import (
@@ -45,6 +45,7 @@ from oracles import (
     marginal_table,
     rabi_numeric,
     ramsey_numeric,
+    two_island_rk4,
     vacuum_rabi_closed_form,
 )
 
@@ -231,16 +232,21 @@ def test_criterion_10_squid():
 
 
 def test_criterion_11_two_island_ode():
-    state0 = TwoIslandState(1e6, 1e6, 0.0, 0.7)
+    state0 = (1e6, 1e6, 0.0, 0.7)
     traj = two_island_dynamics(state0, e_coupling=1e-6, dt=1e-3, steps=10_000)
     drift = np.abs(traj["delta"] - 0.7).max()
-    total0 = state0.n1 + state0.n2
+    total0 = state0[0] + state0[1]
     conservation = np.abs((traj["n1"] + traj["n2"] - total0) / total0).max()
     expected = traj["i0"] * np.sin(traj["delta"])
     current_rel = (np.abs(traj["current"] - expected) / np.abs(expected)).max()
-    ok = drift < 1e-9 and conservation < 1e-9 and current_rel < 1e-6
-    report(11, "two-island RK4: constant phase, conserved pairs, I0 sin(delta)", ok,
-           f"drift {drift:.1e}, conservation {conservation:.1e}, current {current_rel:.1e}")
+    # the closed form against the fixed-step RK4 of the same equations
+    rk4 = two_island_rk4(state0, 1e-6, 1e-3, 10_000)
+    closed = np.stack([traj["n1"], traj["n2"], traj["theta1"], traj["theta2"]], axis=1)
+    rk4_rel = (np.abs(closed - rk4) / np.maximum(np.abs(rk4), 1.0)).max()
+    ok = drift < 1e-9 and conservation < 1e-9 and current_rel < 1e-6 and rk4_rel < 1e-12
+    report(11, "two-island tunnelling: constant phase, conserved pairs, I0 sin(delta), RK4",
+           ok, f"drift {drift:.1e}, conservation {conservation:.1e}, current {current_rel:.1e}, "
+               f"vs RK4 {rk4_rel:.1e}")
     assert ok
 
 

@@ -56,3 +56,15 @@ def test_tracing_hooks_read_the_work_from_call_arguments():
     assert counters["ensembles"]["trajectories"] == 3000
     # the tiny tunnel-ode run: 20000 // 20 steps
     assert counters["dynamics"]["rk4_steps"] == 1000
+
+
+def test_one_full_size_dynamics_pass_is_correct():
+    # The selftest's tiny tunnel-ode takes 1000 steps; this pass takes the
+    # 20 000 whose n_total_conserved bound the benchmark holds the rows to.
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "dynamics", "--seed", "0",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -11,7 +11,7 @@ from cqed.decoherence import (
     t1_curves,
 )
 from cqed.jaynescummings import vacuum_rabi
-from cqed.junction import TwoIslandState, two_island_dynamics
+from cqed.junction import two_island_dynamics
 from cqed.qubit import rabi_trace, ramsey_trace
 
 TIMES = np.linspace(0.0, 3.0, 7)
@@ -34,7 +34,7 @@ def _decay_limited_ramsey():
 
 
 def _two_island_current():
-    traj = two_island_dynamics(TwoIslandState(1.0, 2.0, 0.0, 0.5), 0.1, 0.01, 50)
+    traj = two_island_dynamics((1.0, 2.0, 0.0, 0.5), 0.1, 0.01, 50)
     return traj["times"], np.arange(50 + 1) * 0.01, [traj["current"]]
 
 
