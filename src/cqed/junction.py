@@ -172,8 +172,8 @@ def two_island_dynamics(
     x2, y2 = r2 * c - r1 * sin_d * s, -r1 * cos_d * s
     pairs1, pairs2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
     floor = np.finfo(np.float64).eps * (n1 + n2)
-    (low,) = np.nonzero(np.minimum(pairs1, pairs2) < floor)
-    if len(low):
+    low = np.flatnonzero(np.minimum(pairs1, pairs2) < floor)
+    if low.size:
         raise StepUnstable(f"a pair number at t = {times[low[0]]:.6g} is below eps (n1 + n2) "
                            f"= {floor:.3g}: its phase is not determined")
     k = np.round(phi / np.pi)

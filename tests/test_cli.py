@@ -339,6 +339,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "n1, n2, theta2, e, dt",
+        [
+            # starts where the RK4 drove a pair number to 0 or below within 10 steps
+            (7.9, 0.72, -3.1, -3.7, 0.4),
+            (0.13, 7.9, 1.8, 4.5, 0.86),
+            (19.0, 380.0, -1.2, -1.8, 0.45),
+            (0.29, 25.0, 0.55, 26.0, 0.12),
+            (1.0, 100.0, -math.pi / 2, 10.0, 1.0),
+        ],
+    )
+    def test_starts_the_rk4_could_not_step_now_run(self, tmp_path, n1, n2, theta2, e, dt):
+        code, out = run(tmp_path, "tunnel-ode", f"--n1={n1}", f"--n2={n2}", f"--theta2={theta2}",
+                        f"--e-coupling={e}", f"--dt={dt}", "--steps=100")
+        assert code == 0
+        _, header, rows = read_csv(out)
+        cols = dict(zip(header, np.array(rows, dtype=float).T))
+        assert len(rows) == 101
+        assert np.abs(cols["n1"] + cols["n2"] - (n1 + n2)).max() <= 1e-11 * (n1 + n2)
+        assert np.all(cols["n1"] > 0) and np.all(cols["n2"] > 0)
+
     def test_tunnel_ode_row_on_a_node_exits_3(self, tmp_path, capsys):
         # psi_1 vanishes at E t = 3 pi / 2 for n1 = n2 and delta0 = pi / 2
         code, out = run(tmp_path, "tunnel-ode", "--n1", "1", "--n2", "1",
@@ -348,9 +369,10 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: StepUnstable: a pair number at t = ")
 
-    def test_jc_transfer_time_past_float_range_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("g", ["1e-320", "5e-324"])
+    def test_jc_transfer_time_past_float_range_exits_3(self, tmp_path, capsys, g):
         # pi / 2g overflows: this printed "transfer time pi/2g = inf" with exit 0
-        code, out = run(tmp_path, "jc", "--g", "1e-320")
+        code, out = run(tmp_path, "jc", "--g", g)
         assert code == 3
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: FloatingPointError: ")
@@ -473,14 +495,17 @@ class TestExitCodes:
             cli._check(args, cli._COMMANDS[argv[0]])
         assert str(caught.value) == f"{draws} random draws exceed the budget of {cli._MAX_DRAWS}"
 
-    def test_tunnel_ode_cost_does_not_grow_with_its_steps(self, tmp_path):
+    @pytest.mark.parametrize("steps", [10**11, 10**15, 2**63 + 5])
+    def test_tunnel_ode_cost_does_not_grow_with_its_steps(self, tmp_path, steps):
         # the closed form is evaluated at the printed rows alone
         start = time.perf_counter()
-        code, out = run(tmp_path, "tunnel-ode", "--steps", "100000000000")
+        code, out = run(tmp_path, "tunnel-ode", "--steps", str(steps))
         assert time.perf_counter() - start < 1.0
         assert code == 0
         _, _, rows = read_csv(out)
-        assert len(rows) == 501 and float(rows[-1][0]) == 1e8
+        every = -(-steps // 500)
+        assert len(rows) == steps // every + 1
+        assert rows[-1][0] == "%.12g" % (float(steps // every * every) * 1e-3)
 
     def test_spectrum_value_budget_also_bounds_its_bisection_loop(self, tmp_path, capsys):
         # At most 2^23 // _COLUMNS charges fit the value budget, and each takes

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cqed import cli, junction
@@ -305,7 +305,10 @@ def rotated(state0, e, times):
 class TestClosedFormAgainstRK4:
     """The RK4 that once integrated the tunnel equations converges to the closed form."""
 
-    @settings(max_examples=40, deadline=None)
+    # No shrink phase: an example integrates about 5000 RK4 steps, and
+    # shrinking a failure would outlast the 60 s hang limit.
+    @settings(max_examples=40, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(
         st.floats(1e-3, 1e6), st.floats(0.2, 5.0),
         st.sampled_from([np.pi / 2, -np.pi / 2, np.pi]), st.floats(0.1, 0.5), st.booleans(),
@@ -315,7 +318,9 @@ class TestClosedFormAgainstRK4:
         self, n1, ratio, node, offset, below, theta1, e, negative, windings
     ):
         # delta0 within 0.1-0.5 of a node (+-pi/2) or of pi; each of the two rows
-        # after t = 0 lies `windings` pi of phi = E t / 2 past the one before
+        # after t = 0 lies `windings` pi of phi = E t / 2 past the one before.
+        # The error is the distance of the amplitudes psi_j: it falls as dt^4
+        # even where the error of one phase changes sign between two dt.
         state0 = (n1, ratio * n1, theta1, theta1 + node + (-offset if below else offset))
         e = -e if negative else e
         every = math.ceil(128 * windings)
@@ -343,8 +348,9 @@ class TestClosedFormAgainstRK4:
 
 
 class TestPhasesNearNodes:
-    def test_phases_equal_the_unwrapped_rotation_on_a_1000_times_finer_grid(self):
-        rng = np.random.default_rng(7)
+    @pytest.mark.parametrize("seed", [7, 8, 9, 10])
+    def test_phases_equal_the_unwrapped_rotation_on_a_1000_times_finer_grid(self, seed):
+        rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(100):
             n1 = 10.0 ** rng.uniform(-2, 6)
@@ -368,21 +374,27 @@ class TestPhasesNearNodes:
             worst = max(worst, np.abs(np.stack([got["theta1"], got["theta2"]], 1) - ref).max())
         assert worst < 1e-12
 
-    def test_row_on_a_node_is_unstable(self):
-        # n1 = n2 and delta0 = fl(pi/2): psi_1 = sqrt(2) sin(phi + pi/4), up to a
-        # 6e-17 imaginary part, vanishes at phi = 3 pi / 4, the row E t = 3 pi / 2
-        state0 = (1.0, 1.0, 0.0, np.pi / 2)
+    @pytest.mark.parametrize("delta0, et, island", [
+        (np.pi / 2, 1.5 * np.pi, "n1"), (np.pi / 2, 0.5 * np.pi, "n2"),
+        (-np.pi / 2, 0.5 * np.pi, "n1"), (-np.pi / 2, 1.5 * np.pi, "n2"),
+    ])
+    def test_row_on_a_node_is_unstable(self, delta0, et, island):
+        # n1 = n2 and delta0 = fl(+-pi/2): up to a 6e-17 imaginary part,
+        # psi_1 = sqrt(2) sin(phi + pi/4) or sqrt(2) cos(phi + pi/4) and psi_2 the
+        # other, so one of them vanishes at the row E t = et, to within roundoff
+        state0 = (1.0, 1.0, 0.0, delta0)
         with pytest.raises(StepUnstable, match="below eps"):
-            two_island_dynamics(state0, 1.0, 1.5 * np.pi, 1)
-        # a row 2.4e-6 of phi away, n1 = 1.1e-11, is above the floor of 4.4e-16
-        got = two_island_dynamics(state0, 1.0, 1.5 * np.pi * (1 + 1e-6), 1)
-        miss = 0.75 * np.pi * 1e-6
-        assert abs(got["n1"][1] - 2 * miss**2) < 1e-6 * miss**2
+            two_island_dynamics(state0, 1.0, et, 1)
+        # a row 1e-6 of E t later, n_j = 2 (et / 2 * 1e-6)^2 is above the floor of 4.4e-16
+        got = two_island_dynamics(state0, 1.0, et * (1 + 1e-6), 1)
+        miss = 0.5 * et * 1e-6
+        assert abs(got[island][1] - 2 * miss**2) < 1e-6 * miss**2
 
-    def test_floor_counts_the_initial_rows_too(self):
-        # n1 below eps (n1 + n2) already at t = 0
+    @pytest.mark.parametrize("n1, n2", [(1e-17, 1.0), (3.0, 1e-16)])
+    def test_floor_counts_the_initial_rows_too(self, n1, n2):
+        # a pair number below eps (n1 + n2) already at t = 0
         with pytest.raises(StepUnstable, match="t = 0"):
-            two_island_dynamics((1e-17, 1.0, 0.0, 0.3), 1.0, 0.1, 10)
+            two_island_dynamics((n1, n2, 0.0, 0.3), 1.0, 0.1, 10)
 
 
 class TestKeptRows:
@@ -399,19 +411,49 @@ class TestKeptRows:
             assert got.shape == (steps // every + 1,) and np.array_equal(got, ref), name
         assert kept["i0"] == full["i0"]
 
-    @pytest.mark.parametrize("steps, every", [(1003, 168), (10**11, 2 * 10**8)])
+    @pytest.mark.parametrize("steps, every", [(1003, 168), (20000, 40), (10**11, 2 * 10**8),
+                                              (2**60 + 3, 2**51)])
     def test_times_are_k_every_dt(self, steps, every):
+        # np.arange(0, steps + 1, every) has these bits, but sizes itself in
+        # floats: at 2^60 + 3 steps it drops the last row
         got = two_island_dynamics((1e6, 1e6, 0.0, 0.7), 1e-6, 1e-3, steps, every)
-        assert np.array_equal(got["times"], np.arange(0, steps + 1, every) * 1e-3)
+        ref = np.array([float(k * every) for k in range(steps // every + 1)]) * 1e-3
+        assert np.array_equal(got["times"], ref)
 
     def test_many_windings_between_rows(self):
-        # 10^5 windings of phi between rows: each row equals the same time on its own
+        # 5e5 rad of phi between rows: each row equals the same time on its own
         state0 = (7.0, 0.2, 0.4, 2.0)
         far = two_island_dynamics(state0, 2.0, 0.5, 2 * 10**6, 10**6)
         for row, steps in ((1, 10**6), (2, 2 * 10**6)):
             alone = two_island_dynamics(state0, 2.0, 0.5 * steps, 1)
             for name in ("n1", "n2", "theta1", "theta2", "delta"):
                 assert far[name][row] == alone[name][1], name
+
+
+class TestFarRows:
+    @pytest.mark.parametrize("phi", [1e3, 1e6, 1e9, 1e12, 1e15])
+    def test_row_against_a_40_digit_rotation(self, phi):
+        # the row at E t / 2 = phi exactly, against the same formulas at 40
+        # digits: n_j to roundoff of n1 + n2 and theta_j to roundoff of its size,
+        # since cos and sin take phi itself
+        mpmath = pytest.importorskip("mpmath")
+        state0 = (7.0, 0.2, 0.4, 2.0)
+        got = two_island_dynamics(state0, 2.0, phi, 1)
+        with mpmath.workdps(40):
+            n1, n2, th1, th2 = (mpmath.mpf(v) for v in state0)
+            big_phi, d0 = mpmath.mpf(phi), th2 - th1
+            c, s = mpmath.cos(big_phi), mpmath.sin(big_phi)
+            z1 = mpmath.sqrt(n1) * c - 1j * mpmath.sqrt(n2) * mpmath.expjpi(d0 / mpmath.pi) * s
+            z2 = mpmath.sqrt(n2) * c - 1j * mpmath.sqrt(n1) * mpmath.expjpi(-d0 / mpmath.pi) * s
+            k = int(mpmath.nint(big_phi / mpmath.pi))
+            turns = k * mpmath.pi * (1 if mpmath.cos(d0) > 0 else -1)
+            ref = {"n1": abs(z1) ** 2, "n2": abs(z2) ** 2,
+                   "theta1": th1 - turns + mpmath.arg((-1) ** k * z1),
+                   "theta2": th2 - turns + mpmath.arg((-1) ** k * z2),
+                   "delta": d0 + mpmath.arg(z2 * mpmath.conj(z1))}
+            for name, value in ref.items():
+                scale = 7.2 if name in ("n1", "n2") else 1 + abs(value)
+                assert abs(float(got[name][1] - value)) <= 4 * EPS * scale, name
 
 
 class TestTwoIslandDynamics:
