@@ -420,15 +420,6 @@ class TestKeptRows:
         ref = np.array([float(k * every) for k in range(steps // every + 1)]) * 1e-3
         assert np.array_equal(got["times"], ref)
 
-    def test_many_windings_between_rows(self):
-        # 5e5 rad of phi between rows: each row equals the same time on its own
-        state0 = (7.0, 0.2, 0.4, 2.0)
-        far = two_island_dynamics(state0, 2.0, 0.5, 2 * 10**6, 10**6)
-        for row, steps in ((1, 10**6), (2, 2 * 10**6)):
-            alone = two_island_dynamics(state0, 2.0, 0.5 * steps, 1)
-            for name in ("n1", "n2", "theta1", "theta2", "delta"):
-                assert far[name][row] == alone[name][1], name
-
 
 class TestFarRows:
     @pytest.mark.parametrize("phi", [1e3, 1e6, 1e9, 1e12, 1e15])
@@ -452,7 +443,7 @@ class TestFarRows:
                    "theta2": th2 - turns + mpmath.arg((-1) ** k * z2),
                    "delta": d0 + mpmath.arg(z2 * mpmath.conj(z1))}
             for name, value in ref.items():
-                scale = 7.2 if name in ("n1", "n2") else 1 + abs(value)
+                scale = n1 + n2 if name in ("n1", "n2") else 1 + abs(value)
                 assert abs(float(got[name][1] - value)) <= 4 * EPS * scale, name
 
 
