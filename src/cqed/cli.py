@@ -473,9 +473,8 @@ _COMMANDS = {
         _run_decay, "T1 decay, analytic and Monte-Carlo",
         (("t1", 1.0, "> 0"), ("t-max", 4.0, "> 0"), ("steps", 81, ">= 2"),
          ("trials", 0, ">= 0"), ("dt", 0.01, "> 0")),
-        # the table, or the trajectory block; a trajectory takes max(1, ceil(t_max / dt)) steps
-        size=lambda a: max(3 * a.steps, _block(a.trials, np.ceil(a.t_max / a.dt))),
-        draws=lambda a: a.trials * max(1.0, float(np.ceil(a.t_max / a.dt))),
+        # the table, or the first-jump probabilities of max(1, ceil(t_max / dt)) steps and no jump
+        size=lambda a: max(3 * a.steps, max(1.0, np.ceil(a.t_max / a.dt)) + 1 if a.trials else 0),
     ),
     "dephase": _Command(
         _run_dephase, "Ramsey ensemble under white frequency noise",

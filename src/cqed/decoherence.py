@@ -1,13 +1,14 @@
 """Decay, dephasing and two-qubit correlation experiments.
 
-Monte-Carlo experiments here are stochastic but exactly reproducible: an
-ensemble of trajectories of nsteps steps each draws from one PCG64 stream
-seeded by a 64-bit master seed (`RngSpec`), trajectory i reading the i-th
-run of nsteps values, and trajectories are reduced in index order, so fixed
-(seed, trials) gives bit-identical output.  The ensemble loops read blocks
-of trajectories, about 1 MB each, from two alternating buffers: a helper
-thread fills each requested block with one numpy call while the caller
-reduces the one before, and a block stays valid until the next is requested.
+Monte-Carlo experiments here are stochastic but exactly reproducible: each
+draws from one PCG64 stream seeded by a 64-bit master seed (`RngSpec`), so
+fixed (seed, trials) gives bit-identical output.  The decay ensembles draw
+their per-step first-jump counts as one multinomial sample, so fewer trials
+read no prefix of it.  In `ramsey_ensemble` trajectory i reads the i-th run
+of nsteps normals, so fewer trials read a prefix, about 1 MB at a time from
+two alternating buffers: a helper thread fills each requested block with one
+numpy call while the caller reduces the one before, in trajectory order, and
+a block stays valid until the next is requested.
 
 Mixed states never appear as density matrices in this module: ensembles are
 weighted lists of pure states, which is all the experiments below need.
@@ -61,10 +62,8 @@ def _block_rows(nsteps):
 class RngSpec:
     """Master seed of a Monte-Carlo ensemble's one pseudo-random stream.
 
-    An ensemble of trajectories of ``nsteps`` steps each draws from one
-    ``Generator(PCG64(seed))``: trajectory i reads the i-th run of ``nsteps``
-    values.  Identical (seed, nsteps) always yields the identical ensemble,
-    however it is split into blocks, and fewer trials read a prefix of it.
+    Every ensemble draws from one ``Generator(PCG64(seed))``, so identical
+    seeds and arguments always yield the identical ensemble.
     """
 
     seed: int
@@ -76,39 +75,34 @@ class RngSpec:
         object.__setattr__(self, "seed", seed)
 
     def stream(self, trajectory: int, nsteps: int) -> np.random.Generator:
-        """Trajectory ``trajectory``'s ``random`` draws in an ensemble of ``nsteps`` steps.
+        """The seed's stream advanced past ``trajectory * nsteps`` outputs.
 
-        It is the ensemble's stream advanced past the ``trajectory * nsteps``
-        outputs of the rows before it.  ``random`` takes one output per value, so
-        ``stream(i, nsteps).random(nsteps)`` is row i of the ``random``
-        ensemble; ``standard_normal`` takes a varying number, so its rows
-        past the first have no stream of their own.
+        ``random`` takes one output per value, so ``stream(i, nsteps).random(nsteps)``
+        is row i of ``Generator(PCG64(seed)).random(trials * nsteps)`` reshaped
+        to (trials, nsteps).
         """
         if not (0 <= trajectory < 2**64 and 0 <= nsteps < 2**64):
             raise ValueError(f"trajectory {trajectory} or nsteps {nsteps} is outside [0, 2^64)")
         return np.random.Generator(np.random.PCG64(self.seed).advance(trajectory * nsteps))
 
-    def _blocks(self, trials: int, nsteps: int, draw: str):
-        """Yield ``(start, block)`` covering trajectories 0 .. trials-1.
+    def _blocks(self, trials: int, nsteps: int):
+        """Yield ``(start, block)`` of standard normals covering trajectories 0 .. trials-1.
 
         Row r of ``block`` is trajectory start + r.  Stacked in order, the
-        blocks equal one ``Generator(PCG64(seed)).<draw>(trials * nsteps)``
-        reshaped to (trials, nsteps); each is one ``<draw>(out=block)`` call.
-        Blocks hold `_block_rows` rows and alternate between two buffers (one
-        when there is one block): a yielded block is valid until the next one
-        is requested.  A helper thread makes every fill, in order, on a request
-        from here, and answers it with None or the fill's exception, raised
-        here.  Block k+1, in block k-1's buffer, is requested as the caller
-        asks for block k and drawn while it works on block k.  The helper is
-        stopped and joined before this generator returns, is closed or raises.
-        With no trials there is no block and no helper.
-        ``draw`` is ``random`` or ``standard_normal``.
+        blocks equal one ``Generator(PCG64(seed)).standard_normal(trials * nsteps)``
+        reshaped to (trials, nsteps); each is one ``standard_normal(out=block)``
+        call.  Blocks hold `_block_rows` rows and alternate between two buffers
+        (one when there is one block): a yielded block is valid until the next
+        one is requested.  A helper thread makes every fill, in order, on a
+        request from here, and answers it with None or the fill's exception,
+        raised here.  Block k+1, in block k-1's buffer, is requested as the
+        caller asks for block k and drawn while it works on block k.  The helper
+        is stopped and joined before this generator returns, is closed or
+        raises.  With no trials there is no block and no helper.
         """
-        if draw not in ("random", "standard_normal"):
-            raise ValueError(f"unsupported draw {draw!r}")
         if trials < 1:
             return
-        fill = getattr(np.random.Generator(np.random.PCG64(self.seed)), draw)
+        fill = np.random.Generator(np.random.PCG64(self.seed)).standard_normal
         height = _block_rows(nsteps)
         starts = range(0, trials, height)
         bufs = [np.empty((min(height, trials - start), nsteps)) for start in starts[:2]]
@@ -167,14 +161,15 @@ class NoiseModel:
 def _first_jumps(rng: RngSpec, trials: int, nsteps: int, hazard) -> np.ndarray:
     """Per step, how many of ``trials`` trajectories first jump there (int64).
 
-    Trajectory i jumps at step k if ``rng.stream(i, nsteps).random(nsteps)[k] < hazard``,
-    a scalar or one value per step; one that never jumps is counted nowhere.
+    A trajectory jumps at step k, if not before, with probability ``hazard``, a
+    scalar or one value per step; one that never jumps is counted nowhere.  The
+    counts are one multinomial draw from ``Generator(PCG64(rng.seed))`` over
+    the first-jump probabilities and that of no jump.
     """
-    counts = np.zeros(nsteps, dtype=np.int64)
-    for _, u in rng._blocks(trials, nsteps, "random"):
-        hits = u < hazard
-        np.add.at(counts, np.argmax(hits, axis=1)[hits.any(axis=1)], 1)
-    return counts
+    # The survival to each step, [1, s_0, .., s_n-1], then s_k-1 - s_k in place
+    pvals = np.cumprod(np.append(1.0, np.broadcast_to(1.0 - hazard, nsteps)))
+    pvals[:-1] -= pvals[1:]
+    return np.random.Generator(np.random.PCG64(rng.seed)).multinomial(trials, pvals)[:-1]
 
 
 def t1_curves(
@@ -188,7 +183,8 @@ def t1_curves(
     With ``mc = {"dt": ..., "trials": ..., "rng": RngSpec(...)}`` each
     trajectory decays at its first jump, step k meaning time (k + 1) dt, with
     per-step probability 1 - exp(-dt / t1), and the estimate at each requested
-    time is the surviving fraction.  ``dt`` must resolve the decay (dt <= t1 / 100).
+    time is the surviving fraction, from one `_first_jumps` draw: O(times.max() / dt)
+    work for any trials < 2^63.  ``dt`` must resolve the decay (dt <= t1 / 100).
     """
     if not t1 > 0:
         raise ValueError("t1 must be positive")
@@ -198,16 +194,17 @@ def t1_curves(
         return {"analytic": analytic, "monte_carlo": None}
 
     dt, trials, rng = mc["dt"], int(mc["trials"]), mc["rng"]
-    if trials < 1:
-        raise ValueError("need at least one trajectory")
+    if not 1 <= trials < 2**63:
+        raise ValueError("need at least one trajectory and fewer than 2^63")
     if dt > t1 / 100.0:
         raise ValueError("Monte-Carlo step must satisfy dt <= t1 / 100")
     # At least one step: with times.max() == 0 every estimate is 1 anyway.
     nsteps = max(1, int(np.ceil(times.max() / dt)))
-    decayed = np.cumsum(_first_jumps(rng, trials, nsteps, 1.0 - np.exp(-dt / t1)))
     # Decayed by each time: every first jump in a step ended by then.  An exact
-    # count, so equal to the mean of the (times x trials) survival matrix.
+    # count, so equal to the mean of the (times x trials) survival matrix.  The
+    # grid is dropped before the draw, so the two are never held at once.
     over = np.searchsorted(np.arange(1, nsteps + 1) * dt, times, side="right")
+    decayed = np.cumsum(_first_jumps(rng, trials, nsteps, 1.0 - np.exp(-dt / t1)))
     estimate = (trials - np.where(over > 0, decayed[over - 1], 0)) / trials
     return {"analytic": analytic, "monte_carlo": estimate}
 
@@ -249,7 +246,7 @@ def ramsey_ensemble(
         kick_scale = noise.sigma * np.sqrt(dt)
         acc = np.zeros(nsteps)
         base_phase = delta0 * times
-        for _, kicks in rng._blocks(trials, nsteps, "standard_normal"):
+        for _, kicks in rng._blocks(trials, nsteps):
             kicks *= kick_scale
             np.cumsum(kicks, axis=1, out=kicks)
             kicks += base_phase
@@ -287,8 +284,8 @@ def decay_limited_ramsey(
 
     Returns the time grid, the averaged fringe on it and the fitted T2.
     """
-    if trials < 1:
-        raise ValueError("need at least one trajectory")
+    if not 1 <= trials < 2**63:
+        raise ValueError("need at least one trajectory and fewer than 2^63")
     if delta * t1 < 20.0:
         raise ValueError("need delta * t1 >= 20 so fringes fit inside the decay")
     if dt * delta > 0.1 + 1e-12:

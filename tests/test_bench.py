@@ -68,3 +68,15 @@ def test_one_full_size_dynamics_pass_is_correct():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_one_full_size_ensembles_pass_is_correct():
+    # The selftest's tiny decay draws 1000 trials; this pass holds the
+    # first-jump counts of 20 000 to the benchmark's 5-sigma decay check.
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "ensembles", "--seed", "0",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

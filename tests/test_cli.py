@@ -393,6 +393,7 @@ class TestExitCodes:
             (["decay", "--dt", "nan"], "dt"),
             (["decay", "--t1", "inf"], "t1"),
             (["decay", "--t-max", "nan"], "t-max"),
+            (["decay", "--trials", HUGE_INT], "trials"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )
@@ -481,8 +482,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, draws",
         [
-            # one step per trajectory, not t_max / dt = 1e-306 of one
-            (["decay", "--t-max", "1e-308", "--trials", "2000000000"], "2e+09"),
             # round(1.6) = 2 steps per trajectory, not 1.6
             (["dephase", "--horizon", "0.032", "--dt", "0.02", "--trials", "600000000"],
              "1.2e+09"),
@@ -494,6 +493,26 @@ class TestExitCodes:
         with pytest.raises(ValueError) as caught:
             cli._check(args, cli._COMMANDS[argv[0]])
         assert str(caught.value) == f"{draws} random draws exceed the budget of {cli._MAX_DRAWS}"
+
+    def test_decay_trials_cost_no_draws(self, tmp_path):
+        # one multinomial draw over one step, whatever the trials
+        start = time.perf_counter()
+        code, _ = run(tmp_path, "decay", "--t-max", "1e-308", "--trials", "2000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+
+    def test_decay_trials_past_int64_exit_2(self, tmp_path, capsys):
+        # numpy's multinomial counts in int64
+        code, _ = run(tmp_path, "decay", "--trials", str(2**63))
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+        assert capsys.readouterr().err == "error: need at least one trajectory and fewer than 2^63\n"
+
+    def test_decay_without_trials_builds_no_step_array(self, tmp_path):
+        # 1e18 steps of dt, but no Monte-Carlo: its term is the (steps, 3) table
+        argv = ["decay", "--trials", "0", "--t-max", "1e9", "--dt", "1e-9"]
+        assert cli._COMMANDS["decay"].size(cli.build_parser().parse_args(argv)) == 3 * 81
+        assert run(tmp_path, *argv)[0] == 0
 
     @pytest.mark.parametrize("steps", [10**11, 10**15, 2**63 + 5])
     def test_tunnel_ode_cost_does_not_grow_with_its_steps(self, tmp_path, steps):
@@ -698,7 +717,6 @@ class TestSizeTerm:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["decay", "--trials", "20000", "--steps", "401"],
             ["dephase", "--trials", "20000"],
             ["dephase", "--trials", "5000", "--sigma2", "0.1", "--horizon", "20"],
         ],
@@ -708,11 +726,27 @@ class TestSizeTerm:
         self, tmp_path, argv
     ):
         args = cli.build_parser().parse_args(argv)
-        steps = round((args.t_max if argv[0] == "decay" else args.horizon) / args.dt)
+        steps = round(args.horizon / args.dt)
         block = min(args.trials, max(1, 2**17 // steps)) * steps
         code, largest = largest_allocation(tmp_path, argv)
         assert code == 0
         assert 8 * block <= largest <= 8 * cli._COMMANDS[argv[0]].size(args)
+
+    @pytest.mark.parametrize(
+        "argv, floor",
+        [
+            # the (401, 3) table
+            (["decay", "--trials", "20000", "--steps", "401"], 3 * 401),
+            # the 400 001 first-jump probabilities (and counts) of 400 000 steps and no jump
+            (["decay", "--trials", "20000", "--t-max", "4000"], 400_001),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    )
+    def test_decay_allocates_no_array_over_its_size_term(self, tmp_path, argv, floor):
+        size = cli._COMMANDS["decay"].size(cli.build_parser().parse_args(argv))
+        code, largest = largest_allocation(tmp_path, argv)
+        assert code == 0
+        assert 8 * floor <= largest <= 8 * size
 
     @pytest.mark.parametrize(
         "argv, floor",
@@ -759,13 +793,13 @@ class TestSizeTerm:
     @example(0, np.inf)
     @example(10, 2**17 - 1.0)
     def test_trajectory_block_is_at_most_two_to_the_17_or_one_row(self, trials, steps):
-        # decay's term counted t_max / dt values and dephase's 2 horizon / dt
-        # before the block, and the budget is over 2^17: no exit code moves.
+        # dephase's term counted 2 horizon / dt values before the block, and
+        # the budget is over 2^17: no exit code moves.
         assert 0 <= cli._block(trials, steps) <= max(2**17, steps)
 
     @pytest.mark.parametrize("trials, steps", [(5, 1), (3, 7), (2, 2**16 + 1), (3, 2**17 + 1)])
     def test_trajectory_block_term_is_the_block_the_ensembles_fill(self, trials, steps):
-        blocks = [len(block) for _, block in cli.RngSpec(0)._blocks(trials, steps, "random")]
+        blocks = [len(block) for _, block in cli.RngSpec(0)._blocks(trials, steps)]
         assert blocks[0] * steps == cli._block(trials, steps)
         assert sum(blocks) == trials
 
@@ -774,7 +808,8 @@ class TestSizeTerm:
         [
             ["decay", "--trials", str(2**23), "--t-max", "0.01", "--dt", "0.01"],
             ["decay", "--trials", "9000000", "--t-max", "0.01", "--dt", "0.01"],
-            ["decay", "--trials", "8", "--t-max", str(2**20), "--dt", "0.125"],
+            # 2^23 - 1 steps: 2^23 first-jump probabilities with that of no jump
+            ["decay", "--trials", "8", "--t-max", str((2**23 - 1) / 8), "--dt", "0.125"],
             ["dephase", "--sigma2", "0", "--horizon", str(2**22 / 8), "--dt", "0.125"],
             ["dephase", "--trials", "1000", "--horizon", str(2**20 / 8), "--dt", "0.125"],
         ],

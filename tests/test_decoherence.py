@@ -79,30 +79,23 @@ def trial_counts(nsteps):
 
 
 class TestEnsembleStream:
-    @pytest.mark.parametrize("draw", ["integers", "standard_exponential", "bytes"])
-    def test_unsupported_draw_raises(self, draw):
-        with pytest.raises(ValueError, match=draw):
-            next(RngSpec(1)._blocks(4, 8, draw))
-
     @pytest.mark.parametrize("nsteps", [1, 2, 400, 2**17 + 1])
-    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_blocks_are_one_draw_of_the_whole_ensemble(self, seed, draw, nsteps):
+    def test_blocks_are_one_draw_of_the_whole_ensemble(self, seed, nsteps):
         height = decoherence._block_rows(nsteps)
         for trials in trial_counts(nsteps):
-            expected = one_call(seed, draw, trials, nsteps)
+            expected = one_call(seed, "standard_normal", trials, nsteps)
             seen = 0
-            for start, rows in RngSpec(seed)._blocks(trials, nsteps, draw):
+            for start, rows in RngSpec(seed)._blocks(trials, nsteps):
                 assert start == seen and rows.shape == (min(height, trials - start), nsteps)
                 assert np.array_equal(rows, expected[start:start + len(rows)])
                 seen += len(rows)
             assert seen == trials
 
-    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
     @pytest.mark.parametrize("seed", SEEDS[::3])
-    def test_fewer_trials_read_a_prefix(self, seed, draw):
+    def test_fewer_trials_read_a_prefix(self, seed):
         def stacked(trials):
-            blocks = RngSpec(seed)._blocks(trials, 300, draw)
+            blocks = RngSpec(seed)._blocks(trials, 300)
             return np.concatenate([rows.copy() for _, rows in blocks])
 
         full = stacked(1000)
@@ -111,13 +104,10 @@ class TestEnsembleStream:
 
     @pytest.mark.parametrize("nsteps", [1, 400, 2**17 + 1])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_stream_is_its_row_of_the_random_ensemble(self, seed, nsteps):
-        trials = 2 * decoherence._block_rows(nsteps) + 3  # two full blocks and a partial one
-        indices = sorted({0, 1, trials // 2, trials - 1})
-        blocks = RngSpec(seed)._blocks(trials, nsteps, "random")
-        rows = {start + r: row.copy() for start, block in blocks
-                for r, row in enumerate(block) if start + r in indices}
-        for i in indices:
+    def test_stream_is_its_row_of_one_random_draw(self, seed, nsteps):
+        trials = 2**18 // nsteps + 3  # about 2 MB of draws
+        rows = one_call(seed, "random", trials, nsteps)
+        for i in sorted({0, 1, trials // 2, trials - 1}):
             assert np.array_equal(RngSpec(seed).stream(i, nsteps).random(nsteps), rows[i])
 
 
@@ -132,15 +122,13 @@ class FailingGenerator:
     def __init__(self, bit_generator):
         self.calls = 0
 
-    def random(self, out):
+    def standard_normal(self, out):
         self.calls += 1
         self.started.append(self.calls)
         if self.calls > self.fail_at:
             time.sleep(self.delay)
             raise FloatingPointError(f"fill {self.calls} failed")
         out[...] = 0.0
-
-    standard_normal = random
 
 
 @pytest.fixture
@@ -189,12 +177,12 @@ class TestFillAhead:
 
     def test_helper_is_joined_after_a_full_pass(self):
         before = threading.active_count()
-        on_a_worker(lambda: drain(RngSpec(3)._blocks(2000, 400, "standard_normal")))
+        on_a_worker(lambda: drain(RngSpec(3)._blocks(2000, 400)))
         assert threading.active_count() == before
 
     def test_helper_is_joined_when_the_caller_closes_after_one_block(self):
         def close_after_one():
-            blocks = RngSpec(3)._blocks(2000, 400, "random")
+            blocks = RngSpec(3)._blocks(2000, 400)
             next(blocks)
             blocks.close()
 
@@ -204,7 +192,7 @@ class TestFillAhead:
 
     def test_helper_is_joined_when_the_caller_raises_mid_loop(self):
         def raise_at_the_second_block():
-            for start, _ in RngSpec(3)._blocks(2000, 400, "random"):
+            for start, _ in RngSpec(3)._blocks(2000, 400):
                 if start:
                     raise KeyError(start)
 
@@ -216,23 +204,22 @@ class TestFillAhead:
     def test_a_generator_left_open_does_not_hold_up_interpreter_exit(self):
         # the helper waits for a request that never comes
         code = ("from cqed.decoherence import RngSpec\n"
-                "blocks = RngSpec(1)._blocks(2000, 400, 'random')\n"
+                "blocks = RngSpec(1)._blocks(2000, 400)\n"
                 "next(blocks)\n")
         env = dict(os.environ, PYTHONPATH=str(Path(decoherence.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
         assert proc.returncode == 0
 
     @pytest.mark.parametrize("fail_at", [0, 1, 3])
-    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
     def test_a_failing_fill_raises_its_own_type_in_the_caller(
-        self, stub_generator, monkeypatch, draw, fail_at
+        self, stub_generator, monkeypatch, fail_at
     ):
         monkeypatch.setattr(stub_generator, "fail_at", fail_at)
         before = threading.active_count()
         seen = []
 
         def record_starts():
-            for start, _ in RngSpec(3)._blocks(2000, 400, draw):
+            for start, _ in RngSpec(3)._blocks(2000, 400):
                 seen.append(start)
 
         with pytest.raises(FloatingPointError, match=f"fill {fail_at + 1} failed"):
@@ -248,12 +235,12 @@ class TestFillAhead:
             def __init__(self, bit_generator):
                 pass
 
-            def random(self, out):
+            def standard_normal(self, out):
                 raise failure
 
         monkeypatch.setattr(np.random, "Generator", Failing)
         with pytest.raises(FloatingPointError) as caught:
-            on_a_worker(lambda: drain(RngSpec(3)._blocks(2000, 400, "random")))
+            on_a_worker(lambda: drain(RngSpec(3)._blocks(2000, 400)))
         assert caught.value is failure
 
     def test_the_helper_is_never_more_than_one_block_ahead(self, stub_generator, monkeypatch):
@@ -261,7 +248,7 @@ class TestFillAhead:
         ahead = []
 
         def hold_each_block():
-            for k, _ in enumerate(RngSpec(3)._blocks(6 * 327, 400, "random")):
+            for k, _ in enumerate(RngSpec(3)._blocks(6 * 327, 400)):
                 time.sleep(0.02)  # time enough for a free helper to fill several blocks
                 ahead.append(len(stub_generator.started) - k)
 
@@ -276,7 +263,7 @@ class TestFillAhead:
         monkeypatch.setattr(stub_generator, "delay", 0.2)
 
         def close_while_block_1_is_filled():
-            blocks = RngSpec(3)._blocks(3 * 327, 400, "random")
+            blocks = RngSpec(3)._blocks(3 * 327, 400)
             next(blocks)  # block 1 is requested: its fill sleeps, then raises
             while len(stub_generator.started) < 2:
                 time.sleep(0.001)
@@ -287,13 +274,12 @@ class TestFillAhead:
         assert threading.active_count() == before
         assert stub_generator.started == [1, 2]
 
-    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
-    def test_a_held_block_stays_put_while_the_helper_runs_ahead(self, draw):
+    def test_a_held_block_stays_put_while_the_helper_runs_ahead(self):
         trials, nsteps = 3 * 327 + 5, 400  # three full blocks and a partial one
-        expected = one_call(5, draw, trials, nsteps)
+        expected = one_call(5, "standard_normal", trials, nsteps)
 
         def hold_each_block():
-            for start, rows in RngSpec(5)._blocks(trials, nsteps, draw):
+            for start, rows in RngSpec(5)._blocks(trials, nsteps):
                 held = rows.copy()
                 time.sleep(0.03)  # long enough for the helper to fill the next block
                 assert np.array_equal(rows, held)
@@ -307,7 +293,7 @@ class TestFillAhead:
         seen = {}
 
         def stack(seed):
-            blocks = RngSpec(seed)._blocks(trials, 400, "standard_normal")
+            blocks = RngSpec(seed)._blocks(trials, 400)
             seen[seed] = np.concatenate([rows.copy() for _, rows in blocks])
 
         interval = sys.getswitchinterval()
@@ -328,7 +314,7 @@ class TestFillAhead:
     def test_no_trials_make_no_block_and_no_helper(self, stub_generator, monkeypatch):
         # block 0 does not exist: a helper asked for it would fail before any fill
         monkeypatch.setattr(decoherence.threading, "Thread", None)
-        assert list(RngSpec(1)._blocks(0, 5, "random")) == []
+        assert list(RngSpec(1)._blocks(0, 5)) == []
         assert stub_generator.started == []
 
     @pytest.mark.parametrize("trials, buffers", [(327, 1), (328, 2), (3 * 327, 2)])
@@ -338,7 +324,7 @@ class TestFillAhead:
         # holds as many rows as its first block
         tracemalloc.start()
         try:
-            on_a_worker(lambda: drain(RngSpec(3)._blocks(trials, 400, "random")))
+            on_a_worker(lambda: drain(RngSpec(3)._blocks(trials, 400)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -347,18 +333,17 @@ class TestFillAhead:
 
 
 def reference_t1_estimate(t1, times, dt, trials, seed):
-    """The per-trajectory T1 Monte-Carlo loop, one advanced stream per trajectory."""
+    """The per-trajectory T1 estimate: each trajectory's decay time, from the
+    first-jump counts, against each requested time."""
     nsteps = int(np.ceil(times.max() / dt))
-    p_step = 1.0 - np.exp(-dt / t1)
-    decay_times = np.empty(trials)
-    for i in range(trials):
-        hits = RngSpec(seed).stream(i, nsteps).random(nsteps) < p_step
-        decay_times[i] = (int(np.argmax(hits)) + 1) * dt if hits.any() else np.inf
+    counts = decoherence._first_jumps(RngSpec(seed), trials, nsteps, 1.0 - np.exp(-dt / t1))
+    decay_times = np.full(trials, np.inf)
+    decay_times[:counts.sum()] = np.repeat([(k + 1) * dt for k in range(nsteps)], counts)
     return (decay_times[None, :] > times[:, None]).mean(axis=1)
 
 
 def reference_decay_limited(t1, delta, dt, horizon, trials, seed):
-    """Per-trajectory quantum-jump loop of decay_limited_ramsey: p_plus."""
+    """Per-step no-jump loop of decay_limited_ramsey on its first-jump counts: p_plus."""
     nsteps = int(np.round(horizon / dt))
     times = np.arange(1, nsteps + 1) * dt
     a, b, hazard = np.empty(nsteps), np.empty(nsteps), np.empty(nsteps)
@@ -369,11 +354,7 @@ def reference_decay_limited(t1, delta, dt, horizon, trials, seed):
         nrm = np.hypot(ak, bk)
         ak, bk = ak / nrm, bk / nrm
         a[k], b[k] = ak, bk
-    jump_counts = np.zeros(nsteps, dtype=np.int64)
-    for i in range(trials):
-        hits = RngSpec(seed).stream(i, nsteps).random(nsteps) < hazard
-        if hits.any():
-            jump_counts[int(np.argmax(hits))] += 1
+    jump_counts = decoherence._first_jumps(RngSpec(seed), trials, nsteps, hazard)
     frac_alive = (trials - np.cumsum(jump_counts)) / trials
     return frac_alive * (0.5 + a * b * np.cos(delta * times)) + (1 - frac_alive) * 0.5
 
@@ -390,44 +371,12 @@ def reference_ramsey(delta0, sigma, dt, horizon, trials, seed):
 
 
 class TestEnsemblesMatchPerTrajectoryLoops:
-    """The blocked ensembles equal the per-trajectory loops bit for bit."""
-
-    @pytest.mark.parametrize(
-        "hazard",
-        [1e-3, 2e-3 * np.exp(-np.arange(1000) / 400.0)],
-        ids=["scalar", "per-step"],
-    )
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_first_jumps(self, seed, hazard):
-        nsteps = 1000
-        trials = 2 * (2**17 // nsteps) + 5  # two full blocks and a partial one
-        expected = np.zeros(nsteps, dtype=np.int64)
-        for i in range(trials):
-            hits = RngSpec(seed).stream(i, nsteps).random(nsteps) < hazard
-            if hits.any():
-                expected[int(np.argmax(hits))] += 1
-        counts = decoherence._first_jumps(RngSpec(seed), trials, nsteps, hazard)
-        assert counts.dtype == np.int64 and np.array_equal(counts, expected)
-        assert 0 < counts.sum() < trials  # some trajectories jump, some never do
-
-    def test_first_jumps_of_one_row_blocks_add_no_per_block_count_array(self):
-        # two one-row blocks: their two buffers, the int64 counts and the
-        # boolean hits, and no whole-row bincount per block beside them
-        nsteps = 2**18
-        decoherence._first_jumps(RngSpec(1), 2, nsteps, 1e-3)  # first-call allocations
-        tracemalloc.start()
-        try:
-            counts = decoherence._first_jumps(RngSpec(1), 2, nsteps, 1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert counts.sum() == 2
-        assert 8 * nsteps * 3 <= peak < 8 * nsteps * 3.5
+    """The ensembles equal the per-trajectory loops bit for bit."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_t1_curves(self, seed):
         times = np.array([0.0, 0.013, 0.5, 1.0, 2.5, 2.0, 3.0])  # unsorted on purpose
-        trials = 2**17 // 300 + 1  # one full block plus one row
+        trials = 437
         out = t1_curves(1.0, times, {"dt": 0.01, "trials": trials, "rng": RngSpec(seed)})
         expected = reference_t1_estimate(1.0, times, 0.01, trials, seed)
         assert np.array_equal(out["monte_carlo"], expected)
@@ -460,6 +409,59 @@ class TestEnsemblesMatchPerTrajectoryLoops:
         block[0] += acc
         np.add.reduce(block, axis=0, out=acc)
         assert np.array_equal(acc.view(np.uint64), expected.view(np.uint64))
+
+
+class TestFirstJumps:
+    """`_first_jumps` counts first jumps with one multinomial draw."""
+
+    @pytest.mark.parametrize(
+        "hazard",
+        [2e-3, 4e-3 * np.exp(-np.arange(400) / 200.0)],
+        ids=["scalar", "per-step"],
+    )
+    def test_survivors_are_binomial_with_the_survival_covariance(self, hazard):
+        # survivors after step k: Binomial(trials, s_k), and for j < k
+        # cov(N_j, N_k) = trials s_k (1 - s_j)
+        trials, nsteps, seeds = 200, 400, 3000
+        survival = np.exp(np.cumsum(np.log1p(-np.broadcast_to(hazard, nsteps))))
+        steps = [49, 149, 249, 399]
+        alive = np.array([
+            trials - np.cumsum(decoherence._first_jumps(RngSpec(seed), trials, nsteps, hazard))
+            for seed in range(seeds)
+        ])[:, steps]
+        p = survival[steps]
+        variance = trials * p * (1 - p)
+        assert np.all(np.abs(alive.mean(axis=0) - trials * p) < 4 * np.sqrt(variance / seeds))
+        assert np.all(np.abs(alive.var(axis=0, ddof=1) / variance - 1) < 0.1)
+        covariance = np.cov(alive[:, 0], alive[:, 2])[0, 1]
+        assert abs(covariance / (trials * p[2] * (1 - p[0])) - 1) < 0.1
+
+    def test_one_multinomial_call_and_no_other_draw(self, monkeypatch):
+        real, calls = np.random.Generator, []
+
+        class Recording:
+            def __init__(self, bit_generator):
+                self.gen = real(bit_generator)
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.gen, name)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        decoherence._first_jumps(RngSpec(4), 1000, 400, 1e-3)
+        assert calls == ["multinomial"]
+
+    def test_a_quadrillion_trials_take_under_a_second(self):
+        start = time.perf_counter()
+        counts = decoherence._first_jumps(RngSpec(3), 10**15, 400, 0.2)
+        assert time.perf_counter() - start < 1.0
+        # a survivor after 400 steps has probability 0.8^400 ~ 1e-39
+        assert counts.dtype == np.int64 and counts.sum() == 10**15
+
+    def test_the_largest_int64_trials_run(self):
+        mc = {"dt": 0.01, "trials": 2**63 - 1, "rng": RngSpec(1)}
+        estimate = t1_curves(1.0, np.array([0.5, 1.0]), mc)["monte_carlo"]
+        assert np.allclose(estimate, np.exp([-0.5, -1.0]), rtol=1e-8)
 
 
 class TestRamseyEnsembleStatistics:
@@ -509,9 +511,10 @@ class TestT1Curves:
         with pytest.raises(ValueError):
             t1_curves(1.0, np.array([1.0]), mc={"dt": 0.5, "trials": 10, "rng": RngSpec(0)})
 
-    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("trials", [0, -1, 2**63])
     def test_an_ensemble_needs_a_trajectory(self, trials):
-        # 0 trials would give 0 / 0, a NaN estimate
+        # 0 trials would give 0 / 0, a NaN estimate; numpy's multinomial
+        # counts in int64 and raises OverflowError past it
         with pytest.raises(ValueError, match="at least one trajectory"):
             t1_curves(1.0, np.array([0.5]), {"dt": 0.01, "trials": trials, "rng": RngSpec(1)})
 
@@ -571,7 +574,7 @@ class TestDecayLimitedRamsey:
         with pytest.raises(ValueError):
             decay_limited_ramsey(1.0, 20.0, 0.002, 0.0009, trials=100, rng=RngSpec(0))
 
-    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("trials", [0, -1, 2**63])
     def test_an_ensemble_needs_a_trajectory(self, trials):
         with pytest.raises(ValueError, match="at least one trajectory"):
             decay_limited_ramsey(1.0, 20.0, 0.004, 3.0, trials, RngSpec(3))

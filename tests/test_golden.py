@@ -8,7 +8,7 @@ runs pin the dynamics paths, and the long ``washboard``, ``rabi`` and
 ``fluxwell`` runs and the five-level ``spectrum`` pin the table writer, at
 the sizes the benchmark runs them, and ``spectrum-ncut24`` pins the
 benchmark's 49-charge spectrum.  ``decay-bench`` and ``dephase-bench`` are
-the benchmark's own ensembles; 20000 trials end both on a partial
+the benchmark's own ensembles; 20000 trials end ``dephase``'s on a partial
 trajectory block.  ``coherent-complex`` (a complex alpha, a negative
 omega0) and ``coherent-bench`` (a non-integer alpha at the benchmark's
 size) pin the cross terms of the complex products that ``coherent-large``'s
