@@ -501,6 +501,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 0
 
+    def test_decay_runs_the_largest_int64_trials(self, tmp_path):
+        # 2^63 - 1 trajectories: the estimate is the exact survival to ~1e-10
+        code, out = run(tmp_path, "decay", "--trials", str(2**63 - 1))
+        assert code == 0
+        _, header, rows = read_csv(out)
+        assert header == ["t", "p_analytic", "p_mc"]
+        table = np.array(rows, dtype=float)
+        assert len(table) == 81
+        assert np.all(np.abs(table[:, 2] - table[:, 1]) < 1e-9)
+
     def test_decay_trials_past_int64_exit_2(self, tmp_path, capsys):
         # numpy's multinomial counts in int64
         code, _ = run(tmp_path, "decay", "--trials", str(2**63))

@@ -416,8 +416,8 @@ class TestFirstJumps:
 
     @pytest.mark.parametrize(
         "hazard",
-        [2e-3, 4e-3 * np.exp(-np.arange(400) / 200.0)],
-        ids=["scalar", "per-step"],
+        [2e-3, 4e-3 * np.exp(-np.arange(400) / 200.0), 1e-5 * np.arange(400)],
+        ids=["scalar", "per-step", "rising"],
     )
     def test_survivors_are_binomial_with_the_survival_covariance(self, hazard):
         # survivors after step k: Binomial(trials, s_k), and for j < k
@@ -435,6 +435,60 @@ class TestFirstJumps:
         assert np.all(np.abs(alive.var(axis=0, ddof=1) / variance - 1) < 0.1)
         covariance = np.cov(alive[:, 0], alive[:, 2])[0, 1]
         assert abs(covariance / (trials * p[2] * (1 - p[0])) - 1) < 0.1
+
+    @pytest.mark.parametrize(
+        "hazard",
+        [2e-3, 4e-3 * np.exp(-np.arange(400) / 200.0)],
+        ids=["scalar", "per-step"],
+    )
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_counts_are_one_draw_over_the_step_by_step_survival(self, seed, hazard):
+        # survival multiplied out one step at a time, and the chance of a
+        # first jump at each step as the survival it loses there
+        trials, nsteps = 437, 400
+        survival, pvals = 1.0, []
+        for h in np.broadcast_to(hazard, nsteps):
+            pvals.append(survival - survival * (1.0 - h))
+            survival *= 1.0 - h
+        gen = np.random.Generator(np.random.PCG64(seed))
+        expected = gen.multinomial(trials, [*pvals, survival])[:-1]
+        counts = decoherence._first_jumps(RngSpec(seed), trials, nsteps, hazard)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+
+    @pytest.mark.parametrize("nsteps", [1, 2, 400, 2**17 + 1])
+    def test_one_count_per_step_and_none_for_survivors(self, nsteps):
+        # the no-jump count is dropped: a survival of 0.5 leaves about half out
+        hazard = 1.0 - 0.5 ** (1.0 / nsteps)
+        counts = decoherence._first_jumps(RngSpec(8), 10**6, nsteps, hazard)
+        assert counts.shape == (nsteps,) and counts.dtype == np.int64
+        assert np.all(counts >= 0)
+        assert abs(counts.sum() - 5 * 10**5) < 5 * 500  # 5 sigma of Binomial(1e6, 1/2)
+
+    def test_no_hazard_makes_no_jump(self):
+        assert not decoherence._first_jumps(RngSpec(1), 10**9, 50, 0.0).any()
+
+    def test_a_certain_jump_takes_every_trajectory_at_the_first_step(self):
+        counts = decoherence._first_jumps(RngSpec(1), 777, 50, 1.0)
+        assert counts[0] == 777 and not counts[1:].any()
+
+    def test_no_trajectory_outlives_a_certain_step(self):
+        hazard = np.full(300, 1e-3)
+        hazard[120] = 1.0
+        counts = decoherence._first_jumps(RngSpec(2), 5000, 300, hazard)
+        assert counts.sum() == 5000 and not counts[121:].any()
+
+    def test_a_survival_that_underflows_to_zero_still_draws(self):
+        # 0.5^4000 is 0 in binary64: the no-jump probability is exactly 0
+        counts = decoherence._first_jumps(RngSpec(5), 10**12, 4000, 0.5)
+        assert counts.sum() == 10**12
+        assert not counts[100:].any()  # 1e12 0.5^100 ~ 1e-18 expected after step 99
+
+    def test_the_hazard_is_left_as_it_was(self):
+        hazard = 4e-3 * np.exp(-np.arange(400) / 200.0)
+        before = hazard.copy()
+        decoherence._first_jumps(RngSpec(6), 1000, 400, hazard)
+        assert np.array_equal(hazard, before)
 
     def test_one_multinomial_call_and_no_other_draw(self, monkeypatch):
         real, calls = np.random.Generator, []
@@ -507,6 +561,16 @@ class TestT1Curves:
         out = t1_curves(1.0, np.array([0.0]), mc={"dt": 0.01, "trials": 5, "rng": RngSpec(0)})
         assert out["monte_carlo"].tolist() == [1.0]
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_monte_carlo_is_a_falling_fraction_of_survivors(self, seed):
+        times, trials = np.linspace(0.0, 3.0, 31), 999
+        mc = {"dt": 0.01, "trials": trials, "rng": RngSpec(seed)}
+        estimate = t1_curves(1.0, times, mc)["monte_carlo"]
+        survivors = estimate * trials
+        assert np.allclose(survivors, np.round(survivors), rtol=0, atol=1e-9)
+        assert estimate[0] == 1.0 and estimate[-1] >= 0.0
+        assert np.all(np.diff(estimate) <= 0)
+
     def test_step_size_guard(self):
         with pytest.raises(ValueError):
             t1_curves(1.0, np.array([1.0]), mc={"dt": 0.5, "trials": 10, "rng": RngSpec(0)})
@@ -573,6 +637,24 @@ class TestDecayLimitedRamsey:
     def test_horizon_shorter_than_one_step(self):
         with pytest.raises(ValueError):
             decay_limited_ramsey(1.0, 20.0, 0.002, 0.0009, trials=100, rng=RngSpec(0))
+
+    def test_the_largest_int64_trials_give_the_mean_fringe(self):
+        # 2^63 - 1 trajectories: the surviving fraction is the no-jump
+        # probability to ~1e-10
+        t1, delta, dt, horizon = 1.0, 20.0, 0.004, 3.0
+        out = decay_limited_ramsey(t1, delta, dt, horizon, 2**63 - 1, RngSpec(3))
+        times = out["times"]
+        # the no-jump amplitudes, hazards and fringe a_k b_k cos(delta t_k)
+        coherent = np.full(len(times), np.nan)
+        hazard = np.empty(len(times))
+        ak = bk = 1.0 / np.sqrt(2.0)
+        for k in range(len(times)):
+            hazard[k] = bk * bk * dt / t1
+            bk *= np.exp(-dt / (2.0 * t1))
+            ak, bk = ak / np.hypot(ak, bk), bk / np.hypot(ak, bk)
+            coherent[k] = ak * bk * np.cos(delta * times[k])
+        survival = np.cumprod(1.0 - hazard)
+        assert np.allclose(out["p_plus"], 0.5 + survival * coherent, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("trials", [0, -1, 2**63])
     def test_an_ensemble_needs_a_trajectory(self, trials):
