@@ -354,15 +354,15 @@ def _transmon_ncut(ratio: float) -> int:
     return max(5, int(np.ceil(np.sqrt(ratio))) + 4)
 
 
-def _transmon_charges(args) -> int:
-    """Charges summed over the scans of a ``transmon`` run: 2 ncut + 1 and 4 ncut + 1 per ratio."""
-    return sum(6 * (args.ncut or _transmon_ncut(r)) + 2 for r in _ratios(args.ratios))
+def _transmon_ncuts(args) -> list[int]:
+    """The charge cutoff of each ratio of a ``transmon`` run."""
+    return [args.ncut or _transmon_ncut(r) for r in _ratios(args.ratios)]
 
 
 def _run_transmon(args):
     ratios = _ratios(args.ratios)
     ej = [ratio * args.ec for ratio in ratios]
-    disp = charge_dispersion(args.ec, ej, [args.ncut or _transmon_ncut(ratio) for ratio in ratios])
+    disp = charge_dispersion(args.ec, ej, _transmon_ncuts(args))
     # below_floor is 1 where the dispersion is roundoff, 0 elsewhere
     rows = np.column_stack([ratios, disp["dispersion"], disp["dispersion_floor"],
                             disp["dispersion"] < disp["dispersion_floor"],
@@ -490,14 +490,16 @@ _COMMANDS = {
     "transmon": _Command(
         _run_transmon, "Charge dispersion vs E_J/E_C",
         (("ec", 1.0, "> 0"), ("ratios", "1,2,5,10,20,50"), ("ncut", 0, ">= 0")),
-        # every scan runs in one bisection, whose ragged Sturm blocks hold one
-        # value per charge and column; each scan has as many columns as every
-        # other: its 2 x 2 (gate charge, level) brackets, or its share of the
-        # _COLUMNS that multisection spreads over 8 brackets per ratio
-        size=lambda a: _transmon_charges(a) * max(4, _COLUMNS / (2 * len(_ratios(a.ratios)))),
-        # an upper bound: the one bisection loops over the charges of its
-        # largest scan only, in each of at most _HALVINGS passes
-        loops=lambda a: _HALVINGS * _transmon_charges(a),
+        # every scan (2 ncut + 1 and 4 ncut + 1 charges per ratio) runs in one
+        # bisection, whose ragged Sturm blocks hold one value per charge and
+        # column; each scan has as many columns as every other: its 2 x 2 (gate
+        # charge, level) brackets, or its share of the _COLUMNS that
+        # multisection spreads over 8 brackets per ratio
+        size=lambda a: (sum(6 * n + 2 for n in _transmon_ncuts(a))
+                        * max(4, _COLUMNS / (2 * len(_ratios(a.ratios))))),
+        # the one bisection loops over the charges of its largest scan only,
+        # in each of at most _HALVINGS passes
+        loops=lambda a: _HALVINGS * (4 * max(_transmon_ncuts(a)) + 1),
     ),
     "tunnel-ode": _Command(
         _run_tunnel_ode, "Semiclassical two-island tunnelling",

@@ -284,6 +284,8 @@ def decay_limited_ramsey(
 
     Returns the time grid, the averaged fringe on it and the fitted T2.
     """
+    if not t1 > 0:
+        raise ValueError("t1 must be positive")
     if not 1 <= trials < 2**63:
         raise ValueError("need at least one trajectory and fewer than 2^63")
     if delta * t1 < 20.0:

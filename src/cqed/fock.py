@@ -10,7 +10,7 @@ Truncation is the one place where the finite basis shows through: the
 commutator [a, a^dag] equals the identity except for its top diagonal
 entry, which is -(dim-1) instead of 1, so [a, a^dag] - I has -dim there
 (to within the roundoff of squaring sqrt(n)).  Coherent states come from one
-batched recursion, each row bit-identical to the scalar one (`_coherent_rows`),
+batched array recursion, each row the bits of a one-alpha call (`_coherent_rows`),
 under an adequacy rule that keeps the discarded Poisson tail below 1e-8 in norm.
 """
 
@@ -30,17 +30,8 @@ __all__ = [
 _RESIDUAL_TOL = 1e-8
 
 
-def _product(a, b) -> np.ndarray:
-    """a * b on real and imaginary parts, each element rounded as numpy's scalar product."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _check_adequate(alpha, dim: int) -> None:
-    """Raise TruncationTooSmall if ``dim`` < |alpha|^2 + 10 |alpha| + 10."""
-    a = abs(alpha)
+def _check_adequate(a, dim: int) -> None:
+    """Raise TruncationTooSmall if ``dim`` < a^2 + 10 a + 10 for the magnitude a = |alpha|."""
     bound = int(np.ceil(a * a + 10.0 * a + 10.0))
     if dim < bound:
         raise TruncationTooSmall(f"dim {dim} < adequacy bound {bound} for |alpha|={a:.3g}")
@@ -49,26 +40,25 @@ def _check_adequate(alpha, dim: int) -> None:
 def _coherent_rows(alphas, dim: int) -> np.ndarray:
     """Renormalized truncated |alpha> for each of ``alphas``, one row each: (len(alphas), dim).
 
-    c_{n+1} = alpha c_n / sqrt(n+1) runs once over the stack, each element equal
-    to scalar numpy arithmetic on its one alpha: |alpha| as np.hypot (np.abs on a
-    complex array rounds differently), |alpha|^2 in c_0 as np.float_power, products
-    on real and imaginary parts (the array complex multiply may fuse them with
-    FMA), complex-by-real division (a reciprocal multiply differs in signs of
-    zero), and each row's norm from stacked dots of its real and imaginary parts,
-    as `np.linalg.norm` does.  The first alpha whose adequacy bound is over
-    ``dim``, or not finite, raises through `_check_adequate`, as it always has;
-    an alpha whose c_0 is subnormal or 0 (|alpha| over about 37.64) raises
-    before the recursion runs, and so does a norm that misses 1 either way.
+    c_{n+1} = alpha c_n / sqrt(n+1) runs once over the stack in numpy's array
+    arithmetic, whose elementwise kernels give each row the bits of a one-alpha
+    call; each row's norm comes from stacked dots of its real and imaginary
+    parts, as `np.linalg.norm` does.  The first alpha whose adequacy bound is
+    over ``dim``, or not finite, raises through `_check_adequate`; an alpha
+    whose c_0 is subnormal or 0 (|alpha| over about 37.64) raises before the
+    recursion runs, and so does a norm that misses 1 either way.
     """
     values = np.asarray(alphas, dtype=np.complex128)
     with np.errstate(over="ignore"):
-        a = np.hypot(values.real, values.imag)
+        a = np.abs(values)
         bound = np.ceil(a * a + 10.0 * a + 10.0)
     # NaN fails every comparison, so this picks it out as well
     bad = np.flatnonzero(~(bound <= dim))
     if bad.size:
-        _check_adequate(alphas[bad[0]], dim)
-    c0 = np.exp(-0.5 * np.float_power(a, 2.0))
+        k = bad[0]
+        # the stack's |alpha|, or abs(alpha) to raise as a per-alpha loop on a non-finite bound
+        _check_adequate(a[k] if np.isfinite(bound[k]) else abs(alphas[k]), dim)
+    c0 = np.exp(-0.5 * (a * a))
     # A subnormal c_0 keeps too few significant bits for the norm check to mean anything.
     bad = np.flatnonzero(c0 < np.finfo(np.float64).tiny)
     if bad.size:
@@ -81,7 +71,7 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
     amps = np.empty((len(values), dim), dtype=np.complex128)
     amps[:, 0] = c0
     for n in range(dim - 1):
-        amps[:, n + 1] = _product(values, amps[:, n]) / np.sqrt(n + 1.0)
+        amps[:, n + 1] = values * amps[:, n] / np.sqrt(n + 1.0)
     nrm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
     deficit = 1.0 - nrm * nrm
     bad = np.flatnonzero(np.abs(deficit) > _RESIDUAL_TOL)
@@ -121,7 +111,7 @@ def coherent_evolution(
     energies = -omega0 * np.square(np.sqrt(np.arange(dim)))
     numeric = np.exp(-1j * np.outer(times, energies)) * coherent_ket(alpha, dim).amps
     check_kets(numeric)
-    alphas = _product(complex(alpha), np.exp(_product(1j * omega0, np.asarray(times, float))))
+    alphas = complex(alpha) * np.exp(1j * omega0 * np.asarray(times, float))
     analytic = _coherent_rows(alphas, dim)
     check_kets(analytic)
     return {"alpha": alphas, "analytic": analytic, "numeric": numeric}

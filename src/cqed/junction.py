@@ -104,9 +104,14 @@ def flux_qubit_potential(
     def u(phi):
         return phi * phi / (2.0 * l) - ej * np.cos(2.0 * np.pi * (phi - phi_ext))
 
-    def slope(phi):  # Python floats: a product that overflows only steers _newton
+    # u', u'' over a power of two near max(|E_J|, 1/L): same bits, finite for huge E_J
+    shift = max(math.frexp(ej)[1], -math.frexp(l)[1])
+    ej_scaled = math.ldexp(ej, -shift)
+
+    def slope(phi):  # Python floats
         w = 2.0 * math.pi * (phi - phi_ext)
-        return phi / l + 2 * math.pi * ej * math.sin(w), 1 / l + 4 * math.pi**2 * ej * math.cos(w)
+        return (math.ldexp(phi / l, -shift) + 2 * math.pi * ej_scaled * math.sin(w),
+                math.ldexp(1 / l, -shift) + 4 * math.pi**2 * ej_scaled * math.cos(w))
 
     samples = u(phis)
     rise = np.diff(samples)

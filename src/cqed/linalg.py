@@ -107,16 +107,14 @@ def check_kets(amps: np.ndarray) -> None:
 
 
 def fidelity(a: Ket | np.ndarray, b: Ket | np.ndarray) -> float | np.ndarray:
-    """|<a|b>|^2 for kets or amplitude vectors, row by row for (k, dim) stacks.
-
-    Per row the zdotc, hypot and pow of ``abs(np.vdot(a, b)) ** 2`` on scalars.
-    """
+    """|<a|b>|^2 for kets or amplitude vectors, row by row for (k, dim) stacks,
+    each row with the bits of a one-row call (`vecdot`, `abs`, `square` are row-wise)."""
     va = a.amps if isinstance(a, Ket) else np.asarray(a)
     vb = b.amps if isinstance(b, Ket) else np.asarray(b)
     if va.shape != vb.shape:
         raise DimensionMismatch("state dimensions differ")
     overlap = np.vecdot(va, vb)
-    return np.float_power(np.hypot(overlap.real, overlap.imag), 2.0)
+    return np.square(np.abs(overlap))
 
 
 class _Group(NamedTuple):

@@ -450,6 +450,8 @@ class TestExitCodes:
             ["coherent", "--steps", "29128"],
             ["transmon", "--ncut", "100000"],
             ["transmon", "--ratios", "1e12"],
+            # 58 x 9201 loop iterations: only the loop term refuses it
+            ["transmon", "--ncut", "2300"],
             ["rabi", "--steps", "2796203"],  # (steps, 3) rows: one value over 2^23
             ["dephase", "--trials", "1000000000000"],  # random draws, not bytes
             # 2 brackets multisected over 1022 columns: 4000001 x 1024 values
@@ -535,6 +537,22 @@ class TestExitCodes:
         every = -(-steps // 500)
         assert len(rows) == steps // every + 1
         assert rows[-1][0] == "%.12g" % (float(steps // every * every) * 1e-3)
+
+    def test_transmon_loop_term_counts_the_largest_scan(self, tmp_path, capsys):
+        # 300 scans in one bisection loop over the 21 charges of the largest,
+        # not the 9600 of all of them
+        ratios = ",".join(["1"] * 300)
+        code, out = run(tmp_path, "transmon", "--ratios", ratios)
+        assert code == 0, capsys.readouterr().err
+        assert len(read_csv(out)[2]) == 300
+        spec, parse = cli._COMMANDS["transmon"], cli.build_parser().parse_args
+        assert spec.loops(parse(["transmon", "--ratios", ratios])) == cli._HALVINGS * 21
+        # the largest ncut under the loop budget, and the one above it
+        assert spec.loops(parse(["transmon", "--ncut", "2259"])) <= cli._MAX_LOOPS
+        assert spec.loops(parse(["transmon", "--ncut", "2260"])) > cli._MAX_LOOPS
+        assert spec.size(parse(["transmon", "--ncut", "2300"])) <= cli._MAX_VALUES
+        assert spec.loops(parse(["transmon", "--ratios", "1,5,1000", "--ncut", "0"])) == (
+            cli._HALVINGS * (4 * cli._transmon_ncut(1000) + 1))
 
     def test_spectrum_value_budget_also_bounds_its_bisection_loop(self, tmp_path, capsys):
         # At most 2^23 // _COLUMNS charges fit the value budget, and each takes

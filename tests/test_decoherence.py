@@ -638,6 +638,13 @@ class TestDecayLimitedRamsey:
         with pytest.raises(ValueError):
             decay_limited_ramsey(1.0, 20.0, 0.002, 0.0009, trials=100, rng=RngSpec(0))
 
+    @pytest.mark.parametrize("t1", [-1.0, 0.0, np.nan])
+    def test_t1_must_be_positive(self, t1):
+        # delta = -20 keeps delta * t1 >= 20 at t1 = -1, which once built
+        # negative hazards and failed inside numpy's multinomial
+        with pytest.raises(ValueError, match="^t1 must be positive$"):
+            decay_limited_ramsey(t1, -20.0, 0.004, 3.0, 100, RngSpec(0))
+
     def test_the_largest_int64_trials_give_the_mean_fringe(self):
         # 2^63 - 1 trajectories: the surviving fraction is the no-jump
         # probability to ~1e-10

@@ -104,12 +104,19 @@ class TestCoherentStates:
         assert np.abs(probs - poisson).max() < 1e-12
 
 
-def scalar_recursion(alpha: np.complex128, dim: int) -> np.ndarray:
-    """c_{n+1} = alpha c_n / sqrt(n+1) on numpy complex128 scalars, one level at a time."""
+def one_row(alpha: complex, dim: int) -> np.ndarray:
+    """The coherent recursion run on a stack of one alpha."""
+    return _coherent_rows([alpha], dim)[0]
+
+
+def one_element_recursion(alpha: complex, dim: int) -> np.ndarray:
+    """c_{n+1} = alpha c_n / sqrt(n+1) on one-element arrays, divided by np.linalg.norm."""
+    value = np.array([alpha], dtype=np.complex128)
+    a = np.abs(value)
     amps = np.empty(dim, dtype=np.complex128)
-    amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
+    amps[0] = np.exp(-0.5 * (a * a))[0]
     for n in range(dim - 1):
-        amps[n + 1] = alpha * amps[n] / np.sqrt(n + 1.0)
+        amps[n + 1] = (value * amps[n:n + 1] / np.sqrt(n + 1.0))[0]
     return amps / np.linalg.norm(amps)
 
 
@@ -117,28 +124,51 @@ def bits(amps: np.ndarray) -> np.ndarray:
     return amps.view(np.uint64)
 
 
+#: Stack heights of the position-invariance tests: numpy's SIMD kernels run
+#: a stack in vector steps plus a tail, so lengths below, at and past
+#: several vector widths, the benchmark's 601 and the 1500 of the wide range.
+STACK_LENGTHS = (1, 2, 7, 37, 601, 1500)
+
+
+def wide_alphas(size: int, seed: int = 7) -> np.ndarray:
+    """Alphas over eight decades of |alpha| up to 2.4, every seventh real."""
+    rng = np.random.default_rng(seed)
+    alphas = 10.0 ** rng.uniform(-8.0, np.log10(2.4), size) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, size))
+    alphas[::7] = alphas[::7].real
+    return alphas
+
+
+#: Error allowed in each part of a renormalized coherent amplitude c_n
+#: against its 40-digit value, in units of the spacing of float64 at |c_n|:
+#: the 39 recursion steps of a 40-level row measure at most 12.0.
+COHERENT_ULPS = 16
+
+
 class TestCoherentEvolution:
-    def test_batched_amplitudes_match_scalar_recursion_bit_for_bit(self):
-        # Scalar and array complex arithmetic round differently once numpy
-        # vectorizes a product; the stack must still equal one-alpha scalar
-        # arithmetic in every bit, signs of zero included.
-        rng = np.random.default_rng(20)
-        alphas = rng.normal(scale=1.2, size=50) + 1j * rng.normal(scale=1.2, size=50)
-        alphas = np.concatenate([alphas, [0.0, -1.5, 1.5j, -2.0j, complex(-3.0, -0.0)]])
+    @pytest.mark.parametrize("size", STACK_LENGTHS)
+    def test_batched_amplitudes_match_one_row_calls_bit_for_bit(self, size):
+        # The stack must equal a one-alpha call in every bit, signs of zero
+        # included, at every position of numpy's vector loops.
+        rng = np.random.default_rng(20 + size)
+        alphas = rng.normal(scale=1.2, size=size) + 1j * rng.normal(scale=1.2, size=size)
+        alphas[-5:] = [0.0, -1.5, 1.5j, -2.0j, complex(-3.0, -0.0)][-size:]
         dim = 100
         stack = _coherent_rows(alphas, dim)
-        ref = np.array([scalar_recursion(alpha, dim) for alpha in alphas])
+        ref = np.array([one_row(alpha, dim) for alpha in alphas])
         assert stack.shape == (len(alphas), dim)
         assert np.array_equal(bits(stack), bits(ref))
         for alpha, row in zip(alphas[:5], stack):
             assert np.array_equal(bits(coherent_ket(alpha, dim).amps), bits(row))
 
-    def test_alpha_and_analytic_rows_match_scalar_evaluation_bit_for_bit(self):
+    @pytest.mark.parametrize("size", STACK_LENGTHS)
+    def test_alpha_and_analytic_rows_match_one_time_calls_bit_for_bit(self, size):
         dim = 64
         alpha, omega0 = 2.1 - 1.7j, -1.3
-        times = np.linspace(0.0, 9.0, 41)
+        times = np.linspace(0.0, 9.0, size)
         out = coherent_evolution(alpha, omega0, times, dim)
-        alpha_t = np.array([alpha * np.exp(1j * omega0 * t) for t in times])
+        alpha_t = np.array([coherent_evolution(alpha, omega0, [t], dim)["alpha"][0]
+                            for t in times])
         assert np.array_equal(bits(out["alpha"]), bits(alpha_t))
         for a, row in zip(alpha_t, out["analytic"]):
             assert np.array_equal(bits(coherent_ket(a, dim).amps), bits(row))
@@ -160,10 +190,33 @@ class TestCoherentEvolution:
 
     def test_every_alpha_is_checked_for_adequacy(self):
         # |alpha| = 3 puts the adequacy bound at exactly 49; |alpha_t| rounds
-        # above 3 at the 11th of these samples, which fails the rule.
+        # above 3 at some of these samples (with numpy 2.4 on x86-64, first at
+        # the 7th, then at the 10th to 12th), and the first of them fails the rule.
+        times = np.linspace(0.0, 2 * np.pi, 61)
         coherent_ket(3.0, 49)
-        with pytest.raises(TruncationTooSmall, match="adequacy bound 50"):
-            coherent_evolution(3.0, 1.0, np.linspace(0.0, 2 * np.pi, 61), 49)
+        alpha_t = coherent_evolution(3.0, 1.0, times, 50)["alpha"]
+        over = np.flatnonzero(np.abs(alpha_t) > 3.0)
+        assert 0 < over.size < len(times) and over[0] > 0
+        coherent_evolution(3.0, 1.0, times[:over[0]], 49)
+        with pytest.raises(TruncationTooSmall, match=r"adequacy bound 50 for \|alpha\|=3$"):
+            coherent_evolution(3.0, 1.0, times, 49)
+
+    @pytest.mark.parametrize("as_python", [False, True])
+    def test_every_flagged_alpha_raises(self, as_python):
+        # The re-check that names a failing alpha judges the stack's |alpha|:
+        # builtin abs() may round a flagged |alpha_t| to 3 (with numpy 2.4 on
+        # x86-64 it does at some of these samples), and those must raise all the same.
+        alpha_t = coherent_evolution(3.0, 1.0, np.linspace(0.0, 2 * np.pi, 61), 50)["alpha"]
+        a = np.abs(alpha_t)
+        flagged = np.ceil(a * a + 10.0 * a + 10.0) > 49
+        assert flagged.any() and not flagged.all()
+        for x, bad in zip(alpha_t, flagged):
+            alphas = [complex(x)] if as_python else x[None]
+            if bad:
+                with pytest.raises(TruncationTooSmall, match="adequacy bound 50"):
+                    _coherent_rows(alphas, 49)
+            else:
+                _coherent_rows(alphas, 49)
 
     def test_every_alpha_is_checked_for_underflow(self):
         # |alpha| = 39 passes the adequacy rule at dim 1921, but c_0 =
@@ -171,14 +224,32 @@ class TestCoherentEvolution:
         with pytest.raises(TruncationTooSmall, match=r"underflows to 0 for \|alpha\|=39$"):
             _coherent_rows([1.0, 39.0], 1921)
 
-    def test_wide_alpha_range_matches_scalar_recursion_bit_for_bit(self):
+    def test_wide_alpha_range_matches_one_row_calls_bit_for_bit(self):
         # |alpha| and c_0 for the whole stack at once, over eight decades of |alpha|
-        rng = np.random.default_rng(7)
-        size = 10.0 ** rng.uniform(-8.0, np.log10(2.4), 1500)
-        alphas = size * np.exp(1j * rng.uniform(-np.pi, np.pi, 1500))
-        alphas[::7] = alphas[::7].real
-        ref = np.array([scalar_recursion(alpha, 40) for alpha in alphas])
+        alphas = wide_alphas(1500)
+        ref = np.array([one_row(alpha, 40) for alpha in alphas])
         assert np.array_equal(bits(_coherent_rows(alphas, 40)), bits(ref))
+
+    def test_wide_alpha_range_matches_40_digit_amplitudes(self):
+        # the truncated |alpha> renormalized on its 40 levels, from the same
+        # recursion in 40-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        alphas, dim = wide_alphas(1500), 40
+        got = _coherent_rows(alphas, dim)
+        exact = np.empty((len(alphas), dim), dtype=np.complex128)
+        err = np.empty((len(alphas), dim))
+        with mpmath.workdps(40):
+            for k, alpha in enumerate(alphas):
+                c = [mpmath.mpc(1)]
+                for n in range(dim - 1):
+                    c.append(c[-1] * mpmath.mpc(alpha.real, alpha.imag) / mpmath.sqrt(n + 1))
+                nrm = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in c))
+                for n, x in enumerate(c):
+                    x /= nrm
+                    exact[k, n] = complex(x)
+                    err[k, n] = max(abs(x.real - got[k, n].real), abs(x.imag - got[k, n].imag))
+        ulp = np.maximum(np.spacing(np.abs(exact)), np.finfo(np.float64).smallest_subnormal)
+        assert (err / ulp).max() <= COHERENT_ULPS
 
     @pytest.mark.parametrize(
         "alphas, dim",
@@ -301,8 +372,9 @@ class TestQuadratures:
             assert all(stats[key][k] == one[key] for key in one)
 
 
-#: Dimensions and stack heights of the bit-parity tests: tiny, odd, the
-#: benchmark's 96 and one above it; one row, two rows, the benchmark's 601.
+#: Dimensions of the bit-parity tests: tiny, odd, the benchmark's 96 and one
+#: above it; `quad_stats`' stack heights: one row, two rows, the benchmark's
+#: 601 (the fidelity and row-norm tests take STACK_LENGTHS).
 PARITY_DIMS = (1, 2, 3, 12, 48, 96, 130)
 PARITY_ROWS = (1, 2, 601)
 
@@ -337,7 +409,7 @@ class TestStackedProductsMatchPerRowCalls:
                 assert np.array_equal(stats[key], [one[key] for one in ones])
                 np.testing.assert_allclose(stats[key], dense[key], rtol=0, atol=DENSE_ATOL)
 
-    @pytest.mark.parametrize("rows", PARITY_ROWS)
+    @pytest.mark.parametrize("rows", STACK_LENGTHS)
     @pytest.mark.parametrize("dim", PARITY_DIMS)
     def test_fidelity(self, dim, rows):
         pairs = [(random_stack(rows, dim, seed=dim), random_stack(rows, dim, seed=dim + 1))]
@@ -345,15 +417,18 @@ class TestStackedProductsMatchPerRowCalls:
             out = coherent_stack(rows, dim)
             pairs.append((out["analytic"], out["numeric"]))
         for a, b in pairs:
-            ref = np.array([abs(np.vdot(x, y)) ** 2 for x, y in zip(a, b)])
+            # each row's zdotc, then |.|^2 on one-element arrays
+            ref = np.array([(np.abs(np.vdot(x, y)[None]) ** 2)[0] for x, y in zip(a, b)])
             assert np.array_equal(fidelity(a, b), ref)
+            assert np.array_equal([fidelity(x, y) for x, y in zip(a, b)], ref)
             assert np.array_equal([fidelity(Ket(x), Ket(y)) for x, y in zip(a, b)], ref)
 
-    @pytest.mark.parametrize("rows", PARITY_ROWS)
+    @pytest.mark.parametrize("rows", STACK_LENGTHS)
     @pytest.mark.parametrize("dim", PARITY_DIMS[3:])  # the adequacy rule needs 10 levels
     def test_coherent_row_norms(self, dim, rows):
-        # scalar_recursion divides by np.linalg.norm of each row
+        # the reference divides each one-element recursion by its np.linalg.norm
         alphas = coherent_stack(rows, dim)["alpha"]
-        ref = np.array([scalar_recursion(alpha, dim) for alpha in alphas])
-        assert np.array_equal(bits(_coherent_rows(alphas, dim)), bits(ref))
+        stack = bits(_coherent_rows(alphas, dim))
+        assert np.array_equal(stack, bits(np.array([one_element_recursion(a, dim) for a in alphas])))
+        assert np.array_equal(stack, bits(np.array([one_row(a, dim) for a in alphas])))
 

@@ -161,8 +161,8 @@ class TestFluxQubitPotential:
             flux_qubit_potential(0.5, 0.4, 0.0, np.array([0.0, -1.0, 1.0]))
 
 
-def scan_minima(l, ej, phi_ext, phis):
-    """The scalar sign-change loop: the reference for the vectorized scan."""
+def scan_minima(l, ej, phi_ext, phis, newton=_newton):
+    """The scalar sign-change loop on the unscaled slope: the reference for the vectorized scan."""
 
     def u(phi):
         return phi * phi / (2.0 * l) - ej * np.cos(2.0 * np.pi * (phi - phi_ext))
@@ -175,7 +175,7 @@ def scan_minima(l, ej, phi_ext, phis):
     minima = []
     for k in range(len(rise) - 1):
         if rise[k] < 0.0 <= rise[k + 1]:
-            p = _newton(slope, float(phis[k]), float(phis[k + 2]))
+            p = newton(slope, float(phis[k]), float(phis[k + 2]))
             minima.append((p, float(u(p))))
     return minima
 
@@ -279,8 +279,8 @@ class TestFluxMinimaToRoundoff:
 
     @pytest.mark.parametrize("ej", [1e308, 3e307, 5e-324])
     def test_overflowed_or_vanishing_slope_still_brackets(self, monkeypatch, ej):
-        # 2 pi E_J or 4 pi^2 E_J overflows to inf in the slope: bisection finds
-        # the well at phi_ext + n, where the cosine term dominates
+        # E_J at the top of the float range, where 2 pi E_J overflows unscaled,
+        # or subnormal: the wells lie at phi_ext + n, where the cosine term dominates
         counts = counting_newton(monkeypatch)
         minima = flux_qubit_potential(0.5, ej, 0.5, np.linspace(-1.25, 1.25, 501))["minima"]
         assert max(counts) <= 100
@@ -288,6 +288,32 @@ class TestFluxMinimaToRoundoff:
             assert [round(p, 12) for p, _ in minima] == [-0.5, 0.5]
         else:
             assert [p for p, _ in minima] == [0.0]
+
+    @pytest.mark.parametrize("ej, wells", [(1e308, [-1.0, 0.0, 1.0]), (0.0, [0.0])])
+    def test_huge_or_zero_ej_lands_on_the_wells(self, monkeypatch, ej, wells):
+        # The slope handed to _newton is scaled by a power of two near
+        # max(E_J, 1/L), so 2 pi E_J sin(w) stays finite and Newton's steps
+        # reach phi = 0 exactly, where u' is 0; unscaled, u' was nan there
+        # and the middle search bisected on into the subnormals.
+        counts = counting_newton(monkeypatch)
+        minima = flux_qubit_potential(0.5, ej, 0.0, np.linspace(-1.25, 1.25, 501))["minima"]
+        assert max(counts) <= 100
+        assert [p for p, _ in minima] == wells
+
+    @pytest.mark.parametrize("name", ["fluxwell", "fluxwell-long", "fluxwell-six", "bench"])
+    def test_scaled_slope_keeps_every_bit_and_step(self, monkeypatch, name):
+        # the unscaled closed-form slope of scan_minima: the same minima and
+        # the same slope evaluations per bracket
+        argv = fluxwell_argvs()[name]
+        args = cli.build_parser().parse_args(argv)
+        phis = np.linspace(args.phi_min, args.phi_max, args.steps)
+        counts = counting_newton(monkeypatch)
+        ref = scan_minima(args.l, args.ej, args.phi_ext, phis, newton=junction._newton)
+        ref_counts = counts[:]
+        assert len(ref_counts) == len(ref) > 0
+        counts.clear()
+        assert fluxwell_minima(argv)[3] == ref
+        assert counts == ref_counts
 
 
 def amplitudes(n1, n2, theta1, theta2):
