@@ -8,7 +8,10 @@ read no prefix of it.  In `ramsey_ensemble` trajectory i reads the i-th run
 of nsteps normals, so fewer trials read a prefix, about 1 MB at a time from
 two alternating buffers: a helper thread fills each requested block with one
 numpy call while the caller reduces the one before, in trajectory order, and
-a block stays valid until the next is requested.
+a block stays valid until the next is requested.  The caller takes each
+block's cosines in place as 2 / (1 + tan^2(phi / 2)) - 1: numpy's float64
+tan is a vector kernel where its cos is scalar libm, and the identity is
+within 1.5 eps (3.3e-16) of the exact cosine, against libm's 0.5 eps.
 
 Mixed states never appear as density matrices in this module: ensembles are
 weighted lists of pure states, which is all the experiments below need.
@@ -221,7 +224,13 @@ def ramsey_ensemble(
 
     Trajectory i accumulates phase phi_i(t_k) = delta0 t_k + sum_j xi_j
     sigma sqrt(dt) and contributes cos(phi_i); the ensemble mean gives
-    p_plus(t) = (1 + <cos phi>) / 2.  The fringe envelope is fitted as
+    p_plus(t) = (1 + <cos phi>) / 2.  Each block holds phi / 2, exactly the
+    halved phase, and its cosine is 2 / (1 + tan^2(phi / 2)) - 1, taken in
+    place.  Measured against a 40-digit cosine at and around multiples of
+    pi/2, near 0, at +-1e15 and +-1e300 and along random walks, its error is
+    at most 1.5 eps (3.3e-16); the output bytes are the same on numpy's
+    AVX-512 tan kernel and, with every runtime-dispatched SIMD target
+    disabled, on its baseline one.  The fringe envelope is fitted as
     A exp(-t / T2) by log-linear regression on the oscillation extrema;
     white Gaussian noise has the exact envelope exp(-sigma^2 t / 2).
 
@@ -243,14 +252,21 @@ def ramsey_ensemble(
     else:
         if trials < 1000:
             raise ValueError("ensemble averaging needs at least 1e3 trajectories")
-        kick_scale = noise.sigma * np.sqrt(dt)
+        # The block holds phi / 2: halving is exact, so these are the halved
+        # bits of phi (barring subnormals), with no pass over the block for it.
+        kick_scale = 0.5 * (noise.sigma * np.sqrt(dt))
         acc = np.zeros(nsteps)
-        base_phase = delta0 * times
+        base_phase = 0.5 * (delta0 * times)
         for _, kicks in rng._blocks(trials, nsteps):
             kicks *= kick_scale
             np.cumsum(kicks, axis=1, out=kicks)
             kicks += base_phase
-            np.cos(kicks, out=kicks)
+            # cos phi = 2 / (1 + tan^2(phi / 2)) - 1, in place
+            np.tan(kicks, out=kicks)
+            np.square(kicks, out=kicks)
+            kicks += 1.0
+            np.divide(2.0, kicks, out=kicks)
+            kicks -= 1.0
             # An axis-0 reduce adds the rows in trajectory order, as a row loop does.
             kicks[0] += acc
             np.add.reduce(kicks, axis=0, out=acc)

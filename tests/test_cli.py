@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import cqed
 from cqed import cli, junction
 from cqed.cli import run_command
+from cqed.linalg import fidelity
 
 #: An int past float range: bad input for every int flag.
 HUGE_INT = str(10**400)
@@ -1134,7 +1135,7 @@ class TestPhysicsThroughCli:
         columns, rows, _ = cli._run_coherent(args)
         times = np.linspace(0.0, args.t_max, steps)
         states = cli.coherent_evolution(alpha, -1.3, times, dim)
-        per_row = [abs(np.vdot(a, b)) ** 2 for a, b in zip(states["analytic"], states["numeric"])]
+        per_row = [fidelity(a, b) for a, b in zip(states["analytic"], states["numeric"])]
         assert np.array_equal(rows[:, columns.index("fidelity")], per_row)
 
     def test_default_fluxwell_prints_mirror_minima(self, tmp_path):

@@ -27,6 +27,7 @@ from oracles import marginal_table
 
 
 SEEDS = (0, 1, 2**63 + 7, 2**64 - 1)
+EPS = np.finfo(np.float64).eps
 
 
 def one_call(seed, draw, trials, nsteps):
@@ -359,14 +360,20 @@ def reference_decay_limited(t1, delta, dt, horizon, trials, seed):
     return frac_alive * (0.5 + a * b * np.cos(delta * times)) + (1 - frac_alive) * 0.5
 
 
-def reference_ramsey(delta0, sigma, dt, horizon, trials, seed):
+def half_angle_cos(phi):
+    """ramsey_ensemble's cosine, 2 / (1 + tan^2(phi / 2)) - 1, of the summed phase."""
+    half = np.tan(phi / 2)
+    return 2.0 / (1.0 + half * half) - 1.0
+
+
+def reference_ramsey(delta0, sigma, dt, horizon, trials, seed, cos=half_angle_cos):
     """Per-trajectory noisy-fringe loop of ramsey_ensemble over one draw of all kicks: p_plus."""
     nsteps = int(np.round(horizon / dt))
     times = np.arange(1, nsteps + 1) * dt
     acc = np.zeros(nsteps)
     for normals in one_call(seed, "standard_normal", trials, nsteps):
         kicks = normals * (sigma * np.sqrt(dt))
-        acc += np.cos(delta0 * times + np.cumsum(kicks))
+        acc += cos(delta0 * times + np.cumsum(kicks))
     return 0.5 * (1.0 + acc / trials)
 
 
@@ -393,6 +400,16 @@ class TestEnsemblesMatchPerTrajectoryLoops:
         out = ramsey_ensemble(5.0, NoiseModel(sigma), dt, horizon, trials, RngSpec(2**63 + 7))
         expected = reference_ramsey(5.0, sigma, dt, horizon, trials, 2**63 + 7)
         assert np.array_equal(out["p_plus"], expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("dt, horizon", [(0.02, 8.0), (0.013, 3.37)])
+    def test_ramsey_ensemble_is_the_libm_cosine_loop_to_a_few_eps(self, dt, horizon, seed):
+        # each half-angle cosine is within 1.5 eps of cos, libm's within 0.5;
+        # the worst p_plus difference measured over 56 such runs was 1 eps
+        sigma, trials = np.sqrt(0.5), 1001
+        out = ramsey_ensemble(5.0, NoiseModel(sigma), dt, horizon, trials, RngSpec(seed))
+        expected = reference_ramsey(5.0, sigma, dt, horizon, trials, seed, cos=np.cos)
+        assert np.max(np.abs(out["p_plus"] - expected)) <= 4 * EPS
 
     @pytest.mark.parametrize(
         "rows, cols",
@@ -615,6 +632,90 @@ class TestRamseyEnsemble:
     def test_phase_resolution_guard(self):
         with pytest.raises(ValueError):
             ramsey_ensemble(10.0, NoiseModel(0.1), 0.05, 4.0, 1000, RngSpec(0))
+
+    def test_no_array_beside_the_two_blocks_is_block_sized(self):
+        # the cosines are taken in place: 1000 trajectories of 400 steps fill
+        # two 327-row buffers, and acc and the fit's arrays add under 100 kB.
+        # The untraced first run imports numpy.fft, which the fit uses.
+        def run():
+            return ramsey_ensemble(5.0, NoiseModel(np.sqrt(0.5)), 0.02, 8.0, 1000, RngSpec(1))
+
+        size = 2 * 8 * 400 * 327
+        on_a_worker(run)
+        tracemalloc.start()
+        try:
+            on_a_worker(run)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size <= peak < size + 2**18
+
+
+def block_cosines(monkeypatch, phases):
+    """``ramsey_ensemble``'s cosine of each phase, read back from its one block.
+
+    The stub block's rows are (phase, 0); with sigma sqrt(dt) = 1 and delta0 = 0
+    the estimator halves and sums them to (phase / 2, phase / 2), so both
+    columns end as the cosine of the phase.
+    """
+    rows = np.zeros((max(1000, len(phases)), 2))
+    rows[: len(phases), 0] = phases
+
+    def blocks(self, trials, nsteps):
+        assert (trials, nsteps) == rows.shape
+        yield 0, rows
+
+    monkeypatch.setattr(RngSpec, "_blocks", blocks)
+    monkeypatch.setattr(decoherence, "fit_exponential_envelope", lambda *args: None)
+    monkeypatch.setattr(decoherence, "dominant_frequency", lambda *args: 0.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as the CLI runs
+        ramsey_ensemble(0.0, NoiseModel(1.0), 1.0, 2.0, len(rows), RngSpec(0))
+    assert np.array_equal(rows[:, 0], rows[:, 1])
+    return rows[: len(phases), 0]
+
+
+def with_neighbours(values, ulps=2):
+    """Each value and the ``ulps`` doubles on either side of it."""
+    out = [np.asarray(values, dtype=np.float64)]
+    up = down = out[0]
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def worst_error(mpmath, phases, cosines):
+    """The largest |cos(phase) - cosine|, cos at 40 digits."""
+    with mpmath.workdps(40):
+        return max(abs(mpmath.cos(mpmath.mpf(float(x))) - mpmath.mpf(float(c)))
+                   for x, c in zip(phases, cosines))
+
+
+class TestHalfAngleCosine:
+    """The block cosine 2 / (1 + tan^2(phi / 2)) - 1 against a 40-digit cos."""
+
+    def test_adversarial_phases_within_4_eps(self, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
+        with mpmath.workdps(60):
+            quarter_turns = [float(k * mpmath.pi / 2) for k in range(-64, 65)]
+            odd_pi = [float(m * mpmath.pi) for m in (1, 3, 2001, 2 * 10**9 + 1, 2 * 10**15 + 1)]
+        # the double nearest a multiple of pi / 2 of all (Kahan): cos is -4.7e-19
+        # there, and at twice it the half angle's tangent is -2.1e18
+        kahan = 6381956970095103 * 2.0**797
+        centres = quarter_turns + odd_pi + [-x for x in odd_pi] + [1e15, -1e15, 1e300, -1e300,
+                                                                    kahan, -kahan, 2 * kahan]
+        phases = np.concatenate([tiny, with_neighbours(centres)])
+        assert worst_error(mpmath, phases, block_cosines(monkeypatch, phases)) <= 4 * EPS
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_walk_like_the_benchmarks_within_4_eps(self, monkeypatch, seed):
+        # five of `dephase`'s default trajectories: 5 t + sum of kicks sqrt(0.5 * 0.02) xi
+        mpmath = pytest.importorskip("mpmath")
+        times = np.arange(1, 401) * 0.02
+        kicks = np.random.default_rng(seed).standard_normal((5, 400)) * np.sqrt(0.5 * 0.02)
+        phases = (5.0 * times + np.cumsum(kicks, axis=1)).ravel()
+        assert worst_error(mpmath, phases, block_cosines(monkeypatch, phases)) <= 4 * EPS
 
 
 class TestDecayLimitedRamsey:

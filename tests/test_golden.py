@@ -29,6 +29,9 @@ effective SQUID junction at a smaller critical current.
 after its last printed row.  ``washboard-mixed`` puts phi = 0 (u = -1, an
 integer) at row 1024: its second 1024-row block holds integer-valued cells
 and the others do not.
+``dephase-bench`` and ``dephase-long`` are also rerun in a child process
+with numpy's runtime-dispatched SIMD targets disabled, so that their
+``np.tan`` runs numpy's baseline kernel; the same digests must hold.
 A change that alters an output on purpose regenerates the file, which
 prints the name of every digest it adds, moves or drops, and says in its
 notes which digests moved:
@@ -40,11 +43,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+from numpy._core import _multiarray_umath
 
+import cqed
 from cqed.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
@@ -116,6 +124,40 @@ def test_default_output_matches_golden_digest(tmp_path, command, fmt):
 def test_case_output_matches_golden_digest(tmp_path, case, fmt):
     golden = json.loads(GOLDEN.read_text())
     assert digest(CASES[case], fmt, tmp_path) == golden[f"{case}.{fmt}"]
+
+
+#: Run in a child with numpy's runtime-dispatched SIMD targets disabled: it
+#: checks each is off, then writes each argv's table.
+_LOWERED = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from cqed.cli import run_command
+targets, runs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+assert not any(__cpu_features__[t] for t in targets), "a disabled target is still on"
+for argv in runs:
+    assert run_command(argv) == 0
+"""
+
+
+@pytest.mark.parametrize("case", ["dephase-bench", "dephase-long"])
+def test_dephase_digests_hold_on_numpys_baseline_kernels(tmp_path, case):
+    # dephase's cosines come from np.tan, whose float64 kernel numpy picks at
+    # run time: with every dispatched target this host has disabled, it runs
+    # the baseline's kernel and the tables must not change
+    features = _multiarray_umath.__cpu_features__
+    targets = [t for t in _multiarray_umath.__cpu_dispatch__ if features[t]]
+    if not targets:  # numpy warns of a target it cannot disable, which would fail the run
+        pytest.skip("numpy dispatches to no target beyond its baseline here")
+    runs = [[*CASES[case], "--format", f, "--out", str(tmp_path / f"out.{f}")] for f in FORMATS]
+    env = dict(os.environ, PYTHONPATH=str(Path(cqed.__file__).parent.parent),
+               NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _LOWERED, json.dumps(targets),
+                           json.dumps(runs)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    golden = json.loads(GOLDEN.read_text())
+    for f in FORMATS:
+        written = hashlib.sha256((tmp_path / f"out.{f}").read_bytes()).hexdigest()
+        assert written == golden[f"{case}.{f}"]
 
 
 if __name__ == "__main__":
