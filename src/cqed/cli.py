@@ -339,7 +339,7 @@ def _run_bell(args):
 def _ratios(text: str) -> list[float]:
     """The ``--ratios`` list of E_J/E_C values."""
     try:
-        ratios = [float(r) for r in text.split(",") if r]
+        ratios = [float(r) for r in text.split(",")]
     except ValueError:
         ratios = []
     if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):

@@ -291,12 +291,15 @@ def decay_limited_ramsey(
     """Ramsey experiment limited purely by decay; fringes decay with T2 = 2 T1.
 
     Quantum-jump trajectories from |+>: between jumps the excited amplitude
-    is deterministically damped by exp(-dt / 2 t1) (and the state
-    renormalized), and each step jumps to |0> with probability
-    p_e(t) dt / t1 weighted by the instantaneous excited population.  A
-    jumped trajectory contributes p_plus = 1/2 and no excitation.  The
-    ensemble reproduces p_e(t) = exp(-t/t1)/2 and fringe amplitude
-    exp(-t / 2 t1), the T2 = 2 T1 limit.
+    is damped by exp(-t / 2 t1) and the state renormalized, so with
+    w = exp(-t / t1) a no-jump trajectory has b^2 = w / (1 + w) and
+    coherence a b = sqrt(w) / (1 + w) at time t, in closed form and from
+    negative exponents alone (no overflow at any t / t1).  Each step
+    k = 0..nsteps-1 jumps to |0> with probability (dt / t1) b^2 at its start,
+    t = k dt, and a jumped trajectory contributes p_plus = 1/2, so
+    p_plus(t) = 1/2 + (alive / trials) a b cos(delta t).  The ensemble
+    reproduces p_e(t) = exp(-t/t1)/2 and fringe amplitude exp(-t / 2 t1),
+    the T2 = 2 T1 limit.
 
     Returns the time grid, the averaged fringe on it and the fitted T2.
     """
@@ -311,27 +314,13 @@ def decay_limited_ramsey(
     nsteps = int(np.round(horizon / dt))
     if nsteps < 1:
         raise ValueError("horizon shorter than one step")
-    times = np.arange(1, nsteps + 1) * dt
-
-    # No-jump history is common to every trajectory: amplitudes (a_k, b_k)
-    # with b damped then renormalized, and per-step jump hazard h_k.
-    a = np.empty(nsteps)
-    b = np.empty(nsteps)
-    hazard = np.empty(nsteps)
-    ak, bk = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
-    damp = np.exp(-dt / (2.0 * t1))
-    for k in range(nsteps):
-        hazard[k] = (bk * bk) * dt / t1
-        bk *= damp
-        nrm = np.hypot(ak, bk)
-        ak, bk = ak / nrm, bk / nrm
-        a[k], b[k] = ak, bk
-
-    # Each trajectory is summarized by its first jump step (or none).
+    grid = np.arange(nsteps + 1) * dt
+    times = grid[1:]
+    # The no-jump history, common to every trajectory, at t = k dt
+    w = np.exp(-grid / t1)
+    hazard = (dt / t1) * (w[:-1] / (1.0 + w[:-1]))
     alive = trials - np.cumsum(_first_jumps(rng, trials, nsteps, hazard))
-
-    frac_alive = alive / trials
-    p_plus = frac_alive * (0.5 + a * b * np.cos(delta * times)) + (1 - frac_alive) * 0.5
+    p_plus = 0.5 + (alive / trials) * (np.sqrt(w[1:]) / (1.0 + w[1:])) * np.cos(delta * times)
     return {
         "times": times,
         "p_plus": p_plus,

@@ -30,23 +30,18 @@ __all__ = [
 _RESIDUAL_TOL = 1e-8
 
 
-def _check_adequate(a, dim: int) -> None:
-    """Raise TruncationTooSmall if ``dim`` < a^2 + 10 a + 10 for the magnitude a = |alpha|."""
-    bound = int(np.ceil(a * a + 10.0 * a + 10.0))
-    if dim < bound:
-        raise TruncationTooSmall(f"dim {dim} < adequacy bound {bound} for |alpha|={a:.3g}")
-
-
 def _coherent_rows(alphas, dim: int) -> np.ndarray:
     """Renormalized truncated |alpha> for each of ``alphas``, one row each: (len(alphas), dim).
 
     c_{n+1} = alpha c_n / sqrt(n+1) runs once over the stack in numpy's array
     arithmetic, whose elementwise kernels give each row the bits of a one-alpha
     call; each row's norm comes from stacked dots of its real and imaginary
-    parts, as `np.linalg.norm` does.  The first alpha whose adequacy bound is
-    over ``dim``, or not finite, raises through `_check_adequate`; an alpha
-    whose c_0 is subnormal or 0 (|alpha| over about 37.64) raises before the
-    recursion runs, and so does a norm that misses 1 either way.
+    parts, as `np.linalg.norm` does.  The first alpha that breaks the adequacy
+    rule ``dim >= ceil(|alpha|^2 + 10 |alpha| + 10)``, taken for the whole stack,
+    raises ValueError if it is not finite, else TruncationTooSmall naming the
+    bound (``inf`` once |alpha|^2 overflows).  An alpha whose c_0 is subnormal
+    or 0 (|alpha| over about 37.64) raises before the recursion runs, and so
+    does a norm that misses 1 either way.
     """
     values = np.asarray(alphas, dtype=np.complex128)
     with np.errstate(over="ignore"):
@@ -56,8 +51,10 @@ def _coherent_rows(alphas, dim: int) -> np.ndarray:
     bad = np.flatnonzero(~(bound <= dim))
     if bad.size:
         k = bad[0]
-        # the stack's |alpha|, or abs(alpha) to raise as a per-alpha loop on a non-finite bound
-        _check_adequate(a[k] if np.isfinite(bound[k]) else abs(alphas[k]), dim)
+        if not np.isfinite(values[k]):
+            raise ValueError(f"alpha must be finite, got {complex(values[k])}")
+        raise TruncationTooSmall(
+            f"dim {dim} < adequacy bound {bound[k]:.12g} for |alpha|={a[k]:.3g}")
     c0 = np.exp(-0.5 * (a * a))
     # A subnormal c_0 keeps too few significant bits for the norm check to mean anything.
     bad = np.flatnonzero(c0 < np.finfo(np.float64).tiny)
@@ -90,7 +87,7 @@ def coherent_ket(alpha: complex, dim: int) -> Ket:
     ``dim >= |alpha|^2 + 10 |alpha| + 10``, a c_0 that is a normal
     float64, at least 2^-1022 (|alpha| up to about 37.64), and a
     pre-renormalization norm within 1e-8 of 1 either way; each failure raises
-    TruncationTooSmall.
+    TruncationTooSmall, and a non-finite alpha ValueError.
     """
     return Ket(_coherent_rows([alpha], dim)[0])
 

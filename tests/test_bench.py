@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -25,6 +27,8 @@ def test_bench_selftest_passes():
 HOOK_PASS = """
 import json, tempfile
 from pathlib import Path
+
+import pytest
 import run, tracing, workloads
 modules = run.import_cqed()
 out = {}
@@ -58,23 +62,16 @@ def test_tracing_hooks_read_the_work_from_call_arguments():
     assert counters["dynamics"]["rk4_steps"] == 1000
 
 
-def test_one_full_size_dynamics_pass_is_correct():
-    # The selftest's tiny tunnel-ode takes 1000 steps; this pass takes the
-    # 20 000 whose n_total_conserved bound the benchmark holds the rows to.
+@pytest.mark.parametrize("workload", ["spectra", "ensembles", "dynamics"])
+def test_one_full_size_pass_is_correct(workload):
+    # The selftest's passes are tiny: spectrum at ncut 6 on 21 gate charges,
+    # decay with 1000 trials, tunnel-ode with 1000 steps.  Full size, spectra
+    # holds ncut 24 on 401 gate charges and the default transmon ratios to
+    # LAPACK, ensembles the first-jump counts of 20 000 trials to the 5-sigma
+    # decay check, and dynamics 20 000 tunnel-ode steps to their
+    # n_total_conserved bound.
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "dynamics", "--seed", "0",
-         "--seconds", "0", "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0, result
-
-
-def test_one_full_size_ensembles_pass_is_correct():
-    # The selftest's tiny decay draws 1000 trials; this pass holds the
-    # first-jump counts of 20 000 to the benchmark's 5-sigma decay check.
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "ensembles", "--seed", "0",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

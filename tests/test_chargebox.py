@@ -65,6 +65,14 @@ class TestSpectrumSweep:
         assert abs(gap - 0.1) < 1e-4
         assert abs(gap - (0.1 - 0.1**3 / 16)) < 1e-7
 
+    @pytest.mark.parametrize("ej", [0.1, 0.05, 0.02])
+    def test_sweet_spot_gap_is_third_order_perturbation_theory(self, ej):
+        # The companion of acceptance criterion 1's strict xfail: the solver's
+        # gap at ncut 10 is E_J - E_J^3/16 to O(E_J^5).  Measured: 4.78e-8,
+        # 1.49e-9 and 1.53e-11 off, about 0.0048 E_J^5.
+        levels = spectrum_sweep(1.0, ej, np.array([0.5]), ncut=10, k=2)[0]
+        assert abs(levels[1] - levels[0] - (ej - ej**3 / 16)) <= ej**5 / 100
+
     def test_zero_coupling_matches_parabolas(self):
         grid = np.linspace(0.0, 1.0, 21)
         sweep = spectrum_sweep(1.0, 0.0, grid, ncut=6, k=3)

@@ -205,6 +205,25 @@ class TestExitCodes:
             outcomes.append(code)
         assert outcomes == [0] * 17 + [3] * 13  # 37.6 passes; from 37.7 c_0 is subnormal
 
+    @pytest.mark.parametrize(
+        "alpha, bound",
+        [
+            ("1e300", "inf"),  # was an OverflowError traceback, then OverflowError at exit 3
+            ("1e160", "inf"),  # |alpha|^2 overflows
+            ("1e154", "1e+308"),  # |alpha|^2 does not: was a 309-digit int
+        ],
+    )
+    def test_coherent_names_the_adequacy_bound_past_float_range(
+        self, tmp_path, capsys, alpha, bound
+    ):
+        code, out = run(tmp_path, "coherent", "--alpha-re", alpha)
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == (f"error: TruncationTooSmall: dim 48 < adequacy bound {bound}"
+                       f" for |alpha|={float(alpha):.3g}\n")
+        assert len(err) < 100
+
     @pytest.mark.parametrize("ratios,moved", [("1,60", "3.765e-06"), ("60,1", "8.353e-02")])
     def test_transmon_reports_first_failing_ratio(self, tmp_path, capsys, ratios, moved):
         # both ratios fail the doubled-ncut check; the message names the first
@@ -569,7 +588,6 @@ class TestExitCodes:
         [
             ["rabi", "--omega=-1e300", "--t-max", "1e300"],  # was exit 0 with NaN rows
             ["fluxwell", "--phi-min=-1e300"],  # was exit 0 with inf rows
-            ["coherent", "--alpha-re", "1e300"],  # was an OverflowError traceback
             ["spectrum", "--ej", "1e300"],  # was warnings and "cannot convert float NaN"
         ],
         ids=lambda argv: " ".join(argv),
@@ -617,6 +635,9 @@ class TestExitCodes:
             # a negative ncut made the size term negative: exit 1 in np.linspace
             (["spectrum", "--ncut", "-1", "--ng-steps", "1000000000000000"], "ncut must be >= 2"),
             (["transmon", "--ratios", "abc"], "ratios must be"),
+            # were exit 0: the empty entry was dropped
+            (["transmon", "--ratios", "1,,2"], "ratios must be"),
+            (["transmon", "--ratios", "1,2,"], "ratios must be"),
             # were exit 0: the seed was masked to 64 bits, so 2^64 wrote the rows of
             # seed 0 and -1 those of 2^64 - 1, each under its own "# seed=" line
             (["decay", "--trials", "20", "--seed", "-1"], "seed must be within [0, 2^64)"),

@@ -343,8 +343,24 @@ def reference_t1_estimate(t1, times, dt, trials, seed):
     return (decay_times[None, :] > times[:, None]).mean(axis=1)
 
 
+def no_jump_history(t1, dt, nsteps):
+    """decay_limited_ramsey's b^2 and a b from |+> at t = k dt, k = 0..nsteps, in closed
+    form: w / (1 + w) and sqrt(w) / (1 + w), with w = exp(-t / t1)."""
+    w = np.exp(-(np.arange(nsteps + 1) * dt) / t1)
+    return w / (1.0 + w), np.sqrt(w) / (1.0 + w)
+
+
 def reference_decay_limited(t1, delta, dt, horizon, trials, seed):
-    """Per-step no-jump loop of decay_limited_ramsey on its first-jump counts: p_plus."""
+    """decay_limited_ramsey from the closed-form history and its first-jump counts: p_plus."""
+    nsteps = int(np.round(horizon / dt))
+    times = np.arange(1, nsteps + 1) * dt
+    b2, ab = no_jump_history(t1, dt, nsteps)
+    jump_counts = decoherence._first_jumps(RngSpec(seed), trials, nsteps, (dt / t1) * b2[:-1])
+    return 0.5 + (trials - np.cumsum(jump_counts)) / trials * ab[1:] * np.cos(delta * times)
+
+
+def loop_decay_limited(t1, delta, dt, horizon, trials, seed):
+    """The per-step no-jump loop decay_limited_ramsey once ran, on its own hazards: p_plus."""
     nsteps = int(np.round(horizon / dt))
     times = np.arange(1, nsteps + 1) * dt
     a, b, hazard = np.empty(nsteps), np.empty(nsteps), np.empty(nsteps)
@@ -393,6 +409,15 @@ class TestEnsemblesMatchPerTrajectoryLoops:
         out = decay_limited_ramsey(1.0, 20.0, 0.004, 3.0, trials=300, rng=RngSpec(seed))
         p_plus = reference_decay_limited(1.0, 20.0, 0.004, 3.0, 300, seed)
         assert np.array_equal(out["p_plus"], p_plus)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("dt, trials", [(0.004, 300), (0.002, 10_000)])
+    def test_decay_limited_ramsey_is_the_per_step_loop_to_a_few_eps(self, dt, trials, seed):
+        # the loop's renormalization drifts from the closed form (3.8e-14 in a b
+        # at 1500 steps); the worst p_plus difference measured here was 20 eps
+        out = decay_limited_ramsey(1.0, 20.0, dt, 3.0, trials, RngSpec(seed))
+        expected = loop_decay_limited(1.0, 20.0, dt, 3.0, trials, seed)
+        assert np.max(np.abs(out["p_plus"] - expected)) <= 32 * EPS
 
     @pytest.mark.parametrize("dt, horizon", [(0.02, 8.0), (0.013, 3.37)])
     def test_ramsey_ensemble(self, dt, horizon):
@@ -751,18 +776,42 @@ class TestDecayLimitedRamsey:
         # probability to ~1e-10
         t1, delta, dt, horizon = 1.0, 20.0, 0.004, 3.0
         out = decay_limited_ramsey(t1, delta, dt, horizon, 2**63 - 1, RngSpec(3))
-        times = out["times"]
-        # the no-jump amplitudes, hazards and fringe a_k b_k cos(delta t_k)
-        coherent = np.full(len(times), np.nan)
-        hazard = np.empty(len(times))
-        ak = bk = 1.0 / np.sqrt(2.0)
-        for k in range(len(times)):
-            hazard[k] = bk * bk * dt / t1
-            bk *= np.exp(-dt / (2.0 * t1))
-            ak, bk = ak / np.hypot(ak, bk), bk / np.hypot(ak, bk)
-            coherent[k] = ak * bk * np.cos(delta * times[k])
-        survival = np.cumprod(1.0 - hazard)
-        assert np.allclose(out["p_plus"], 0.5 + survival * coherent, rtol=0, atol=1e-9)
+        b2, ab = no_jump_history(t1, dt, len(out["times"]))
+        survival = np.cumprod(1.0 - (dt / t1) * b2[:-1])
+        expected = 0.5 + survival * ab[1:] * np.cos(delta * out["times"])
+        assert np.allclose(out["p_plus"], expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "t1, dt, nsteps",
+        [(1.0, 0.004, 750), (3.7, 0.013, 2000), (2.0, 0.001, 50_000), (0.01, 5e-5, 300_000)],
+    )
+    def test_no_jump_history_matches_40_digits(self, t1, dt, nsteps):
+        # The rounded argument t / t1 costs exp up to (t / 2 t1) eps, so b^2 = w / (1 + w)
+        # is within (1.5 + t / 2 t1) eps and a b = sqrt(w) / (1 + w), half of that
+        # exponent, within (2 + t / 4 t1) eps.  Measured at 3001 times each, up to
+        # t / t1 = 700 (further on w is subnormal): at most (0.76 + t / 2 t1) eps and
+        # (0.84 + t / 4 t1) eps; 1.08 and 1.07 eps at t / t1 <= 3.
+        mpmath = pytest.importorskip("mpmath")
+        b2, ab = no_jump_history(t1, dt, nsteps)
+        steps = np.unique(np.linspace(0, nsteps, 3001).astype(int))
+        times = steps * dt
+        steps = steps[times / t1 <= 700.0]
+        with mpmath.workdps(40):
+            for k in steps:
+                x = float(k * dt) / t1
+                w = mpmath.exp(-mpmath.mpf(float(k * dt)) / t1)
+                assert abs(b2[k] / (w / (1 + w)) - 1) <= (1.5 + x / 2) * EPS
+                assert abs(ab[k] / (mpmath.sqrt(w) / (1 + w)) - 1) <= (2 + x / 4) * EPS
+
+    def test_long_horizons_raise_no_overflow(self):
+        # 300 000 steps out to t / t1 = 1500, where exp(+t / t1) overflows; the
+        # history takes negative exponents only, so w underflows to 0 instead and
+        # the fringe ends at exactly 1/2 (a warning here fails the test)
+        out = decay_limited_ramsey(0.01, 2000.0, 5e-5, 15.0, 1000, RngSpec(0))
+        assert np.isfinite(out["p_plus"]).all() and out["p_plus"][-1] == 0.5
+        assert np.array_equal(out["p_plus"],
+                              reference_decay_limited(0.01, 2000.0, 5e-5, 15.0, 1000, 0))
+        assert abs(out["fitted_t2"] - 0.02) < 1e-3
 
     @pytest.mark.parametrize("trials", [0, -1, 2**63])
     def test_an_ensemble_needs_a_trajectory(self, trials):

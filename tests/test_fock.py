@@ -267,14 +267,17 @@ class TestCoherentEvolution:
     @pytest.mark.parametrize("faults", [{}, {"over": "raise", "invalid": "raise"}])
     def test_failing_alpha_raises_as_the_per_alpha_loop(self, alphas, dim, as_array, faults):
         def loop(alphas):
-            # the adequacy rule and c_0, one alpha at a time
+            # the adequacy rule, one alpha at a time: the first that breaks it
+            # raises ValueError if it is not finite, else TruncationTooSmall
             for alpha in alphas:
-                a = abs(alpha)
-                bound = int(np.ceil(a * a + 10.0 * a + 10.0))
-                if dim < bound:
+                with np.errstate(all="ignore"):
+                    a = np.abs(np.complex128(alpha))
+                    bound = np.ceil(a * a + 10.0 * a + 10.0)
+                if not bound <= dim:
+                    if not np.isfinite(alpha):
+                        raise ValueError(f"alpha must be finite, got {complex(alpha)}")
                     raise TruncationTooSmall(
-                        f"dim {dim} < adequacy bound {bound} for |alpha|={a:.3g}")
-                np.exp(-0.5 * a**2)
+                        f"dim {dim} < adequacy bound {bound:.12g} for |alpha|={a:.3g}")
 
         alphas = np.array(alphas, dtype=np.complex128) if as_array else [complex(a) for a in alphas]
         with np.errstate(**faults), warnings.catch_warnings():
