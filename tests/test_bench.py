@@ -27,8 +27,6 @@ def test_bench_selftest_passes():
 HOOK_PASS = """
 import json, tempfile
 from pathlib import Path
-
-import pytest
 import run, tracing, workloads
 modules = run.import_cqed()
 out = {}

@@ -218,7 +218,7 @@ class TestExitCodes:
     ):
         code, out = run(tmp_path, "coherent", "--alpha-re", alpha)
         assert code == 3
-        assert not out.exists()
+        assert not any(tmp_path.iterdir())
         err = capsys.readouterr().err
         assert err == (f"error: TruncationTooSmall: dim 48 < adequacy bound {bound}"
                        f" for |alpha|={float(alpha):.3g}\n")
